@@ -2,25 +2,13 @@
 
 #include <algorithm>
 
+#include "trees/mapping.hpp"
 #include "util/error.hpp"
 
 namespace lmo::coll {
 
 using vmpi::Comm;
 using vmpi::Task;
-
-std::vector<int> inverse_mapping(const std::vector<int>& mapping, int n) {
-  if (mapping.empty()) return {};
-  LMO_CHECK_MSG(int(mapping.size()) == n, "mapping size != communicator size");
-  std::vector<int> inverse(std::size_t(n), -1);
-  for (int v = 0; v < n; ++v) {
-    const int rank = mapping[std::size_t(v)];
-    LMO_CHECK_MSG(rank >= 0 && rank < n, "mapping entry out of range");
-    LMO_CHECK_MSG(inverse[std::size_t(rank)] < 0, "duplicate mapping entry");
-    inverse[std::size_t(rank)] = v;
-  }
-  return inverse;
-}
 
 namespace {
 /// Virtual rank of `rank` in a tree rooted at `root`, given the inverse
@@ -58,7 +46,8 @@ Task binomial_scatter(Comm& c, int root, Bytes block,
   const int n = c.size();
   LMO_CHECK(root >= 0 && root < n);
   LMO_CHECK(block >= 0);
-  const int v = virtual_rank(inverse_mapping(mapping, n), c.rank(), root, n);
+  const int v =
+      virtual_rank(trees::inverse_mapping(mapping, n), c.rank(), root, n);
   if (v != 0) {
     const int parent = trees::map_rank(mapping, trees::binomial_parent(v),
                                        root, n);
@@ -76,7 +65,8 @@ Task binomial_gather(Comm& c, int root, Bytes block,
   const int n = c.size();
   LMO_CHECK(root >= 0 && root < n);
   LMO_CHECK(block >= 0);
-  const int v = virtual_rank(inverse_mapping(mapping, n), c.rank(), root, n);
+  const int v =
+      virtual_rank(trees::inverse_mapping(mapping, n), c.rank(), root, n);
   // Receive subtrees smallest-first: the exact reverse of scatter's order,
   // so the largest (slowest) subtree has the most time to accumulate.
   auto children = trees::binomial_children(v, n);
@@ -151,7 +141,8 @@ Task binomial_bcast(Comm& c, int root, Bytes bytes,
                     std::vector<int> mapping) {
   const int n = c.size();
   LMO_CHECK(root >= 0 && root < n);
-  const int v = virtual_rank(inverse_mapping(mapping, n), c.rank(), root, n);
+  const int v =
+      virtual_rank(trees::inverse_mapping(mapping, n), c.rank(), root, n);
   if (v != 0)
     co_await c.recv(trees::map_rank(mapping, trees::binomial_parent(v),
                                     root, n));
@@ -178,7 +169,8 @@ Task binomial_reduce(Comm& c, int root, Bytes bytes,
   const int n = c.size();
   LMO_CHECK(root >= 0 && root < n);
   LMO_CHECK(bytes >= 0);
-  const int v = virtual_rank(inverse_mapping(mapping, n), c.rank(), root, n);
+  const int v =
+      virtual_rank(trees::inverse_mapping(mapping, n), c.rank(), root, n);
   auto children = trees::binomial_children(v, n);
   std::reverse(children.begin(), children.end());
   for (int child_v : children) {

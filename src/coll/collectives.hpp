@@ -20,16 +20,6 @@
 
 namespace lmo::coll {
 
-/// Inverse of a virtual-to-physical `mapping`: inverse[physical] =
-/// virtual. Validates that the mapping is a permutation of 0..n-1 (no
-/// duplicate or out-of-range entries) while building — a malformed
-/// mapping would silently wedge a collective in mismatched sends.
-/// Returns empty for an empty mapping (the MPI (v + root) mod n default).
-/// Collectives build this once per invocation, replacing the per-rank
-/// linear search that made mapped collectives O(n^2) at scale.
-[[nodiscard]] std::vector<int> inverse_mapping(const std::vector<int>& mapping,
-                                               int n);
-
 /// Flat-tree scatter: the root sends one block to every other rank in rank
 /// order (the paper's "linear scatter").
 vmpi::Task linear_scatter(vmpi::Comm& c, int root, Bytes block);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "trees/mapping.hpp"
 #include "util/error.hpp"
 
 namespace lmo::coll {
@@ -27,7 +28,7 @@ std::vector<Bytes> chunk_list(Bytes total, Bytes segment) {
 
 int resolve_virtual(const std::vector<int>& mapping, int rank, int root,
                     int n) {
-  const std::vector<int> inverse = inverse_mapping(mapping, n);
+  const std::vector<int> inverse = trees::inverse_mapping(mapping, n);
   return inverse.empty() ? (rank - root + n) % n : inverse[std::size_t(rank)];
 }
 }  // namespace

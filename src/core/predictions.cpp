@@ -1,11 +1,9 @@
 #include "core/predictions.hpp"
 
 #include <algorithm>
-#include <map>
-#include <queue>
+#include <functional>
 #include <utility>
 
-#include "trees/binomial.hpp"
 #include "trees/mapping.hpp"
 #include "util/error.hpp"
 
@@ -85,33 +83,98 @@ GatherPrediction linear_gather_time(const LmoParams& p,
 }
 
 namespace {
-/// Bytes crossing the arc into virtual rank `child`.
-using ArcBytes = double (*)(int child, int n, Bytes m);
-
-double scatter_arc_bytes(int child, int n, Bytes m) {
-  return double(trees::binomial_subtree_blocks(child, n)) * double(m);
+/// Template of coll::tree_<kind> over n virtual ranks: bcast/scatter
+/// receive from the parent then send to each child (tree_children order);
+/// gather/reduce receive from each child (tree_recv_order) then send up.
+/// Arc ids are the child's virtual rank; the byte factor is
+/// tree_subtree_size for scatter and gather, 1 for bcast and reduce.
+ScheduleTemplate compile_tree_schedule(trees::TreeKind shape,
+                                       CollectiveKind kind, int n) {
+  const bool down =
+      kind == CollectiveKind::kScatter || kind == CollectiveKind::kBcast;
+  const bool blocks =
+      kind == CollectiveKind::kScatter || kind == CollectiveKind::kGather;
+  const bool combine = kind == CollectiveKind::kReduce;
+  auto factor = [&](int v) {
+    return blocks ? double(trees::tree_subtree_size(shape, v, n)) : 1.0;
+  };
+  ScheduleTemplate out;
+  out.start.reserve(std::size_t(n) + 1);
+  out.ops.reserve(2 * std::size_t(n));
+  out.start.push_back(0);
+  for (int v = 0; v < n; ++v) {
+    if (down) {
+      if (v != 0)
+        out.ops.push_back({true, false, trees::tree_parent(shape, v), v,
+                           factor(v)});
+      for (const int child : trees::tree_children(shape, v, n))
+        out.ops.push_back({false, false, child, child, factor(child)});
+    } else {
+      for (const int child : trees::tree_recv_order(shape, v, n))
+        out.ops.push_back({true, combine, child, child, factor(child)});
+      if (v != 0)
+        out.ops.push_back({false, false, trees::tree_parent(shape, v), v,
+                           factor(v)});
+    }
+    out.start.push_back(int(out.ops.size()));
+  }
+  return out;
 }
-double bcast_arc_bytes(int /*child*/, int /*n*/, Bytes m) {
-  return double(m);
+
+/// Template of coll::ring_allgather's steps: each rank posts the eager send
+/// to its right, then blocks on the receive from its left (arc id = the
+/// sender's rank; the trailing wait costs nothing extra — the send clock
+/// already carries the CPU charge).
+ScheduleTemplate compile_ring_schedule(int n) {
+  ScheduleTemplate out;
+  out.start.push_back(0);
+  for (int i = 0; i < n; ++i) {
+    const int left = (i - 1 + n) % n;
+    out.ops.push_back({false, false, (i + 1) % n, i, 1.0});
+    out.ops.push_back({true, false, left, left, 1.0});
+    out.start.push_back(int(out.ops.size()));
+  }
+  return out;
+}
+
+/// Layout of `topology`'s shared segments for ranks 0..n-1.
+WireLayout wire_layout(const sim::Topology* topology, int n) {
+  WireLayout out;
+  if (!topology || topology->empty() || !topology->any_contended())
+    return out;
+  out.levels = topology->depth();
+  std::vector<std::size_t> offset;
+  for (int l = 1; l <= out.levels; ++l) {
+    out.contended.push_back(topology->level(l).contended ? 1 : 0);
+    offset.push_back(out.cursors);
+    out.cursors += std::size_t(topology->group_count(l));
+  }
+  out.slot.reserve(std::size_t(n) * std::size_t(out.levels));
+  for (int r = 0; r < n; ++r)
+    for (int l = 1; l <= out.levels; ++l)
+      out.slot.push_back(offset[std::size_t(l - 1)] +
+                         std::size_t(topology->group(l, r)));
+  return out;
 }
 
 /// Completion time of the subtree rooted at virtual rank v, measured from
 /// the instant v's processor holds its data. The parent's per-child CPU
 /// terms accumulate (serialized); wire and child processing overlap.
-double lmo_subtree(const LmoParams& p, const std::vector<int>& mapping,
-                   int root, int n, Bytes m, int v, ArcBytes arc_bytes) {
-  const int pv = trees::map_rank(mapping, v, root, n);
+/// Walks v's sends in a bcast/scatter template (children in send order).
+double lmo_subtree(const LmoParams& p, const ScheduleTemplate& plan,
+                   const int* map, double m, int v) {
+  const int pv = map[v];
   double cpu_done = 0.0;
   double total = 0.0;
-  for (const int child : trees::binomial_children(v, n)) {
-    const int pc = trees::map_rank(mapping, child, root, n);
-    const double bytes = arc_bytes(child, n, m);
+  for (const TemplateOp* op = plan.begin(v); op != plan.end(v); ++op) {
+    if (op->recv) continue;
+    const int pc = map[op->peer];
+    const double bytes = op->factor * m;
     cpu_done += p.C[std::size_t(pv)] + bytes * p.t[std::size_t(pv)];
     const double arrival = cpu_done + p.L(pv, pc) +
                            bytes * p.inv_beta(pv, pc) +
                            p.C[std::size_t(pc)] + bytes * p.t[std::size_t(pc)];
-    total = std::max(
-        total, arrival + lmo_subtree(p, mapping, root, n, m, child, arc_bytes));
+    total = std::max(total, arrival + lmo_subtree(p, plan, map, m, op->peer));
   }
   return std::max(total, cpu_done);
 }
@@ -119,47 +182,83 @@ double lmo_subtree(const LmoParams& p, const std::vector<int>& mapping,
 /// Gather mirror: children's subtrees complete, then their messages travel
 /// up; the parent's receive processing is serialized, transmissions are
 /// parallel. Children finish in reverse send order (smallest subtree
-/// first), matching the algorithm in coll::binomial_gather. `combine` adds
-/// one extra serialized processing per received block (reduce).
-double lmo_subtree_gather(const LmoParams& p, const std::vector<int>& mapping,
-                          int root, int n, Bytes m, int v, ArcBytes arc_bytes,
-                          bool combine) {
-  const int pv = trees::map_rank(mapping, v, root, n);
-  auto children = trees::binomial_children(v, n);
-  std::reverse(children.begin(), children.end());
+/// first), matching the algorithm in coll::binomial_gather — the receive
+/// order of a gather/reduce template, whose combine flag (reduce) adds one
+/// extra serialized processing per received block.
+double lmo_subtree_gather(const LmoParams& p, const ScheduleTemplate& plan,
+                          const int* map, double m, int v) {
+  const int pv = map[v];
   double done = 0.0;
-  for (const int child : children) {
-    const int pc = trees::map_rank(mapping, child, root, n);
-    const double bytes = arc_bytes(child, n, m);
+  for (const TemplateOp* op = plan.begin(v); op != plan.end(v); ++op) {
+    if (!op->recv) continue;
+    const int pc = map[op->peer];
+    const double bytes = op->factor * m;
     // The child's message is ready after its own subtree completes plus its
     // send processing; it then needs the wire plus the parent's receive
     // processing, which queues behind the previous child's.
-    const double ready =
-        lmo_subtree_gather(p, mapping, root, n, m, child, arc_bytes, combine) +
-        p.C[std::size_t(pc)] + bytes * p.t[std::size_t(pc)] + p.L(pv, pc) +
-        bytes * p.inv_beta(pv, pc);
+    const double ready = lmo_subtree_gather(p, plan, map, m, op->peer) +
+                         p.C[std::size_t(pc)] + bytes * p.t[std::size_t(pc)] +
+                         p.L(pv, pc) + bytes * p.inv_beta(pv, pc);
     const double processing =
-        (combine ? 2.0 : 1.0) *
+        (op->combine ? 2.0 : 1.0) *
         (p.C[std::size_t(pv)] + bytes * p.t[std::size_t(pv)]);
     done = std::max(done, ready) + processing;
   }
   return done;
 }
+
+/// The closed-form recursion of `kind` over a binomial template, with
+/// `map` assigning physical ranks to virtual ones.
+double binomial_closed(const LmoParams& p, const ScheduleTemplate& plan,
+                       CollectiveKind kind, const int* map, Bytes m) {
+  if (kind == CollectiveKind::kScatter || kind == CollectiveKind::kBcast)
+    return lmo_subtree(p, plan, map, double(m), 0);
+  return lmo_subtree_gather(p, plan, map, double(m), 0);
+}
+
+/// Virtual -> physical map for `mapping`: the mapping itself, or the MPI
+/// default (v + root) mod n written into w.map (inverse into w.inverse).
+const int* default_or(const std::vector<int>& mapping, int root, int n,
+                      ScheduleScratch& w) {
+  if (!mapping.empty()) return mapping.data();
+  w.map.resize(std::size_t(n));
+  w.inverse.resize(std::size_t(n));
+  for (int v = 0; v < n; ++v) {
+    const int r = (v + root) % n;
+    w.map[std::size_t(v)] = r;
+    w.inverse[std::size_t(r)] = v;
+  }
+  return w.map.data();
+}
+
+/// Checks `mapping` (trees::invert_mapping) and binds it for a replay:
+/// returns virtual -> physical, leaves physical -> virtual in w.inverse.
+const int* bind_mapping(const std::vector<int>& mapping, int root, int n,
+                        ScheduleScratch& w) {
+  trees::invert_mapping(mapping, n, w.inverse);
+  return default_or(mapping, root, n, w);
+}
+
+double eval_binomial(const LmoParams& p, CollectiveKind kind, int root,
+                     Bytes m, const std::vector<int>& mapping) {
+  p.validate();
+  LMO_CHECK(root >= 0 && root < p.size());
+  ScheduleScratch w;
+  const int n = p.size();
+  return binomial_closed(
+      p, compile_tree_schedule(trees::TreeKind::kBinomial, kind, n), kind,
+      bind_mapping(mapping, root, n, w), m);
+}
 }  // namespace
 
 double binomial_scatter_time(const LmoParams& p, int root, Bytes m,
                              const std::vector<int>& mapping) {
-  p.validate();
-  LMO_CHECK(root >= 0 && root < p.size());
-  return lmo_subtree(p, mapping, root, p.size(), m, 0, scatter_arc_bytes);
+  return eval_binomial(p, CollectiveKind::kScatter, root, m, mapping);
 }
 
 double binomial_gather_time(const LmoParams& p, int root, Bytes m,
                             const std::vector<int>& mapping) {
-  p.validate();
-  LMO_CHECK(root >= 0 && root < p.size());
-  return lmo_subtree_gather(p, mapping, root, p.size(), m, 0,
-                            scatter_arc_bytes, /*combine=*/false);
+  return eval_binomial(p, CollectiveKind::kGather, root, m, mapping);
 }
 
 double linear_bcast_time(const LmoParams& p, int root, Bytes m) {
@@ -169,9 +268,7 @@ double linear_bcast_time(const LmoParams& p, int root, Bytes m) {
 
 double binomial_bcast_time(const LmoParams& p, int root, Bytes m,
                            const std::vector<int>& mapping) {
-  p.validate();
-  LMO_CHECK(root >= 0 && root < p.size());
-  return lmo_subtree(p, mapping, root, p.size(), m, 0, bcast_arc_bytes);
+  return eval_binomial(p, CollectiveKind::kBcast, root, m, mapping);
 }
 
 double linear_reduce_time(const LmoParams& p, int root, Bytes m) {
@@ -183,10 +280,7 @@ double linear_reduce_time(const LmoParams& p, int root, Bytes m) {
 
 double binomial_reduce_time(const LmoParams& p, int root, Bytes m,
                             const std::vector<int>& mapping) {
-  p.validate();
-  LMO_CHECK(root >= 0 && root < p.size());
-  return lmo_subtree_gather(p, mapping, root, p.size(), m, 0,
-                            bcast_arc_bytes, /*combine=*/true);
+  return eval_binomial(p, CollectiveKind::kReduce, root, m, mapping);
 }
 
 namespace {
@@ -194,279 +288,264 @@ namespace {
 /// the wire; segment grids that go tiny would otherwise look free.
 constexpr double kMinFrameBytes = 64.0;
 
-/// Replays Fabric::transfer's resource chain for one message priced from
-/// the fitted parameters: the sender's egress port, every *contended*
-/// shared segment on the path (memory bus, oversubscribed uplink — only
-/// when a topology is supplied), then the receiver's ingress port. Flat
-/// clusters carry no contended segments, so the shared-cursor loop is a
-/// no-op there and the evaluators price exactly what they did before.
-class WireState {
- public:
-  WireState(int n, const sim::Topology* topo)
-      : egress_(std::size_t(n), 0.0),
-        ingress_(std::size_t(n), 0.0),
-        topo_(topo && !topo->empty() && topo->any_contended() ? topo
-                                                              : nullptr) {}
-
-  /// Schedule one src -> dst message whose send CPU finishes at `ready`;
-  /// returns the arrival time at dst (ingress grant + wire occupancy).
-  double send(const LmoParams& p, int src, int dst, double bytes,
-              double ready) {
-    const double wire = std::max(bytes, kMinFrameBytes) * p.inv_beta(src, dst);
-    const double eg = std::max(ready, egress_[std::size_t(src)]);
-    egress_[std::size_t(src)] = eg + wire;
-    double avail = eg;
-    if (topo_)
-      topo_->for_each_contended_segment(src, dst, [&](int l, int g) {
-        double& cursor = shared_[{l, g}];
-        avail = std::max(avail, cursor);
-        cursor = avail + wire;
-      });
-    const double in =
-        std::max(avail + p.L(src, dst), ingress_[std::size_t(dst)]);
-    ingress_[std::size_t(dst)] = in + wire;
-    return in + wire;
-  }
-
- private:
-  std::vector<double> egress_, ingress_;
-  std::map<std::pair<int, int>, double> shared_;  // (level, group) cursor
-  const sim::Topology* topo_;
+/// One template replayed over `chunks` pipelined chunks: chunk s of arc e
+/// lands in arrival slot base + e * chunks + s.
+struct Phase {
+  const ScheduleTemplate* plan = nullptr;
+  const int* to_physical = nullptr;  ///< virtual -> physical
+  const int* to_virtual = nullptr;   ///< physical -> virtual
+  std::size_t chunks = 1;
+  double full = 0.0;  ///< bytes of chunks 0 .. chunks-2
+  double last = 0.0;  ///< bytes of the final chunk
+  std::size_t base = 0;
 };
 
 /// Segment `total` into a pipelined series of chunks of at most `segment`
-/// bytes (one full-size chunk when segment is 0 or >= total).
-std::vector<double> chunk_sizes(Bytes total, Bytes segment) {
-  if (total <= 0 || segment <= 0 || segment >= total)
-    return {double(total > 0 ? total : 0)};
-  std::vector<double> chunks;
-  Bytes remaining = total;
-  while (remaining > 0) {
-    const Bytes piece = std::min(remaining, segment);
-    chunks.push_back(double(piece));
-    remaining -= piece;
+/// bytes, the remainder last (one full-size chunk when segment is 0 or
+/// >= total).
+Phase chunked(Bytes total, Bytes segment) {
+  Phase ph;
+  if (total <= 0 || segment <= 0 || segment >= total) {
+    ph.full = ph.last = double(total > 0 ? total : 0);
+    return ph;
   }
-  return chunks;
+  ph.chunks = std::size_t((total + segment - 1) / segment);
+  ph.full = double(segment);
+  ph.last = double(total - Bytes(ph.chunks - 1) * segment);
+  return ph;
 }
 
-/// One step of a rank's replayed coroutine: a blocking receive or an
-/// eager send, with the message's arrival slot and byte count.
-struct SchedOp {
-  bool recv;
-  int peer;          // physical rank on the other side
-  std::size_t edge;  // arrival slot, unique per message
-  double bytes;
-  bool extra;        // reduce: a second processing term per received block
-};
+/// Replays Fabric::transfer's resource chain for one message priced from
+/// the fitted parameters: the sender's egress port, every *contended*
+/// shared segment on the path (memory bus, oversubscribed uplink — only
+/// when the layout has levels), then the receiver's ingress port.
+/// Flat clusters carry no contended segments, so the shared-cursor loop is
+/// a no-op there. Returns the arrival time at dst (ingress grant + wire
+/// occupancy) of a message whose send CPU finishes at `ready`.
+double send_on_wire(const LmoParams& p, const WireLayout& wires,
+                    ScheduleScratch& w, int src, int dst, double bytes,
+                    double ready) {
+  const double wire = std::max(bytes, kMinFrameBytes) * p.inv_beta(src, dst);
+  const double eg = std::max(ready, w.egress[std::size_t(src)]);
+  w.egress[std::size_t(src)] = eg + wire;
+  double avail = eg;
+  if (wires.levels > 0) {
+    // sim::Topology::for_each_contended_segment's order: src side up, the
+    // lowest common level, dst side down. The top level is one group, so
+    // the scan for the common level terminates.
+    const std::size_t L = std::size_t(wires.levels);
+    const std::size_t* up = wires.slot.data() + std::size_t(src) * L;
+    const std::size_t* down = wires.slot.data() + std::size_t(dst) * L;
+    std::size_t k = 0;
+    while (up[k] != down[k]) ++k;
+    auto occupy = [&](std::size_t slot) {
+      double& cursor = w.shared[slot];
+      avail = std::max(avail, cursor);
+      cursor = avail + wire;
+    };
+    for (std::size_t l = 0; l < k; ++l)
+      if (wires.contended[l]) occupy(up[l]);
+    if (wires.contended[k]) occupy(up[k]);
+    for (std::size_t l = k; l-- > 0;)
+      if (wires.contended[l]) occupy(down[l]);
+  }
+  const double in =
+      std::max(avail + p.L(src, dst), w.ingress[std::size_t(dst)]);
+  w.ingress[std::size_t(dst)] = in + wire;
+  return in + wire;
+}
 
-/// Event-driven replay of a schedule: each rank executes its op list on a
-/// private clock; blocking receives consume already-known arrivals
-/// immediately (they reserve nothing), while sends are granted their wire
-/// resources in global post-time order with ties broken by rank — exactly
-/// the order the fabric's Timelines see them, which is what keeps chunked
-/// pipelines from looking serialized on shared segments.
-double run_schedule(const LmoParams& p,
-                    const std::vector<std::vector<SchedOp>>& ops,
-                    std::size_t edges, const sim::Topology* topo) {
-  const int n = int(ops.size());
-  WireState wires(n, topo);
-  std::vector<double> arrival(edges, 0.0);
-  std::vector<char> known(edges, 0);
-  std::vector<double> clock(std::size_t(n), 0.0);
-  std::vector<std::size_t> next(std::size_t(n), 0);
-  std::vector<char> queued(std::size_t(n), 0);
-  using Item = std::pair<double, int>;  // (post time, rank)
-  std::priority_queue<Item, std::vector<Item>, std::greater<Item>> sends;
+/// Event-driven replay of a schedule: each rank executes its programs —
+/// phase by phase, chunk by chunk through its template — on a private
+/// clock; blocking receives consume already-known arrivals immediately
+/// (they reserve nothing), while sends are granted their wire resources in
+/// global post-time order with ties broken by rank — exactly the order the
+/// fabric's Timelines see them, which is what keeps chunked pipelines from
+/// looking serialized on shared segments. Allocates nothing once the
+/// scratch has grown to the schedule's size.
+double run_schedule(const LmoParams& p, const Phase* phases,
+                    std::size_t count, std::size_t slots,
+                    const WireLayout& wires, ScheduleScratch& w) {
+  using Cursor = ScheduleScratch::Cursor;
+  const int n = p.size();
+  const std::size_t un = std::size_t(n);
+  w.arrival.resize(slots);
+  w.known.assign(slots, 0);
+  w.clock.assign(un, 0.0);
+  w.queued.assign(un, 0);
+  w.egress.assign(un, 0.0);
+  w.ingress.assign(un, 0.0);
+  w.shared.assign(wires.cursors, 0.0);
+  w.cursor.resize(un);
+  w.heap.clear();
+  const auto later = std::greater<std::pair<double, int>>();
+
+  auto chunk_bytes = [&](const Phase& ph, std::size_t chunk) {
+    return chunk + 1 < ph.chunks ? ph.full : ph.last;
+  };
+  auto enter = [&](int r, std::size_t phase) {
+    Cursor& c = w.cursor[std::size_t(r)];
+    c.phase = phase;
+    c.chunk = 0;
+    c.begin = c.op = c.end = nullptr;
+    if (phase == count) return;
+    const Phase& ph = phases[phase];
+    const int v = ph.to_virtual[r];
+    c.begin = c.op = ph.plan->begin(v);
+    c.end = ph.plan->end(v);
+    c.bytes = chunk_bytes(ph, 0);
+    c.slot = ph.base;
+    c.stride = ph.chunks;
+  };
+  // Rank r's next op, stepping to the next chunk or phase as its template
+  // runs out; null once r is done.
+  auto current = [&](int r) -> const TemplateOp* {
+    Cursor& c = w.cursor[std::size_t(r)];
+    while (c.op == c.end) {
+      if (c.phase == count) return nullptr;
+      if (c.begin != c.end && ++c.chunk < c.stride) {
+        c.op = c.begin;
+        c.bytes = chunk_bytes(phases[c.phase], c.chunk);
+        ++c.slot;
+      } else {
+        enter(r, c.phase + 1);
+      }
+    }
+    return c.op;
+  };
+  auto bytes_of = [](const Cursor& c) { return c.op->factor * c.bytes; };
+  auto slot_of = [](const Cursor& c) {
+    return c.slot + std::size_t(c.op->edge) * c.stride;
+  };
   // Run rank `r` forward: consume satisfied receives, park on the first
   // unsatisfied one, enqueue when the next op is a send.
   auto advance = [&](int r) {
-    const auto& list = ops[std::size_t(r)];
-    double& t = clock[std::size_t(r)];
-    std::size_t& i = next[std::size_t(r)];
-    while (i < list.size()) {
-      const SchedOp& op = list[i];
-      if (!op.recv) {
-        if (!queued[std::size_t(r)]) {
-          sends.push({t, r});
-          queued[std::size_t(r)] = 1;
+    double& t = w.clock[std::size_t(r)];
+    while (const TemplateOp* op = current(r)) {
+      Cursor& c = w.cursor[std::size_t(r)];
+      if (!op->recv) {
+        if (!w.queued[std::size_t(r)]) {
+          w.heap.push_back({t, r});
+          std::push_heap(w.heap.begin(), w.heap.end(), later);
+          w.queued[std::size_t(r)] = 1;
         }
         return;
       }
-      if (!known[op.edge]) return;  // parked until the matching send
-      const double proc = p.C[std::size_t(r)] + op.bytes * p.t[std::size_t(r)];
-      t = std::max(t, arrival[op.edge]) + proc;
-      if (op.extra) t += proc;
-      ++i;
+      const std::size_t slot = slot_of(c);
+      if (!w.known[slot]) return;  // parked until the matching send
+      const double proc =
+          p.C[std::size_t(r)] + bytes_of(c) * p.t[std::size_t(r)];
+      t = std::max(t, w.arrival[slot]) + proc;
+      if (op->combine) t += proc;
+      ++c.op;
     }
   };
-  for (int r = 0; r < n; ++r) advance(r);
-  while (!sends.empty()) {
-    const int r = sends.top().second;
-    sends.pop();
-    queued[std::size_t(r)] = 0;
-    const SchedOp& op = ops[std::size_t(r)][next[std::size_t(r)]];
-    double& t = clock[std::size_t(r)];
-    t += p.C[std::size_t(r)] + op.bytes * p.t[std::size_t(r)];  // send CPU
-    arrival[op.edge] = wires.send(p, r, op.peer, op.bytes, t);
-    known[op.edge] = 1;
-    ++next[std::size_t(r)];
+  for (int r = 0; r < n; ++r) {
+    enter(r, 0);
     advance(r);
-    advance(op.peer);
+  }
+  while (!w.heap.empty()) {
+    std::pop_heap(w.heap.begin(), w.heap.end(), later);
+    const int r = w.heap.back().second;
+    w.heap.pop_back();
+    w.queued[std::size_t(r)] = 0;
+    Cursor& c = w.cursor[std::size_t(r)];
+    const double bytes = bytes_of(c);
+    const int peer = phases[c.phase].to_physical[c.op->peer];
+    const std::size_t slot = slot_of(c);
+    double& t = w.clock[std::size_t(r)];
+    t += p.C[std::size_t(r)] + bytes * p.t[std::size_t(r)];  // send CPU
+    w.arrival[slot] = send_on_wire(p, wires, w, r, peer, bytes, t);
+    w.known[slot] = 1;
+    ++c.op;
+    advance(r);
+    advance(peer);
   }
   double completion = 0.0;
-  for (const double t : clock) completion = std::max(completion, t);
+  for (const double t : w.clock) completion = std::max(completion, t);
   return completion;
 }
 
-/// Root-to-leaves op lists (bcast/scatter): per chunk, a blocking receive
-/// from the parent then one eager send per child in tree_children order.
-/// `scatter` scales arc bytes by the receiving subtree's block count.
-/// Arrival slot for the message into virtual rank v at chunk s: v*S + s.
-std::vector<std::vector<SchedOp>> tree_down_ops(
-    trees::TreeKind kind, int root, const std::vector<int>& mapping, int n,
-    const std::vector<double>& chunks, bool scatter) {
-  std::vector<std::vector<SchedOp>> ops{std::size_t(n)};
-  const std::size_t S = chunks.size();
-  for (int v = 0; v < n; ++v) {
-    const int pv = trees::map_rank(mapping, v, root, n);
-    const auto kids = trees::tree_children(kind, v, n);
-    auto& list = ops[std::size_t(pv)];
-    for (std::size_t s = 0; s < S; ++s) {
-      if (v != 0) {
-        const double b =
-            (scatter ? double(trees::tree_subtree_size(kind, v, n)) : 1.0) *
-            chunks[s];
-        const int parent = trees::tree_parent(kind, v);
-        list.push_back({true, trees::map_rank(mapping, parent, root, n),
-                        std::size_t(v) * S + s, b, false});
-      }
-      for (const int child : kids) {
-        const double b =
-            (scatter ? double(trees::tree_subtree_size(kind, child, n))
-                     : 1.0) *
-            chunks[s];
-        list.push_back({false, trees::map_rank(mapping, child, root, n),
-                        std::size_t(child) * S + s, b, false});
-      }
-    }
-  }
-  return ops;
-}
-
-/// Leaves-to-root mirror (gather/reduce): per chunk, a blocking receive
-/// per child in tree_recv_order (`combine` adds one serialized combine per
-/// received block) then one eager send up. Arrival slot for the message
-/// out of virtual rank v at chunk s: v*S + s.
-std::vector<std::vector<SchedOp>> tree_up_ops(
-    trees::TreeKind kind, int root, const std::vector<int>& mapping, int n,
-    const std::vector<double>& chunks, bool gather, bool combine) {
-  std::vector<std::vector<SchedOp>> ops{std::size_t(n)};
-  const std::size_t S = chunks.size();
-  for (int v = 0; v < n; ++v) {
-    const int pv = trees::map_rank(mapping, v, root, n);
-    const auto order = trees::tree_recv_order(kind, v, n);
-    auto& list = ops[std::size_t(pv)];
-    for (std::size_t s = 0; s < S; ++s) {
-      for (const int child : order) {
-        const double b =
-            (gather ? double(trees::tree_subtree_size(kind, child, n)) : 1.0) *
-            chunks[s];
-        list.push_back({true, trees::map_rank(mapping, child, root, n),
-                        std::size_t(child) * S + s, b, combine});
-      }
-      if (v != 0) {
-        const double b =
-            (gather ? double(trees::tree_subtree_size(kind, v, n)) : 1.0) *
-            chunks[s];
-        const int parent = trees::tree_parent(kind, v);
-        list.push_back({false, trees::map_rank(mapping, parent, root, n),
-                        std::size_t(v) * S + s, b, false});
-      }
-    }
-  }
-  return ops;
-}
-
-double eval_tree_down(const LmoParams& p, trees::TreeKind kind, int root,
-                      const std::vector<int>& mapping, Bytes unit,
-                      Bytes segment, bool scatter, const sim::Topology* topo) {
+/// The tree collective of `plan`, chunked at `segment`, under `mapping`.
+double replay_tree(const LmoParams& p, const ScheduleTemplate& plan,
+                   int root, Bytes m, const std::vector<int>& mapping,
+                   Bytes segment, const WireLayout& wires,
+                   ScheduleScratch& w) {
   const int n = p.size();
-  const auto chunks = chunk_sizes(unit, segment);
-  return run_schedule(p, tree_down_ops(kind, root, mapping, n, chunks, scatter),
-                      std::size_t(n) * chunks.size(), topo);
+  Phase ph = chunked(m, segment);
+  ph.plan = &plan;
+  ph.to_physical = bind_mapping(mapping, root, n, w);
+  ph.to_virtual = w.inverse.data();
+  return run_schedule(p, &ph, 1, std::size_t(n) * ph.chunks, wires, w);
 }
 
-double eval_tree_up(const LmoParams& p, trees::TreeKind kind, int root,
-                    const std::vector<int>& mapping, Bytes unit, Bytes segment,
-                    bool gather, bool combine, const sim::Topology* topo) {
+/// One schedule covering both phases of the composite broadcast: each rank
+/// enters the ring as soon as its own scatter part lands (no global barrier
+/// between phases), which is exactly how coll::scatter_allgather_bcast
+/// executes. The ring's n-1 steps are its chunks.
+double replay_scatter_allgather(const LmoParams& p,
+                                const ScheduleTemplate& scatter,
+                                const ScheduleTemplate& ring, int root,
+                                Bytes m, const WireLayout& wires,
+                                ScheduleScratch& w) {
   const int n = p.size();
-  const auto chunks = chunk_sizes(unit, segment);
-  return run_schedule(
-      p, tree_up_ops(kind, root, mapping, n, chunks, gather, combine),
-      std::size_t(n) * chunks.size(), topo);
+  const Bytes block = (m + n - 1) / n;
+  w.ring.resize(std::size_t(n));
+  for (int i = 0; i < n; ++i) w.ring[std::size_t(i)] = i;
+  Phase phases[2];
+  phases[0].plan = &scatter;
+  phases[0].to_physical = default_or({}, root, n, w);
+  phases[0].to_virtual = w.inverse.data();
+  phases[1].plan = &ring;
+  phases[1].to_physical = phases[1].to_virtual = w.ring.data();
+  phases[1].chunks = std::size_t(n - 1);
+  phases[1].base = std::size_t(n);
+  for (Phase& ph : phases) ph.full = ph.last = double(block);
+  return run_schedule(p, phases, 2,
+                      std::size_t(n) + std::size_t(n) * std::size_t(n - 1),
+                      wires, w);
 }
 
-/// Append coll::ring_allgather's op sequence: per step, every rank posts
-/// an eager send right then blocks on the receive from the left (the
-/// trailing wait costs nothing extra — the send clock already carries the
-/// CPU charge). Arrival slot for rank i's step-s send: base + i*(n-1) + s.
-void append_ring_ops(std::vector<std::vector<SchedOp>>& ops, int n, double b,
-                     std::size_t base) {
-  for (int i = 0; i < n; ++i) {
-    const int right = (i + 1) % n;
-    const int left = (i - 1 + n) % n;
-    for (int s = 0; s < n - 1; ++s) {
-      ops[std::size_t(i)].push_back(
-          {false, right, base + std::size_t(i) * std::size_t(n - 1) +
-                             std::size_t(s),
-           b, false});
-      ops[std::size_t(i)].push_back(
-          {true, left, base + std::size_t(left) * std::size_t(n - 1) +
-                           std::size_t(s),
-           b, false});
-    }
-  }
+double eval_tree(const LmoParams& p, trees::TreeKind shape,
+                 CollectiveKind kind, int root, Bytes m,
+                 const std::vector<int>& mapping, Bytes segment,
+                 const sim::Topology* topology) {
+  p.validate();
+  LMO_CHECK(root >= 0 && root < p.size());
+  LMO_CHECK(m >= 0);
+  ScheduleScratch w;
+  const int n = p.size();
+  return replay_tree(p, compile_tree_schedule(shape, kind, n), root, m,
+                     mapping, segment, wire_layout(topology, n), w);
 }
 }  // namespace
 
 double tree_bcast_time(const LmoParams& p, trees::TreeKind kind, int root,
                        Bytes m, const std::vector<int>& mapping, Bytes segment,
                        const sim::Topology* topology) {
-  p.validate();
-  LMO_CHECK(root >= 0 && root < p.size());
-  LMO_CHECK(m >= 0);
-  return eval_tree_down(p, kind, root, mapping, m, segment, /*scatter=*/false,
-                        topology);
+  return eval_tree(p, kind, CollectiveKind::kBcast, root, m, mapping, segment,
+                   topology);
 }
 
 double tree_scatter_time(const LmoParams& p, trees::TreeKind kind, int root,
                          Bytes m, const std::vector<int>& mapping,
                          Bytes segment, const sim::Topology* topology) {
-  p.validate();
-  LMO_CHECK(root >= 0 && root < p.size());
-  LMO_CHECK(m >= 0);
-  return eval_tree_down(p, kind, root, mapping, m, segment, /*scatter=*/true,
-                        topology);
+  return eval_tree(p, kind, CollectiveKind::kScatter, root, m, mapping,
+                   segment, topology);
 }
 
 double tree_gather_time(const LmoParams& p, trees::TreeKind kind, int root,
                         Bytes m, const std::vector<int>& mapping, Bytes segment,
                         const sim::Topology* topology) {
-  p.validate();
-  LMO_CHECK(root >= 0 && root < p.size());
-  LMO_CHECK(m >= 0);
-  return eval_tree_up(p, kind, root, mapping, m, segment, /*gather=*/true,
-                      /*combine=*/false, topology);
+  return eval_tree(p, kind, CollectiveKind::kGather, root, m, mapping,
+                   segment, topology);
 }
 
 double tree_reduce_time(const LmoParams& p, trees::TreeKind kind, int root,
                         Bytes m, const std::vector<int>& mapping, Bytes segment,
                         const sim::Topology* topology) {
-  p.validate();
-  LMO_CHECK(root >= 0 && root < p.size());
-  LMO_CHECK(m >= 0);
-  return eval_tree_up(p, kind, root, mapping, m, segment, /*gather=*/false,
-                      /*combine=*/true, topology);
+  return eval_tree(p, kind, CollectiveKind::kReduce, root, m, mapping,
+                   segment, topology);
 }
 
 double scatter_allgather_bcast_time(const LmoParams& p, int root, Bytes m,
@@ -475,18 +554,52 @@ double scatter_allgather_bcast_time(const LmoParams& p, int root, Bytes m,
   LMO_CHECK(root >= 0 && root < p.size());
   LMO_CHECK(m >= 0);
   const int n = p.size();
-  if (n == 1) return 0.0;
-  const Bytes block = (m + n - 1) / n;
-  // One schedule covering both phases: each rank enters the ring as soon
-  // as its own scatter part lands (no global barrier between phases),
-  // which is exactly how coll::scatter_allgather_bcast executes.
-  const std::vector<double> chunks = {double(block)};
-  auto ops = tree_down_ops(trees::TreeKind::kBinomial, root, {}, n, chunks,
-                           /*scatter=*/true);
-  const std::size_t scatter_edges = std::size_t(n);
-  append_ring_ops(ops, n, double(block), scatter_edges);
-  return run_schedule(p, ops, scatter_edges + std::size_t(n) * std::size_t(n - 1),
-                      topology);
+  ScheduleScratch w;
+  return replay_scatter_allgather(
+      p,
+      compile_tree_schedule(trees::TreeKind::kBinomial,
+                            CollectiveKind::kScatter, n),
+      compile_ring_schedule(n), root, m, wire_layout(topology, n), w);
+}
+
+ScheduleSet::ScheduleSet(int n, const sim::Topology* topology)
+    : ring_(compile_ring_schedule(n)), wires_(wire_layout(topology, n)) {
+  for (const trees::TreeKind shape :
+       {trees::TreeKind::kFlat, trees::TreeKind::kChain,
+        trees::TreeKind::kBinary, trees::TreeKind::kBinomial})
+    for (const CollectiveKind kind :
+         {CollectiveKind::kScatter, CollectiveKind::kGather,
+          CollectiveKind::kBcast, CollectiveKind::kReduce})
+      trees_.push_back(compile_tree_schedule(shape, kind, n));
+}
+
+const ScheduleTemplate& ScheduleSet::plan(trees::TreeKind shape,
+                                          CollectiveKind kind) const {
+  return trees_[std::size_t(shape) * 4 + std::size_t(kind)];
+}
+
+double ScheduleSet::tree_time(const LmoParams& p, trees::TreeKind shape,
+                              CollectiveKind kind, int root, Bytes m,
+                              const std::vector<int>& mapping, Bytes segment,
+                              ScheduleScratch& scratch) const {
+  return replay_tree(p, plan(shape, kind), root, m, mapping, segment, wires_,
+                     scratch);
+}
+
+double ScheduleSet::binomial_closed_time(const LmoParams& p,
+                                         CollectiveKind kind, int root,
+                                         Bytes m,
+                                         const std::vector<int>& mapping,
+                                         ScheduleScratch& scratch) const {
+  return binomial_closed(p, plan(trees::TreeKind::kBinomial, kind), kind,
+                         default_or(mapping, root, p.size(), scratch), m);
+}
+
+double ScheduleSet::scatter_allgather_bcast_time(
+    const LmoParams& p, int root, Bytes m, ScheduleScratch& scratch) const {
+  return replay_scatter_allgather(
+      p, plan(trees::TreeKind::kBinomial, CollectiveKind::kScatter), ring_,
+      root, m, wires_, scratch);
 }
 
 double ring_allgather_time(const LmoParams& p, Bytes m) {

@@ -6,6 +6,8 @@
 // regime switches of linear gather.
 #pragma once
 
+#include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "core/empirical.hpp"
@@ -14,6 +16,8 @@
 #include "util/bytes.hpp"
 
 namespace lmo::core {
+
+enum class CollectiveKind { kScatter, kGather, kBcast, kReduce };
 
 /// Linear (flat-tree) scatter, eq. (4):
 /// (n-1)(C_r + M t_r) + max_i (L_ri + M/beta_ri + C_i + M t_i).
@@ -104,6 +108,10 @@ struct GatherPrediction {
 // occupies the contended shared segments on its path (memory bus,
 // oversubscribed uplink), serialized exactly like sim::Fabric does. Flat
 // topologies and nullptr price identically to the port-only model.
+//
+// Each function compiles the shape's schedule template on the fly and
+// replays it; ScheduleSet (below) compiles every template once for
+// callers that price many schedules of one communicator.
 
 /// Tree broadcast (every arc carries the full message/segment).
 [[nodiscard]] double tree_bcast_time(const LmoParams& p, trees::TreeKind kind,
@@ -139,6 +147,110 @@ struct GatherPrediction {
 [[nodiscard]] double scatter_allgather_bcast_time(
     const LmoParams& p, int root, Bytes m,
     const sim::Topology* topology = nullptr);
+
+// --- Compiled schedules: the one evaluator behind the tree_* functions. ---
+//
+// A schedule template is one tree shape's per-chunk program for one
+// collective, over *virtual* ranks: per rank, the receives and sends it
+// issues for every chunk, in order. It depends only on (shape, kind, n),
+// so it is compiled once and replayed for any root, mapping and segment
+// size — the replay walks each rank's template lazily, chunk by chunk,
+// mapping virtual ranks to physical ones as it goes.
+
+/// One step of a virtual rank's per-chunk program.
+struct TemplateOp {
+  bool recv = false;     ///< blocking receive; otherwise an eager send
+  bool combine = false;  ///< reduce: a second processing term per block
+  int peer = 0;          ///< virtual rank on the other side
+  int edge = 0;          ///< arc id: chunk s arrives in slot edge * S + s
+  double factor = 1.0;   ///< message bytes = factor * chunk bytes
+};
+
+/// Per-virtual-rank op lists in CSR form: rank v's program is
+/// ops[start[v] .. start[v + 1]).
+struct ScheduleTemplate {
+  std::vector<int> start;
+  std::vector<TemplateOp> ops;
+
+  [[nodiscard]] const TemplateOp* begin(int v) const {
+    return ops.data() + start[std::size_t(v)];
+  }
+  [[nodiscard]] const TemplateOp* end(int v) const {
+    return ops.data() + start[std::size_t(v) + 1];
+  }
+};
+
+/// The shared segments of a contended topology, flattened for replay: one
+/// cursor per (level, group) in a flat array, groups of level l starting
+/// at a per-level offset (the layout of sim::Fabric's shared timelines),
+/// and each rank's cursor index per level precomputed, so a message finds
+/// its path's segments without asking the topology. Empty topologies,
+/// uncontended ones and nullptr carry no levels: a port-only model.
+struct WireLayout {
+  int levels = 0;
+  std::vector<char> contended;     ///< per level l - 1
+  std::vector<std::size_t> slot;   ///< rank r, level l: [r * levels + l - 1]
+  std::size_t cursors = 0;
+};
+
+/// Workspace of one replay: arrivals, clocks, cursors, port and segment
+/// occupancy, the send heap, and the bound mapping. Reusing one across
+/// replays avoids every per-call allocation once the buffers have grown;
+/// a scratch serves one replay at a time, so concurrent callers each keep
+/// their own. Contents between calls are unspecified.
+struct ScheduleScratch {
+  struct Cursor {
+    const TemplateOp* op = nullptr;     ///< next op of the current chunk
+    const TemplateOp* begin = nullptr;  ///< the rank's template, this phase
+    const TemplateOp* end = nullptr;
+    double bytes = 0.0;    ///< this chunk's bytes (times the op's factor)
+    std::size_t slot = 0;  ///< arc e's arrival slot is slot + e * stride
+    std::size_t stride = 0;
+    std::size_t chunk = 0;
+    std::size_t phase = 0;
+  };
+  std::vector<double> arrival, clock, egress, ingress, shared;
+  std::vector<char> known, queued;
+  std::vector<Cursor> cursor;
+  std::vector<std::pair<double, int>> heap;
+  std::vector<int> map, inverse, ring;
+};
+
+/// Every tree schedule of one communicator size and topology, compiled
+/// once: the evaluator core::Tuner prices candidates with. Results are
+/// bit-identical to the free functions above. `topology` is only read by
+/// the constructor. Mappings must be permutations (replays check theirs;
+/// the closed form trusts the caller — see trees::invert_mapping).
+class ScheduleSet {
+ public:
+  ScheduleSet(int n, const sim::Topology* topology);
+
+  /// tree_<kind>_time(p, shape, root, m, mapping, segment, topology).
+  [[nodiscard]] double tree_time(const LmoParams& p, trees::TreeKind shape,
+                                 CollectiveKind kind, int root, Bytes m,
+                                 const std::vector<int>& mapping,
+                                 Bytes segment, ScheduleScratch& scratch) const;
+
+  /// binomial_<kind>_time(p, root, m, mapping): the closed-form recursion,
+  /// walking the compiled children lists.
+  [[nodiscard]] double binomial_closed_time(const LmoParams& p,
+                                            CollectiveKind kind, int root,
+                                            Bytes m,
+                                            const std::vector<int>& mapping,
+                                            ScheduleScratch& scratch) const;
+
+  /// scatter_allgather_bcast_time(p, root, m, topology).
+  [[nodiscard]] double scatter_allgather_bcast_time(
+      const LmoParams& p, int root, Bytes m, ScheduleScratch& scratch) const;
+
+ private:
+  [[nodiscard]] const ScheduleTemplate& plan(trees::TreeKind shape,
+                                             CollectiveKind kind) const;
+
+  std::vector<ScheduleTemplate> trees_;  ///< [shape * 4 + kind]
+  ScheduleTemplate ring_;
+  WireLayout wires_;
+};
 
 /// Ring allgather: n-1 synchronized steps, each bounded by the slowest
 /// neighbour link (approximation: steps do not pipeline).

@@ -94,7 +94,8 @@ Tuner::Tuner(LmoParams params, GatherEmpirical gather_empirical,
              TunerOptions options)
     : params_(std::move(params)),
       gather_empirical_(gather_empirical),
-      options_(std::move(options)) {
+      options_(std::move(options)),
+      schedules_(params_.size(), options_.topology) {
   params_.validate();
 }
 
@@ -118,14 +119,15 @@ trees::TreeKind shape_of(AlgorithmId id) {
 }  // namespace
 
 double Tuner::predict(CollectiveKind kind, AlgorithmId id, int root, Bytes m,
-                      const std::vector<int>& mapping, Bytes segment) const {
+                      const std::vector<int>& mapping, Bytes segment,
+                      ScheduleScratch& scratch) const {
   const sim::Topology* topo = options_.topology;
   const bool contended =
       topo && !topo->empty() && topo->constrains_concurrency();
   if (id == AlgorithmId::kScatterAllgather) {
     LMO_CHECK_MSG(kind == CollectiveKind::kBcast,
                   "scatter+allgather is a broadcast algorithm");
-    return scatter_allgather_bcast_time(params_, root, m, topo);
+    return schedules_.scatter_allgather_bcast_time(params_, root, m, scratch);
   }
   // The empirical gather band rides on top of whichever base the topology
   // calls for: the closed form on flat clusters, the schedule evaluator's
@@ -137,8 +139,9 @@ double Tuner::predict(CollectiveKind kind, AlgorithmId id, int root, Bytes m,
     const GatherPrediction g =
         linear_gather_time(params_, gather_empirical_, root, m);
     if (!contended || g.regime == GatherRegime::kLarge) return g.expected();
-    return tree_gather_time(params_, trees::TreeKind::kFlat, root, m, mapping,
-                            0, topo) +
+    return schedules_.tree_time(params_, trees::TreeKind::kFlat,
+                                CollectiveKind::kGather, root, m, mapping, 0,
+                                scratch) +
            g.expected_escalation;
   }
   // Unsegmented linear and binomial keep the paper's closed forms on flat
@@ -156,40 +159,22 @@ double Tuner::predict(CollectiveKind kind, AlgorithmId id, int root, Bytes m,
         return linear_reduce_time(params_, root, m);
     }
   }
-  if (!contended && segment <= 0 && id == AlgorithmId::kBinomial) {
-    switch (kind) {
-      case CollectiveKind::kScatter:
-        return binomial_scatter_time(params_, root, m, mapping);
-      case CollectiveKind::kGather:
-        return binomial_gather_time(params_, root, m, mapping);
-      case CollectiveKind::kBcast:
-        return binomial_bcast_time(params_, root, m, mapping);
-      case CollectiveKind::kReduce:
-        return binomial_reduce_time(params_, root, m, mapping);
-    }
-  }
+  if (!contended && segment <= 0 && id == AlgorithmId::kBinomial)
+    return schedules_.binomial_closed_time(params_, kind, root, m, mapping,
+                                           scratch);
   // Everything else goes through the schedule evaluator, which prices the
   // exact chunked schedule coll::tree_* executes.
-  const trees::TreeKind shape = shape_of(id);
-  switch (kind) {
-    case CollectiveKind::kScatter:
-      return tree_scatter_time(params_, shape, root, m, mapping, segment,
-                               topo);
-    case CollectiveKind::kGather:
-      return tree_gather_time(params_, shape, root, m, mapping, segment, topo);
-    case CollectiveKind::kBcast:
-      return tree_bcast_time(params_, shape, root, m, mapping, segment, topo);
-    case CollectiveKind::kReduce:
-      return tree_reduce_time(params_, shape, root, m, mapping, segment, topo);
-  }
-  LMO_CHECK_MSG(false, "unknown collective kind");
-  return 0.0;
+  return schedules_.tree_time(params_, shape_of(id), kind, root, m, mapping,
+                              segment, scratch);
 }
 
 std::vector<TunedDecision> Tuner::candidates(CollectiveKind kind, int root,
                                              Bytes m) const {
   LMO_CHECK(root >= 0 && root < params_.size());
   LMO_CHECK(m >= 0);
+  // One workspace for every evaluation of this call: the mapping climb and
+  // the zoo replay into the same buffers.
+  ScheduleScratch scratch;
   std::vector<TunedDecision> out;
   auto add = [&](AlgorithmId id, std::vector<int> mapping, Bytes segment) {
     for (const TunedDecision& d : out)
@@ -203,7 +188,8 @@ std::vector<TunedDecision> Tuner::candidates(CollectiveKind kind, int root,
     d.message = m;
     d.mapping = std::move(mapping);
     d.segment = segment;
-    d.predicted_seconds = predict(kind, id, root, m, d.mapping, segment);
+    d.predicted_seconds =
+        predict(kind, id, root, m, d.mapping, segment, scratch);
     out.push_back(std::move(d));
   };
 
@@ -223,7 +209,8 @@ std::vector<TunedDecision> Tuner::candidates(CollectiveKind kind, int root,
   if (options_.optimize_mappings) {
     const auto result = trees::optimize_mapping(
         params_.size(), root, [&](const std::vector<int>& mapping) {
-          return predict(kind, AlgorithmId::kBinomial, root, m, mapping, 0);
+          return predict(kind, AlgorithmId::kBinomial, root, m, mapping, 0,
+                         scratch);
         });
     add(AlgorithmId::kBinomial, result.mapping, 0);
   }
@@ -290,8 +277,14 @@ Bytes Tuner::crossover(CollectiveKind kind, int root, Bytes lo,
 }
 
 double Tuner::price(const TunedDecision& d) const {
+  LMO_CHECK(d.root >= 0 && d.root < params_.size());
+  LMO_CHECK(d.message >= 0);
+  ScheduleScratch scratch;
+  // The closed forms index the parameter tables through the mapping
+  // unchecked, so a decision off the wire is checked here, once.
+  trees::invert_mapping(d.mapping, params_.size(), scratch.inverse);
   return predict(d.kind, d.algorithm, d.root, d.message, d.mapping,
-                 d.segment);
+                 d.segment, scratch);
 }
 
 }  // namespace lmo::core

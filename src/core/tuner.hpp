@@ -23,8 +23,6 @@
 
 namespace lmo::core {
 
-enum class CollectiveKind { kScatter, kGather, kBcast, kReduce };
-
 [[nodiscard]] const char* collective_name(CollectiveKind kind);
 /// Inverse of collective_name; throws lmo::Error naming the valid ops.
 [[nodiscard]] CollectiveKind parse_collective(const std::string& name);
@@ -121,17 +119,23 @@ class Tuner {
 
   /// Price an externally supplied decision (e.g. one parsed off the wire)
   /// with this tuner's model — the same evaluator candidates() uses, so a
-  /// replayed decision re-prices to the bit.
+  /// replayed decision re-prices to the bit. Throws lmo::Error naming the
+  /// problem for an out-of-range root, a negative size, or a mapping that
+  /// is not a permutation of the ranks (trees::invert_mapping).
   [[nodiscard]] double price(const TunedDecision& d) const;
 
  private:
   [[nodiscard]] double predict(CollectiveKind kind, AlgorithmId id, int root,
                                Bytes m, const std::vector<int>& mapping,
-                               Bytes segment) const;
+                               Bytes segment, ScheduleScratch& scratch) const;
 
   LmoParams params_;
   GatherEmpirical gather_empirical_;
   TunerOptions options_;
+  /// Every tree schedule of params_.size() ranks under options_.topology,
+  /// compiled once; evaluations bring their own scratch, so a const Tuner
+  /// is safe to share across threads.
+  ScheduleSet schedules_;
 };
 
 }  // namespace lmo::core

@@ -1,6 +1,9 @@
 #include "serve/service.hpp"
 
+#include <cstdint>
 #include <exception>
+#include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -340,9 +343,17 @@ core::TunedDecision Service::decision_from(const obs::Json& req,
   d.message = Bytes(require_count(req.at("message"), "message size"));
   if (const obs::Json* s = req.find("segment"))
     d.segment = Bytes(require_count(*s, "segment size"));
+  // Entries are range-checked by trees::invert_mapping when the plan is
+  // priced; here only values that would wrap in the narrowing to int.
   if (const obs::Json* m = req.find("mapping"))
-    for (const obs::Json& rank : m->items())
-      d.mapping.push_back(int(rank.as_int()));
+    for (const obs::Json& rank : m->items()) {
+      const std::int64_t r = rank.as_int();
+      LMO_CHECK_MSG(r >= std::numeric_limits<int>::min() &&
+                        r <= std::numeric_limits<int>::max(),
+                    "mapping entry " + std::to_string(d.mapping.size()) +
+                        " = " + std::to_string(r) + " out of range");
+      d.mapping.push_back(int(r));
+    }
   return d;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 #include <utility>
 
 #include "util/error.hpp"
@@ -46,6 +47,35 @@ std::vector<int> default_mapping(int n, int root) {
   std::vector<int> m(std::size_t(n), 0);
   for (int v = 0; v < n; ++v) m[std::size_t(v)] = (v + root) % n;
   return m;
+}
+
+void invert_mapping(const std::vector<int>& mapping, int n,
+                    std::vector<int>& inverse) {
+  inverse.clear();
+  if (mapping.empty()) return;
+  LMO_CHECK_MSG(int(mapping.size()) == n,
+                "mapping has " + std::to_string(mapping.size()) +
+                    " entries for " + std::to_string(n) + " processors");
+  inverse.assign(std::size_t(n), -1);
+  for (int v = 0; v < n; ++v) {
+    const int rank = mapping[std::size_t(v)];
+    LMO_CHECK_MSG(rank >= 0 && rank < n,
+                  "mapping entry " + std::to_string(v) + " = " +
+                      std::to_string(rank) + " out of range for " +
+                      std::to_string(n) + " processors");
+    LMO_CHECK_MSG(inverse[std::size_t(rank)] < 0,
+                  "duplicate mapping entry: physical rank " +
+                      std::to_string(rank) + " at virtual ranks " +
+                      std::to_string(inverse[std::size_t(rank)]) + " and " +
+                      std::to_string(v));
+    inverse[std::size_t(rank)] = v;
+  }
+}
+
+std::vector<int> inverse_mapping(const std::vector<int>& mapping, int n) {
+  std::vector<int> inverse;
+  invert_mapping(mapping, n, inverse);
+  return inverse;
 }
 
 MappingResult optimize_mapping(int n, int root, const MappingCost& cost,

@@ -29,6 +29,21 @@ struct MappingResult {
 /// Identity mapping with the MPI root offset: v -> (v + root) mod n.
 [[nodiscard]] std::vector<int> default_mapping(int n, int root);
 
+/// Inverse of a virtual-to-physical `mapping` written into `inverse`
+/// (inverse[physical] = virtual, resized to n). This is the one
+/// permutation check every consumer of a mapping goes through: a non-empty
+/// mapping must have n entries, each in 0..n-1, none repeated — anything
+/// else throws lmo::Error naming the offending entry, because a malformed
+/// mapping would index past the parameter tables or wedge a collective in
+/// mismatched sends. An empty mapping (the MPI (v + root) mod n default)
+/// leaves `inverse` empty.
+void invert_mapping(const std::vector<int>& mapping, int n,
+                    std::vector<int>& inverse);
+
+/// Allocating form of invert_mapping.
+[[nodiscard]] std::vector<int> inverse_mapping(const std::vector<int>& mapping,
+                                               int n);
+
 /// Pairwise-swap hill climbing from the default mapping; terminates at a
 /// local optimum or after max_rounds full sweeps.
 [[nodiscard]] MappingResult optimize_mapping(int n, int root,

@@ -264,6 +264,13 @@ TEST(ServeBadInputTest, MalformedRequestsNeverAbort) {
       R"({"op":"tune","collective":"bcast"})",        // missing message
       R"({"op":"tune","collective":"bcast","root":99,"message":64})",
       R"({"op":"measure","experiments":[{"kind":"??"}]})",
+      // Hostile mappings on a priced plan: out of range, duplicate, short.
+      R"({"op":"predict_collective","collective":"bcast",
+          "algorithm":"binomial","message":64,"mapping":[0,1,2,3,100000]})",
+      R"({"op":"predict_collective","collective":"bcast",
+          "algorithm":"binomial","message":64,"mapping":[0,0,1,2,3]})",
+      R"({"op":"predict_collective","collective":"bcast",
+          "algorithm":"binomial","message":64,"mapping":[0,1,2]})",
       std::string(64, '['),                   // nesting bomb
   };
   for (const std::string& line : hostile) {
@@ -278,6 +285,41 @@ TEST(ServeBadInputTest, MalformedRequestsNeverAbort) {
   EXPECT_EQ(s.errors(), errors0 + hostile.size());
   // The service still works after the abuse.
   EXPECT_TRUE(s.handle(req(R"({"op":"stats"})")).at("ok").as_bool());
+}
+
+TEST(ServeBadInputTest, HostileMappingFailsNamed) {
+  // A wire mapping must be a permutation of the ranks: the tuner checks it
+  // before any evaluator indexes the parameter tables through it. Every
+  // algorithm and segment routes through the same check.
+  const std::string head =
+      R"({"op":"predict_collective","collective":"reduce","message":4096,)";
+  for (const std::string plan :
+       {R"("algorithm":"binomial")", R"("algorithm":"chain","segment":1024)",
+        R"("algorithm":"linear")"}) {
+    const std::string range =
+        error_of(head + plan + R"(,"mapping":[0,1,2,3,100000]})");
+    EXPECT_NE(range.find("mapping entry 4 = 100000 out of range"),
+              std::string::npos)
+        << range;
+    const std::string duplicate =
+        error_of(head + plan + R"(,"mapping":[0,0,1,2,3]})");
+    EXPECT_NE(duplicate.find("duplicate mapping entry"), std::string::npos)
+        << duplicate;
+    const std::string length = error_of(head + plan + R"(,"mapping":[0,1]})");
+    EXPECT_NE(length.find("mapping has 2 entries for 5 processors"),
+              std::string::npos)
+        << length;
+  }
+  // Values that would wrap in the narrowing to int fail by name as well.
+  const std::string wrap = error_of(
+      head + R"("algorithm":"binomial","mapping":[0,1,2,3,4294967300]})");
+  EXPECT_NE(wrap.find("mapping entry 4 = 4294967300 out of range"),
+            std::string::npos)
+      << wrap;
+  // A well-formed permutation still prices.
+  const obs::Json ok = shared_service().handle(req(
+      head + R"("algorithm":"binomial","mapping":[0,4,3,2,1]})"));
+  EXPECT_TRUE(ok.at("ok").as_bool()) << ok.dump(0);
 }
 
 TEST(ServeBadInputTest, ParseErrorsCarryTheByteOffset) {

@@ -2,6 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <thread>
+#include <vector>
 
 #include "coll/zoo.hpp"
 #include "core/tuner.hpp"
@@ -267,6 +271,109 @@ TEST(TunerTest, RejectsBadInput) {
   EXPECT_THROW((void)t.decide(CollectiveKind::kScatter, 99, 1024), Error);
   EXPECT_THROW((void)t.decide(CollectiveKind::kScatter, 0, -1), Error);
   EXPECT_THROW((void)t.crossover(CollectiveKind::kScatter, 0, 10, 10), Error);
+}
+
+constexpr CollectiveKind kAllKinds[] = {
+    CollectiveKind::kScatter, CollectiveKind::kGather, CollectiveKind::kBcast,
+    CollectiveKind::kReduce};
+
+/// FNV-1a over the raw bytes of the values added.
+struct Fnv {
+  std::uint64_t h = 1469598103934665603ull;
+  template <class T>
+  void add(T value) {
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &value, sizeof(T));
+    for (const unsigned char b : bytes) {
+      h ^= b;
+      h *= 1099511628211ull;
+    }
+  }
+};
+
+/// Hash of every decide() over 4 ops x 1 KB..1 MB (11 sizes) x all roots:
+/// algorithm, segment, mapping and the bit pattern of predicted_seconds,
+/// plus the candidates() count on root 0 for each (op, size).
+std::uint64_t decide_grid_digest(const sim::ClusterConfig& cfg) {
+  TunerOptions opts;
+  opts.topology = &cfg.topology;
+  const Tuner t(from_ground_truth(cfg), paper_band(), opts);
+  Fnv fnv;
+  for (const CollectiveKind kind : kAllKinds)
+    for (Bytes m = 1024; m <= 1024 * 1024; m *= 2) {
+      fnv.add(std::uint64_t(t.candidates(kind, 0, m).size()));
+      for (int root = 0; root < cfg.size(); ++root) {
+        const TunedDecision d = t.decide(kind, root, m);
+        fnv.add(std::int32_t(d.algorithm));
+        fnv.add(std::int64_t(d.segment));
+        fnv.add(std::uint64_t(d.mapping.size()));
+        for (const int r : d.mapping) fnv.add(std::int32_t(r));
+        fnv.add(d.predicted_seconds);
+      }
+    }
+  return fnv.h;
+}
+
+// Golden digests of the decide grid. They pin the evaluators' arithmetic
+// order: reordering any sum or max moves a predicted_seconds bit (or a
+// chosen plan), and with it the hash. A deliberate model change re-records
+// them.
+TEST(TunerGoldenTest, FlatPaperClusterDecisionsUnchanged) {
+  EXPECT_EQ(decide_grid_digest(sim::make_paper_cluster(1)),
+            17307397152786260813ull);
+}
+
+TEST(TunerGoldenTest, ContendedHierarchyDecisionsUnchanged) {
+  EXPECT_EQ(decide_grid_digest(sim::make_multicore_cluster(1, 4, 4, 1)),
+            12469999022793129647ull);
+}
+
+TEST(TunerParallelTest, SharedTunerDecidesLikeSerial) {
+  // A const Tuner is shared by reader threads (the serving daemon does
+  // this); each decide() keeps its evaluation scratch on its own stack.
+  const auto cfg = sim::make_multicore_cluster(1, 4, 4, 1);
+  TunerOptions opts;
+  opts.topology = &cfg.topology;
+  const Tuner tuner(from_ground_truth(cfg), paper_band(), opts);
+  struct Query {
+    CollectiveKind kind;
+    int root;
+    Bytes m;
+  };
+  std::vector<Query> queries;
+  for (const CollectiveKind kind : kAllKinds)
+    for (const Bytes m : {Bytes(4096), Bytes(65536)})
+      for (int root = 0; root < cfg.size(); root += 5)
+        queries.push_back({kind, root, m});
+  std::vector<TunedDecision> serial;
+  for (const Query& q : queries)
+    serial.push_back(tuner.decide(q.kind, q.root, q.m));
+
+  constexpr int kThreads = 4;
+  std::vector<std::vector<TunedDecision>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int k = 0; k < kThreads; ++k)
+    threads.emplace_back([&, k] {
+      // Each thread walks the queries from a different offset so the
+      // threads overlap on different evaluations.
+      got[std::size_t(k)].resize(queries.size());
+      for (std::size_t i = 0; i < queries.size(); ++i) {
+        const std::size_t q = (i + std::size_t(k) * 3) % queries.size();
+        got[std::size_t(k)][q] =
+            tuner.decide(queries[q].kind, queries[q].root, queries[q].m);
+      }
+    });
+  for (std::thread& th : threads) th.join();
+  for (int k = 0; k < kThreads; ++k)
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      const TunedDecision& a = serial[q];
+      const TunedDecision& b = got[std::size_t(k)][q];
+      EXPECT_EQ(a.algorithm, b.algorithm) << "thread " << k << " query " << q;
+      EXPECT_EQ(a.segment, b.segment) << "thread " << k << " query " << q;
+      EXPECT_EQ(a.mapping, b.mapping) << "thread " << k << " query " << q;
+      EXPECT_EQ(a.predicted_seconds, b.predicted_seconds)
+          << "thread " << k << " query " << q;
+    }
 }
 
 }  // namespace

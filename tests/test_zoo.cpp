@@ -9,6 +9,7 @@
 #include "core/predictions.hpp"
 #include "core/tuner.hpp"
 #include "simnet/cluster.hpp"
+#include "trees/mapping.hpp"
 #include "util/error.hpp"
 #include "util/sweep.hpp"
 #include "vmpi/world.hpp"
@@ -180,18 +181,121 @@ TEST(ZooParity, BinomialReduceHonorsMappingLikeItsPredictor) {
               sim_mapped * 0.02);
 }
 
+/// The free evaluator the tuner's routing names for `d`: closed forms for
+/// unsegmented linear/binomial on uncontended clusters, the schedule
+/// replay (tree_*_time / scatter_allgather_bcast_time) for the rest.
+double free_price(const LmoParams& p, const core::TunedDecision& d,
+                  const sim::Topology* topo, bool contended) {
+  if (d.algorithm == AlgorithmId::kScatterAllgather)
+    return core::scatter_allgather_bcast_time(p, d.root, d.message, topo);
+  const bool closed = !contended && d.segment == 0;
+  if (closed && d.algorithm == AlgorithmId::kLinear) {
+    switch (d.kind) {
+      case CollectiveKind::kScatter:
+        return core::linear_scatter_time(p, d.root, d.message);
+      case CollectiveKind::kGather:
+        return core::linear_gather_time(p, {}, d.root, d.message).expected();
+      case CollectiveKind::kBcast:
+        return core::linear_bcast_time(p, d.root, d.message);
+      case CollectiveKind::kReduce:
+        return core::linear_reduce_time(p, d.root, d.message);
+    }
+  }
+  if (closed && d.algorithm == AlgorithmId::kBinomial) {
+    switch (d.kind) {
+      case CollectiveKind::kScatter:
+        return core::binomial_scatter_time(p, d.root, d.message, d.mapping);
+      case CollectiveKind::kGather:
+        return core::binomial_gather_time(p, d.root, d.message, d.mapping);
+      case CollectiveKind::kBcast:
+        return core::binomial_bcast_time(p, d.root, d.message, d.mapping);
+      case CollectiveKind::kReduce:
+        return core::binomial_reduce_time(p, d.root, d.message, d.mapping);
+    }
+  }
+  TreeKind shape = TreeKind::kFlat;
+  if (d.algorithm == AlgorithmId::kBinomial) shape = TreeKind::kBinomial;
+  if (d.algorithm == AlgorithmId::kChain) shape = TreeKind::kChain;
+  if (d.algorithm == AlgorithmId::kBinaryTree) shape = TreeKind::kBinary;
+  switch (d.kind) {
+    case CollectiveKind::kScatter:
+      return core::tree_scatter_time(p, shape, d.root, d.message, d.mapping,
+                                     d.segment, topo);
+    case CollectiveKind::kGather:
+      return core::tree_gather_time(p, shape, d.root, d.message, d.mapping,
+                                    d.segment, topo);
+    case CollectiveKind::kBcast:
+      return core::tree_bcast_time(p, shape, d.root, d.message, d.mapping,
+                                   d.segment, topo);
+    case CollectiveKind::kReduce:
+      return core::tree_reduce_time(p, shape, d.root, d.message, d.mapping,
+                                    d.segment, topo);
+  }
+  return 0.0;
+}
+
+/// The tuner's compiled schedules and the free evaluators agree to the bit
+/// on every shape x kind x segment grid entry x {default, optimized}
+/// mapping (the optimized one is the tuner's own climb result).
+void expect_one_replay_path(const sim::ClusterConfig& cfg) {
+  const auto p = from_ground_truth(cfg);
+  core::TunerOptions opts;
+  opts.topology = &cfg.topology;
+  const core::Tuner tuner(p, core::GatherEmpirical{}, opts);
+  const bool contended =
+      !cfg.topology.empty() && cfg.topology.constrains_concurrency();
+  std::vector<Bytes> segments = {0};
+  for (const Bytes s : opts.segment_candidates) segments.push_back(s);
+  const Bytes m = 64 * 1024;
+  const int root = 3;
+  for (const auto kind :
+       {CollectiveKind::kScatter, CollectiveKind::kGather,
+        CollectiveKind::kBcast, CollectiveKind::kReduce}) {
+    std::vector<int> optimized;
+    for (const auto& d : tuner.candidates(kind, root, m))
+      if (!d.mapping.empty()) optimized = d.mapping;
+    ASSERT_EQ(int(optimized.size()), cfg.size());
+    for (const auto id :
+         {AlgorithmId::kLinear, AlgorithmId::kBinomial, AlgorithmId::kChain,
+          AlgorithmId::kBinaryTree})
+      for (const Bytes segment : segments)
+        for (const auto& mapping : {std::vector<int>{}, optimized}) {
+          auto d = make_decision(kind, id, m, segment, mapping);
+          d.root = root;
+          EXPECT_EQ(tuner.price(d),
+                    free_price(p, d, &cfg.topology, contended))
+              << core::collective_name(kind) << "/" << d.describe();
+        }
+  }
+  auto composite = make_decision(CollectiveKind::kBcast,
+                                 AlgorithmId::kScatterAllgather, m);
+  composite.root = root;
+  EXPECT_EQ(tuner.price(composite),
+            free_price(p, composite, &cfg.topology, contended));
+}
+
+TEST(ReplayParity, TunerMatchesFreeEvaluatorsOnFlatCluster) {
+  expect_one_replay_path(quiet_paper_cluster());
+}
+
+TEST(ReplayParity, TunerMatchesFreeEvaluatorsOnContendedHierarchy) {
+  const auto cfg = sim::make_multicore_cluster(1, 4, 4);
+  ASSERT_TRUE(cfg.topology.constrains_concurrency());
+  expect_one_replay_path(cfg);
+}
+
 TEST(InverseMapping, ValidatesPermutations) {
-  EXPECT_TRUE(coll::inverse_mapping({}, 4).empty());
-  const auto inv = coll::inverse_mapping({0, 3, 1, 2}, 4);
+  EXPECT_TRUE(trees::inverse_mapping({}, 4).empty());
+  const auto inv = trees::inverse_mapping({0, 3, 1, 2}, 4);
   ASSERT_EQ(inv.size(), 4u);
   EXPECT_EQ(inv[0], 0);
   EXPECT_EQ(inv[3], 1);
   EXPECT_EQ(inv[1], 2);
   EXPECT_EQ(inv[2], 3);
-  EXPECT_THROW((void)coll::inverse_mapping({0, 1, 1, 2}, 4), Error);
-  EXPECT_THROW((void)coll::inverse_mapping({0, 1, 2, 4}, 4), Error);
-  EXPECT_THROW((void)coll::inverse_mapping({0, 1, 2, -1}, 4), Error);
-  EXPECT_THROW((void)coll::inverse_mapping({0, 1, 2}, 4), Error);
+  EXPECT_THROW((void)trees::inverse_mapping({0, 1, 1, 2}, 4), Error);
+  EXPECT_THROW((void)trees::inverse_mapping({0, 1, 2, 4}, 4), Error);
+  EXPECT_THROW((void)trees::inverse_mapping({0, 1, 2, -1}, 4), Error);
+  EXPECT_THROW((void)trees::inverse_mapping({0, 1, 2}, 4), Error);
 }
 
 /// The acceptance bar: across the Fig. 6 message-size sweep, executing
