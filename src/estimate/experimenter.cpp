@@ -633,11 +633,6 @@ double SimExperimenter::observe_gather(int root, Bytes m) {
       obs_fault_seq_++);
 }
 
-double SimExperimenter::observe_once(
-    const std::function<Task(Comm&)>& body, int timed_rank) {
-  return coll::run_timed(*session_, timed_rank, body).seconds();
-}
-
 double SimExperimenter::observe_global(
     const std::function<Task(Comm&)>& body) {
   return session_->run(coll::spmd(size(), body)).seconds();

@@ -200,12 +200,6 @@ class SimExperimenter final : public Experimenter {
     return flight_;
   }
 
-  /// One observation (no repetition) of an arbitrary SPMD collective,
-  /// timed at `timed_rank` [s] — simulator-only (used by the benches).
-  /// Runs on the anchor session.
-  [[nodiscard]] double observe_once(
-      const std::function<vmpi::Task(vmpi::Comm&)>& body, int timed_rank);
-
   /// One observation of an SPMD collective's completion time across all
   /// ranks [s] — the "execution time of the collective" the figures plot.
   /// Runs on the anchor session.

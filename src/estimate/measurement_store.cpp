@@ -287,114 +287,4 @@ MeasurementStore MeasurementStore::load(const std::string& path) {
   }
 }
 
-// ---------------------------------------------------------------------------
-
-CachingExperimenter::CachingExperimenter(Experimenter& inner,
-                                         MeasurementStore& store)
-    : inner_(&inner), read_(&store), write_(&store), size_(inner.size()) {}
-
-CachingExperimenter::CachingExperimenter(const MeasurementStore& store,
-                                         int size)
-    : read_(&store), size_(size > 0 ? size : store.cluster_size()) {
-  LMO_CHECK_MSG(size_ >= 2,
-                "offline CachingExperimenter needs a cluster size (store "
-                "has no provenance)");
-}
-
-double CachingExperimenter::cached_scalar(
-    const ExperimentKey& key, const std::function<double()>& measure) {
-  if (const auto v = read_->lookup(key)) {
-    ++cache_hits_;
-    obs::Registry::global().counter("store.served").inc();
-    return *v;
-  }
-  LMO_CHECK_MSG(inner_ != nullptr,
-                "measurement store is missing (offline): " + key.describe());
-  const double v = measure();
-  if (write_) write_->insert(key, v);
-  return v;
-}
-
-std::vector<double> CachingExperimenter::roundtrip_round(
-    const std::vector<Pair>& pairs, Bytes m_fwd, Bytes m_back) {
-  std::vector<ExperimentKey> keys;
-  for (const auto& [i, j] : pairs)
-    keys.push_back(ExperimentKey::roundtrip(i, j, m_fwd, m_back));
-  // Measure all misses as one concurrent round (subset of a disjoint pair
-  // set stays disjoint), then answer everything from the store.
-  std::vector<Pair> missing;
-  for (const ExperimentKey& k : keys)
-    if (!read_->lookup(k).has_value())
-      missing.emplace_back(k.a, k.b);
-    else
-      ++cache_hits_;
-  if (!missing.empty()) {
-    LMO_CHECK_MSG(inner_ != nullptr, "measurement store is missing "
-                                     "(offline) roundtrip experiments");
-    const auto values = inner_->roundtrip_round(missing, m_fwd, m_back);
-    for (std::size_t e = 0; e < missing.size(); ++e)
-      if (write_)
-        write_->insert(ExperimentKey::roundtrip(missing[e].first,
-                                                missing[e].second, m_fwd,
-                                                m_back),
-                       values[e]);
-  }
-  std::vector<double> out;
-  for (const ExperimentKey& k : keys) out.push_back(read_->at(k));
-  return out;
-}
-
-std::vector<double> CachingExperimenter::one_to_two_round(
-    const std::vector<Triplet>& triplets, Bytes m, Bytes reply) {
-  std::vector<ExperimentKey> keys;
-  for (const Triplet& t : triplets)
-    keys.push_back(ExperimentKey::one_to_two(t, m, reply));
-  std::vector<Triplet> missing;
-  for (const ExperimentKey& k : keys)
-    if (!read_->lookup(k).has_value())
-      missing.push_back({k.a, k.b, k.c});
-    else
-      ++cache_hits_;
-  if (!missing.empty()) {
-    LMO_CHECK_MSG(inner_ != nullptr, "measurement store is missing "
-                                     "(offline) one-to-two experiments");
-    const auto values = inner_->one_to_two_round(missing, m, reply);
-    for (std::size_t e = 0; e < missing.size(); ++e)
-      if (write_)
-        write_->insert(ExperimentKey::one_to_two(missing[e], m, reply),
-                       values[e]);
-  }
-  std::vector<double> out;
-  for (const ExperimentKey& k : keys) out.push_back(read_->at(k));
-  return out;
-}
-
-double CachingExperimenter::send_overhead(int i, int j, Bytes m) {
-  return cached_scalar(ExperimentKey::send_overhead(i, j, m),
-                       [&] { return inner_->send_overhead(i, j, m); });
-}
-
-double CachingExperimenter::recv_overhead(int i, int j, Bytes m) {
-  return cached_scalar(ExperimentKey::recv_overhead(i, j, m),
-                       [&] { return inner_->recv_overhead(i, j, m); });
-}
-
-double CachingExperimenter::saturation_gap(int i, int j, Bytes m, int count) {
-  return cached_scalar(
-      ExperimentKey::saturation_gap(i, j, m, count),
-      [&] { return inner_->saturation_gap(i, j, m, count); });
-}
-
-double CachingExperimenter::observe_scatter(int root, Bytes m) {
-  LMO_CHECK_MSG(inner_ != nullptr,
-                "raw scatter observations need a live experimenter");
-  return inner_->observe_scatter(root, m);
-}
-
-double CachingExperimenter::observe_gather(int root, Bytes m) {
-  LMO_CHECK_MSG(inner_ != nullptr,
-                "raw gather observations need a live experimenter");
-  return inner_->observe_gather(root, m);
-}
-
 }  // namespace lmo::estimate

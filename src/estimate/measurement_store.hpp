@@ -1,11 +1,12 @@
 // Shared measurement cache: ExperimentKey -> measured mean [s].
 //
 // One store backs every estimator in a run: plan execution inserts the
-// measured summaries, fits read them back by key, and an imperative
-// estimator wrapped in a CachingExperimenter consults/populates the same
-// cache. Serializes through obs::Json (doubles round-trip bit-exactly),
-// so a store saved with --measurements-save can be reloaded later and
-// re-fit offline with bit-identical model parameters.
+// measured summaries (including the data-dependent later stages, LMO's
+// one-to-two orientations and PLogP's bisection midpoints), and fits read
+// them back by key and nothing else. Serializes through obs::Json
+// (doubles round-trip bit-exactly), so a store saved with
+// --measurements-save can be reloaded later and re-fit offline with
+// bit-identical model parameters.
 //
 // Thread-safe, and readers no longer serialize: the maps are guarded by a
 // std::shared_mutex (shared for every read path, exclusive for writers),
@@ -17,7 +18,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "estimate/experimenter.hpp"
 #include "estimate/plan.hpp"
 #include "obs/json.hpp"
 
@@ -155,60 +154,6 @@ class MeasurementStore {
   /// blocking on (or being blocked by) map readers.
   mutable std::mutex snap_mu_;
   mutable std::shared_ptr<const StoreSnapshot> snap_;
-};
-
-/// Experimenter adapter over a MeasurementStore: measured primitives are
-/// served from the cache when present and measured through the inner
-/// experimenter (then cached) when not. This preserves the imperative
-/// interface for adaptive probes — PLogP's incremental saturation-gap
-/// sweep runs unchanged, hitting the cache for every planned ladder point
-/// and measuring only its data-dependent bisection midpoints.
-///
-/// Without an inner experimenter (offline mode over a loaded store) any
-/// cache miss throws lmo::Error naming the missing experiment; raw
-/// observations (observe_scatter/gather) are unavailable.
-class CachingExperimenter final : public Experimenter {
- public:
-  CachingExperimenter(Experimenter& inner, MeasurementStore& store);
-  /// Offline: fit from `store` only. `size` is the cluster size the keys
-  /// refer to (defaults to the store's recorded provenance).
-  explicit CachingExperimenter(const MeasurementStore& store, int size = 0);
-
-  [[nodiscard]] int size() const override { return size_; }
-
-  [[nodiscard]] std::vector<double> roundtrip_round(
-      const std::vector<Pair>& pairs, Bytes m_fwd, Bytes m_back) override;
-  [[nodiscard]] std::vector<double> one_to_two_round(
-      const std::vector<Triplet>& triplets, Bytes m, Bytes reply) override;
-  [[nodiscard]] double send_overhead(int i, int j, Bytes m) override;
-  [[nodiscard]] double recv_overhead(int i, int j, Bytes m) override;
-  [[nodiscard]] double saturation_gap(int i, int j, Bytes m,
-                                      int count = 48) override;
-
-  /// Raw noise samples are never cached — they go straight to the inner
-  /// experimenter (offline mode throws).
-  [[nodiscard]] double observe_scatter(int root, Bytes m) override;
-  [[nodiscard]] double observe_gather(int root, Bytes m) override;
-
-  [[nodiscard]] std::uint64_t runs() const override {
-    return inner_ ? inner_->runs() : 0;
-  }
-  [[nodiscard]] SimTime cost() const override {
-    return inner_ ? inner_->cost() : SimTime::zero();
-  }
-
-  /// Primitive calls answered entirely from the store.
-  [[nodiscard]] std::uint64_t cache_hits() const { return cache_hits_; }
-
- private:
-  [[nodiscard]] double cached_scalar(const ExperimentKey& key,
-                                     const std::function<double()>& measure);
-
-  Experimenter* inner_ = nullptr;
-  const MeasurementStore* read_ = nullptr;
-  MeasurementStore* write_ = nullptr;
-  int size_ = 0;
-  std::uint64_t cache_hits_ = 0;
 };
 
 }  // namespace lmo::estimate

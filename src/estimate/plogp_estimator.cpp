@@ -1,7 +1,9 @@
 #include "estimate/plogp_estimator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <functional>
 #include <set>
 
 #include "estimate/measurement_store.hpp"
@@ -13,57 +15,101 @@ namespace lmo::estimate {
 
 namespace {
 
-/// The doubling ladder 0, 1KB, 2KB, ..., max_size.
-std::vector<Bytes> base_ladder(Bytes max_size) {
+/// The ladder prefix the sweep can visit: 0, 1KB, 2KB, ..., max_size,
+/// capped at max_points (the cap applies before any bisection).
+std::vector<Bytes> ladder(const PLogPOptions& opts) {
+  LMO_CHECK(opts.max_size >= 2048);
   std::vector<Bytes> sizes{0};
-  for (Bytes m = 1024; m < max_size; m *= 2) sizes.push_back(m);
-  sizes.push_back(max_size);
+  for (Bytes m = 1024; m < opts.max_size; m *= 2) sizes.push_back(m);
+  sizes.push_back(opts.max_size);
+  if (int(sizes.size()) > opts.max_points)
+    sizes.resize(std::size_t(opts.max_points));
   return sizes;
 }
 
-}  // namespace
+/// The three experiments of one breakpoint, in measurement order.
+std::array<ExperimentKey, 3> point_keys(int i, int j, Bytes m,
+                                        const PLogPOptions& opts) {
+  return {ExperimentKey::saturation_gap(i, j, m, opts.saturation_count),
+          ExperimentKey::send_overhead(i, j, m),
+          ExperimentKey::recv_overhead(i, j, m)};
+}
 
-models::PLogP estimate_plogp_pair(Experimenter& ex, int i, int j,
-                                  const PLogPOptions& opts) {
-  LMO_CHECK(opts.max_size >= 2048);
+void plan_pair(PlanBuilder& plan, int i, int j, const PLogPOptions& opts) {
+  for (const Bytes m : ladder(opts))
+    for (const ExperimentKey& key : point_keys(i, j, m, opts))
+      plan.require(key);
+  plan.require(ExperimentKey::roundtrip(i, j, 0, 0));
+}
+
+/// Walk one pair's ladder over the store, tracking adaptive bisection: if
+/// g(M_k) is not consistent with the linear extrapolation based on the
+/// previous two breakpoints, the midpoint (M_{k-1} + M_k)/2 is read as
+/// well, after `ensure(mid)` has had the chance to measure it. Every value
+/// is read with store.at, so quarantined keys count as present. L is left
+/// to the fit.
+models::PLogP sweep_pair(const MeasurementStore& store, int i, int j,
+                         const PLogPOptions& opts,
+                         const std::function<void(Bytes)>& ensure) {
   models::PLogP p;
-
-  auto measure_point = [&](Bytes m) {
-    const double g = ex.saturation_gap(i, j, m, opts.saturation_count);
+  auto read_point = [&](Bytes m) {
+    const auto [gap, os, orr] = point_keys(i, j, m, opts);
+    const double g = store.at(gap);
     p.g.add_point(double(m), g);
-    p.os.add_point(double(m), ex.send_overhead(i, j, m));
-    p.orr.add_point(double(m), ex.recv_overhead(i, j, m));
+    p.os.add_point(double(m), store.at(os));
+    p.orr.add_point(double(m), store.at(orr));
     return g;
   };
 
-  // Base ladder first, tracking adaptive bisection: if g(M_k) is not
-  // consistent with the linear extrapolation based on the previous two
-  // breakpoints, measure the midpoint (M_{k-1} + M_k)/2 as well.
-  const auto ladder = base_ladder(opts.max_size);
-  std::vector<Bytes> measured;
-  for (const Bytes m : ladder) {
+  std::vector<Bytes> visited;
+  for (const Bytes m : ladder(opts)) {
     if (int(p.g.size()) >= opts.max_points) break;
     double predicted = 0.0;
     const bool can_extrapolate = p.g.size() >= 2;
     if (can_extrapolate) predicted = p.g.extrapolate_from_last_two(double(m));
-    const double g = measure_point(m);
-    measured.push_back(m);
+    const double g = read_point(m);
+    visited.push_back(m);
     // Injected outliers can make the extrapolation slope wild or the gap
     // itself degenerate; only a finite positive gap with a finite
     // prediction may trigger bisection (otherwise the ladder stands).
     if (can_extrapolate && g > 0.0 && std::isfinite(g) &&
         std::isfinite(predicted)) {
       const double err = std::fabs(predicted - g) / g;
-      if (err > opts.tolerance && measured.size() >= 2 &&
+      if (err > opts.tolerance && visited.size() >= 2 &&
           int(p.g.size()) < opts.max_points) {
-        const Bytes prev = measured[measured.size() - 2];
+        const Bytes prev = visited[visited.size() - 2];
         const Bytes mid = (prev + m) / 2;
-        if (mid != prev && mid != m) (void)measure_point(mid);
+        if (mid != prev && mid != m) {
+          ensure(mid);
+          (void)read_point(mid);
+        }
       }
     }
   }
+  return p;
+}
 
-  const double rtt0 = ex.roundtrip(i, j, 0, 0);
+/// Stage 2 for one pair: each missing midpoint key as its own plan.
+void measure_pair_midpoints(Experimenter& ex, MeasurementStore& store, int i,
+                            int j, const PLogPOptions& opts,
+                            ExecuteStats& stats) {
+  (void)sweep_pair(store, i, j, opts, [&](Bytes mid) {
+    for (const ExperimentKey& key : point_keys(i, j, mid, opts)) {
+      PlanBuilder plan(ex.topology());
+      plan.require(key);
+      const ExecuteStats s = execute_plan(plan.build(true), ex, store);
+      stats.measured += s.measured;
+      stats.cached += s.cached;
+      stats.rounds += s.rounds;
+    }
+  });
+}
+
+/// The sweep plus L = RTT(0)/2 - g(0), from the store only.
+models::PLogP fit_pair(const MeasurementStore& store, int i, int j,
+                       const PLogPOptions& opts) {
+  models::PLogP p = sweep_pair(store, i, j, opts, [](Bytes) {});
+  const double rtt0 = store.at(ExperimentKey::roundtrip(i, j, 0, 0));
   p.L = std::max(0.0, rtt0 / 2.0 - p.g(0.0));
   // Fidelity: the fitted curve's empty-message round-trip (2·(L + g(0)))
   // vs the measured one it was derived from — non-zero exactly when the
@@ -74,17 +120,51 @@ models::PLogP estimate_plogp_pair(Experimenter& ex, int i, int j,
   return p;
 }
 
-namespace {
-/// Per-pair sweep over every directed pair, then the homogeneous average
-/// on the union of all breakpoints.
-PLogPReport fit_all_pairs(Experimenter& ex, const PLogPOptions& opts) {
+/// Every directed pair, sender-major.
+std::vector<Pair> directed_pairs(int n) {
+  std::vector<Pair> pairs;
+  for (int i = 0; i < n; ++i)
+    for (int j = 0; j < n; ++j)
+      if (i != j) pairs.emplace_back(i, j);
+  return pairs;
+}
+
+}  // namespace
+
+models::PLogP estimate_plogp_pair(Experimenter& ex, int i, int j,
+                                  const PLogPOptions& opts) {
+  MeasurementStore store;
+  PlanBuilder plan(ex.topology());
+  plan_pair(plan, i, j, opts);
+  (void)execute_plan(plan.build(true), ex, store);
+  ExecuteStats stats;
+  measure_pair_midpoints(ex, store, i, j, opts, stats);
+  return fit_pair(store, i, j, opts);
+}
+
+void plan_plogp(PlanBuilder& plan, int n, const PLogPOptions& opts) {
+  LMO_CHECK(n >= 2);
+  for (const auto& [i, j] : directed_pairs(n)) plan_pair(plan, i, j, opts);
+}
+
+ExecuteStats measure_plogp_midpoints(Experimenter& ex, MeasurementStore& store,
+                                     const PLogPOptions& opts) {
+  const obs::Span sp = obs::span("plogp.midpoints");
+  ExecuteStats stats;
+  for (const auto& [i, j] : directed_pairs(ex.size()))
+    measure_pair_midpoints(ex, store, i, j, opts, stats);
+  return stats;
+}
+
+PLogPReport fit_plogp(const MeasurementStore& store, int n,
+                      const PLogPOptions& opts) {
+  const obs::Span sp = obs::span("plogp.fit", "fit");
+  LMO_CHECK(n >= 2);
   PLogPReport report;
-  for (int i = 0; i < ex.size(); ++i)
-    for (int j = 0; j < ex.size(); ++j)
-      if (i != j) report.pairs.emplace_back(i, j);
+  report.pairs = directed_pairs(n);
   report.per_pair.reserve(report.pairs.size());
   for (const auto& [i, j] : report.pairs)
-    report.per_pair.push_back(estimate_plogp_pair(ex, i, j, opts));
+    report.per_pair.push_back(fit_pair(store, i, j, opts));
 
   // Average on the union of all breakpoints.
   std::set<double> xs;
@@ -108,55 +188,23 @@ PLogPReport fit_all_pairs(Experimenter& ex, const PLogPOptions& opts) {
   }
   return report;
 }
-}  // namespace
-
-void plan_plogp(PlanBuilder& plan, int n, const PLogPOptions& opts) {
-  LMO_CHECK(opts.max_size >= 2048);
-  LMO_CHECK(n >= 2);
-  // Only the ladder prefix the adaptive sweep can actually visit (the
-  // max_points cap applies before any bisection).
-  auto ladder = base_ladder(opts.max_size);
-  if (int(ladder.size()) > opts.max_points)
-    ladder.resize(std::size_t(opts.max_points));
-  for (int i = 0; i < n; ++i)
-    for (int j = 0; j < n; ++j) {
-      if (i == j) continue;
-      for (const Bytes m : ladder) {
-        plan.require(
-            ExperimentKey::saturation_gap(i, j, m, opts.saturation_count));
-        plan.require(ExperimentKey::send_overhead(i, j, m));
-        plan.require(ExperimentKey::recv_overhead(i, j, m));
-      }
-      plan.require(ExperimentKey::roundtrip(i, j, 0, 0));
-    }
-}
 
 PLogPReport estimate_plogp(Experimenter& ex, MeasurementStore& store,
                            const PLogPOptions& opts) {
   const obs::Span sp = obs::span("plogp.estimate");
   const std::uint64_t runs0 = ex.runs();
   const SimTime cost0 = ex.cost();
-
   {
     const obs::Span exec_sp = obs::span("plogp.ladder");
     PlanBuilder plan(ex.topology());
     plan_plogp(plan, ex.size(), opts);
     (void)execute_plan(plan.build(true), ex, store);
   }
-  // The adaptive tail: bisection midpoints are chosen from the measured
-  // ladder, measured through the cache, and recorded in the same store.
-  CachingExperimenter cache(ex, store);
-  PLogPReport report = fit_all_pairs(cache, opts);
+  (void)measure_plogp_midpoints(ex, store, opts);
+  PLogPReport report = fit_plogp(store, ex.size(), opts);
   report.world_runs = ex.runs() - runs0;
   report.estimation_cost = ex.cost() - cost0;
   return report;
-}
-
-PLogPReport fit_plogp(const MeasurementStore& store, int n,
-                      const PLogPOptions& opts) {
-  const obs::Span sp = obs::span("plogp.fit", "fit");
-  CachingExperimenter offline(store, n);
-  return fit_all_pairs(offline, opts);
 }
 
 PLogPReport estimate_plogp(Experimenter& ex, const PLogPOptions& opts) {

@@ -7,6 +7,12 @@
 // paper. The latency is L = RTT(0)/2 - g(0) (consistent with the PLogP
 // point-to-point reading T = L + g(M)).
 //
+// Like LMO's one-to-two orientations, the midpoints are data-dependent, so
+// the campaign runs in two stages over one MeasurementStore: the ladder is
+// planned and executed first, then a sweep over the stored ladder measures
+// each midpoint it asks for. The fit repeats that sweep reading the store
+// only, so a warm or offline refit places the same midpoints.
+//
 // The homogeneous PLogP of Table II is obtained by averaging the per-pair
 // piecewise functions over all pairs on a union of breakpoints.
 #pragma once
@@ -37,25 +43,29 @@ struct PLogPReport {
   SimTime estimation_cost;
 };
 
-/// Estimate one pair's PLogP parameters.
+/// Estimate one pair's PLogP parameters: its ladder plan, its midpoints,
+/// and its fit, through a throwaway store.
 [[nodiscard]] models::PLogP estimate_plogp_pair(Experimenter& ex, int i,
                                                 int j,
                                                 const PLogPOptions& opts = {});
 
-/// Declare the deterministic part of the PLogP campaign: the doubling
-/// ladder of gap/overhead measurements for every directed pair, plus the
-/// empty round-trips. The data-dependent bisection midpoints cannot be
-/// planned ahead — they are measured through a CachingExperimenter during
-/// the fit (and land in the same store, so a warm refit measures nothing).
+/// Stage 1: the doubling ladder of gap/overhead measurements for every
+/// directed pair, plus the empty round-trips.
 void plan_plogp(PlanBuilder& plan, int n, const PLogPOptions& opts = {});
 
-/// Fit from the store only (offline). Bisection midpoints are read from
-/// the store too; a store produced by estimate_plogp holds them all, so
-/// the refit is bit-identical and measures nothing.
+/// Stage 2: sweep every directed pair over the stored ladder and measure
+/// the bisection midpoints the store lacks. Each midpoint key runs as its
+/// own one-experiment plan, in pair-major, gap -> o_s -> o_r order.
+/// Requires the stage-1 keys in `store`.
+ExecuteStats measure_plogp_midpoints(Experimenter& ex, MeasurementStore& store,
+                                     const PLogPOptions& opts = {});
+
+/// Fit from the store only (offline): the same sweep, reading ladder and
+/// midpoints alike. Throws lmo::Error naming any missing experiment.
 [[nodiscard]] PLogPReport fit_plogp(const MeasurementStore& store, int n,
                                     const PLogPOptions& opts = {});
 
-/// Plan → execute (ladder) → adaptive fit through the caching wrapper.
+/// Plan → execute (ladder) → midpoints → fit.
 [[nodiscard]] PLogPReport estimate_plogp(Experimenter& ex,
                                          MeasurementStore& store,
                                          const PLogPOptions& opts = {});

@@ -51,13 +51,21 @@ SuiteReport estimate_model_suite(Experimenter& ex, MeasurementStore& store,
     report.cached += stats.cached;
   }
 
-  // Fits. All but PLogP read the store only; PLogP additionally measures
-  // its data-dependent bisection midpoints through the caching wrapper
-  // (they land in the same store, so a warm rerun measures nothing).
+  // Stage 3: PLogP's bisection midpoints derive from the stored ladder,
+  // so they too can only be measured now.
+  {
+    const obs::Span stage_sp = obs::span("suite.stage3");
+    const ExecuteStats stats = measure_plogp_midpoints(ex, store, opts.plogp);
+    report.requested += stats.measured + stats.cached;
+    report.measured += stats.measured;
+    report.cached += stats.cached;
+  }
+
+  // Fits: every model reads the store only.
   report.hockney = fit_hockney(store, n, opts.hockney);
   report.loggp = fit_loggp(store, n, opts.loggp);
   report.lmo = fit_lmo(store, n, opts.lmo);
-  report.plogp = estimate_plogp(ex, store, opts.plogp);
+  report.plogp = fit_plogp(store, n, opts.plogp);
   if (opts.empirical_sweeps) {
     report.gather = fit_gather_empirical(store, report.lmo.params,
                                          opts.empirical);

@@ -6,8 +6,10 @@
 // round-trips are LMO's, PLogP's RTT(0) ladder rung is LogGP's, the
 // empirical sweeps need LMO's parameters anyway. The suite collects every
 // estimator's declared plan into one PlanBuilder, executes the union once
-// (disjoint-processor rounds, shared MeasurementStore), and fits all five
-// models from the same store. The suite options deliberately align the
+// (disjoint-processor rounds, shared MeasurementStore), then the two
+// stages that can only be planned from measured data (LMO's one-to-two
+// orientations, PLogP's bisection midpoints), and fits all five models
+// from the same store. The suite options deliberately align the
 // overlapping probe sizes (Hockney's probe = LMO's, LogGP's sizes on the
 // PLogP ladder) so the overlap is real, not accidental.
 #pragma once

@@ -6,7 +6,9 @@
 //  * the cross-estimator reuse guarantee: all five models through one
 //    shared store cost >= 30% fewer experiment runs than five independent
 //    estimations on the 16-node Table-I cluster, and a saved store re-fits
-//    offline to bit-identical parameters.
+//    offline to bit-identical parameters,
+//  * PLogP's staged bisection midpoints: counted, quarantined when
+//    poisoned, served warm, and pinned by a golden digest.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -241,24 +243,6 @@ TEST(MeasurementStoreTest, BindClusterAdoptsUnknownAndRefusesForeign) {
   }
 }
 
-// ----------------------------------------------------- caching wrapper --
-
-TEST(CachingExperimenterTest, OfflineMissThrows) {
-  MeasurementStore store;
-  store.insert(ExperimentKey::send_overhead(0, 1, 256), 1e-4);
-  CachingExperimenter offline(store, 4);
-  EXPECT_EQ(offline.send_overhead(0, 1, 256), 1e-4);
-  EXPECT_EQ(offline.cache_hits(), 1u);
-  EXPECT_EQ(offline.runs(), 0u);
-  EXPECT_THROW((void)offline.send_overhead(0, 2, 256), Error);
-  EXPECT_THROW((void)offline.observe_gather(0, 1024), Error);
-}
-
-TEST(CachingExperimenterTest, OfflineNeedsAClusterSize) {
-  const MeasurementStore store;  // no provenance recorded
-  EXPECT_THROW(CachingExperimenter{store}, Error);
-}
-
 // --------------------------------------------------------------- suite --
 
 /// Trimmed-but-complete measurement settings: every experiment converges
@@ -424,6 +408,244 @@ TEST(SuiteTest, WarmStoreMeasuresNothingAndFitsBitIdentical) {
   EXPECT_EQ(warm.world_runs, 0u);
   EXPECT_EQ(warm.cached, std::size_t(cold.measured));
   expect_same_suite_fits(cold, warm);
+}
+
+// ------------------------------------------------- PLogP bisection --
+
+/// FNV-1a over the raw bytes of the values added.
+struct Fnv {
+  std::uint64_t h = 1469598103934665603ull;
+  void add_bytes(const void* data, std::size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t k = 0; k < n; ++k) {
+      h ^= p[k];
+      h *= 1099511628211ull;
+    }
+  }
+  template <class T>
+  void add(T value) {
+    add_bytes(&value, sizeof(T));
+  }
+  void add(const std::string& s) { add_bytes(s.data(), s.size()); }
+  void add(const stats::PiecewiseLinear& f) {
+    for (const double x : f.xs()) add(x);
+    for (const double y : f.ys()) add(y);
+  }
+};
+
+/// quick_suite() with PLogP's ladder up to 128 KB and the default
+/// bisection tolerance: the rendezvous kink makes the sweep add midpoints.
+SuiteOptions bisecting_suite() {
+  SuiteOptions opts = quick_suite();
+  opts.plogp = PLogPOptions{};
+  opts.plogp.max_size = 128 * 1024;
+  opts.plogp.saturation_count = 8;
+  opts.loggp.large_size = opts.plogp.max_size;
+  return opts;
+}
+
+/// A cold five-model campaign with bisection active, run once per suite.
+class SuiteBisectionTest : public testing::Test {
+ protected:
+  static constexpr std::uint64_t kSeed = 3;
+
+  static sim::ClusterConfig cluster() {
+    return sim::make_random_cluster(6, kSeed);
+  }
+
+  static mpib::MeasureOptions measure(int jobs) {
+    mpib::MeasureOptions m = quick_measure();
+    m.jobs = jobs;
+    return m;
+  }
+
+  struct Cold {
+    MeasurementStore store;
+    SuiteReport report;
+  };
+
+  static Cold run_cold(int jobs) {
+    const auto cfg = cluster();
+    vmpi::World world(cfg);
+    SimExperimenter ex(world, measure(jobs));
+    Cold c;
+    c.store.set_cluster(cfg.size(), kSeed);
+    c.report = estimate_model_suite(ex, c.store, bisecting_suite());
+    return c;
+  }
+
+  static const Cold& cold() {
+    static const Cold c = run_cold(1);
+    return c;
+  }
+};
+
+TEST_F(SuiteBisectionTest, SweepAddsMidpointsOffTheLadder) {
+  // The fixture only guards the midpoint path if bisection really fires.
+  std::set<Bytes> ladder{0};
+  for (Bytes m = 1024; m <= bisecting_suite().plogp.max_size; m *= 2)
+    ladder.insert(m);
+  std::size_t off_ladder = 0;
+  for (const ExperimentKey& k : cold().store.snapshot()->keys)
+    if (k.kind == ExperimentKind::kSaturationGap && ladder.count(k.m_fwd) == 0)
+      ++off_ladder;
+  EXPECT_GT(off_ladder, 0u);
+  EXPECT_GT(cold().report.plogp.averaged.g.size(), ladder.size());
+}
+
+TEST_F(SuiteBisectionTest, ReportCountsEveryStoredMeasurement) {
+  EXPECT_EQ(cold().store.size(), cold().report.measured);
+  EXPECT_EQ(cold().store.quarantined_count(), 0u);
+}
+
+TEST_F(SuiteBisectionTest, MatchesRecordedDigest) {
+  // Store bytes, run count, cost bits and the averaged PLogP. The value
+  // was recorded before the midpoints moved onto planned rounds: how they
+  // are measured must not change a bit.
+  const Cold& c = cold();
+  Fnv fnv;
+  fnv.add(c.store.to_json().dump());
+  fnv.add(c.report.world_runs);
+  fnv.add(c.report.estimation_cost.seconds());
+  fnv.add(c.report.plogp.averaged.L);
+  fnv.add(c.report.plogp.averaged.g);
+  fnv.add(c.report.plogp.averaged.os);
+  fnv.add(c.report.plogp.averaged.orr);
+  EXPECT_EQ(fnv.h, 0x192cd6faecf3149aull) << std::hex << "0x" << fnv.h;
+}
+
+TEST_F(SuiteBisectionTest, WarmRerunMeasuresNothing) {
+  MeasurementStore store =
+      MeasurementStore::from_json(cold().store.to_json());
+  const auto cfg = cluster();
+  vmpi::World world(cfg);
+  SimExperimenter ex(world, measure(1));
+  const SuiteReport warm = estimate_model_suite(ex, store, bisecting_suite());
+  EXPECT_EQ(warm.measured, 0u);
+  EXPECT_EQ(warm.world_runs, 0u);
+  EXPECT_EQ(warm.cached, cold().report.measured);
+  expect_same_suite_fits(cold().report, warm);
+}
+
+TEST_F(SuiteBisectionTest, OfflineRefitIsBitIdentical) {
+  const SuiteReport refit =
+      fit_model_suite(cold().store, cluster().size(), bisecting_suite());
+  expect_same_suite_fits(cold().report, refit);
+}
+
+TEST_F(SuiteBisectionTest, JobsDoNotChangeTheStore) {
+  const Cold parallel = run_cold(4);
+  EXPECT_EQ(parallel.store.to_json().dump(), cold().store.to_json().dump());
+  EXPECT_EQ(parallel.report.world_runs, cold().report.world_runs);
+  expect_same_suite_fits(cold().report, parallel.report);
+}
+
+/// Closed-form platform on three nodes whose gap steepens past 4 KB, so
+/// the 8 KB rung disagrees with the extrapolation and the sweep bisects
+/// at 6 KB. Saturation-gap rounds at sizes off the doubling ladder can be
+/// reported poisoned.
+class KinkExperimenter final : public Experimenter {
+ public:
+  explicit KinkExperimenter(bool poison_midpoints)
+      : poison_midpoints_(poison_midpoints) {}
+
+  static constexpr Bytes kMidpoint = 6 * 1024;
+
+  static PLogPOptions options() {
+    PLogPOptions opts;
+    opts.max_size = 8 * 1024;
+    opts.saturation_count = 4;
+    return opts;
+  }
+
+  [[nodiscard]] int size() const override { return 3; }
+
+  [[nodiscard]] std::vector<SlotHealth> last_round_health() const override {
+    return health_;
+  }
+
+  std::vector<double> roundtrip_round(const std::vector<Pair>& pairs, Bytes,
+                                      Bytes) override {
+    return round(pairs.size(), 4e-5, false);
+  }
+  std::vector<double> one_to_two_round(const std::vector<Triplet>& t, Bytes,
+                                       Bytes) override {
+    return round(t.size(), 6e-5, false);
+  }
+  double send_overhead(int, int, Bytes m) override { return overhead(m); }
+  double recv_overhead(int, int, Bytes m) override { return overhead(m); }
+  double saturation_gap(int, int, Bytes m, int) override { return gap(m); }
+  std::vector<double> send_overhead_round(const std::vector<Pair>& pairs,
+                                          Bytes m) override {
+    return round(pairs.size(), overhead(m), false);
+  }
+  std::vector<double> recv_overhead_round(const std::vector<Pair>& pairs,
+                                          Bytes m) override {
+    return round(pairs.size(), overhead(m), false);
+  }
+  std::vector<double> saturation_gap_round(const std::vector<Pair>& pairs,
+                                           Bytes m, int) override {
+    const bool on_ladder = m == 0 || (m & (m - 1)) == 0;
+    return round(pairs.size(), gap(m), poison_midpoints_ && !on_ladder);
+  }
+  double observe_scatter(int, Bytes) override { return 0.0; }
+  double observe_gather(int, Bytes) override { return 0.0; }
+  [[nodiscard]] std::uint64_t runs() const override { return runs_; }
+  [[nodiscard]] SimTime cost() const override { return SimTime::zero(); }
+
+ private:
+  static double overhead(Bytes m) { return 5e-6 + double(m) * 1e-10; }
+  static double gap(Bytes m) {
+    const double base = 1e-5 + double(std::min<Bytes>(m, 4096)) * 1e-9;
+    return m <= 4096 ? base : base + double(m - 4096) * 8e-9;
+  }
+  std::vector<double> round(std::size_t slots, double value, bool poisoned) {
+    runs_ += slots;
+    health_.assign(slots, poisoned ? SlotHealth::kPoisoned : SlotHealth::kOk);
+    return std::vector<double>(slots, value);
+  }
+
+  bool poison_midpoints_;
+  std::vector<SlotHealth> health_;
+  std::uint64_t runs_ = 0;
+};
+
+TEST(PlogpMidpointTest, PoisonedMidpointsStayQuarantined) {
+  KinkExperimenter ex(/*poison_midpoints=*/true);
+  MeasurementStore store;
+  const PLogPOptions opts = KinkExperimenter::options();
+  const PLogPReport rep = estimate_plogp(ex, store, opts);
+  const Bytes mid = KinkExperimenter::kMidpoint;
+  for (const auto& [i, j] : rep.pairs) {
+    EXPECT_TRUE(store.is_quarantined(
+        ExperimentKey::saturation_gap(i, j, mid, opts.saturation_count)))
+        << i << "->" << j;
+    EXPECT_TRUE(store.contains(ExperimentKey::send_overhead(i, j, mid)));
+    EXPECT_TRUE(store.contains(ExperimentKey::recv_overhead(i, j, mid)));
+  }
+  // Ladder 0, 1K, 2K, 4K, 8K plus the one midpoint, read as suspect.
+  for (const auto& p : rep.per_pair) EXPECT_EQ(p.g.size(), 6u);
+}
+
+TEST(PlogpMidpointTest, OfflineFitNamesAMissingMidpoint) {
+  KinkExperimenter ex(/*poison_midpoints=*/false);
+  MeasurementStore full;
+  const PLogPOptions opts = KinkExperimenter::options();
+  (void)estimate_plogp(ex, full, opts);
+  const ExperimentKey gone =
+      ExperimentKey::send_overhead(1, 2, KinkExperimenter::kMidpoint);
+  ASSERT_TRUE(full.contains(gone));
+  MeasurementStore partial;
+  const auto snap = full.snapshot();
+  for (std::size_t k = 0; k < snap->size(); ++k)
+    if (snap->keys[k] != gone) partial.insert(snap->keys[k], snap->values[k]);
+  try {
+    (void)fit_plogp(partial, ex.size(), opts);
+    ADD_FAILURE() << "fit_plogp accepted a store without " << gone.describe();
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(gone.describe()), std::string::npos)
+        << e.what();
+  }
 }
 
 // ---------------------------------------------------- snapshot + races --
