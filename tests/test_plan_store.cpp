@@ -19,7 +19,9 @@
 #include <string>
 #include <thread>
 
+#include "coll/collectives.hpp"
 #include "estimate/suite.hpp"
+#include "obs/metrics.hpp"
 #include "simnet/cluster.hpp"
 #include "util/error.hpp"
 #include "vmpi/world.hpp"
@@ -538,6 +540,79 @@ TEST_F(SuiteBisectionTest, JobsDoNotChangeTheStore) {
   EXPECT_EQ(parallel.store.to_json().dump(), cold().store.to_json().dump());
   EXPECT_EQ(parallel.report.world_runs, cold().report.world_runs);
   expect_same_suite_fits(cold().report, parallel.report);
+}
+
+// ------------------------------------------------- faulty campaign --
+
+/// quick_measure() with all four fault classes on. Drops are frequent
+/// enough that measured rounds run retry waves and three single
+/// observations and three global samples retry, yet with this fault seed
+/// no observation exhausts its retries.
+mpib::MeasureOptions faulty_measure() {
+  mpib::MeasureOptions m = quick_measure();
+  m.jobs = 1;
+  m.fault.spike_rate = 0.05;
+  m.fault.drop_rate = 0.2;
+  m.fault.hang_rate = 0.02;
+  m.fault.slow_rate = 0.03;
+  m.fault.seed = 11;
+  return m;
+}
+
+TEST(SuiteFaultGoldenTest, FaultyCampaignMatchesRecordedDigest) {
+  // A five-model campaign plus one batch of global samples, all under
+  // faults: store bytes, run count, cost bits, the fitted parameters and
+  // the fault/recovery counter deltas. Pins the recovery path against
+  // refactors, not only against the --jobs level.
+  const auto cfg = sim::make_random_cluster(5, /*seed=*/4);
+  vmpi::World world(cfg);
+  SimExperimenter ex(world, faulty_measure());
+  MeasurementStore store;
+  store.set_cluster(cfg.size(), cfg.seed);
+  const obs::Snapshot before = obs::Registry::global().snapshot();
+  const SuiteReport r = estimate_model_suite(ex, store, quick_suite());
+  const std::vector<double> samples = ex.observe_global_samples(
+      [](vmpi::Comm& c) { return coll::linear_scatter(c, 0, 16 * 1024); }, 8);
+  const obs::Snapshot after = obs::Registry::global().snapshot();
+
+  Fnv fnv;
+  fnv.add(store.to_json().dump());
+  fnv.add(r.world_runs);
+  fnv.add(ex.runs());
+  fnv.add(r.estimation_cost.ns());
+  fnv.add(ex.cost().ns());
+  for (const double x : samples) fnv.add(x);
+  fnv.add(r.hockney.homogeneous.alpha);
+  fnv.add(r.hockney.homogeneous.beta);
+  fnv.add(r.loggp.logp.L);
+  fnv.add(r.plogp.averaged.L);
+  fnv.add(r.plogp.averaged.g);
+  fnv.add(r.plogp.averaged.os);
+  fnv.add(r.plogp.averaged.orr);
+  for (const double x : r.lmo.params.C) fnv.add(x);
+  for (const double x : r.lmo.params.t) fnv.add(x);
+  for (int i = 0; i < cfg.size(); ++i)
+    for (int j = 0; j < cfg.size(); ++j) {
+      fnv.add(r.lmo.params.L(i, j));
+      fnv.add(r.lmo.params.inv_beta(i, j));
+    }
+  fnv.add(r.gather.empirical.m1);
+  fnv.add(r.gather.empirical.m2);
+  fnv.add(r.scatter.empirical.leap_threshold);
+  std::uint64_t faults = 0;
+  for (const auto& [name, value] : after.counters) {
+    if (name.rfind("fault.", 0) != 0 && name.rfind("recovery.", 0) != 0)
+      continue;
+    const auto it = before.counters.find(name);
+    const std::uint64_t delta =
+        value - (it == before.counters.end() ? 0 : it->second);
+    fnv.add(name);
+    fnv.add(delta);
+    if (name.rfind("fault.", 0) == 0) faults += delta;
+  }
+  // The digest only pins the recovery path if faults really fired.
+  EXPECT_GT(faults, 0u);
+  EXPECT_EQ(fnv.h, 0xda58c448b1e009f6ull) << std::hex << "0x" << fnv.h;
 }
 
 /// Closed-form platform on three nodes whose gap steepens past 4 KB, so
