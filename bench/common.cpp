@@ -172,8 +172,7 @@ int finish_run() {
               << (s.flight->degraded() ? " (degraded)" : "") << "\n";
   }
   if (!s.metrics_path.empty()) {
-    obs::Exposition exposition(s.metrics_path);
-    exposition.flush();
+    obs::write_prometheus(s.metrics_path);
     std::cout << "metrics: " << s.metrics_path << "\n";
   }
   if (!s.trace_path.empty()) {

@@ -223,8 +223,7 @@ int cmd_estimate(const Cli& cli) {
   }
   const std::string metrics_path = cli.get("metrics-out", "");
   if (!metrics_path.empty()) {
-    obs::Exposition exposition(metrics_path);
-    exposition.flush();
+    obs::write_prometheus(metrics_path);
     std::cout << "metrics: " << metrics_path << "\n";
   }
   obs::set_global_residuals(nullptr);

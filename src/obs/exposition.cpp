@@ -1,8 +1,8 @@
 #include "obs/exposition.hpp"
 
-#include <cctype>
 #include <cstdio>
 #include <fstream>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
@@ -25,28 +25,7 @@ void append_line(std::string& out, const std::string& name,
   out += '\n';
 }
 
-/// `{k="v",...}` with sanitized keys and escaped values; `extra` is a
-/// pre-rendered label pair (the histogram `le`) appended verbatim. Empty
-/// string when there is nothing to emit, so unlabeled series stay
-/// byte-identical to the pre-label format.
-std::string label_block(const PrometheusLabels& labels,
-                        const std::string& extra = "") {
-  if (labels.empty() && extra.empty()) return "";
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [key, value] : labels) {
-    if (!first) out += ',';
-    first = false;
-    out += prometheus_name(key) + "=\"" + prometheus_label_value(value) +
-           "\"";
-  }
-  if (!extra.empty()) {
-    if (!first) out += ',';
-    out += extra;
-  }
-  out += '}';
-  return out;
-}
+constexpr const char* kPrefix = "lmo_";
 
 }  // namespace
 
@@ -62,107 +41,53 @@ std::string prometheus_name(const std::string& name) {
   return out;
 }
 
-std::string prometheus_label_value(const std::string& value) {
+std::string render_prometheus(const Snapshot& snap) {
   std::string out;
-  out.reserve(value.size());
-  for (const char c : value) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-std::string render_prometheus(const Snapshot& snap, const std::string& prefix,
-                              const PrometheusLabels& labels) {
-  std::string out;
-  const std::string lbl = label_block(labels);
   for (const auto& [name, value] : snap.counters) {
-    const std::string n = prefix + prometheus_name(name) + "_total";
+    const std::string n = kPrefix + prometheus_name(name) + "_total";
     out += "# TYPE " + n + " counter\n";
-    append_line(out, n + lbl, std::to_string(value));
+    append_line(out, n, std::to_string(value));
   }
   for (const auto& [name, value] : snap.gauges) {
-    const std::string n = prefix + prometheus_name(name);
+    const std::string n = kPrefix + prometheus_name(name);
     out += "# TYPE " + n + " gauge\n";
-    append_line(out, n + lbl, fmt_double(value));
+    append_line(out, n, fmt_double(value));
   }
   for (const auto& [name, hist] : snap.histograms) {
-    const std::string n = prefix + prometheus_name(name);
+    const std::string n = kPrefix + prometheus_name(name);
     out += "# TYPE " + n + " histogram\n";
     std::uint64_t cum = 0;
     for (std::size_t i = 0; i < hist.bounds.size(); ++i) {
       cum += i < hist.counts.size() ? hist.counts[i] : 0;
       append_line(out,
-                  n + "_bucket" +
-                      label_block(labels,
-                                  "le=\"" + fmt_double(hist.bounds[i]) + "\""),
+                  n + "_bucket{le=\"" + fmt_double(hist.bounds[i]) + "\"}",
                   std::to_string(cum));
     }
-    append_line(out, n + "_bucket" + label_block(labels, "le=\"+Inf\""),
-                std::to_string(hist.total));
-    append_line(out, n + "_sum" + lbl, fmt_double(hist.sum));
-    append_line(out, n + "_count" + lbl, std::to_string(hist.total));
+    append_line(out, n + "_bucket{le=\"+Inf\"}", std::to_string(hist.total));
+    append_line(out, n + "_sum", fmt_double(hist.sum));
+    append_line(out, n + "_count", std::to_string(hist.total));
     for (const auto& [q, label] :
          {std::pair<double, const char*>{0.50, "_p50"},
           {0.95, "_p95"},
           {0.99, "_p99"}}) {
       out += "# TYPE " + n + label + " gauge\n";
-      append_line(out, n + label + lbl, fmt_double(hist.quantile(q)));
+      append_line(out, n + label, fmt_double(hist.quantile(q)));
     }
   }
   return out;
 }
 
-Exposition::Exposition(std::string path, std::string prefix,
-                       PrometheusLabels labels)
-    : path_(std::move(path)),
-      prefix_(std::move(prefix)),
-      labels_(std::move(labels)) {}
-
-Exposition::~Exposition() { stop(); }
-
-void Exposition::flush() {
-  const std::string text =
-      render_prometheus(Registry::global().snapshot(), prefix_, labels_);
-  const std::string tmp = path_ + ".tmp";
+void write_prometheus(const std::string& path) {
+  const std::string text = render_prometheus(Registry::global().snapshot());
+  const std::string tmp = path + ".tmp";
   {
     std::ofstream os(tmp);
     LMO_CHECK_MSG(os.good(), "cannot open " + tmp + " for writing");
     os << text;
     LMO_CHECK_MSG(os.good(), "write failed: " + tmp);
   }
-  LMO_CHECK_MSG(std::rename(tmp.c_str(), path_.c_str()) == 0,
-                "cannot rename " + tmp + " to " + path_);
-}
-
-void Exposition::start_periodic(std::chrono::milliseconds interval) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (running_) return;
-  running_ = true;
-  worker_ = std::thread([this, interval] {
-    std::unique_lock<std::mutex> lock(mu_);
-    while (running_) {
-      lock.unlock();
-      flush();
-      lock.lock();
-      cv_.wait_for(lock, interval, [this] { return !running_; });
-    }
-  });
-}
-
-void Exposition::stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!running_) return;
-    running_ = false;
-  }
-  cv_.notify_all();
-  if (worker_.joinable()) worker_.join();
-  flush();  // final point-in-time state after the loop stops
+  LMO_CHECK_MSG(std::rename(tmp.c_str(), path.c_str()) == 0,
+                "cannot rename " + tmp + " to " + path);
 }
 
 }  // namespace lmo::obs

@@ -1,82 +1,32 @@
-// Prometheus-text metrics exposition: the telemetry front door for the
-// future lmo_served daemon.
+// Prometheus-text metrics exposition.
 //
 // render_prometheus() turns a metrics Snapshot into the Prometheus text
-// exposition format (version 0.0.4): counters as `<prefix><name>_total`,
+// exposition format (version 0.0.4): counters as `lmo_<name>_total`,
 // gauges verbatim, histograms as cumulative `_bucket{le="..."}` series
 // plus `_sum`/`_count` and p50/p95/p99 gauge lines derived from the
 // stored buckets. Metric names are sanitized to [a-zA-Z0-9_:] so dotted
 // registry names ("sim.runs") become scrape-safe ("lmo_sim_runs").
 //
-// Exposition owns the serving loop: flush() snapshots the global registry
-// and atomically replaces the target file (write temp + rename), and
-// start_periodic() runs flush() on a background thread at a fixed
-// interval — node-exporter-style file scraping without an HTTP stack.
+// write_prometheus() snapshots the global registry and atomically
+// replaces a file with the rendering (write temp + rename) — the
+// node-exporter textfile pattern, without an HTTP stack.
 #pragma once
 
-#include <chrono>
-#include <condition_variable>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <utility>
-#include <vector>
 
 namespace lmo::obs {
 
 struct Snapshot;
 
-/// Constant labels attached to every series an Exposition renders
-/// (e.g. {{"shard", "0/4"}, {"host", "n1"}}). Keys are sanitized like
-/// metric names; values are escaped per the text format.
-using PrometheusLabels = std::vector<std::pair<std::string, std::string>>;
-
-/// Render a snapshot in Prometheus text exposition format. `labels` are
-/// appended to every series (histogram buckets keep their `le` label
-/// after them).
-[[nodiscard]] std::string render_prometheus(
-    const Snapshot& snap, const std::string& prefix = "lmo_",
-    const PrometheusLabels& labels = {});
+/// Render a snapshot in Prometheus text exposition format.
+[[nodiscard]] std::string render_prometheus(const Snapshot& snap);
 
 /// Sanitize one metric name for Prometheus: every character outside
 /// [a-zA-Z0-9_:] becomes '_'; a leading digit gains a '_' prefix.
 [[nodiscard]] std::string prometheus_name(const std::string& name);
 
-/// Escape one label value for the text exposition format (version 0.0.4):
-/// backslash -> \\, double quote -> \", line feed -> \n. Everything else
-/// passes through, so any byte string survives a scrape round trip.
-[[nodiscard]] std::string prometheus_label_value(const std::string& value);
-
-class Exposition {
- public:
-  /// Snapshots flush to `path`; `prefix` namespaces every metric and
-  /// `labels` are stamped onto every series (shard index, host, ...).
-  explicit Exposition(std::string path, std::string prefix = "lmo_",
-                      PrometheusLabels labels = {});
-  ~Exposition();
-
-  Exposition(const Exposition&) = delete;
-  Exposition& operator=(const Exposition&) = delete;
-
-  /// Snapshot the global registry, render, and atomically replace the
-  /// target file (temp file + rename, so scrapers never see a torn read).
-  void flush();
-
-  /// Start a background thread flushing every `interval`. Idempotent
-  /// while running; stop() (or destruction) joins it after a final flush.
-  void start_periodic(std::chrono::milliseconds interval);
-  void stop();
-
-  [[nodiscard]] const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-  std::string prefix_;
-  PrometheusLabels labels_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::thread worker_;
-  bool running_ = false;
-};
+/// Snapshot the global registry, render it, and atomically replace `path`
+/// (temp file + rename, so scrapers never see a torn read).
+void write_prometheus(const std::string& path);
 
 }  // namespace lmo::obs

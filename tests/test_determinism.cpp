@@ -13,7 +13,7 @@
 #include "estimate/lmo_estimator.hpp"
 #include "estimate/measurement_store.hpp"
 #include "estimate/suite.hpp"
-#include "mpib/benchmark.hpp"
+#include "mpib/measure_options.hpp"
 #include "simnet/cluster.hpp"
 #include "vmpi/session.hpp"
 #include "vmpi/world.hpp"

@@ -24,7 +24,7 @@
 #include "estimate/lmo_estimator.hpp"
 #include "estimate/loggp_estimator.hpp"
 #include "estimate/plogp_estimator.hpp"
-#include "mpib/benchmark.hpp"
+#include "mpib/measure_options.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/residuals.hpp"
 #include "simnet/cluster.hpp"

@@ -1,88 +1,106 @@
-// Tests for the MPIBlib-style benchmarking layer.
+// Tests for the MPIBlib-style measurement method: MeasureOptions
+// validation, the Student-t repetition rule as SimExperimenter applies it,
+// and the simulator properties the paper's timing choices rest on.
 #include <gtest/gtest.h>
 
-#include "mpib/benchmark.hpp"
-#include "vmpi/world.hpp"
+#include <string>
+#include <vector>
+
 #include "coll/collectives.hpp"
+#include "estimate/experimenter.hpp"
+#include "mpib/measure_options.hpp"
 #include "simnet/cluster.hpp"
+#include "stats/students_t.hpp"
+#include "stats/summary.hpp"
 #include "util/error.hpp"
+#include "vmpi/world.hpp"
 
 namespace lmo::mpib {
 namespace {
 
+using estimate::SimExperimenter;
+
+/// A four-node cluster with relative noise `noise` and no quirks, so the
+/// spread of a round trip is set by `noise` alone.
+sim::ClusterConfig noisy_cluster(double noise) {
+  auto cfg = sim::make_random_cluster(4, 17);
+  cfg.noise_rel = noise;
+  cfg.quirks.enabled = false;
+  return cfg;
+}
+
+struct RoundtripMeasurement {
+  double mean = 0.0;
+  std::uint64_t reps = 0;  ///< committed repetitions of the one round
+};
+
+/// One measured round trip 0 <-> 1 of 1 KB each way.
+RoundtripMeasurement measure_roundtrip(const sim::ClusterConfig& cfg,
+                                       const MeasureOptions& opts = {}) {
+  vmpi::World w(cfg);
+  SimExperimenter ex(w, opts);
+  RoundtripMeasurement out;
+  out.mean = ex.roundtrip(0, 1, 1024, 1024);
+  out.reps = ex.runs();
+  return out;
+}
+
 TEST(Measure, ConvergesOnLowVariance) {
-  int calls = 0;
-  const auto m = measure([&calls] {
-    ++calls;
-    return 1.0 + 1e-6 * (calls % 2);
-  });
-  EXPECT_TRUE(m.converged);
-  EXPECT_EQ(m.reps, 5);  // min_reps suffices
-  EXPECT_NEAR(m.mean, 1.0, 1e-5);
-  EXPECT_LT(m.relative_error(), 0.025);
+  const auto quiet = measure_roundtrip(noisy_cluster(1e-4));
+  EXPECT_EQ(quiet.reps, 5u);  // min_reps suffices
+  const auto exact = measure_roundtrip(noisy_cluster(0.0));
+  EXPECT_NEAR(quiet.mean, exact.mean, 1e-3 * exact.mean);
 }
 
 TEST(Measure, KeepsSamplingHighVariance) {
-  int calls = 0;
-  const auto m = measure([&calls] {
-    ++calls;
-    return calls % 2 ? 1.0 : 3.0;  // 100% swing: needs many reps
-  });
-  EXPECT_GT(m.reps, 5);
-  EXPECT_NEAR(m.mean, 2.0, 0.2);
+  const auto m = measure_roundtrip(noisy_cluster(0.5));
+  EXPECT_GT(m.reps, 5u);
+  EXPECT_GT(m.mean, measure_roundtrip(noisy_cluster(0.0)).mean);
 }
 
 TEST(Measure, GivesUpAtMaxReps) {
   MeasureOptions opts;
   opts.max_reps = 10;
-  int calls = 0;
-  const auto m = measure(
-      [&calls] {
-        ++calls;
-        return calls % 2 ? 1.0 : 100.0;
-      },
-      opts);
-  EXPECT_FALSE(m.converged);
-  EXPECT_EQ(m.reps, 10);
-  EXPECT_EQ(m.samples.size(), 10u);
+  opts.rel_err = 1e-6;  // unreachable with any noise
+  EXPECT_EQ(measure_roundtrip(noisy_cluster(0.5), opts).reps, 10u);
 }
 
 TEST(Measure, TightensWithStricterTarget) {
   // Stricter relative error must need at least as many reps.
-  auto noisy = [](int& state) {
-    state = state * 1103515245 + 12345;
-    return 1.0 + double((state >> 16) & 0xff) / 2560.0;  // ~10% spread
-  };
   MeasureOptions loose, strict;
   loose.rel_err = 0.10;
   strict.rel_err = 0.01;
   loose.max_reps = strict.max_reps = 500;
-  int s1 = 42, s2 = 42;
-  const auto a = measure([&] { return noisy(s1); }, loose);
-  const auto b = measure([&] { return noisy(s2); }, strict);
-  EXPECT_LE(a.reps, b.reps);
+  const auto cfg = noisy_cluster(0.3);
+  const auto a = measure_roundtrip(cfg, loose);
+  const auto b = measure_roundtrip(cfg, strict);
+  EXPECT_LT(a.reps, b.reps);
 }
 
 TEST(Measure, RejectsBadOptions) {
   MeasureOptions opts;
   opts.min_reps = 1;
-  EXPECT_THROW((void)measure([] { return 1.0; }, opts), Error);
+  vmpi::World w(noisy_cluster(0.01));
+  EXPECT_THROW(SimExperimenter(w, opts), Error);
 }
 
 TEST(MeasureCollective, RootVsGlobalTiming) {
   auto cfg = sim::make_paper_cluster();
   cfg.noise_rel = 0.005;
-  vmpi::World w(cfg);
   const Bytes m = 8192;
   const auto body = [m](vmpi::Comm& c) {
     return coll::linear_scatter(c, 0, m);
   };
-  const auto at_root = measure_collective(w, 0, body, {}, TimingMethod::kRoot);
-  const auto global = measure_collective(w, 0, body, {}, TimingMethod::kGlobal);
+  vmpi::World w(cfg);
+  stats::RunningStats at_root, global;
+  for (int rep = 0; rep < 10; ++rep) {
+    at_root.add(coll::run_timed(w, 0, body).seconds());
+    global.add(w.run(coll::spmd(w.size(), body)).seconds());
+  }
   // Global completion includes the last receiver's tail.
-  EXPECT_GT(global.mean, at_root.mean);
-  EXPECT_TRUE(at_root.converged);
-  EXPECT_TRUE(global.converged);
+  EXPECT_GT(global.mean(), at_root.mean());
+  EXPECT_LE(stats::confidence_interval(at_root, 0.95).relative_error(), 0.025);
+  EXPECT_LE(stats::confidence_interval(global, 0.95).relative_error(), 0.025);
 }
 
 // validate() must fail loudly, naming the offending field, before any
@@ -145,21 +163,23 @@ TEST(MeasureOptionsValidate, RejectsNegativeJobs) {
 TEST(MeasureOptionsValidate, MeasureRefusesBadOptions) {
   MeasureOptions opts;
   opts.min_reps = 0;
-  int calls = 0;
-  EXPECT_THROW((void)measure([&calls] { return double(++calls); }, opts),
-               Error);
-  EXPECT_EQ(calls, 0) << "nothing may run before validation";
+  vmpi::World w(noisy_cluster(0.01));
+  EXPECT_THROW(SimExperimenter(w, opts), Error);
+  EXPECT_EQ(w.total_runs(), 0u) << "nothing may run before validation";
 }
 
 TEST(MeasureCollective, PaperAccuracySettings) {
-  // The paper's settings: 95% confidence, 2.5% relative error.
-  auto cfg = sim::make_paper_cluster();
-  vmpi::World w(cfg);
-  const auto meas = measure_collective(
-      w, 0, [](vmpi::Comm& c) { return coll::linear_gather(c, 0, 1024); });
-  EXPECT_TRUE(meas.converged);
-  EXPECT_LE(meas.relative_error(), 0.025);
-  EXPECT_GE(meas.reps, 5);
+  // The paper's settings, 95% confidence and 2.5% relative error, hold
+  // for a small linear gather after min_reps root-timed repetitions.
+  vmpi::World w(sim::make_paper_cluster());
+  const MeasureOptions opts;
+  stats::RunningStats s;
+  for (int rep = 0; rep < opts.min_reps; ++rep)
+    s.add(coll::run_timed(w, 0, [](vmpi::Comm& c) {
+            return coll::linear_gather(c, 0, 1024);
+          }).seconds());
+  EXPECT_LE(stats::confidence_interval(s, opts.confidence).relative_error(),
+            opts.rel_err);
 }
 
 }  // namespace

@@ -380,81 +380,23 @@ TEST(ObsExposition, RendersCountersGaugesAndHistograms) {
   EXPECT_EQ(text.back(), '\n');
 }
 
-TEST(ObsExposition, EscapesLabelValues) {
-  EXPECT_EQ(prometheus_label_value("plain"), "plain");
-  EXPECT_EQ(prometheus_label_value("a\\b"), "a\\\\b");
-  EXPECT_EQ(prometheus_label_value("say \"hi\""), "say \\\"hi\\\"");
-  EXPECT_EQ(prometheus_label_value("line1\nline2"), "line1\\nline2");
-}
-
-namespace {
-/// Inverse of prometheus_label_value, as a scraper would apply it.
-std::string unescape_label(const std::string& s) {
-  std::string out;
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '\\' && i + 1 < s.size()) {
-      const char c = s[++i];
-      out += c == 'n' ? '\n' : c;
-    } else {
-      out += s[i];
-    }
-  }
-  return out;
-}
-}  // namespace
-
-TEST(ObsExposition, HostileLabelsRoundTripThroughRender) {
-  const std::string hostile = "shard \"0/2\" on\nhost\\b";
-  // Escape -> unescape is the identity for any byte string.
-  EXPECT_EQ(unescape_label(prometheus_label_value(hostile)), hostile);
-
-  Registry reg;
-  reg.counter("sim.runs").inc(3);
-  Histogram h = reg.histogram("lat", {1.0});
-  h.observe(0.5);
-  const std::string text = render_prometheus(
-      reg.snapshot(), "lmo_", {{"run id", hostile}, {"host", "n1"}});
-  // Keys are sanitized like metric names; values escaped per the text
-  // format. One line per series, every series carries the labels.
-  const std::string want =
-      "run_id=\"" + prometheus_label_value(hostile) + "\",host=\"n1\"";
-  EXPECT_NE(text.find("lmo_sim_runs_total{" + want + "} 3"),
-            std::string::npos)
-      << text;
-  // Histogram buckets keep `le` after the constant labels.
-  EXPECT_NE(text.find("lmo_lat_bucket{" + want + ",le=\"1\"} 1"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("lmo_lat_count{" + want + "} 1"), std::string::npos)
-      << text;
-  // The escaped payload itself never contains a raw newline or bare quote
-  // inside the label value, so the line structure of the format survives.
-  const auto pos = text.find(want);
-  ASSERT_NE(pos, std::string::npos);
-  EXPECT_EQ(text.substr(pos, want.size()).find('\n'), std::string::npos);
-
-  // Unlabeled rendering is byte-identical to the pre-label format.
-  const std::string plain = render_prometheus(reg.snapshot());
-  EXPECT_NE(text.find("lmo_sim_runs_total{"), std::string::npos);
-  EXPECT_NE(plain.find("lmo_sim_runs_total 3"), std::string::npos);
-}
-
-TEST(ObsExposition, FlushWritesAtomicallyAndPeriodicWorkerStops) {
+TEST(ObsExposition, WritePrometheusReplacesFileAtomically) {
   Registry::global().counter("obs_test.flush_marker").inc();
-  const std::string path = "/tmp/lmo_test_exposition.prom";
+  const std::string path = testing::TempDir() + "lmo_test_exposition.prom";
   {
-    Exposition exposition(path);
-    exposition.flush();
-    std::ifstream is(path);
-    ASSERT_TRUE(is.good());
-    std::ostringstream buffer;
-    buffer << is.rdbuf();
-    EXPECT_NE(buffer.str().find("lmo_obs_test_flush_marker_total"),
-              std::string::npos);
-    // Periodic mode: starts, flushes on its own thread, stops cleanly.
-    exposition.start_periodic(std::chrono::milliseconds(1));
-    exposition.stop();
+    std::ofstream stale(path);
+    stale << "stale\n";
   }
+  write_prometheus(path);
+  std::ifstream is(path);
+  ASSERT_TRUE(is.good());
+  std::ostringstream buffer;
+  buffer << is.rdbuf();
+  EXPECT_NE(buffer.str().find("lmo_obs_test_flush_marker_total"),
+            std::string::npos);
+  EXPECT_EQ(buffer.str().find("stale"), std::string::npos);
+  // The temp file was renamed over the target, not left behind.
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
   std::remove(path.c_str());
 }
 

@@ -12,7 +12,7 @@
 #include "coll/collectives.hpp"
 #include "estimate/experimenter.hpp"
 #include "estimate/lmo_estimator.hpp"
-#include "mpib/benchmark.hpp"
+#include "mpib/measure_options.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"

@@ -15,7 +15,7 @@
 #include "estimate/experimenter.hpp"
 #include "estimate/measurement_store.hpp"
 #include "estimate/suite.hpp"
-#include "mpib/benchmark.hpp"
+#include "mpib/measure_options.hpp"
 #include "simnet/cluster.hpp"
 #include "simnet/config_io.hpp"
 #include "simnet/topology.hpp"

@@ -69,10 +69,7 @@ int main(int argc, char** argv) {
     }
 
     const std::string metrics_path = cli.get("metrics-out", "");
-    if (!metrics_path.empty()) {
-      lmo::obs::Exposition exposition(metrics_path);
-      exposition.flush();
-    }
+    if (!metrics_path.empty()) lmo::obs::write_prometheus(metrics_path);
     std::cerr << "lmo_served: served " << service.requests()
               << " requests (" << service.errors() << " errors), "
               << (shutdown ? "shutdown requested" : "stdin closed") << "\n";
