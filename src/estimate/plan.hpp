@@ -6,8 +6,9 @@
 // ExperimentKeys instead of driving the Experimenter imperatively; a
 // PlanBuilder deduplicates the requests across estimators (Hockney's
 // round-trips are LMO's round-trips are PLogP's RTT(0)) and packs them
-// into rounds of node-disjoint experiments (the single-switch property,
-// extending schedule.hpp). execute_plan() then measures only the keys a
+// into rounds of resource-disjoint experiments (the single-switch
+// property, extending schedule.hpp, plus no shared contended switch on a
+// resource tree). execute_plan() then measures only the keys a
 // MeasurementStore does not already hold, and the fits read measured
 // summaries back from the store — so one measurement campaign serves all
 // five models, and a saved store can be re-fit offline.
@@ -96,12 +97,12 @@ struct ExperimentKey {
   [[nodiscard]] obs::Json to_json() const;
   [[nodiscard]] static ExperimentKey from_json(const obs::Json& j);
 
-  /// Every processor the experiment occupies (for disjoint-round packing).
+  /// Every processor the experiment occupies.
   [[nodiscard]] std::vector<int> participants() const;
 };
 
-/// One batch of node-disjoint experiments of the same kind and sizes —
-/// executable as a single concurrent measured round.
+/// One batch of resource-disjoint experiments of the same kind and sizes
+/// — executable as a single concurrent measured round.
 struct PlannedRound {
   ExperimentKind kind = ExperimentKind::kRoundtrip;
   Bytes m_fwd = 0;
@@ -133,22 +134,29 @@ class PlanBuilder {
   /// builder.
   explicit PlanBuilder(const sim::Topology* topo);
 
-  /// Record one requirement; duplicate keys collapse.
+  /// Record one requirement; duplicate keys collapse at build().
   void require(const ExperimentKey& key);
 
   [[nodiscard]] std::size_t requests() const { return requests_; }
-  [[nodiscard]] std::size_t unique() const { return keys_.size(); }
+  /// Distinct keys among the requests.
+  [[nodiscard]] std::size_t unique() const;
 
-  /// Pack into rounds. `parallel` batches node-disjoint experiments of the
-  /// same kind and sizes together (first-fit over the key order); false
-  /// yields one experiment per round (the Section-IV serial baseline).
-  /// Observation kinds always run one at a time (they sample the anchor
-  /// session's live noise stream). With a contended topology, experiments
-  /// sharing a contended switch never share a round.
+  /// Pack into rounds. `parallel` batches resource-disjoint experiments of
+  /// the same kind and sizes together (first-fit over the sorted key
+  /// order); false yields one experiment per round (the Section-IV serial
+  /// baseline). Observation kinds always run one at a time (they sample
+  /// the anchor session's live noise stream). With a contended topology,
+  /// experiments sharing a contended switch never share a round: each key
+  /// holds its participants plus the contended switches on its paths, and
+  /// first-fit reads per-resource bitmaps over rounds
+  /// (`plan.conflict_probes` counts the bitmap words read).
   [[nodiscard]] ExperimentPlan build(bool parallel = true) const;
 
  private:
-  std::vector<ExperimentKey> keys_;  ///< sorted unique (std::set semantics)
+  /// The requested keys sorted, duplicates dropped (first request wins).
+  [[nodiscard]] std::vector<ExperimentKey> sorted_unique() const;
+
+  std::vector<ExperimentKey> keys_;  ///< every request, level stamped
   std::size_t requests_ = 0;
   const sim::Topology* topo_ = nullptr;
 };

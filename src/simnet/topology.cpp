@@ -155,17 +155,6 @@ bool Topology::any_contended() const {
   return false;
 }
 
-bool Topology::paths_conflict(int i1, int j1, int i2, int j2) const {
-  bool conflict = false;
-  for_each_contended_segment(i1, j1, [&](int l1, int g1) {
-    if (conflict) return;
-    for_each_contended_segment(i2, j2, [&](int l2, int g2) {
-      if (l1 == l2 && g1 == g2) conflict = true;
-    });
-  });
-  return conflict;
-}
-
 void Topology::finalize() {
   group_count_.assign(levels_.size(), 0);
   level_latency_.assign(levels_.size(), 0.0);

@@ -136,11 +136,6 @@ class Topology {
       if (levels_[std::size_t(l - 1)].contended) f(l, group_raw(l, j));
   }
 
-  /// True if the i1->j1 and i2->j2 paths share a contended switch — then
-  /// concurrent experiments over them would perturb each other even when
-  /// the endpoints are disjoint.
-  [[nodiscard]] bool paths_conflict(int i1, int j1, int i2, int j2) const;
-
   /// Throws lmo::Error naming the offending level/rank on inconsistent
   /// structure (wrong placement width, non-monotone coarsening, top level
   /// not a single group, negative/non-finite level parameters).

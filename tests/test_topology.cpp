@@ -24,6 +24,8 @@
 #include "vmpi/session.hpp"
 #include "vmpi/world.hpp"
 
+#include "plan_reference.hpp"
+
 namespace lmo {
 namespace {
 
@@ -115,16 +117,20 @@ TEST(TopologyTest, ContendedSegmentsFollowThePath) {
 }
 
 TEST(TopologyTest, PathsConflictOnSharedContendedSwitches) {
+  // The planner's conflict rule, stated over for_each_contended_segment.
   const auto topo = three_level_tree();
+  const auto conflict = [&](int i1, int j1, int i2, int j2) {
+    return reference::paths_conflict(topo, i1, j1, i2, j2);
+  };
   // Same node bus.
-  EXPECT_TRUE(topo.paths_conflict(0, 1, 0, 1));
+  EXPECT_TRUE(conflict(0, 1, 0, 1));
   // 0->2 and 1->3 both climb node 0's bus and descend node 1's.
-  EXPECT_TRUE(topo.paths_conflict(0, 2, 1, 3));
+  EXPECT_TRUE(conflict(0, 2, 1, 3));
   // Disjoint switches, no uplink crossing: no shared contended segment.
-  EXPECT_FALSE(topo.paths_conflict(0, 1, 4, 5));
-  EXPECT_FALSE(topo.paths_conflict(0, 2, 4, 6));
+  EXPECT_FALSE(conflict(0, 1, 4, 5));
+  EXPECT_FALSE(conflict(0, 2, 4, 6));
   // Two uplink crossings share the single contended uplink switch.
-  EXPECT_TRUE(topo.paths_conflict(0, 4, 2, 6));
+  EXPECT_TRUE(conflict(0, 4, 2, 6));
 }
 
 TEST(TopologyTest, SingleSwitchIsDegenerate) {
