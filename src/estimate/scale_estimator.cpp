@@ -366,8 +366,9 @@ ScaleLmoReport estimate_scale_lmo(Experimenter& ex, MeasurementStore& store,
     const obs::Span sp = obs::span("scale.roundtrips");
     PlanBuilder stage1(opts.topology);
     plan_scale_roundtrips(stage1, triplets, opts);
-    rt_unique = stage1.unique();
-    (void)execute_plan(stage1.build(opts.parallel), ex, store, shard);
+    const ExperimentPlan built = stage1.build(opts.parallel);
+    rt_unique = built.experiments();
+    (void)execute_plan(built, ex, store, shard);
   }
   if (shard.active() && !have_roundtrips(store, triplets, opts.probe_size))
     return partial(rt_unique, 0);
@@ -377,8 +378,9 @@ ScaleLmoReport estimate_scale_lmo(Experimenter& ex, MeasurementStore& store,
     const obs::Span sp = obs::span("scale.one_to_two");
     PlanBuilder stage2(opts.topology);
     plan_scale_one_to_two(stage2, store, triplets, opts);
-    o2_unique = stage2.unique();
-    (void)execute_plan(stage2.build(opts.parallel), ex, store, shard);
+    const ExperimentPlan built = stage2.build(opts.parallel);
+    o2_unique = built.experiments();
+    (void)execute_plan(built, ex, store, shard);
   }
   if (shard.active() && !have_one_to_two(store, triplets, opts.probe_size))
     return partial(rt_unique, o2_unique);
