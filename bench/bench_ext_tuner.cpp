@@ -10,7 +10,9 @@
 // much slower the chosen plan runs than the best simulated candidate.
 // --max-regret gates the run (CI uses 0.10); the "tuner_validation"
 // report section records every case and the fidelity residuals of each
-// chosen plan.
+// chosen plan. Every case also checks that Tuner::decide, which prunes
+// candidates by a lower bound, returns exactly the candidates() argmin;
+// any difference fails the run.
 //
 // By default both clusters run deterministic (noise and TCP escalation
 // quirks off) so the --max-regret gate scores the model's schedule
@@ -30,6 +32,7 @@ struct RegretStats {
   double sum_regret = 0.0;
   double sum_abs_pred_err = 0.0;
   int cases = 0;
+  int decide_mismatches = 0;  ///< decide() differs from the argmin below
 };
 
 /// Sweep one cluster: decisions, per-candidate replay, regret rows.
@@ -54,6 +57,19 @@ void sweep_cluster(bench::BenchEnv& env, const std::string& label,
       const core::TunedDecision* chosen = &all.front();
       for (const auto& d : all)
         if (d.predicted_seconds < chosen->predicted_seconds) chosen = &d;
+      // decide() prunes candidates by a lower bound; it must still pick
+      // exactly this argmin, on fitted parameters too.
+      const core::TunedDecision decided = tuner.decide(kind, 0, m);
+      if (decided.algorithm != chosen->algorithm ||
+          decided.segment != chosen->segment ||
+          decided.mapping != chosen->mapping ||
+          decided.predicted_seconds != chosen->predicted_seconds) {
+        std::cout << "MISMATCH [" << label << "] "
+                  << core::collective_name(kind) << " " << format_bytes(m)
+                  << ": decide() chose " << decided.describe()
+                  << ", candidates() argmin is " << chosen->describe() << "\n";
+        ++stats.decide_mismatches;
+      }
       for (const auto& d : all) {
         const double obs = bench::observe_mean(
             env.ex,
@@ -159,6 +175,11 @@ int run(int argc, char** argv) {
             << format_fixed(100.0 * mean_pred_err, 1) << "%\n";
 
   const int rc = bench::finish_run();
+  if (stats.decide_mismatches > 0) {
+    std::cout << "FAIL: decide() differs from the candidates() argmin in "
+              << stats.decide_mismatches << " case(s)\n";
+    return 1;
+  }
   if (max_regret > 0.0 && stats.max_regret > max_regret) {
     std::cout << "FAIL: max regret " << format_fixed(stats.max_regret, 3)
               << " exceeds --max-regret " << format_fixed(max_regret, 3)

@@ -1,5 +1,6 @@
 #include "core/params_io.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <vector>
@@ -16,17 +17,31 @@ std::string trim(const std::string& s) {
   return s.substr(b, e - b + 1);
 }
 
+/// Comma-separated finite numbers; anything else (a malformed cell,
+/// trailing text, a value out of double's range, nan or inf) throws
+/// lmo::Error naming the line and the cell.
 std::vector<double> parse_row(const std::string& value, int lineno) {
   std::vector<double> row;
   std::istringstream is(value);
   std::string cell;
   while (std::getline(is, cell, ',')) {
+    const std::string text = trim(cell);
+    const auto bad = [&](const char* why) {
+      return Error("params line " + std::to_string(lineno) + ": " + why +
+                   " '" + text + "'");
+    };
+    std::size_t used = 0;
+    double v = 0.0;
     try {
-      row.push_back(std::stod(trim(cell)));
+      v = std::stod(text, &used);
     } catch (const std::invalid_argument&) {
-      throw Error("params line " + std::to_string(lineno) + ": bad number '" +
-                  cell + "'");
+      throw bad("bad number");
+    } catch (const std::out_of_range&) {
+      throw bad("number out of range");
     }
+    if (used != text.size()) throw bad("bad number");
+    if (!std::isfinite(v)) throw bad("non-finite number");
+    row.push_back(v);
   }
   return row;
 }
@@ -91,6 +106,11 @@ LmoParams lmo_params_from_text(const std::string& text) {
     LMO_CHECK_MSG(int(row.size()) == n,
                   "params line " + std::to_string(lineno) + ": expected " +
                       std::to_string(n) + " values");
+    // Delays, latencies and inverse rates: a negative one is no model.
+    for (std::size_t j = 0; j < row.size(); ++j)
+      LMO_CHECK_MSG(row[j] >= 0.0, "params line " + std::to_string(lineno) +
+                                       ": " + key + " value " +
+                                       std::to_string(j) + " is negative");
     if (key == "C") {
       p.C = row;
     } else if (key == "t") {

@@ -283,6 +283,11 @@ double binomial_reduce_time(const LmoParams& p, int root, Bytes m,
   return eval_binomial(p, CollectiveKind::kReduce, root, m, mapping);
 }
 
+std::size_t chunk_count(Bytes m, Bytes segment) {
+  if (m <= 0 || segment <= 0 || segment >= m) return 1;
+  return std::size_t((m + segment - 1) / segment);
+}
+
 namespace {
 /// The fabric charges at least one minimal Ethernet frame per message on
 /// the wire; segment grids that go tiny would otherwise look free.
@@ -305,11 +310,11 @@ struct Phase {
 /// >= total).
 Phase chunked(Bytes total, Bytes segment) {
   Phase ph;
-  if (total <= 0 || segment <= 0 || segment >= total) {
+  ph.chunks = chunk_count(total, segment);
+  if (ph.chunks == 1) {
     ph.full = ph.last = double(total > 0 ? total : 0);
     return ph;
   }
-  ph.chunks = std::size_t((total + segment - 1) / segment);
   ph.full = double(segment);
   ph.last = double(total - Bytes(ph.chunks - 1) * segment);
   return ph;
@@ -457,6 +462,7 @@ double run_schedule(const LmoParams& p, const Phase* phases,
     t += p.C[std::size_t(r)] + bytes * p.t[std::size_t(r)];  // send CPU
     w.arrival[slot] = send_on_wire(p, wires, w, r, peer, bytes, t);
     w.known[slot] = 1;
+    ++w.sends;
     ++c.op;
     advance(r);
     advance(peer);
@@ -586,6 +592,44 @@ double ScheduleSet::tree_time(const LmoParams& p, trees::TreeKind shape,
                      scratch);
 }
 
+double ScheduleSet::tree_lower_bound(const LmoParams& p,
+                                     trees::TreeKind shape,
+                                     CollectiveKind kind, int root, Bytes m,
+                                     const std::vector<int>& mapping,
+                                     Bytes segment,
+                                     ScheduleScratch& scratch) const {
+  const ScheduleTemplate& tpl = plan(shape, kind);
+  const int n = p.size();
+  const Phase ph = chunked(m, segment);
+  const int* map = bind_mapping(mapping, root, n, scratch);
+  const double chunks = double(ph.chunks);
+  const double total = double(std::max<Bytes>(m, 0));
+  // Wire bytes of one op over all its chunks, each at least a frame.
+  auto frames = [&](double factor) {
+    return (chunks - 1.0) * std::max(factor * ph.full, kMinFrameBytes) +
+           std::max(factor * ph.last, kMinFrameBytes);
+  };
+  double bound = 0.0;
+  for (int v = 0; v < n; ++v) {
+    const int r = map[v];
+    const double c = p.C[std::size_t(r)], t = p.t[std::size_t(r)];
+    double cpu = 0.0, egress = 0.0, ingress = 0.0;
+    for (const TemplateOp* op = tpl.begin(v); op != tpl.end(v); ++op) {
+      const int peer = map[op->peer];
+      const double proc = chunks * c + op->factor * total * t;
+      if (op->recv) {
+        cpu += op->combine ? 2.0 * proc : proc;
+        ingress += frames(op->factor) * p.inv_beta(peer, r);
+      } else {
+        cpu += proc;
+        egress += frames(op->factor) * p.inv_beta(r, peer);
+      }
+    }
+    bound = std::max({bound, cpu, egress, ingress});
+  }
+  return bound;
+}
+
 double ScheduleSet::binomial_closed_time(const LmoParams& p,
                                          CollectiveKind kind, int root,
                                          Bytes m,
@@ -640,12 +684,20 @@ double linear_scatter_time_with_leaps(const LmoParams& p,
 MappingPlan optimize_binomial_scatter_mapping(const LmoParams& p, int root,
                                               Bytes m) {
   p.validate();
+  LMO_CHECK(root >= 0 && root < p.size());
+  const int n = p.size();
+  // binomial_scatter_time per swap, compiled once, in one scratch.
+  const ScheduleTemplate binomial =
+      compile_tree_schedule(trees::TreeKind::kBinomial,
+                            CollectiveKind::kScatter, n);
+  ScheduleScratch w;
+  auto cost = [&](const std::vector<int>& mapping) {
+    return binomial_closed(p, binomial, CollectiveKind::kScatter,
+                           bind_mapping(mapping, root, n, w), m);
+  };
   MappingPlan plan;
-  plan.predicted_default = binomial_scatter_time(p, root, m);
-  const auto result = trees::optimize_mapping(
-      p.size(), root, [&](const std::vector<int>& mapping) {
-        return binomial_scatter_time(p, root, m, mapping);
-      });
+  plan.predicted_default = cost({});
+  const auto result = trees::optimize_mapping(n, root, cost);
   plan.mapping = result.mapping;
   plan.predicted_optimized = result.cost;
   return plan;

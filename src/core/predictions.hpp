@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -197,7 +198,7 @@ struct WireLayout {
 /// occupancy, the send heap, and the bound mapping. Reusing one across
 /// replays avoids every per-call allocation once the buffers have grown;
 /// a scratch serves one replay at a time, so concurrent callers each keep
-/// their own. Contents between calls are unspecified.
+/// their own. Contents between calls are unspecified, except `sends`.
 struct ScheduleScratch {
   struct Cursor {
     const TemplateOp* op = nullptr;     ///< next op of the current chunk
@@ -214,7 +215,14 @@ struct ScheduleScratch {
   std::vector<Cursor> cursor;
   std::vector<std::pair<double, int>> heap;
   std::vector<int> map, inverse, ring;
+  /// Messages replayed, summed over every replay run in this scratch (a
+  /// work count the caller reads and publishes).
+  std::uint64_t sends = 0;
 };
+
+/// Chunks a replay pipelines a message of m bytes into: ceil(m / segment)
+/// when 0 < segment < m, otherwise one.
+[[nodiscard]] std::size_t chunk_count(Bytes m, Bytes segment);
 
 /// Every tree schedule of one communicator size and topology, compiled
 /// once: the evaluator core::Tuner prices candidates with. Results are
@@ -230,6 +238,23 @@ class ScheduleSet {
                                  CollectiveKind kind, int root, Bytes m,
                                  const std::vector<int>& mapping,
                                  Bytes segment, ScheduleScratch& scratch) const;
+
+  /// A lower bound on tree_time with the same arguments, in
+  /// O(template ops) whatever the chunk count S: the largest over ranks r
+  /// of r's serialized CPU time, sum over its ops of (2 if combine else 1)
+  /// x (S C_r + factor m t_r), of its egress wire occupancy, and of its
+  /// ingress wire occupancy (each chunk at least one minimal frame). The
+  /// replay only ever adds these non-negative terms to a clock or port
+  /// cursor, so the bound holds up to rounding (about ops x 2^-53,
+  /// relative) provided every C_i, t_i, L_ij and 1/beta_ij is finite and
+  /// >= 0. Checks `mapping` like tree_time.
+  [[nodiscard]] double tree_lower_bound(const LmoParams& p,
+                                        trees::TreeKind shape,
+                                        CollectiveKind kind, int root,
+                                        Bytes m,
+                                        const std::vector<int>& mapping,
+                                        Bytes segment,
+                                        ScheduleScratch& scratch) const;
 
   /// binomial_<kind>_time(p, root, m, mapping): the closed-form recursion,
   /// walking the compiled children lists.

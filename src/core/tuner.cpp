@@ -1,7 +1,13 @@
 #include "core/tuner.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <numeric>
+#include <string>
 
+#include "obs/metrics.hpp"
 #include "trees/mapping.hpp"
 #include "util/error.hpp"
 #include "util/format.hpp"
@@ -90,6 +96,33 @@ obs::Json TunedDecision::to_json() const {
   return j;
 }
 
+namespace {
+/// Relative slack of decide()'s pruning test: far above the rounding by
+/// which tree_lower_bound's sums may differ from the replay's.
+constexpr double kBoundSlack = 1e-9;
+
+/// Throws unless table[i] (or table[i][j], when j >= 0) = v is finite and
+/// >= 0.
+void check_term(double v, const char* table, int i, int j = -1) {
+  if (std::isfinite(v) && v >= 0.0) return;
+  std::string what = std::string(table) + "[" + std::to_string(i) + "]";
+  if (j >= 0) what += "[" + std::to_string(j) + "]";
+  char value[32];
+  std::snprintf(value, sizeof value, "%g", v);
+  throw Error("tuner: model parameter " + what + " = " + value +
+              " must be finite and >= 0");
+}
+
+/// Publishes one call's work: messages replayed and candidates pruned.
+void publish(const ScheduleScratch& scratch, std::uint64_t pruned) {
+  static obs::Counter sends =
+      obs::Registry::global().counter("tuner.replay_sends");
+  static obs::Counter skipped = obs::Registry::global().counter("tuner.pruned");
+  sends.inc(scratch.sends);
+  skipped.inc(pruned);
+}
+}  // namespace
+
 Tuner::Tuner(LmoParams params, GatherEmpirical gather_empirical,
              TunerOptions options)
     : params_(std::move(params)),
@@ -97,6 +130,16 @@ Tuner::Tuner(LmoParams params, GatherEmpirical gather_empirical,
       options_(std::move(options)),
       schedules_(params_.size(), options_.topology) {
   params_.validate();
+  const int n = params_.size();
+  for (int i = 0; i < n; ++i) {
+    check_term(params_.C[std::size_t(i)], "C", i);
+    check_term(params_.t[std::size_t(i)], "t", i);
+    for (int j = 0; j < n; ++j) {
+      if (j == i) continue;
+      check_term(params_.L(i, j), "L", i, j);
+      check_term(params_.inv_beta(i, j), "inv_beta", i, j);
+    }
+  }
 }
 
 namespace {
@@ -116,14 +159,34 @@ trees::TreeKind shape_of(AlgorithmId id) {
   LMO_CHECK_MSG(false, "algorithm has no tree shape");
   return trees::TreeKind::kFlat;
 }
+
+bool contends(const sim::Topology* topo) {
+  return topo && !topo->empty() && topo->constrains_concurrency();
+}
 }  // namespace
+
+bool Tuner::replays_tree(CollectiveKind kind, AlgorithmId id,
+                         Bytes segment) const {
+  if (id == AlgorithmId::kScatterAllgather) return false;
+  if (segment > 0) return true;
+  // Unsegmented linear gather carries the empirical band (see predict).
+  if (id == AlgorithmId::kLinear && kind == CollectiveKind::kGather)
+    return false;
+  // Unsegmented linear and binomial keep the paper's closed forms on flat
+  // clusters; contended topologies route through the schedule evaluator,
+  // which the closed forms cannot price (cross-transfer contention).
+  return contends(options_.topology) ||
+         (id != AlgorithmId::kLinear && id != AlgorithmId::kBinomial);
+}
 
 double Tuner::predict(CollectiveKind kind, AlgorithmId id, int root, Bytes m,
                       const std::vector<int>& mapping, Bytes segment,
                       ScheduleScratch& scratch) const {
-  const sim::Topology* topo = options_.topology;
-  const bool contended =
-      topo && !topo->empty() && topo->constrains_concurrency();
+  // The schedule evaluator prices the exact chunked schedule coll::tree_*
+  // executes.
+  if (replays_tree(kind, id, segment))
+    return schedules_.tree_time(params_, shape_of(id), kind, root, m, mapping,
+                                segment, scratch);
   if (id == AlgorithmId::kScatterAllgather) {
     LMO_CHECK_MSG(kind == CollectiveKind::kBcast,
                   "scatter+allgather is a broadcast algorithm");
@@ -134,47 +197,39 @@ double Tuner::predict(CollectiveKind kind, AlgorithmId id, int root, Bytes m,
   // contention-aware base otherwise. The large regime's serialized-sum
   // branch always keeps the closed form — that behavior is a protocol
   // switch, not a wire effect.
-  if (segment <= 0 && id == AlgorithmId::kLinear &&
-      kind == CollectiveKind::kGather) {
+  if (id == AlgorithmId::kLinear && kind == CollectiveKind::kGather) {
     const GatherPrediction g =
         linear_gather_time(params_, gather_empirical_, root, m);
-    if (!contended || g.regime == GatherRegime::kLarge) return g.expected();
+    if (!contends(options_.topology) || g.regime == GatherRegime::kLarge)
+      return g.expected();
     return schedules_.tree_time(params_, trees::TreeKind::kFlat,
                                 CollectiveKind::kGather, root, m, mapping, 0,
                                 scratch) +
            g.expected_escalation;
   }
-  // Unsegmented linear and binomial keep the paper's closed forms on flat
-  // clusters; contended topologies route through the schedule evaluator,
-  // which the closed forms cannot price (cross-transfer contention).
-  if (!contended && segment <= 0 && id == AlgorithmId::kLinear) {
-    switch (kind) {
-      case CollectiveKind::kScatter:
-        return linear_scatter_time(params_, root, m);
-      case CollectiveKind::kGather:
-        break;  // handled above
-      case CollectiveKind::kBcast:
-        return linear_bcast_time(params_, root, m);
-      case CollectiveKind::kReduce:
-        return linear_reduce_time(params_, root, m);
-    }
-  }
-  if (!contended && segment <= 0 && id == AlgorithmId::kBinomial)
+  // What remains is unsegmented linear or binomial on a flat cluster.
+  if (id == AlgorithmId::kBinomial)
     return schedules_.binomial_closed_time(params_, kind, root, m, mapping,
                                            scratch);
-  // Everything else goes through the schedule evaluator, which prices the
-  // exact chunked schedule coll::tree_* executes.
-  return schedules_.tree_time(params_, shape_of(id), kind, root, m, mapping,
-                              segment, scratch);
+  switch (kind) {
+    case CollectiveKind::kScatter:
+      return linear_scatter_time(params_, root, m);
+    case CollectiveKind::kGather:
+      break;  // handled above
+    case CollectiveKind::kBcast:
+      return linear_bcast_time(params_, root, m);
+    case CollectiveKind::kReduce:
+      return linear_reduce_time(params_, root, m);
+  }
+  LMO_CHECK_MSG(false, "unreachable prediction branch");
+  return 0.0;
 }
 
-std::vector<TunedDecision> Tuner::candidates(CollectiveKind kind, int root,
-                                             Bytes m) const {
+std::vector<TunedDecision> Tuner::enumerate(CollectiveKind kind, int root,
+                                            Bytes m,
+                                            ScheduleScratch& scratch) const {
   LMO_CHECK(root >= 0 && root < params_.size());
   LMO_CHECK(m >= 0);
-  // One workspace for every evaluation of this call: the mapping climb and
-  // the zoo replay into the same buffers.
-  ScheduleScratch scratch;
   std::vector<TunedDecision> out;
   auto add = [&](AlgorithmId id, std::vector<int> mapping, Bytes segment) {
     for (const TunedDecision& d : out)
@@ -188,8 +243,6 @@ std::vector<TunedDecision> Tuner::candidates(CollectiveKind kind, int root,
     d.message = m;
     d.mapping = std::move(mapping);
     d.segment = segment;
-    d.predicted_seconds =
-        predict(kind, id, root, m, d.mapping, segment, scratch);
     out.push_back(std::move(d));
   };
 
@@ -235,13 +288,61 @@ std::vector<TunedDecision> Tuner::candidates(CollectiveKind kind, int root,
   return out;
 }
 
+std::vector<TunedDecision> Tuner::candidates(CollectiveKind kind, int root,
+                                             Bytes m) const {
+  // One workspace for every evaluation of this call: the mapping climb and
+  // the zoo replay into the same buffers.
+  ScheduleScratch scratch;
+  std::vector<TunedDecision> out = enumerate(kind, root, m, scratch);
+  for (TunedDecision& d : out)
+    d.predicted_seconds =
+        predict(kind, d.algorithm, root, m, d.mapping, d.segment, scratch);
+  publish(scratch, 0);
+  return out;
+}
+
 TunedDecision Tuner::decide(CollectiveKind kind, int root, Bytes m) const {
-  const std::vector<TunedDecision> all = candidates(kind, root, m);
+  ScheduleScratch scratch;
+  std::vector<TunedDecision> all = enumerate(kind, root, m, scratch);
   LMO_CHECK(!all.empty());
-  const TunedDecision* best = &all.front();
-  for (const TunedDecision& d : all)
-    if (d.predicted_seconds < best->predicted_seconds) best = &d;
-  return *best;
+  // Cheapest replays first (stable: enumeration order among equals), so
+  // the best price is already low when the long segmented replays come
+  // up. The composite broadcast's ring walks n - 1 steps.
+  auto chunks = [&](const TunedDecision& d) {
+    return d.algorithm == AlgorithmId::kScatterAllgather
+               ? std::size_t(params_.size() - 1)
+               : chunk_count(m, d.segment);
+  };
+  std::vector<std::size_t> order(all.size());
+  std::iota(order.begin(), order.end(), std::size_t(0));
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return chunks(all[a]) < chunks(all[b]);
+                   });
+  // A replay never finishes before its bound, so a candidate whose bound
+  // exceeds the best price by more than the rounding slack costs strictly
+  // more than the best and cannot win, not even a tie on position.
+  std::size_t best = all.size();
+  std::uint64_t pruned = 0;
+  for (const std::size_t i : order) {
+    TunedDecision& d = all[i];
+    if (best < all.size() && replays_tree(kind, d.algorithm, d.segment) &&
+        schedules_.tree_lower_bound(params_, shape_of(d.algorithm), kind,
+                                    root, m, d.mapping, d.segment, scratch) *
+                (1.0 - kBoundSlack) >
+            all[best].predicted_seconds) {
+      ++pruned;
+      continue;
+    }
+    d.predicted_seconds =
+        predict(kind, d.algorithm, root, m, d.mapping, d.segment, scratch);
+    if (best == all.size() ||
+        d.predicted_seconds < all[best].predicted_seconds ||
+        (d.predicted_seconds == all[best].predicted_seconds && i < best))
+      best = i;
+  }
+  publish(scratch, pruned);
+  return std::move(all[best]);
 }
 
 std::vector<Bytes> Tuner::crossovers(CollectiveKind kind, int root, Bytes lo,
@@ -283,8 +384,10 @@ double Tuner::price(const TunedDecision& d) const {
   // The closed forms index the parameter tables through the mapping
   // unchecked, so a decision off the wire is checked here, once.
   trees::invert_mapping(d.mapping, params_.size(), scratch.inverse);
-  return predict(d.kind, d.algorithm, d.root, d.message, d.mapping,
-                 d.segment, scratch);
+  const double seconds = predict(d.kind, d.algorithm, d.root, d.message,
+                                 d.mapping, d.segment, scratch);
+  publish(scratch, 0);
+  return seconds;
 }
 
 }  // namespace lmo::core

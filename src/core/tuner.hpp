@@ -88,6 +88,8 @@ struct TunerOptions {
 
 class Tuner {
  public:
+  /// Throws lmo::Error naming the entry unless every C_i, t_i, L_ij and
+  /// 1/beta_ij is finite and >= 0 (decide()'s pruning relies on it).
   Tuner(LmoParams params, GatherEmpirical gather_empirical,
         TunerOptions options = {});
 
@@ -101,7 +103,11 @@ class Tuner {
                                                       int root,
                                                       Bytes m) const;
 
-  /// Choose the best plan for one collective invocation.
+  /// Choose the best plan for one collective invocation: the candidate
+  /// with the least (predicted_seconds, position in candidates()), bit for
+  /// bit. Candidates are priced cheapest replay first; a replayed tree
+  /// whose ScheduleSet::tree_lower_bound already exceeds the best price so
+  /// far is skipped unpriced (counted in `tuner.pruned`).
   [[nodiscard]] TunedDecision decide(CollectiveKind kind, int root,
                                      Bytes m) const;
 
@@ -125,6 +131,16 @@ class Tuner {
   [[nodiscard]] double price(const TunedDecision& d) const;
 
  private:
+  /// candidates() unpriced, in order (the mapping climb prices its swaps
+  /// in `scratch`).
+  [[nodiscard]] std::vector<TunedDecision> enumerate(
+      CollectiveKind kind, int root, Bytes m, ScheduleScratch& scratch) const;
+
+  /// True when predict() prices (kind, id, segment) by replaying a tree
+  /// schedule — the candidates ScheduleSet::tree_lower_bound bounds.
+  [[nodiscard]] bool replays_tree(CollectiveKind kind, AlgorithmId id,
+                                  Bytes segment) const;
+
   [[nodiscard]] double predict(CollectiveKind kind, AlgorithmId id, int root,
                                Bytes m, const std::vector<int>& mapping,
                                Bytes segment, ScheduleScratch& scratch) const;

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
 
 #include "core/params_io.hpp"
 #include "core/predictions.hpp"
@@ -137,6 +138,37 @@ TEST(ParamsIo, RejectsMalformed) {
   std::string text = core::to_text(p);
   text += "unknown_key = 1, 2, 3\n";
   EXPECT_THROW((void)core::lmo_params_from_text(text), Error);
+}
+
+TEST(ParamsIo, RejectsHostileNumbersNamingTheLine) {
+  // A two-rank model whose rows are overridden one at a time: line 3 is C,
+  // 4 is t, 5 is L's first row, 6 is inv_beta's first row.
+  auto model = [](const char* c, const char* t, const char* l,
+                  const char* b) {
+    return std::string("[lmo]\nsize = 2\n") + "C = " + c + "\nt = " + t +
+           "\nL = " + l + "\ninv_beta = " + b +
+           "\nL = 1e-5, 0\ninv_beta = 1e-8, 0\n";
+  };
+  const char* c = "1e-5, 2e-5";
+  const char* t = "5e-8, 6e-8";
+  const char* l = "0, 1e-5";
+  const char* b = "0, 1e-8";
+  ASSERT_EQ(core::lmo_params_from_text(model(c, t, l, b)).size(), 2);
+  auto expect_named = [](const std::string& text, const std::string& what) {
+    try {
+      (void)core::lmo_params_from_text(text);
+      ADD_FAILURE() << "accepted: " << what;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_named(model("1e999, 2e-5", t, l, b), "line 3: number out of range");
+  expect_named(model(c, "nan, 6e-8", l, b), "line 4: non-finite number");
+  expect_named(model(c, t, "0, inf", b), "line 5: non-finite number");
+  expect_named(model(c, t, l, "0, -1e-8"), "line 6: inv_beta value 1");
+  expect_named(model("-1e-5, 2e-5", t, l, b), "line 3: C value 0");
+  expect_named(model("1e-5x, 2e-5", t, l, b), "line 3: bad number");
 }
 
 }  // namespace

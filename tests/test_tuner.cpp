@@ -4,11 +4,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "coll/zoo.hpp"
 #include "core/tuner.hpp"
+#include "obs/metrics.hpp"
 #include "simnet/cluster.hpp"
 #include "util/error.hpp"
 #include "util/sweep.hpp"
@@ -273,6 +276,33 @@ TEST(TunerTest, RejectsBadInput) {
   EXPECT_THROW((void)t.crossover(CollectiveKind::kScatter, 0, 10, 10), Error);
 }
 
+TEST(TunerTest, RejectsParametersThePruningCannotTrust) {
+  // decide() prunes on a lower bound that holds only for finite,
+  // non-negative parameters; anything else is refused up front, by name.
+  const LmoParams good = from_ground_truth(sim::make_paper_cluster());
+  auto expect_named = [&](LmoParams p, const char* name) {
+    try {
+      (void)Tuner(std::move(p), paper_band());
+      ADD_FAILURE() << "accepted " << name;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+  };
+  LmoParams p = good;
+  p.C[2] = -1e-6;
+  expect_named(p, "C[2]");
+  p = good;
+  p.t[5] = std::numeric_limits<double>::quiet_NaN();
+  expect_named(p, "t[5]");
+  p = good;
+  p.L(1, 3) = std::numeric_limits<double>::infinity();
+  expect_named(p, "L[1][3]");
+  p = good;
+  p.inv_beta(0, 1) = -1e-9;
+  expect_named(p, "inv_beta[0][1]");
+}
+
 constexpr CollectiveKind kAllKinds[] = {
     CollectiveKind::kScatter, CollectiveKind::kGather, CollectiveKind::kBcast,
     CollectiveKind::kReduce};
@@ -326,6 +356,89 @@ TEST(TunerGoldenTest, FlatPaperClusterDecisionsUnchanged) {
 TEST(TunerGoldenTest, ContendedHierarchyDecisionsUnchanged) {
   EXPECT_EQ(decide_grid_digest(sim::make_multicore_cluster(1, 4, 4, 1)),
             12469999022793129647ull);
+}
+
+/// Work of the decide() calls of decide_grid_digest's grid: messages the
+/// schedule replays sent and candidates pruned, read off the counters.
+struct GridWork {
+  std::uint64_t replay_sends = 0;
+  std::uint64_t pruned = 0;
+};
+
+GridWork decide_grid_work(const sim::ClusterConfig& cfg) {
+  TunerOptions opts;
+  opts.topology = &cfg.topology;
+  const Tuner t(from_ground_truth(cfg), paper_band(), opts);
+  obs::Registry& reg = obs::Registry::global();
+  const obs::Counter sends = reg.counter("tuner.replay_sends");
+  const obs::Counter pruned = reg.counter("tuner.pruned");
+  const GridWork before{sends.value(), pruned.value()};
+  for (const CollectiveKind kind : kAllKinds)
+    for (Bytes m = 1024; m <= 1024 * 1024; m *= 2)
+      for (int root = 0; root < cfg.size(); ++root)
+        (void)t.decide(kind, root, m);
+  return {sends.value() - before.replay_sends, pruned.value() - before.pruned};
+}
+
+// Ceilings on the golden grids' decide() work. Pricing every candidate
+// replayed 5,211,120 messages on the paper cluster and 7,851,150 on the
+// contended tree; with pruning they replay 1,016,805 and 4,447,470 (most
+// of the latter in the mapping climb). A decide() that stops pruning
+// blows through the ceilings.
+TEST(TunerWorkTest, PaperGridPrunesItsReplays) {
+  const GridWork w = decide_grid_work(sim::make_paper_cluster(1));
+  EXPECT_GT(w.pruned, 0u);
+  EXPECT_LE(w.replay_sends, 1100000u);
+}
+
+TEST(TunerWorkTest, ContendedGridPrunesItsReplays) {
+  const GridWork w = decide_grid_work(sim::make_multicore_cluster(1, 4, 4, 1));
+  EXPECT_GT(w.pruned, 0u);
+  EXPECT_LE(w.replay_sends, 4600000u);
+}
+
+TEST(TunerDifferentialTest, DecideIsTheArgminOfCandidates) {
+  // On seeded random clusters — flat and contended, default and widened
+  // segment grids — decide() returns exactly the candidate with the least
+  // (predicted_seconds, position in candidates()).
+  int pruned_somewhere = 0;
+  const obs::Counter pruned =
+      obs::Registry::global().counter("tuner.pruned");
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const sim::ClusterConfig cfg =
+        seed % 4 == 0
+            ? sim::make_multicore_cluster(1 + int(seed % 3), 2, 2, seed)
+            : sim::make_random_cluster(5 + int(seed % 9), seed);
+    TunerOptions opts;
+    opts.topology = &cfg.topology;
+    if (seed % 2 == 1)
+      opts.segment_candidates = {1024, 2 * 1024, 8 * 1024, 32 * 1024,
+                                 128 * 1024};
+    const Tuner t(from_ground_truth(cfg), paper_band(), opts);
+    for (const CollectiveKind kind : kAllKinds)
+      for (const Bytes m : {Bytes(13), Bytes(3000), Bytes(70001),
+                            Bytes(600000)}) {
+        const int root =
+            int((seed + std::uint64_t(m)) % std::uint64_t(cfg.size()));
+        const std::uint64_t pruned0 = pruned.value();
+        const TunedDecision d = t.decide(kind, root, m);
+        if (pruned.value() > pruned0) ++pruned_somewhere;
+        const std::vector<TunedDecision> all = t.candidates(kind, root, m);
+        const TunedDecision* best = &all.front();
+        for (const TunedDecision& c : all)
+          if (c.predicted_seconds < best->predicted_seconds) best = &c;
+        EXPECT_EQ(d.algorithm, best->algorithm)
+            << "seed " << seed << " m=" << m;
+        EXPECT_EQ(d.segment, best->segment) << "seed " << seed << " m=" << m;
+        EXPECT_EQ(d.mapping, best->mapping) << "seed " << seed << " m=" << m;
+        std::uint64_t got = 0, want = 0;
+        std::memcpy(&got, &d.predicted_seconds, sizeof got);
+        std::memcpy(&want, &best->predicted_seconds, sizeof want);
+        EXPECT_EQ(got, want) << "seed " << seed << " m=" << m;
+      }
+  }
+  // The comparison only tests pruning if decisions really pruned.
+  EXPECT_GT(pruned_somewhere, 0);
 }
 
 TEST(TunerParallelTest, SharedTunerDecidesLikeSerial) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 
 #include "coll/zoo.hpp"
 #include "core/predictions.hpp"
@@ -11,8 +12,11 @@
 #include "simnet/cluster.hpp"
 #include "trees/mapping.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "util/sweep.hpp"
 #include "vmpi/world.hpp"
+
+#include "random_tree.hpp"
 
 namespace lmo {
 namespace {
@@ -296,6 +300,83 @@ TEST(InverseMapping, ValidatesPermutations) {
   EXPECT_THROW((void)trees::inverse_mapping({0, 1, 2, 4}, 4), Error);
   EXPECT_THROW((void)trees::inverse_mapping({0, 1, 2, -1}, 4), Error);
   EXPECT_THROW((void)trees::inverse_mapping({0, 1, 2}, 4), Error);
+}
+
+// ------------------------------------------------ replay lower bound --
+
+/// Random LMO parameters over n ranks, each term >= 0; about one in ten
+/// is exactly zero, so ties and empty terms occur.
+LmoParams random_params(Rng& rng, int n) {
+  auto draw = [&](double hi) {
+    return rng.chance(0.1) ? 0.0 : rng.uniform(0.0, hi);
+  };
+  LmoParams p;
+  p.L = models::PairTable(n);
+  p.inv_beta = models::PairTable(n);
+  for (int i = 0; i < n; ++i) {
+    p.C.push_back(draw(1e-4));
+    p.t.push_back(draw(1e-7));
+    for (int j = 0; j < n; ++j) {
+      if (j == i) continue;
+      p.L(i, j) = draw(1e-4);
+      p.inv_beta(i, j) = draw(1e-7);
+    }
+  }
+  return p;
+}
+
+TEST(TreeLowerBound, NeverExceedsTheReplay) {
+  // Flat (no topology), contended multicore and irregular trees; every
+  // shape x kind; segments of 0, dividing, non-dividing and >= m (some
+  // below the minimal frame); default and random mappings. The decide()
+  // pruning relies on bound <= replay up to far less than its 1e-9 slack.
+  Rng rng(17);
+  for (int trial = 0; trial < 24; ++trial) {
+    sim::Topology topo;
+    int n = int(rng.uniform_int(2, 20));
+    if (trial % 3 == 1) {
+      topo = sim::make_multicore_cluster(int(rng.uniform_int(1, 2)),
+                                         int(rng.uniform_int(1, 3)),
+                                         int(rng.uniform_int(2, 4)),
+                                         std::uint64_t(trial))
+                 .topology;
+      ASSERT_TRUE(topo.constrains_concurrency());
+    } else if (trial % 3 == 2) {
+      topo = test_support::random_contended_tree(rng, /*irregular=*/true);
+    }
+    if (!topo.empty()) n = topo.ranks();
+    const LmoParams p = random_params(rng, n);
+    const core::ScheduleSet set(n, topo.empty() ? nullptr : &topo);
+    core::ScheduleScratch scratch;
+    const int root = int(rng.uniform_int(0, n - 1));
+    std::vector<int> shuffled(static_cast<std::size_t>(n));
+    std::iota(shuffled.begin(), shuffled.end(), 0);
+    std::swap(shuffled[0], shuffled[std::size_t(root)]);
+    for (std::size_t i = shuffled.size(); i > 2; --i)
+      std::swap(shuffled[i - 1],
+                shuffled[std::size_t(rng.uniform_int(1, std::int64_t(i) - 1))]);
+    const Bytes piece = rng.uniform_int(1, 3000);
+    const Bytes m = piece * rng.uniform_int(2, 12);
+    for (const Bytes size : {Bytes(0), Bytes(1), m})
+      for (const Bytes segment :
+           {Bytes(0), piece, piece + 1, size, size + 7})
+        for (const auto shape : {TreeKind::kFlat, TreeKind::kChain,
+                                 TreeKind::kBinary, TreeKind::kBinomial})
+          for (const auto kind :
+               {CollectiveKind::kScatter, CollectiveKind::kGather,
+                CollectiveKind::kBcast, CollectiveKind::kReduce})
+            for (const auto& mapping : {std::vector<int>{}, shuffled}) {
+              const double replay = set.tree_time(p, shape, kind, root, size,
+                                                  mapping, segment, scratch);
+              const double bound = set.tree_lower_bound(
+                  p, shape, kind, root, size, mapping, segment, scratch);
+              EXPECT_GE(bound, 0.0);
+              EXPECT_LE(bound, replay * (1.0 + 1e-12))
+                  << "trial " << trial << " n=" << n << " m=" << size
+                  << " segment=" << segment << " shape " << int(shape)
+                  << " kind " << core::collective_name(kind);
+            }
+  }
 }
 
 /// The acceptance bar: across the Fig. 6 message-size sweep, executing
