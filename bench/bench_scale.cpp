@@ -1,9 +1,11 @@
 // Scale benchmark: the SoA hot state and the sampled estimator at large N.
 //
 // For N in {16, 256, 1024, 4096} (multicore shapes, block placement):
-//  * setup   — wall time to construct the simulation world (fabric SoA
-//              arrays, topology caches, rank programs) — the per-round
-//              session setup cost of the measured pipeline,
+//  * setup   — wall time to construct the simulation world and its
+//              experimenter (config validation, fabric SoA arrays, the
+//              O(N · depth) barrier latency) — paid by the anchor and by
+//              each of the experimenter's jobs pooled sessions, not per
+//              repetition (those reset() a pooled session),
 //  * micro   — engine events/s over a binomial broadcast observed on the
 //              anchor session,
 //  * macro   — wall time of the sampled LMO scale fit (estimate_scale_lmo:
@@ -11,10 +13,12 @@
 //  * peak RSS — getrusage high water (run in ascending N so each row's
 //              value is attributable to its N; sub-quadratic growth here is
 //              the acceptance bar for the profile/SoA refactor).
-// Writes the series to --out (default BENCH_scale.json) for CI to diff.
+// Writes the series to --out (default BENCH_scale.json) for CI to diff,
+// with the machine it ran on (CPUs, build type, compiler, load average).
 #include <sys/resource.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 
@@ -22,6 +26,7 @@
 #include "common.hpp"
 #include "estimate/scale_estimator.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 
 using namespace lmo;
 
@@ -36,6 +41,21 @@ long peak_rss_kb() {
   struct rusage ru {};
   getrusage(RUSAGE_SELF, &ru);
   return ru.ru_maxrss;  // KiB on Linux
+}
+
+/// Where the timings came from: they mean little without it.
+obs::Json machine_json() {
+  obs::Json m = obs::Json::object();
+  m["cpus"] = hardware_jobs();
+#if defined(NDEBUG)
+  m["build"] = "release";
+#else
+  m["build"] = "debug";
+#endif
+  m["compiler"] = std::string(__VERSION__);
+  double load = 0.0;
+  m["load_1m"] = getloadavg(&load, 1) == 1 ? load : -1.0;
+  return m;
 }
 
 struct Shape {
@@ -115,6 +135,7 @@ int run(int argc, char** argv) {
   obs::Json doc = obs::Json::object();
   doc["schema"] = "lmo.bench_scale/1";
   doc["seed"] = std::int64_t(seed);
+  doc["machine"] = machine_json();
   doc["series"] = std::move(series);
   {
     std::ofstream f(out);

@@ -168,6 +168,64 @@ struct SimExperimenter::Settled {
   FaultTally faults;
 };
 
+/// A pooled repetition session, reset to `seed`, held for one repetition
+/// (or one attempt) and handed back to the pool on destruction.
+class SimExperimenter::Lease {
+ public:
+  Lease(SimExperimenter& ex, std::uint64_t seed)
+      : pool_(ex.pool_), limit_(ex.jobs()) {
+    {
+      std::unique_lock lock(pool_.mu);
+      pool_.returned.wait(lock, [&] {
+        return !pool_.idle.empty() || pool_.alive < limit_;
+      });
+      if (!pool_.idle.empty()) {
+        sess_ = std::move(pool_.idle.back());
+        pool_.idle.pop_back();
+      } else {
+        ++pool_.alive;
+      }
+    }
+    try {
+      if (sess_)
+        sess_->reset(seed);
+      else
+        sess_ = std::make_unique<vmpi::SimSession>(
+            ex.session_->shared_config(), seed);
+    } catch (...) {
+      sess_.reset();
+      give_back();
+      throw;
+    }
+  }
+  ~Lease() { give_back(); }
+  Lease(const Lease&) = delete;
+  Lease& operator=(const Lease&) = delete;
+
+  vmpi::SimSession* operator->() { return sess_.get(); }
+
+ private:
+  /// Return the session (a reset() makes whatever state it holds harmless),
+  /// or drop it when the pool is over its bound.
+  void give_back() noexcept {
+    std::unique_ptr<vmpi::SimSession> drop;
+    {
+      const std::lock_guard lock(pool_.mu);
+      if (sess_ && pool_.alive <= limit_) {
+        pool_.idle.push_back(std::move(sess_));
+      } else {
+        drop = std::move(sess_);
+        --pool_.alive;
+      }
+    }
+    pool_.returned.notify_one();
+  }
+
+  SessionPool& pool_;
+  int limit_;
+  std::unique_ptr<vmpi::SimSession> sess_;
+};
+
 std::vector<double> Experimenter::send_overhead_round(
     const std::vector<Pair>& pairs, Bytes m) {
   std::vector<double> out;
@@ -216,7 +274,7 @@ void SimExperimenter::set_flight_recorder(obs::FlightRecorder* recorder) {
   flight_ = recorder;
   // The anchor session is driven only from the host thread that drives
   // this experimenter, so the single-owner ring contract extends to it.
-  // Per-repetition isolated sessions never attach — they run concurrently.
+  // Pooled repetition sessions never attach — they run concurrently.
   session_->set_flight_recorder(recorder);
 }
 
@@ -257,18 +315,17 @@ std::vector<double> SimExperimenter::measure_round(
     vmpi::SessionMetrics metrics;
     FaultTally faults;
   };
-  // sample(rep) is pure in `rep`: a fresh session seeded from (base,
+  // sample(rep) is pure in `rep`: a session reset to a seed from (base,
   // round, rep), and fault draws likewise pure in (round, rep, slot), so
   // repetitions can run on any thread in any order.
   const obs::Span sp = obs::span("measure_round", "measure");
   auto sample = [&](int rep) {
     RepSample s;
     s.slots.assign(n_experiments, 0.0);
-    vmpi::SimSession sess(session_->shared_config(),
-                          derive_seed(base, round, std::uint64_t(rep)));
+    Lease sess(*this, derive_seed(base, round, std::uint64_t(rep)));
     const auto programs = build(s.slots);
-    s.end = sess.run(programs);
-    s.metrics = sess.metrics();
+    s.end = sess->run(programs);
+    s.metrics = sess->metrics();
     for (std::size_t e = 0; e < n_experiments; ++e) {
       const double scale = sim::slow_scale_for(fault, round,
                                                std::uint64_t(rep),
@@ -644,7 +701,7 @@ std::vector<double> SimExperimenter::observe_global_samples(
 
   // One repetition — a pure function of `rep`, independent of scheduling:
   // its settled observation plus the cost and metrics of every attempt.
-  // Dropped attempts retry on a fresh attempt-derived session seed.
+  // Dropped attempts retry on a session reset to an attempt-derived seed.
   struct ObsRep {
     Settled settled;
     SimTime cost;
@@ -657,13 +714,12 @@ std::vector<double> SimExperimenter::observe_global_samples(
     const double scale =
         sim::slow_scale_for(measure_.fault, round, std::uint64_t(rep), all);
     s.settled = settle(round, std::uint64_t(rep), scale, [&](int attempt) {
-      vmpi::SimSession sess(session_->shared_config(),
-                            attempt == 0 ? rep_seed
-                                         : derive_seed(rep_seed,
-                                                       std::uint64_t(attempt)));
-      const SimTime end = sess.run(coll::spmd(sess.size(), body));
+      Lease sess(*this, attempt == 0
+                            ? rep_seed
+                            : derive_seed(rep_seed, std::uint64_t(attempt)));
+      const SimTime end = sess->run(coll::spmd(sess->size(), body));
       s.cost += end;
-      s.metrics.merge(sess.metrics());
+      s.metrics.merge(sess->metrics());
       return end.seconds();
     });
   });

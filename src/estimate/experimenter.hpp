@@ -8,17 +8,24 @@
 // concurrently (single-switch property) and repeat the whole round until
 // every experiment meets the confidence-interval criterion.
 //
-// Concurrency model: each repetition of a measured round executes in its
-// own SimSession seeded from (cluster seed, round index, repetition
-// index). Repetitions are therefore independent and fan out across the
-// util thread pool — with the hard guarantee that jobs = 1 and jobs = N
-// produce bit-identical measured times, repetition counts, and cost
-// accounting (see util/parallel.hpp adaptive_reps for how speculative
-// extra repetitions are discarded).
+// Concurrency model: each repetition of a measured round runs on a
+// SimSession reset to a seed derived from (cluster seed, round index,
+// repetition index), which makes it observably a fresh session. The
+// sessions come from a free list the experimenter owns: at most jobs
+// sessions exist, a repetition takes one under a mutex, resets it, runs,
+// and hands it back, so a session migrates between pool workers only
+// through that hand-off. Repetitions are therefore independent and fan
+// out across the util thread pool — with the hard guarantee that jobs = 1
+// and jobs = N produce bit-identical measured times, repetition counts,
+// and cost accounting (see util/parallel.hpp adaptive_reps for how
+// speculative extra repetitions are discarded).
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "estimate/schedule.hpp"
@@ -144,8 +151,9 @@ class SimExperimenter final : public Experimenter {
  public:
   /// `session` is the long-lived anchor simulation: single observations
   /// run on it (its RNG persisting across calls supplies fresh noise), and
-  /// its shared_config() seeds the per-repetition isolated sessions of the
-  /// measured primitives. measure.jobs controls their parallelism.
+  /// its shared_config() and seed() configure the pooled repetition
+  /// sessions of the measured primitives. measure.jobs controls their
+  /// parallelism and bounds the pool.
   explicit SimExperimenter(vmpi::SimSession& session,
                            mpib::MeasureOptions measure = {});
 
@@ -206,16 +214,16 @@ class SimExperimenter final : public Experimenter {
   [[nodiscard]] double observe_global(
       const std::function<vmpi::Task(vmpi::Comm&)>& body);
 
-  /// `reps` independent global observations, one isolated session each,
-  /// executed concurrently (measure_options().jobs) with deterministic
-  /// per-repetition seeds; samples in repetition order, independent of the
-  /// degree of parallelism. `body` must be safe to invoke concurrently
-  /// (value-capturing lambdas are).
+  /// `reps` independent global observations, each on a pooled session
+  /// reset to its own deterministic per-repetition seed, executed
+  /// concurrently (measure_options().jobs); samples in repetition order,
+  /// independent of the degree of parallelism. `body` must be safe to
+  /// invoke concurrently (value-capturing lambdas are).
   [[nodiscard]] std::vector<double> observe_global_samples(
       const std::function<vmpi::Task(vmpi::Comm&)>& body, int reps);
 
   /// Total number of simulation runs issued through this experimenter
-  /// (anchor-session runs plus committed isolated-session repetitions).
+  /// (anchor-session runs plus committed pooled-session repetitions).
   [[nodiscard]] std::uint64_t runs() const override {
     return session_->total_runs() + session_runs_;
   }
@@ -227,10 +235,12 @@ class SimExperimenter final : public Experimenter {
  private:
   struct FaultTally;
   struct Settled;
+  class Lease;
 
   /// Run one round of concurrent experiments (writing elapsed seconds into
   /// slots) repeatedly until all slots' CI criteria hold. Each repetition
-  /// gets its own SimSession; repetitions fan out across the thread pool.
+  /// runs on a pooled session reset to its seed; repetitions fan out across
+  /// the thread pool.
   /// `participants[e]` lists the processors experiment slot `e` occupies —
   /// fault injection targets per-node slowdown episodes through it.
   /// Recovery always runs and is inert when faults are off: dropped/hung/
@@ -272,7 +282,17 @@ class SimExperimenter final : public Experimenter {
   /// Monotonic index of fault-aware single observations (dedicated fault
   /// stream decorrelated from measured rounds).
   std::uint64_t obs_fault_seq_ = 0;
-  /// Runs/cost committed by isolated per-repetition sessions (speculative
+  /// Pooled repetition sessions: the idle ones, and how many exist (idle +
+  /// on loan). At most jobs() exist; a repetition that finds none idle
+  /// builds one below that bound, else waits for one to come back.
+  struct SessionPool {
+    std::mutex mu;
+    std::condition_variable returned;
+    std::vector<std::unique_ptr<vmpi::SimSession>> idle;
+    int alive = 0;  ///< idle + on loan
+  };
+  SessionPool pool_;
+  /// Runs/cost committed by pooled per-repetition sessions (speculative
   /// repetitions that the stopping rule discarded are not counted, so the
   /// totals match a serial run exactly).
   std::uint64_t session_runs_ = 0;

@@ -26,10 +26,26 @@ void check_pair(const char* what, int i, int j, int size) {
     bad_pair(what, i, j, size);
 }
 
-void check_finite_nonneg(double v, const std::string& field) {
+/// Throws unless v is finite and >= 0. `field()` names the value; it runs
+/// only on failure, so validating a 4096-rank config builds no strings.
+template <class Field>
+void check_finite_nonneg(double v, const Field& field) {
   if (!(std::isfinite(v) && v >= 0.0))
-    throw Error("ClusterConfig: " + field + " = " + std::to_string(v) +
-                " must be finite and non-negative");
+    throw Error("ClusterConfig: " + std::string(field()) + " = " +
+                std::to_string(v) + " must be finite and non-negative");
+}
+
+/// Range checks of one NodeParams; `at()` is the field-name prefix (e.g.
+/// "nodes[3]."), built only on failure.
+template <class Prefix>
+void check_node_params(const NodeParams& n, const Prefix& at) {
+  check_finite_nonneg(n.fixed_delay_s, [&] { return at() + "fixed_delay_s"; });
+  check_finite_nonneg(n.per_byte_s, [&] { return at() + "per_byte_s"; });
+  check_finite_nonneg(n.latency_s, [&] { return at() + "latency_s"; });
+  if (!(std::isfinite(n.link_rate_bps) && n.link_rate_bps > 0.0))
+    throw Error("ClusterConfig: " + at() + "link_rate_bps = " +
+                std::to_string(n.link_rate_bps) +
+                " must be finite and positive");
 }
 }  // namespace
 
@@ -54,6 +70,45 @@ double ClusterConfig::rate(int i, int j) const {
 int ClusterConfig::lca_level(int i, int j) const {
   check_pair("lca_level", i, j, size());
   return topology.empty() ? 1 : topology.lca_level(i, j);
+}
+
+double ClusterConfig::max_pair_latency() const {
+  const int n = size();
+  LMO_CHECK_MSG(n >= 2, "max_pair_latency needs at least two ranks");
+  const bool flat = topology.empty();
+  // Group of rank r at level l; level 0 is the rank itself, and a flat
+  // cluster is one level-1 group.
+  const auto group = [&](int l, int r) {
+    return l == 0 ? r : flat ? 0 : topology.group(l, r);
+  };
+  const auto node_lat = [&](int r) { return nodes[std::size_t(r)].latency_s; };
+  const int depth = flat ? 1 : topology.depth();
+  double best = 0.0;
+  std::vector<int> top, runner;  // per group: argmax, argmax off top's child
+  for (int k = 1; k <= depth; ++k) {
+    const std::size_t groups = flat ? 1 : std::size_t(topology.group_count(k));
+    top.assign(groups, -1);
+    runner.assign(groups, -1);
+    for (int r = 0; r < n; ++r) {
+      int& t = top[std::size_t(group(k, r))];
+      if (t < 0 || node_lat(r) > node_lat(t)) t = r;
+    }
+    for (int r = 0; r < n; ++r) {
+      const int g = group(k, r);
+      const int t = top[std::size_t(g)];
+      if (group(k - 1, r) == group(k - 1, t)) continue;  // LCA below k
+      int& u = runner[std::size_t(g)];
+      if (u < 0 || node_lat(r) > node_lat(u)) u = r;
+    }
+    // Any pair meeting at this group has one end off top's child group, so
+    // it is dominated by one orientation of (top, runner).
+    for (std::size_t g = 0; g < groups; ++g) {
+      if (runner[g] < 0) continue;  // one child group: no pair meets here
+      best = std::max(best, latency(top[g], runner[g]));
+      best = std::max(best, latency(runner[g], top[g]));
+    }
+  }
+  return best;
 }
 
 bool operator==(const NodeParams& a, const NodeParams& b) {
@@ -89,17 +144,10 @@ void ClusterConfig::validate() const {
   if (nodes.empty()) throw Error("ClusterConfig: cluster is empty (no nodes)");
   LMO_CHECK_MSG(size() >= 2, "a cluster needs at least two nodes (got " +
                                  std::to_string(size()) + ")");
-  for (int i = 0; i < size(); ++i) {
-    const NodeParams& n = nodes[std::size_t(i)];
-    const std::string at = "nodes[" + std::to_string(i) + "].";
-    check_finite_nonneg(n.fixed_delay_s, at + "fixed_delay_s");
-    check_finite_nonneg(n.per_byte_s, at + "per_byte_s");
-    check_finite_nonneg(n.latency_s, at + "latency_s");
-    if (!(std::isfinite(n.link_rate_bps) && n.link_rate_bps > 0.0))
-      throw Error("ClusterConfig: " + at + "link_rate_bps = " +
-                  std::to_string(n.link_rate_bps) +
-                  " must be finite and positive");
-  }
+  for (int i = 0; i < size(); ++i)
+    check_node_params(nodes[std::size_t(i)], [i] {
+      return "nodes[" + std::to_string(i) + "].";
+    });
   if (!profiles.empty()) {
     LMO_CHECK_MSG(profile_of.size() == nodes.size(),
                   "ClusterConfig: profile_of has " +
@@ -113,25 +161,18 @@ void ClusterConfig::validate() const {
                         "] = " + std::to_string(p) + " out of range for " +
                         std::to_string(profiles.size()) + " profiles");
     }
-    for (std::size_t k = 0; k < profiles.size(); ++k) {
-      const NodeParams& p = profiles[k].params;
-      const std::string at = "profiles[" + std::to_string(k) + "].params.";
-      check_finite_nonneg(p.fixed_delay_s, at + "fixed_delay_s");
-      check_finite_nonneg(p.per_byte_s, at + "per_byte_s");
-      check_finite_nonneg(p.latency_s, at + "latency_s");
-      if (!(std::isfinite(p.link_rate_bps) && p.link_rate_bps > 0.0))
-        throw Error("ClusterConfig: " + at + "link_rate_bps = " +
-                    std::to_string(p.link_rate_bps) +
-                    " must be finite and positive");
-    }
+    for (std::size_t k = 0; k < profiles.size(); ++k)
+      check_node_params(profiles[k].params, [k] {
+        return "profiles[" + std::to_string(k) + "].params.";
+      });
   } else {
     LMO_CHECK_MSG(profile_of.empty(),
                   "ClusterConfig: profile_of has " +
                       std::to_string(profile_of.size()) +
                       " entries but the profile table is empty");
   }
-  check_finite_nonneg(switch_latency_s, "switch_latency_s");
-  check_finite_nonneg(noise_rel, "noise_rel");
+  check_finite_nonneg(switch_latency_s, [] { return "switch_latency_s"; });
+  check_finite_nonneg(noise_rel, [] { return "noise_rel"; });
   // Mismatched quirks vectors corrupt the escalation draw even when the
   // quirks are currently disabled, so check them unconditionally.
   if (quirks.escalation_values_s.size() != quirks.escalation_weights.size())

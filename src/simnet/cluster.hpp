@@ -116,6 +116,13 @@ struct ClusterConfig {
   /// LCA level of the pair in the resource tree; 1 on a flat cluster.
   [[nodiscard]] int lca_level(int i, int j) const;
 
+  /// max over i != j of latency(i, j), bit-identical to scanning all N²
+  /// pairs, in O(N · depth): per LCA level and group only the largest
+  /// node latency and the largest one outside its child group can attain
+  /// the maximum, because (a + F) + b is monotone in a and in b. Needs a
+  /// valid config of at least two ranks.
+  [[nodiscard]] double max_pair_latency() const;
+
   [[nodiscard]] bool has_profiles() const { return !profiles.empty(); }
 
   /// True when `rank`'s materialized parameters differ from its profile's

@@ -28,9 +28,7 @@ Fabric::Fabric(const ClusterConfig& cfg, std::uint64_t seed) : cfg_(&cfg) {
   egress_.resize(n);
   ingress_.resize(n);
   inflows_.assign(n, 0);
-  Rng seeder(seed);
-  node_rng_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) node_rng_.push_back(seeder.split());
+  node_rng_.resize(n);
   const Topology& topo = cfg.topology;
   if (!topo.empty() && topo.any_contended()) {
     shared_.resize(std::size_t(topo.depth()));
@@ -38,6 +36,7 @@ Fabric::Fabric(const ClusterConfig& cfg, std::uint64_t seed) : cfg_(&cfg) {
       if (topo.level(l).contended)
         shared_[std::size_t(l - 1)].resize(std::size_t(topo.group_count(l)));
   }
+  reseed(seed);
 }
 
 SimTime Fabric::noised(double seconds, Rng& rng) {
@@ -196,6 +195,13 @@ void Fabric::reset_timelines() {
   for (auto& level : shared_)
     for (auto& t : level) t.reset();
   for (auto& c : inflows_) c = 0;
+}
+
+void Fabric::reseed(std::uint64_t seed) {
+  Rng seeder(seed);
+  for (Rng& rng : node_rng_) rng = seeder.split();
+  counters_ = {};
+  reset_timelines();
 }
 
 }  // namespace lmo::sim

@@ -93,6 +93,12 @@ class Fabric {
   /// RNG state is preserved so repeated runs see fresh noise.
   void reset_timelines();
 
+  /// Return to the state of a fabric freshly constructed with `seed`:
+  /// node RNGs re-split from it, counters zeroed, timelines reset. Keeps
+  /// every buffer, so a reused fabric costs O(ranks) instead of a
+  /// re-validated rebuild.
+  void reseed(std::uint64_t seed);
+
   struct Counters {
     std::uint64_t transfers = 0;
     std::uint64_t escalations = 0;

@@ -67,14 +67,18 @@ class OpArena {
   [[nodiscard]] OpState* allocate();
   void recycle(OpState* s) noexcept;
 
-  /// Distinct blocks carved from chunks so far (the pool's footprint; reuse
-  /// keeps it at the operation high-water mark, not the operation count).
-  [[nodiscard]] std::uint64_t blocks_carved() const { return carved_; }
+  /// Most blocks live at once since construction or the last
+  /// reset_peak(). A fresh arena carves a block exactly when every carved
+  /// one is live, so this equals its footprint in blocks; reuse keeps it
+  /// at the operation high-water mark, not the operation count.
+  [[nodiscard]] std::uint64_t peak_live() const { return peak_live_; }
+  /// Restart the high-water mark from the blocks live now.
+  void reset_peak() { peak_live_ = live_; }
 
  private:
   static constexpr std::size_t kBlocksPerChunk = 256;
 
-  std::uint64_t carved_ = 0;
+  std::uint64_t peak_live_ = 0;
   std::uint64_t live_ = 0;
   std::vector<OpState*> free_;
   std::vector<std::unique_ptr<unsigned char[]>> chunks_;

@@ -83,9 +83,8 @@ detail::OpState* detail::OpArena::allocate() {
     }
     s = reinterpret_cast<OpState*>(chunks_.back().get() +
                                    sizeof(OpState) * chunk_used_++);
-    ++carved_;
   }
-  ++live_;
+  if (++live_ > peak_live_) peak_live_ = live_;
   OpState* p = ::new (static_cast<void*>(s)) OpState();
   p->arena = this;
   return p;
@@ -221,12 +220,30 @@ SimSession::SimSession(std::shared_ptr<const sim::ClusterConfig> cfg,
   dirty_dsts_.reserve(std::size_t(n));
   // A tree barrier costs about 2 * ceil(log2 n) one-way latencies; this is
   // only used to synchronize measurement rounds, never measured itself.
-  double max_lat = 0.0;
-  for (int i = 0; i < n; ++i)
-    for (int j = 0; j < n; ++j)
-      if (i != j) max_lat = std::max(max_lat, cfg_->latency(i, j));
   const double hops = 2.0 * std::ceil(std::log2(double(std::max(2, n))));
-  barrier_cost_ = SimTime::from_seconds(hops * max_lat);
+  barrier_cost_ = SimTime::from_seconds(hops * cfg_->max_pair_latency());
+  static obs::Counter built =
+      obs::Registry::global().counter("sim.sessions_built");
+  built.inc();
+}
+
+void SimSession::reset(std::uint64_t seed) {
+  // Queues first (they hold op refs and coroutine handles), then the frames
+  // a throwing run() may have left behind. run() always drains the engine.
+  clear_round_state();
+  round_tasks_.clear();
+  engine_.reset();
+  seed_ = seed;
+  fabric_.reseed(seed);
+  total_runs_ = 0;
+  accumulated_ = SimTime::zero();
+  base_ = {};
+  spilled_at_reset_ = engine_.actions_spilled();
+  op_arena_.reset_peak();
+  trace_.clear();
+  tracing_ = false;
+  trace_sink_ = nullptr;
+  set_flight_recorder(nullptr);
 }
 
 SimTime SimSession::rank_time(int r) const {
@@ -309,8 +326,8 @@ SimTime SimSession::run(const std::vector<RankProgram>& programs) {
   base_.events += engine_.executed();
   base_.queue_high_water =
       std::max(base_.queue_high_water, std::uint64_t(engine_.max_pending()));
-  base_.actions_spilled = engine_.actions_spilled();
-  base_.op_pool_blocks = op_arena_.blocks_carved();
+  base_.actions_spilled = engine_.actions_spilled() - spilled_at_reset_;
+  base_.op_pool_blocks = op_arena_.peak_live();
 
   // Exceptions first (a failed rank usually strands its peers).
   for (const auto& t : tasks) t.rethrow_if_failed();

@@ -2,9 +2,12 @@
 //
 // A session owns everything one simulation needs — discrete-event engine,
 // fabric timelines, per-rank communicators and progress state — and shares
-// only an immutable ClusterConfig with other sessions. Construction is
-// cheap (O(ranks)), so independent experiments build one session each and
-// run concurrently on different threads; a session itself is strictly
+// only an immutable ClusterConfig with other sessions. Construction
+// validates the config and sizes O(ranks) buffers (O(ranks · depth) for the
+// barrier latency); reset(seed) turns a used session into one that behaves
+// exactly like a fresh SimSession(config, seed) while keeping every buffer,
+// so experimenters keep one session per worker and reset it per
+// repetition instead of building one each. A session itself is strictly
 // single-threaded. Noise RNGs seed from an explicit per-session seed
 // (default: the config's), which is what makes a fleet of parallel
 // sessions reproduce a serial run bit-for-bit — see util/parallel.hpp and
@@ -112,6 +115,13 @@ class SimSession {
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
   [[nodiscard]] sim::Fabric& fabric() { return fabric_; }
 
+  /// Become observably identical to SimSession(shared_config(), seed):
+  /// noise RNGs re-split from `seed`; runs, accumulated time, metrics and
+  /// the trace zeroed; tracing, trace sink and flight recorder detached.
+  /// Buffers (engine heap, frames, op arena, per-rank queues) are kept.
+  /// Valid after a run() that threw.
+  void reset(std::uint64_t seed);
+
   /// Run one round. programs[r] may be null (idle rank). Returns the
   /// simulated completion time of the whole round. Throws on rank-program
   /// exceptions and on communication deadlock.
@@ -146,7 +156,7 @@ class SimSession {
     return flight_;
   }
 
-  /// Observability counters accumulated over this session's lifetime.
+  /// Observability counters accumulated since construction or reset().
   [[nodiscard]] SessionMetrics metrics() const;
 
  private:
@@ -233,6 +243,8 @@ class SimSession {
   obs::TraceSink* trace_sink_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;  ///< borrowed; null = off
   SessionMetrics base_;  ///< engine/isend counters harvested per run
+  /// engine_.actions_spilled() (a lifetime count) at the last reset().
+  std::uint64_t spilled_at_reset_ = 0;
 };
 
 }  // namespace lmo::vmpi

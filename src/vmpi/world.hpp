@@ -5,8 +5,9 @@
 // SimSession (see session.hpp); a World is simply a session that takes the
 // cluster configuration by value and keeps it alive, which is the
 // convenient shape for tests, benches and examples that run one simulation
-// at a time. Code that fans experiments out across threads builds one
-// SimSession per experiment from World::shared_config() instead.
+// at a time. Code that fans experiments out across threads keeps one
+// SimSession per worker, built from World::shared_config() and reset() per
+// experiment, instead.
 #pragma once
 
 #include "vmpi/session.hpp"

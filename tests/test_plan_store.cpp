@@ -1026,5 +1026,32 @@ TEST(StoreParallelTest, ReadersNeverBlockOrRaceWithWriters) {
   }
 }
 
+
+// Repetitions run on pooled sessions reset per use, so a cold paper-16
+// campaign (over 15,000 repetitions) builds the anchor World plus at most
+// `jobs` pooled sessions. The jobs=4 leg hands sessions between pool
+// workers, which the TSan run checks.
+TEST(SessionPoolParallelTest, ColdPaperCampaignBuildsAnchorPlusJobsSessions) {
+  const obs::Counter built =
+      obs::Registry::global().counter("sim.sessions_built");
+  std::string serial_store;
+  for (const int jobs : {1, 4}) {
+    const std::uint64_t before = built.value();
+    vmpi::World world(sim::make_paper_cluster(/*seed=*/1));
+    mpib::MeasureOptions measure;
+    measure.jobs = jobs;
+    SimExperimenter ex(world, measure);
+    MeasurementStore store;
+    const SuiteReport r = estimate_model_suite(ex, store, SuiteOptions{});
+    EXPECT_GT(r.measured, 0u);
+    EXPECT_LE(built.value() - before, std::uint64_t(1 + jobs))
+        << "jobs=" << jobs;
+    if (jobs == 1)
+      serial_store = store.to_json().dump();
+    else
+      EXPECT_EQ(store.to_json().dump(), serial_store);
+  }
+}
+
 }  // namespace
 }  // namespace lmo::estimate

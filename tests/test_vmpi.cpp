@@ -3,8 +3,10 @@
 // detection.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
+#include "obs/flight_recorder.hpp"
 #include "simnet/cluster.hpp"
 #include "util/error.hpp"
 #include "vmpi/world.hpp"
@@ -399,6 +401,205 @@ TEST(VmpiPipelining, ScatterPatternRootCpuBound) {
   w.run(programs);
   const double expect = 3 * (50e-6 + double(m) * 100e-9);
   EXPECT_NEAR(root_done.seconds(), expect, 1e-12);
+}
+
+// --- SimSession::reset ------------------------------------------------------
+
+// Everything a session can accumulate before a reset: eager and rendezvous
+// sends, a many-to-one gather inside the escalation band, a burst of
+// nonblocking receives on the progress engine (the op-pool high-water
+// mark), a barrier, and a round that deadlocks.
+void run_reset_history(SimSession& s) {
+  const int n = s.size();
+  auto eager_rdv = idle_programs(n);
+  eager_rdv[0] = [](Comm& c) -> Task {
+    co_await c.send(1, 1000);
+    co_await c.send(1, 64 * 1024);  // largest eager size, pipelined twice:
+    co_await c.send(1, 64 * 1024);  // the fragmentation leap
+    co_await c.send(1, 200 * 1024);
+    co_await c.recv(1);
+  };
+  eager_rdv[1] = [](Comm& c) -> Task {
+    for (int k = 0; k < 4; ++k) co_await c.recv(0);
+    co_await c.send(0, 300 * 1024);
+  };
+  s.run(eager_rdv);
+
+  auto incast = idle_programs(n);
+  incast[0] = [n](Comm& c) -> Task {
+    for (int r = 1; r < n; ++r) co_await c.recv(r);
+  };
+  for (int r = 1; r < n; ++r)
+    incast[std::size_t(r)] = [](Comm& c) -> Task {
+      co_await c.send(0, 32 * 1024);
+    };
+  for (int rep = 0; rep < 3; ++rep) s.run(incast);
+
+  constexpr int kBurst = 8;
+  auto irecvs = idle_programs(n);
+  irecvs[0] = [n](Comm& c) -> Task {
+    std::vector<Request> reqs;
+    for (int r = 1; r < n; ++r)
+      for (int k = 0; k < kBurst; ++k) reqs.push_back(c.irecv(r, k));
+    for (const Request& q : reqs) co_await c.wait(q);
+  };
+  for (int r = 1; r < n; ++r)
+    irecvs[std::size_t(r)] = [](Comm& c) -> Task {
+      std::vector<Request> reqs;
+      for (int k = 0; k < kBurst; ++k) reqs.push_back(c.isend(0, 2048, k));
+      for (const Request& q : reqs) co_await c.wait(q);
+    };
+  s.run(irecvs);
+
+  auto barrier = idle_programs(n);
+  for (int r = 0; r < n; ++r)
+    barrier[std::size_t(r)] = [](Comm& c) -> Task {
+      co_await c.compute(4096);
+      co_await c.barrier();
+    };
+  s.run(barrier);
+
+  auto stuck = idle_programs(n);
+  stuck[0] = [](Comm& c) -> Task { co_await c.recv(1); };  // never sent
+  EXPECT_THROW(s.run(stuck), Error);
+}
+
+// A probe with fewer live operations than the history and noise on every
+// path: a ring of eager sends, a rendezvous round-trip, an escalation-band
+// gather, one irecv, and a barrier.
+std::vector<RankProgram> reset_probe(int n) {
+  auto p = idle_programs(n);
+  for (int r = 0; r < n; ++r)
+    p[std::size_t(r)] = [n, r](Comm& c) -> Task {
+      const int next = (r + 1) % n, prev = (r + n - 1) % n;
+      if (r % 2 == 0) {
+        co_await c.send(next, 3000);
+        co_await c.recv(prev);
+      } else {
+        co_await c.recv(prev);
+        co_await c.send(next, 3000);
+      }
+      if (r == 0) {
+        co_await c.send(1, 100 * 1024);
+        const Request q = c.irecv(1, 7);
+        co_await c.wait(q);
+        for (int s = 1; s < n; ++s) co_await c.recv(s, 9);
+      } else {
+        if (r == 1) {
+          co_await c.recv(0);
+          co_await c.send(0, 512, 7);
+        }
+        co_await c.send(0, 16 * 1024, 9);
+      }
+      co_await c.barrier();
+    };
+  return p;
+}
+
+void expect_same_trace(const std::vector<MessageTrace>& a,
+                       const std::vector<MessageTrace>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    EXPECT_EQ(a[k].src, b[k].src) << k;
+    EXPECT_EQ(a[k].dst, b[k].dst) << k;
+    EXPECT_EQ(a[k].tag, b[k].tag) << k;
+    EXPECT_EQ(a[k].bytes, b[k].bytes) << k;
+    EXPECT_EQ(a[k].rendezvous, b[k].rendezvous) << k;
+    EXPECT_EQ(a[k].send_post, b[k].send_post) << k;
+    EXPECT_EQ(a[k].arrival, b[k].arrival) << k;
+    EXPECT_EQ(a[k].recv_complete, b[k].recv_complete) << k;
+  }
+}
+
+void expect_same_metrics(const SessionMetrics& a, const SessionMetrics& b) {
+  EXPECT_EQ(a.runs, b.runs);
+  EXPECT_EQ(a.events, b.events);
+  EXPECT_EQ(a.queue_high_water, b.queue_high_water);
+  EXPECT_EQ(a.msgs_eager, b.msgs_eager);
+  EXPECT_EQ(a.msgs_rendezvous, b.msgs_rendezvous);
+  EXPECT_EQ(a.transfers, b.transfers);
+  EXPECT_EQ(a.bytes_on_wire, b.bytes_on_wire);
+  EXPECT_EQ(a.escalations, b.escalations);
+  EXPECT_EQ(a.frag_leaps, b.frag_leaps);
+  EXPECT_EQ(a.sim_ns, b.sim_ns);
+  EXPECT_EQ(a.actions_spilled, b.actions_spilled);
+  EXPECT_EQ(a.op_pool_blocks, b.op_pool_blocks);
+  // host_ns is wall-clock time and never comparable.
+}
+
+// After reset(seed) a used session must be indistinguishable from a fresh
+// SimSession(cfg, seed): round times, per-rank clocks, the message trace
+// and every metric but host wall time.
+void expect_reset_matches_fresh(const sim::ClusterConfig& config) {
+  const auto cfg = std::make_shared<const sim::ClusterConfig>(config);
+  const std::uint64_t seed = 0x5eed;
+  SimSession reused(cfg, 99);
+  obs::FlightRecorder recorder;
+  reused.set_flight_recorder(&recorder);
+  reused.set_tracing(true);
+  run_reset_history(reused);
+  const SessionMetrics history = reused.metrics();
+
+  reused.reset(seed);
+  EXPECT_EQ(reused.seed(), seed);
+  EXPECT_EQ(reused.flight_recorder(), nullptr);
+  EXPECT_TRUE(reused.trace().empty());
+  EXPECT_EQ(reused.total_runs(), 0u);
+  EXPECT_EQ(reused.accumulated_time(), SimTime::zero());
+  for (int r = 0; r < reused.size(); ++r)
+    EXPECT_EQ(reused.rank_time(r), SimTime::zero());
+
+  SimSession fresh(cfg, seed);
+  for (SimSession* s : {&reused, &fresh}) s->set_tracing(true);
+  const auto probe = reset_probe(cfg->size());
+  for (int round = 0; round < 2; ++round) {
+    const SimTime a = reused.run(probe);
+    const SimTime b = fresh.run(probe);
+    EXPECT_EQ(a, b) << "round " << round;
+    for (int r = 0; r < cfg->size(); ++r)
+      EXPECT_EQ(reused.rank_time(r), fresh.rank_time(r)) << r;
+    expect_same_trace(reused.trace(), fresh.trace());
+  }
+  expect_same_metrics(reused.metrics(), fresh.metrics());
+  // The history really did outgrow the probe, so a lifetime op-pool count
+  // could not pass the comparison above.
+  EXPECT_GT(history.op_pool_blocks, fresh.metrics().op_pool_blocks);
+}
+
+TEST(SessionResetDeterminismTest, ReusedFlatSessionMatchesFresh) {
+  sim::ClusterConfig cfg = sim::make_paper_cluster(3);
+  cfg.quirks.escalation_peak_prob = 0.9;  // make the incast escalate
+  {
+    World probe(cfg);
+    run_reset_history(probe);
+    ASSERT_GT(probe.metrics().msgs_rendezvous, 0u);
+    ASSERT_GT(probe.metrics().escalations, 0u);
+    ASSERT_GT(probe.metrics().frag_leaps, 0u);
+  }
+  expect_reset_matches_fresh(cfg);
+}
+
+TEST(SessionResetDeterminismTest, ReusedContendedTreeSessionMatchesFresh) {
+  expect_reset_matches_fresh(sim::make_multicore_cluster(2, 2, 3, /*seed=*/5));
+}
+
+TEST(SessionResetDeterminismTest, ResetAfterRankExceptionIsClean) {
+  const auto cfg = std::make_shared<const sim::ClusterConfig>(quiet_cluster());
+  SimSession reused(cfg, 1);
+  auto throwing = idle_programs(4);
+  throwing[1] = [](Comm& c) -> Task { co_await c.recv(0); };
+  throwing[0] = [](Comm& c) -> Task {
+    const Request q = c.irecv(2);
+    (void)q;
+    co_await c.sleep(1_us);
+    throw Error("boom");
+  };
+  EXPECT_THROW(reused.run(throwing), Error);
+  reused.reset(7);
+  SimSession fresh(cfg, 7);
+  const auto probe = reset_probe(4);
+  EXPECT_EQ(reused.run(probe), fresh.run(probe));
+  expect_same_metrics(reused.metrics(), fresh.metrics());
 }
 
 }  // namespace

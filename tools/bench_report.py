@@ -15,9 +15,10 @@ Two kinds of binaries are understood:
   * run-report binaries (default): run with `--report <tmp>` and emit a
     lmo.run_report/1 document. The report is flattened to numeric leaves;
     wall-clock and host-dependent values (created_unix, wall_seconds,
-    thread_pool, sim.host_ns, estimate.reps_discarded) are excluded because
-    they vary run to run. Everything else is a deterministic function of
-    the seed, so any drift is a real behavior change.
+    thread_pool, sim.host_ns, estimate.reps_discarded, sim.sessions_built)
+    are excluded because they vary run to run. Everything else is a
+    deterministic function of the seed, so any drift is a real behavior
+    change.
   * --gbench binaries: google-benchmark microbenchmarks, run with
     `--benchmark_out=<tmp> --benchmark_out_format=json`. Timings are kept
     (real_time, cpu_time, items_per_second, custom counters); the host
@@ -64,6 +65,7 @@ VOLATILE = {
     "provenance",
     "sim.host_ns",
     "estimate.reps_discarded",
+    "sim.sessions_built",
 }
 
 # google-benchmark per-benchmark bookkeeping that is not a measurement.
