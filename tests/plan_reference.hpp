@@ -1,7 +1,7 @@
-// Reference packing rule for contended resource trees: pairwise conflict
-// checks and a first-fit that visits every member of every open round.
-// PlanBuilder packs the same rounds from per-resource bitmaps; this slow,
-// obviously-correct form is the oracle the tests compare it against.
+// Reference packing rule: pairwise conflict checks and a first-fit that
+// visits every member of every open round. PlanBuilder packs the same
+// rounds from per-resource bitmaps; this slow, obviously-correct form is
+// the oracle the tests compare it against.
 #pragma once
 
 #include <algorithm>
@@ -37,25 +37,28 @@ inline std::vector<std::pair<int, int>> key_paths(
 }
 
 /// True if the two experiments cannot share a measured round on `topo`:
-/// a common participant, or paths through a common contended switch.
-inline bool keys_conflict(const sim::Topology& topo,
+/// a common participant, or paths through a common contended switch. A
+/// null topology checks participants only.
+inline bool keys_conflict(const sim::Topology* topo,
                           const estimate::ExperimentKey& x,
                           const estimate::ExperimentKey& y) {
   for (const int px : x.participants())
     for (const int py : y.participants())
       if (px == py) return true;
+  if (topo == nullptr) return false;
   for (const auto& [xa, xb] : key_paths(x))
     for (const auto& [ya, yb] : key_paths(y))
-      if (paths_conflict(topo, xa, xb, ya, yb)) return true;
+      if (paths_conflict(*topo, xa, xb, ya, yb)) return true;
   return false;
 }
 
-/// The rounds PlanBuilder(&topo).build(true) must produce on a contended
-/// tree: keys sorted and deduplicated, grouped by (kind, sizes, count),
-/// observation kinds one per round, every other group packed first-fit
-/// by pairwise checks against each round member.
+/// The rounds PlanBuilder(topo).build(true) must produce: keys sorted and
+/// deduplicated, grouped by (kind, sizes, count), observation kinds one
+/// per round, every other group packed first-fit by pairwise checks
+/// against each round member. Null `topo` means participants-only
+/// conflicts (a flat cluster).
 inline std::vector<std::vector<estimate::ExperimentKey>> rounds(
-    const sim::Topology& topo, std::vector<estimate::ExperimentKey> keys) {
+    const sim::Topology* topo, std::vector<estimate::ExperimentKey> keys) {
   using estimate::ExperimentKey;
   using estimate::ExperimentKind;
   std::sort(keys.begin(), keys.end());
