@@ -3,8 +3,9 @@
 // Per pair: alpha_ij from empty round-trips (T_ij(0)/2), beta_ij from
 // round-trips with a probe message ((T_ij(M)/2 - alpha_ij) / M). The
 // homogeneous model is the off-diagonal average. With `parallel` set the
-// C(n,2) experiments run in 1-factorization rounds of disjoint pairs —
-// the Section-IV optimization (5 s vs. 16 s on the paper's cluster).
+// C(n,2) experiments run in rounds of disjoint pairs (n-1 rounds when n
+// is a power of two) — the Section-IV optimization (5 s vs. 16 s on the
+// paper's cluster).
 #pragma once
 
 #include "estimate/experimenter.hpp"

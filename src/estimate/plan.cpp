@@ -203,7 +203,8 @@ void for_each_path(const ExperimentKey& k, F&& f) {
 }
 
 /// Greedy first-fit of `keys`, in order, into resource-disjoint rounds.
-/// Resource ids are the ranks 0..n-1, then one id per contended
+/// Resource ids are the participants 0..p-1 (p one past the largest),
+/// then, when `topo` constrains concurrency, one id per contended
 /// (level, group) switch. A key holds its participants plus every
 /// contended switch on its paths, so two keys conflict exactly when they
 /// share an id. Each id keeps a bitmap over round indices (word w of id r
@@ -211,15 +212,21 @@ void for_each_path(const ExperimentKey& k, F&& f) {
 /// clear in the OR of its ids' bitmaps — the round a pairwise first-fit
 /// would pick, without visiting any round member. `probes` counts the
 /// bitmap words OR'd.
-std::vector<std::vector<ExperimentKey>> pack_contended(
-    const sim::Topology& topo, const std::vector<ExperimentKey>& keys,
+std::vector<std::vector<ExperimentKey>> pack_rounds(
+    const sim::Topology* topo, const std::vector<ExperimentKey>& keys,
     std::uint64_t& probes) {
-  std::vector<int> base(std::size_t(topo.depth()) + 1, 0);
-  int ids = topo.ranks();
-  for (int l = 1; l <= topo.depth(); ++l)
-    if (topo.level(l).contended) {
+  int ids = 0;
+  for (const ExperimentKey& k : keys)
+    for (const int p : k.participants()) {
+      LMO_CHECK(p >= 0);
+      ids = std::max(ids, p + 1);
+    }
+  const bool contended = topo != nullptr && topo->constrains_concurrency();
+  std::vector<int> base(contended ? std::size_t(topo->depth()) + 1 : 0, 0);
+  for (int l = 1; l < int(base.size()); ++l)
+    if (topo->level(l).contended) {
       base[std::size_t(l)] = ids;
-      ids += topo.group_count(l);
+      ids += topo->group_count(l);
     }
   const auto width = std::size_t(ids);
 
@@ -227,11 +234,12 @@ std::vector<std::vector<ExperimentKey>> pack_contended(
   std::vector<std::uint64_t> words;
   for (const ExperimentKey& k : keys) {
     std::vector<int> held = k.participants();
-    for_each_path(k, [&](int i, int j) {
-      topo.for_each_contended_segment(i, j, [&](int l, int g) {
-        held.push_back(base[std::size_t(l)] + g);
+    if (contended)
+      for_each_path(k, [&](int i, int j) {
+        topo->for_each_contended_segment(i, j, [&](int l, int g) {
+          held.push_back(base[std::size_t(l)] + g);
+        });
       });
-    });
 
     // Rounds past the last one have no bits set anywhere, so the first
     // clear bit is at most one past the last round.
@@ -282,8 +290,6 @@ std::vector<ExperimentKey> PlanBuilder::sorted_unique() const {
   return keys;
 }
 
-std::size_t PlanBuilder::unique() const { return sorted_unique().size(); }
-
 ExperimentPlan PlanBuilder::build(bool parallel) const {
   const obs::Span sp = obs::span("plan.build");
   const std::vector<ExperimentKey> unique_keys = sorted_unique();
@@ -317,39 +323,11 @@ ExperimentPlan PlanBuilder::build(bool parallel) const {
       // Observations sample the anchor session's live noise stream one at
       // a time; serial mode is the Section-IV baseline.
       for (const ExperimentKey& k : keys) add_round({k});
-    } else if (topo_ != nullptr && topo_->constrains_concurrency()) {
-      // Contended resource tree: node-disjointness is no longer enough —
-      // two pairs hanging off the same memory bus or uplink would perturb
-      // each other. Contention-free topologies skip this branch and pack
-      // exactly like the flat cluster.
-      for (auto& round : pack_contended(*topo_, keys, probes))
-        add_round(std::move(round));
-    } else if (kind == ExperimentKind::kOneToTwo) {
-      std::map<Triplet, ExperimentKey> by_triplet;
-      std::vector<Triplet> triplets;
-      for (const ExperimentKey& k : keys) {
-        const Triplet t{k.a, k.b, k.c};
-        triplets.push_back(t);
-        by_triplet.emplace(t, k);
-      }
-      for (const auto& round : triplet_rounds(triplets)) {
-        std::vector<ExperimentKey> round_keys;
-        for (const Triplet& t : round) round_keys.push_back(by_triplet.at(t));
-        add_round(std::move(round_keys));
-      }
     } else {
-      std::map<Pair, ExperimentKey> by_pair;
-      std::vector<Pair> pairs;
-      for (const ExperimentKey& k : keys) {
-        const Pair p{k.a, k.b};
-        pairs.push_back(p);
-        by_pair.emplace(p, k);
-      }
-      for (const auto& round : pack_pairs(pairs)) {
-        std::vector<ExperimentKey> round_keys;
-        for (const Pair& p : round) round_keys.push_back(by_pair.at(p));
-        add_round(std::move(round_keys));
-      }
+      // Node-disjoint rounds; on a contended tree also switch-disjoint,
+      // since two pairs off one memory bus or uplink perturb each other.
+      for (auto& round : pack_rounds(topo_, keys, probes))
+        add_round(std::move(round));
     }
   }
 

@@ -7,11 +7,11 @@
 // PlanBuilder deduplicates the requests across estimators (Hockney's
 // round-trips are LMO's round-trips are PLogP's RTT(0)) and packs them
 // into rounds of resource-disjoint experiments (the single-switch
-// property, extending schedule.hpp, plus no shared contended switch on a
-// resource tree). execute_plan() then measures only the keys a
-// MeasurementStore does not already hold, and the fits read measured
-// summaries back from the store — so one measurement campaign serves all
-// five models, and a saved store can be re-fit offline.
+// property, plus no shared contended switch on a resource tree).
+// execute_plan() then measures only the keys a MeasurementStore does not
+// already hold, and the fits read measured summaries back from the store —
+// so one measurement campaign serves all five models, and a saved store
+// can be re-fit offline.
 #pragma once
 
 #include <cstdint>
@@ -138,17 +138,16 @@ class PlanBuilder {
   void require(const ExperimentKey& key);
 
   [[nodiscard]] std::size_t requests() const { return requests_; }
-  /// Distinct keys among the requests.
-  [[nodiscard]] std::size_t unique() const;
 
   /// Pack into rounds. `parallel` batches resource-disjoint experiments of
   /// the same kind and sizes together (first-fit over the sorted key
-  /// order); false yields one experiment per round (the Section-IV serial
-  /// baseline). Observation kinds always run one at a time (they sample
-  /// the anchor session's live noise stream). With a contended topology,
-  /// experiments sharing a contended switch never share a round: each key
-  /// holds its participants plus the contended switches on its paths, and
-  /// first-fit reads per-resource bitmaps over rounds
+  /// order, so all pairs of n nodes take 2^ceil(log2 n) - 1 rounds, not
+  /// the n - 1 of a 1-factorization); false yields one experiment per
+  /// round (the Section-IV serial baseline). Observation kinds always run
+  /// one at a time (they sample the anchor session's live noise stream).
+  /// Each key holds its participants and, on a contended topology, the
+  /// contended switches on its paths, so experiments sharing either never
+  /// share a round; first-fit reads per-resource bitmaps over rounds
   /// (`plan.conflict_probes` counts the bitmap words read).
   [[nodiscard]] ExperimentPlan build(bool parallel = true) const;
 

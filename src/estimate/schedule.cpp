@@ -1,7 +1,5 @@
 #include "estimate/schedule.hpp"
 
-#include <algorithm>
-
 #include "util/error.hpp"
 
 namespace lmo::estimate {
@@ -25,91 +23,6 @@ std::vector<Triplet> all_oriented_triplets(int n) {
         out.push_back({k, i, j});
       }
   return out;
-}
-
-std::vector<std::vector<Pair>> pair_rounds(int n) {
-  LMO_CHECK(n >= 2);
-  // Circle method: fix player 0; rotate 1..m-1 where m = n rounded up to
-  // even (the ghost player models a bye for odd n).
-  const int m = n % 2 == 0 ? n : n + 1;
-  std::vector<std::vector<Pair>> rounds;
-  std::vector<int> circle(std::size_t(m), 0);
-  for (int i = 0; i < m; ++i) circle[std::size_t(i)] = i;
-  for (int r = 0; r < m - 1; ++r) {
-    std::vector<Pair> round;
-    for (int i = 0; i < m / 2; ++i) {
-      const int a = circle[std::size_t(i)];
-      const int b = circle[std::size_t(m - 1 - i)];
-      if (a >= n || b >= n) continue;  // ghost: bye
-      round.emplace_back(std::min(a, b), std::max(a, b));
-    }
-    if (!round.empty()) rounds.push_back(std::move(round));
-    // Rotate positions 1..m-1.
-    const int last = circle[std::size_t(m - 1)];
-    for (int i = m - 1; i > 1; --i)
-      circle[std::size_t(i)] = circle[std::size_t(i - 1)];
-    circle[1] = last;
-  }
-  return rounds;
-}
-
-std::vector<std::vector<Pair>> pack_pairs(const std::vector<Pair>& pairs) {
-  std::vector<std::vector<Pair>> rounds;
-  std::vector<std::vector<bool>> used;  // per round: node occupancy
-  for (const Pair& p : pairs) {
-    LMO_CHECK(p.first >= 0 && p.second >= 0 && p.first != p.second);
-    const std::size_t need =
-        std::size_t(std::max(p.first, p.second)) + 1;
-    bool placed = false;
-    for (std::size_t r = 0; r < rounds.size(); ++r) {
-      auto& occ = used[r];
-      if (occ.size() < need) occ.resize(need, false);
-      if (occ[std::size_t(p.first)] || occ[std::size_t(p.second)]) continue;
-      occ[std::size_t(p.first)] = occ[std::size_t(p.second)] = true;
-      rounds[r].push_back(p);
-      placed = true;
-      break;
-    }
-    if (!placed) {
-      rounds.push_back({p});
-      std::vector<bool> occ(need, false);
-      occ[std::size_t(p.first)] = occ[std::size_t(p.second)] = true;
-      used.push_back(std::move(occ));
-    }
-  }
-  return rounds;
-}
-
-std::vector<std::vector<Triplet>> triplet_rounds(
-    const std::vector<Triplet>& triplets) {
-  std::vector<std::vector<Triplet>> rounds;
-  std::vector<std::vector<bool>> used;  // per round: node occupancy
-  for (const Triplet& t : triplets) {
-    bool placed = false;
-    for (std::size_t r = 0; r < rounds.size(); ++r) {
-      auto& occ = used[r];
-      const std::size_t need =
-          std::size_t(std::max({t[0], t[1], t[2]})) + 1;
-      if (occ.size() < need) occ.resize(need, false);
-      if (occ[std::size_t(t[0])] || occ[std::size_t(t[1])] ||
-          occ[std::size_t(t[2])])
-        continue;
-      occ[std::size_t(t[0])] = occ[std::size_t(t[1])] =
-          occ[std::size_t(t[2])] = true;
-      rounds[r].push_back(t);
-      placed = true;
-      break;
-    }
-    if (!placed) {
-      rounds.push_back({t});
-      std::vector<bool> occ(std::size_t(std::max({t[0], t[1], t[2]})) + 1,
-                            false);
-      occ[std::size_t(t[0])] = occ[std::size_t(t[1])] =
-          occ[std::size_t(t[2])] = true;
-      used.push_back(std::move(occ));
-    }
-  }
-  return rounds;
 }
 
 }  // namespace lmo::estimate

@@ -1,12 +1,8 @@
-// Parallel experiment schedules (paper Section IV).
+// Experiment participant sets (paper Section IV).
 //
-// On a single-switch cluster, communication experiments over
-// non-overlapping processor sets run concurrently without perturbing each
-// other, so the estimation procedure batches them:
-//  * pairs — a 1-factorization of K_n (the circle method): n-1 rounds of
-//    floor(n/2) disjoint pairs each;
-//  * oriented triplets — all 3*C(n,3) one-to-two experiments packed
-//    greedily into rounds of disjoint triplets.
+// The estimation procedure measures every pair (round-trips) and every
+// oriented triplet (one-to-two experiments) of the cluster. PlanBuilder
+// (plan.hpp) packs the resulting keys into rounds of disjoint experiments.
 #pragma once
 
 #include <array>
@@ -24,21 +20,5 @@ using Triplet = std::array<int, 3>;
 
 /// All oriented triplets: for each {i<j<k}, the three root choices.
 [[nodiscard]] std::vector<Triplet> all_oriented_triplets(int n);
-
-/// Rounds of disjoint pairs covering all of K_n (circle method);
-/// exactly n-1 rounds for even n, n rounds for odd n.
-[[nodiscard]] std::vector<std::vector<Pair>> pair_rounds(int n);
-
-/// Greedy packing of the given triplets into rounds of node-disjoint
-/// triplets (first-fit).
-[[nodiscard]] std::vector<std::vector<Triplet>> triplet_rounds(
-    const std::vector<Triplet>& triplets);
-
-/// Greedy packing of an arbitrary pair list into rounds of node-disjoint
-/// pairs (first-fit, input order). Unlike pair_rounds this handles any
-/// subset — the experiment planner uses it after cache filtering leaves
-/// holes in the full K_n pair set.
-[[nodiscard]] std::vector<std::vector<Pair>> pack_pairs(
-    const std::vector<Pair>& pairs);
 
 }  // namespace lmo::estimate

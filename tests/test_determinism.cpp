@@ -28,9 +28,10 @@ using namespace lmo::literals;
 void expect_bits_eq(const std::vector<double>& a, const std::vector<double>& b,
                     const char* what) {
   ASSERT_EQ(a.size(), b.size()) << what;
-  if (!a.empty())
+  if (!a.empty()) {
     EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
         << what;
+  }
 }
 
 void expect_bits_eq(const models::PairTable& a, const models::PairTable& b,

@@ -10,6 +10,7 @@
 #include "estimate/experimenter.hpp"
 #include "estimate/hockney_estimator.hpp"
 #include "estimate/lmo_estimator.hpp"
+#include "estimate/plan.hpp"
 #include "estimate/loggp_estimator.hpp"
 #include "estimate/plogp_estimator.hpp"
 #include "estimate/schedule.hpp"
@@ -31,20 +32,32 @@ TEST(Schedule, OrientedTripletsCount) {
   EXPECT_EQ(all_oriented_triplets(3).size(), 3u);
 }
 
+/// Build a flat parallel plan from `keys`.
+ExperimentPlan flat_plan(const std::vector<ExperimentKey>& keys) {
+  PlanBuilder plan;
+  for (const ExperimentKey& k : keys) plan.require(k);
+  return plan.build(true);
+}
+
 TEST(Schedule, PairRoundsAreDisjointAndComplete) {
   for (int n : {2, 5, 8, 16, 17}) {
-    const auto rounds = pair_rounds(n);
+    std::vector<ExperimentKey> keys;
+    for (const auto& [i, j] : all_pairs(n))
+      keys.push_back(ExperimentKey::roundtrip(i, j, 0, 0));
+    const auto rounds = flat_plan(keys).rounds;
     std::set<Pair> seen;
     for (const auto& round : rounds) {
       std::set<int> nodes;
-      for (const auto& [a, b] : round) {
+      for (const ExperimentKey& k : round.keys) {
+        const int a = k.a, b = k.b;
         EXPECT_TRUE(nodes.insert(a).second) << "n=" << n;
         EXPECT_TRUE(nodes.insert(b).second) << "n=" << n;
         EXPECT_TRUE(seen.insert({a, b}).second) << "n=" << n;
       }
     }
     EXPECT_EQ(seen.size(), std::size_t(n * (n - 1) / 2)) << "n=" << n;
-    // Even n: exactly n-1 rounds (optimal 1-factorization).
+    // The even n here are powers of two: exactly n-1 rounds (an optimal
+    // 1-factorization; first-fit needs more for other even n).
     if (n % 2 == 0) {
       EXPECT_EQ(rounds.size(), std::size_t(n - 1));
     }
@@ -54,15 +67,18 @@ TEST(Schedule, PairRoundsAreDisjointAndComplete) {
 TEST(Schedule, TripletRoundsAreDisjointAndComplete) {
   const int n = 10;
   const auto all = all_oriented_triplets(n);
-  const auto rounds = triplet_rounds(all);
+  std::vector<ExperimentKey> keys;
+  for (const Triplet& t : all)
+    keys.push_back(ExperimentKey::one_to_two(t, 1024, 0));
+  const auto rounds = flat_plan(keys).rounds;
   std::size_t total = 0;
   for (const auto& round : rounds) {
     std::set<int> nodes;
-    for (const auto& t : round) {
-      for (int x : t) EXPECT_TRUE(nodes.insert(x).second);
+    for (const ExperimentKey& k : round.keys) {
+      for (int x : k.participants()) EXPECT_TRUE(nodes.insert(x).second);
       ++total;
     }
-    EXPECT_LE(round.size(), std::size_t(n / 3));
+    EXPECT_LE(round.keys.size(), std::size_t(n / 3));
   }
   EXPECT_EQ(total, all.size());
   // Packing should be much tighter than one-per-round.

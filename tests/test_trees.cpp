@@ -153,7 +153,9 @@ TEST(TreeShapes, ConsistentAcrossKinds) {
       }
       EXPECT_EQ(covered, n) << tree_kind_name(kind);  // everyone has a parent
       EXPECT_EQ(tree_subtree_size(kind, 0, n), n);
-      if (n == 1) EXPECT_EQ(tree_depth(kind, n), 0);
+      if (n == 1) {
+        EXPECT_EQ(tree_depth(kind, n), 0);
+      }
     }
 }
 
