@@ -157,11 +157,30 @@ WireLayout wire_layout(const sim::Topology* topology, int n) {
   return out;
 }
 
+/// The parameter views the closed forms read: the dense fitted tables, or
+/// one value per term for every processor and link (UniformLmo).
+struct DenseTerms {
+  const LmoParams& p;
+  double C(int i) const { return p.C[std::size_t(i)]; }
+  double t(int i) const { return p.t[std::size_t(i)]; }
+  double L(int i, int j) const { return p.L(i, j); }
+  double inv_beta(int i, int j) const { return p.inv_beta(i, j); }
+};
+
+struct UniformTerms {
+  const UniformLmo& u;
+  double C(int) const { return u.C; }
+  double t(int) const { return u.t; }
+  double L(int, int) const { return u.L; }
+  double inv_beta(int, int) const { return u.inv_beta; }
+};
+
 /// Completion time of the subtree rooted at virtual rank v, measured from
 /// the instant v's processor holds its data. The parent's per-child CPU
 /// terms accumulate (serialized); wire and child processing overlap.
 /// Walks v's sends in a bcast/scatter template (children in send order).
-double lmo_subtree(const LmoParams& p, const ScheduleTemplate& plan,
+template <class Terms>
+double lmo_subtree(const Terms& p, const ScheduleTemplate& plan,
                    const int* map, double m, int v) {
   const int pv = map[v];
   double cpu_done = 0.0;
@@ -170,10 +189,10 @@ double lmo_subtree(const LmoParams& p, const ScheduleTemplate& plan,
     if (op->recv) continue;
     const int pc = map[op->peer];
     const double bytes = op->factor * m;
-    cpu_done += p.C[std::size_t(pv)] + bytes * p.t[std::size_t(pv)];
+    cpu_done += p.C(pv) + bytes * p.t(pv);
     const double arrival = cpu_done + p.L(pv, pc) +
-                           bytes * p.inv_beta(pv, pc) +
-                           p.C[std::size_t(pc)] + bytes * p.t[std::size_t(pc)];
+                           bytes * p.inv_beta(pv, pc) + p.C(pc) +
+                           bytes * p.t(pc);
     total = std::max(total, arrival + lmo_subtree(p, plan, map, m, op->peer));
   }
   return std::max(total, cpu_done);
@@ -185,7 +204,8 @@ double lmo_subtree(const LmoParams& p, const ScheduleTemplate& plan,
 /// first), matching the algorithm in coll::binomial_gather — the receive
 /// order of a gather/reduce template, whose combine flag (reduce) adds one
 /// extra serialized processing per received block.
-double lmo_subtree_gather(const LmoParams& p, const ScheduleTemplate& plan,
+template <class Terms>
+double lmo_subtree_gather(const Terms& p, const ScheduleTemplate& plan,
                           const int* map, double m, int v) {
   const int pv = map[v];
   double done = 0.0;
@@ -194,14 +214,14 @@ double lmo_subtree_gather(const LmoParams& p, const ScheduleTemplate& plan,
     const int pc = map[op->peer];
     const double bytes = op->factor * m;
     // The child's message is ready after its own subtree completes plus its
-    // send processing; it then needs the wire plus the parent's receive
+    // send processing; it then needs the wire (child to parent, the link
+    // the replay and the simulator use) plus the parent's receive
     // processing, which queues behind the previous child's.
     const double ready = lmo_subtree_gather(p, plan, map, m, op->peer) +
-                         p.C[std::size_t(pc)] + bytes * p.t[std::size_t(pc)] +
-                         p.L(pv, pc) + bytes * p.inv_beta(pv, pc);
+                         p.C(pc) + bytes * p.t(pc) + p.L(pc, pv) +
+                         bytes * p.inv_beta(pc, pv);
     const double processing =
-        (op->combine ? 2.0 : 1.0) *
-        (p.C[std::size_t(pv)] + bytes * p.t[std::size_t(pv)]);
+        (op->combine ? 2.0 : 1.0) * (p.C(pv) + bytes * p.t(pv));
     done = std::max(done, ready) + processing;
   }
   return done;
@@ -209,7 +229,8 @@ double lmo_subtree_gather(const LmoParams& p, const ScheduleTemplate& plan,
 
 /// The closed-form recursion of `kind` over a binomial template, with
 /// `map` assigning physical ranks to virtual ones.
-double binomial_closed(const LmoParams& p, const ScheduleTemplate& plan,
+template <class Terms>
+double binomial_closed(const Terms& p, const ScheduleTemplate& plan,
                        CollectiveKind kind, const int* map, Bytes m) {
   if (kind == CollectiveKind::kScatter || kind == CollectiveKind::kBcast)
     return lmo_subtree(p, plan, map, double(m), 0);
@@ -246,8 +267,8 @@ double eval_binomial(const LmoParams& p, CollectiveKind kind, int root,
   ScheduleScratch w;
   const int n = p.size();
   return binomial_closed(
-      p, compile_tree_schedule(trees::TreeKind::kBinomial, kind, n), kind,
-      bind_mapping(mapping, root, n, w), m);
+      DenseTerms{p}, compile_tree_schedule(trees::TreeKind::kBinomial, kind, n),
+      kind, bind_mapping(mapping, root, n, w), m);
 }
 }  // namespace
 
@@ -635,8 +656,19 @@ double ScheduleSet::binomial_closed_time(const LmoParams& p,
                                          Bytes m,
                                          const std::vector<int>& mapping,
                                          ScheduleScratch& scratch) const {
-  return binomial_closed(p, plan(trees::TreeKind::kBinomial, kind), kind,
-                         default_or(mapping, root, p.size(), scratch), m);
+  return binomial_closed(DenseTerms{p}, plan(trees::TreeKind::kBinomial, kind),
+                         kind, default_or(mapping, root, p.size(), scratch),
+                         m);
+}
+
+double ScheduleSet::binomial_floor(const UniformLmo& terms,
+                                   CollectiveKind kind, Bytes m,
+                                   ScheduleScratch& scratch) const {
+  // Uniform terms make the mapping irrelevant; any permutation will do.
+  const ScheduleTemplate& tpl = plan(trees::TreeKind::kBinomial, kind);
+  return binomial_closed(UniformTerms{terms}, tpl, kind,
+                         default_or({}, 0, int(tpl.start.size()) - 1, scratch),
+                         m);
 }
 
 double ScheduleSet::scatter_allgather_bcast_time(
@@ -692,7 +724,7 @@ MappingPlan optimize_binomial_scatter_mapping(const LmoParams& p, int root,
                             CollectiveKind::kScatter, n);
   ScheduleScratch w;
   auto cost = [&](const std::vector<int>& mapping) {
-    return binomial_closed(p, binomial, CollectiveKind::kScatter,
+    return binomial_closed(DenseTerms{p}, binomial, CollectiveKind::kScatter,
                            bind_mapping(mapping, root, n, w), m);
   };
   MappingPlan plan;

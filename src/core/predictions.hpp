@@ -220,6 +220,15 @@ struct ScheduleScratch {
   std::uint64_t sends = 0;
 };
 
+/// One value per LMO term for every processor and every link — with each
+/// at its table's minimum, the terms of a mapping-free floor.
+struct UniformLmo {
+  double C = 0.0;
+  double t = 0.0;
+  double L = 0.0;
+  double inv_beta = 0.0;
+};
+
 /// Chunks a replay pipelines a message of m bytes into: ceil(m / segment)
 /// when 0 < segment < m, otherwise one.
 [[nodiscard]] std::size_t chunk_count(Bytes m, Bytes segment);
@@ -263,6 +272,18 @@ class ScheduleSet {
                                             Bytes m,
                                             const std::vector<int>& mapping,
                                             ScheduleScratch& scratch) const;
+
+  /// The binomial_closed_time recursion with every processor at
+  /// (terms.C, terms.t) and every link at (terms.L, terms.inv_beta). The
+  /// closed forms are sums and maxima of non-negative terms, monotone in
+  /// each, so when every term of p is >= its `terms` value this is <=
+  /// binomial_closed_time(p, kind, root, m, mapping, ...) for every root
+  /// and mapping, exactly (rounding is monotone too). A replay only adds
+  /// port and segment waits and the minimal frame to each closed-form
+  /// term, so it is also <= tree_time's binomial replay up to rounding.
+  [[nodiscard]] double binomial_floor(const UniformLmo& terms,
+                                      CollectiveKind kind, Bytes m,
+                                      ScheduleScratch& scratch) const;
 
   /// scatter_allgather_bcast_time(p, root, m, topology).
   [[nodiscard]] double scatter_allgather_bcast_time(

@@ -97,8 +97,9 @@ obs::Json TunedDecision::to_json() const {
 }
 
 namespace {
-/// Relative slack of decide()'s pruning test: far above the rounding by
-/// which tree_lower_bound's sums may differ from the replay's.
+/// Relative slack of decide()'s pruning tests: far above the rounding by
+/// which tree_lower_bound's and binomial_floor's sums may differ from the
+/// replay's.
 constexpr double kBoundSlack = 1e-9;
 
 /// Throws unless table[i] (or table[i][j], when j >= 0) = v is finite and
@@ -113,13 +114,18 @@ void check_term(double v, const char* table, int i, int j = -1) {
               " must be finite and >= 0");
 }
 
-/// Publishes one call's work: messages replayed and candidates pruned.
-void publish(const ScheduleScratch& scratch, std::uint64_t pruned) {
+/// Publishes one call's work: messages replayed, candidates pruned and
+/// cost-oracle calls of the mapping climb.
+void publish(const ScheduleScratch& scratch, std::uint64_t pruned,
+             std::uint64_t climb_evals) {
   static obs::Counter sends =
       obs::Registry::global().counter("tuner.replay_sends");
   static obs::Counter skipped = obs::Registry::global().counter("tuner.pruned");
+  static obs::Counter evals =
+      obs::Registry::global().counter("tuner.climb_evals");
   sends.inc(scratch.sends);
   skipped.inc(pruned);
+  evals.inc(climb_evals);
 }
 }  // namespace
 
@@ -131,13 +137,22 @@ Tuner::Tuner(LmoParams params, GatherEmpirical gather_empirical,
       schedules_(params_.size(), options_.topology) {
   params_.validate();
   const int n = params_.size();
+  UniformLmo& lo = floor_terms_;
+  lo.C = params_.C[0];
+  lo.t = params_.t[0];
+  lo.L = params_.L(0, 1);
+  lo.inv_beta = params_.inv_beta(0, 1);
   for (int i = 0; i < n; ++i) {
     check_term(params_.C[std::size_t(i)], "C", i);
     check_term(params_.t[std::size_t(i)], "t", i);
+    lo.C = std::min(lo.C, params_.C[std::size_t(i)]);
+    lo.t = std::min(lo.t, params_.t[std::size_t(i)]);
     for (int j = 0; j < n; ++j) {
       if (j == i) continue;
       check_term(params_.L(i, j), "L", i, j);
       check_term(params_.inv_beta(i, j), "inv_beta", i, j);
+      lo.L = std::min(lo.L, params_.L(i, j));
+      lo.inv_beta = std::min(lo.inv_beta, params_.inv_beta(i, j));
     }
   }
 }
@@ -227,7 +242,7 @@ double Tuner::predict(CollectiveKind kind, AlgorithmId id, int root, Bytes m,
 
 std::vector<TunedDecision> Tuner::enumerate(CollectiveKind kind, int root,
                                             Bytes m,
-                                            ScheduleScratch& scratch) const {
+                                            std::size_t& mapped) const {
   LMO_CHECK(root >= 0 && root < params_.size());
   LMO_CHECK(m >= 0);
   std::vector<TunedDecision> out;
@@ -258,14 +273,13 @@ std::vector<TunedDecision> Tuner::enumerate(CollectiveKind kind, int root,
     if (plan.split) add(AlgorithmId::kLinear, {}, plan.chunk);
   }
 
-  // Binomial with an LMO-optimized processor-to-tree mapping.
+  // Binomial with an LMO-optimized processor-to-tree mapping: a copy of
+  // the unsegmented binomial whose mapping the caller climbs. A climbed
+  // mapping is a full permutation, unlike every other candidate's, so the
+  // slot needs no deduplication.
   if (options_.optimize_mappings) {
-    const auto result = trees::optimize_mapping(
-        params_.size(), root, [&](const std::vector<int>& mapping) {
-          return predict(kind, AlgorithmId::kBinomial, root, m, mapping, 0,
-                         scratch);
-        });
-    add(AlgorithmId::kBinomial, result.mapping, 0);
+    mapped = out.size();
+    out.push_back(TunedDecision(out[1]));
   }
 
   // The tree zoo with segmented pipelining.
@@ -285,7 +299,20 @@ std::vector<TunedDecision> Tuner::enumerate(CollectiveKind kind, int root,
     if (kind == CollectiveKind::kBcast)
       add(AlgorithmId::kScatterAllgather, {}, 0);
   }
+  if (!options_.optimize_mappings) mapped = out.size();
   return out;
+}
+
+std::uint64_t Tuner::climb(TunedDecision& d, ScheduleScratch& scratch) const {
+  const trees::MappingResult result = trees::optimize_mapping(
+      params_.size(), d.root, [&](const std::vector<int>& mapping) {
+        return predict(d.kind, AlgorithmId::kBinomial, d.root, d.message,
+                       mapping, 0, scratch);
+      });
+  d.mapping = result.mapping;
+  // The climb's cost of its final mapping is predict()'s price of it.
+  d.predicted_seconds = result.cost;
+  return std::uint64_t(result.evaluations);
 }
 
 std::vector<TunedDecision> Tuner::candidates(CollectiveKind kind, int root,
@@ -293,17 +320,21 @@ std::vector<TunedDecision> Tuner::candidates(CollectiveKind kind, int root,
   // One workspace for every evaluation of this call: the mapping climb and
   // the zoo replay into the same buffers.
   ScheduleScratch scratch;
-  std::vector<TunedDecision> out = enumerate(kind, root, m, scratch);
+  std::size_t mapped = 0;
+  std::vector<TunedDecision> out = enumerate(kind, root, m, mapped);
+  const std::uint64_t evals =
+      mapped < out.size() ? climb(out[mapped], scratch) : 0;
   for (TunedDecision& d : out)
     d.predicted_seconds =
         predict(kind, d.algorithm, root, m, d.mapping, d.segment, scratch);
-  publish(scratch, 0);
+  publish(scratch, 0, evals);
   return out;
 }
 
 TunedDecision Tuner::decide(CollectiveKind kind, int root, Bytes m) const {
   ScheduleScratch scratch;
-  std::vector<TunedDecision> all = enumerate(kind, root, m, scratch);
+  std::size_t mapped = 0;
+  std::vector<TunedDecision> all = enumerate(kind, root, m, mapped);
   LMO_CHECK(!all.empty());
   // Cheapest replays first (stable: enumeration order among equals), so
   // the best price is already low when the long segmented replays come
@@ -324,7 +355,14 @@ TunedDecision Tuner::decide(CollectiveKind kind, int root, Bytes m) const {
   // more than the best and cannot win, not even a tie on position.
   std::size_t best = all.size();
   std::uint64_t pruned = 0;
+  auto consider = [&](std::size_t i) {
+    const double price = all[i].predicted_seconds;
+    if (best == all.size() || price < all[best].predicted_seconds ||
+        (price == all[best].predicted_seconds && i < best))
+      best = i;
+  };
   for (const std::size_t i : order) {
+    if (i == mapped) continue;
     TunedDecision& d = all[i];
     if (best < all.size() && replays_tree(kind, d.algorithm, d.segment) &&
         schedules_.tree_lower_bound(params_, shape_of(d.algorithm), kind,
@@ -336,12 +374,23 @@ TunedDecision Tuner::decide(CollectiveKind kind, int root, Bytes m) const {
     }
     d.predicted_seconds =
         predict(kind, d.algorithm, root, m, d.mapping, d.segment, scratch);
-    if (best == all.size() ||
-        d.predicted_seconds < all[best].predicted_seconds ||
-        (d.predicted_seconds == all[best].predicted_seconds && i < best))
-      best = i;
+    consider(i);
   }
-  publish(scratch, pruned);
+  // The climbed binomial costs at least its floor under any mapping (up to
+  // the replay's rounding), so a floor above the best price by more than
+  // the slack proves the climb cannot win.
+  std::uint64_t evals = 0;
+  if (mapped < all.size()) {
+    if (schedules_.binomial_floor(floor_terms_, kind, m, scratch) *
+            (1.0 - kBoundSlack) >
+        all[best].predicted_seconds) {
+      ++pruned;
+    } else {
+      evals = climb(all[mapped], scratch);
+      consider(mapped);
+    }
+  }
+  publish(scratch, pruned, evals);
   return std::move(all[best]);
 }
 
@@ -386,7 +435,7 @@ double Tuner::price(const TunedDecision& d) const {
   trees::invert_mapping(d.mapping, params_.size(), scratch.inverse);
   const double seconds = predict(d.kind, d.algorithm, d.root, d.message,
                                  d.mapping, d.segment, scratch);
-  publish(scratch, 0);
+  publish(scratch, 0, 0);
   return seconds;
 }
 

@@ -11,6 +11,8 @@
 // against simulated ground truth and report regret.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -107,7 +109,10 @@ class Tuner {
   /// with the least (predicted_seconds, position in candidates()), bit for
   /// bit. Candidates are priced cheapest replay first; a replayed tree
   /// whose ScheduleSet::tree_lower_bound already exceeds the best price so
-  /// far is skipped unpriced (counted in `tuner.pruned`).
+  /// far is skipped unpriced. The mapping climb runs last, and only when
+  /// its floor — ScheduleSet::binomial_floor at every table's minimum,
+  /// below the binomial's price under any mapping — does not exceed the
+  /// best price of the others. Each skip counts one `tuner.pruned`.
   [[nodiscard]] TunedDecision decide(CollectiveKind kind, int root,
                                      Bytes m) const;
 
@@ -131,10 +136,18 @@ class Tuner {
   [[nodiscard]] double price(const TunedDecision& d) const;
 
  private:
-  /// candidates() unpriced, in order (the mapping climb prices its swaps
-  /// in `scratch`).
-  [[nodiscard]] std::vector<TunedDecision> enumerate(
-      CollectiveKind kind, int root, Bytes m, ScheduleScratch& scratch) const;
+  /// candidates() unpriced, in order, with the mapping climb deferred: the
+  /// mapped-binomial candidate holds its position with an empty mapping,
+  /// and its index is written to `mapped` (the size of the result when
+  /// options_.optimize_mappings is off).
+  [[nodiscard]] std::vector<TunedDecision> enumerate(CollectiveKind kind,
+                                                     int root, Bytes m,
+                                                     std::size_t& mapped) const;
+
+  /// Fills the mapped-binomial candidate `d` in: hill-climbs its mapping
+  /// (pricing the swaps in `scratch`) and sets its price. Returns the
+  /// climb's cost-oracle calls.
+  std::uint64_t climb(TunedDecision& d, ScheduleScratch& scratch) const;
 
   /// True when predict() prices (kind, id, segment) by replaying a tree
   /// schedule — the candidates ScheduleSet::tree_lower_bound bounds.
@@ -152,6 +165,8 @@ class Tuner {
   /// compiled once; evaluations bring their own scratch, so a const Tuner
   /// is safe to share across threads.
   ScheduleSet schedules_;
+  /// Every table's minimum over params_: the terms of the climb's floor.
+  UniformLmo floor_terms_;
 };
 
 }  // namespace lmo::core

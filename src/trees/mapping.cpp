@@ -9,38 +9,6 @@
 
 namespace lmo::trees {
 
-namespace {
-MappingResult climb(std::vector<int> seed, const MappingCost& cost,
-                    int max_rounds) {
-  const int n = int(seed.size());
-  MappingResult best;
-  best.mapping = std::move(seed);
-  best.cost = cost(best.mapping);
-  best.evaluations = 1;
-
-  for (int round = 0; round < max_rounds; ++round) {
-    bool improved = false;
-    // Swap every non-root pair of virtual positions.
-    for (int a = 1; a < n; ++a) {
-      for (int b = a + 1; b < n; ++b) {
-        std::swap(best.mapping[std::size_t(a)], best.mapping[std::size_t(b)]);
-        const double c = cost(best.mapping);
-        ++best.evaluations;
-        if (c + 1e-15 < best.cost) {
-          best.cost = c;
-          improved = true;
-        } else {
-          std::swap(best.mapping[std::size_t(a)],
-                    best.mapping[std::size_t(b)]);
-        }
-      }
-    }
-    if (!improved) break;
-  }
-  return best;
-}
-}  // namespace
-
 std::vector<int> default_mapping(int n, int root) {
   LMO_CHECK(n >= 1);
   LMO_CHECK(root >= 0 && root < n);
@@ -81,7 +49,31 @@ std::vector<int> inverse_mapping(const std::vector<int>& mapping, int n) {
 MappingResult optimize_mapping(int n, int root, const MappingCost& cost,
                                int max_rounds) {
   LMO_CHECK(n >= 1);
-  return climb(default_mapping(n, root), cost, max_rounds);
+  MappingResult best;
+  best.mapping = default_mapping(n, root);
+  best.cost = cost(best.mapping);
+  best.evaluations = 1;
+
+  for (int round = 0; round < max_rounds; ++round) {
+    bool improved = false;
+    // Swap every non-root pair of virtual positions.
+    for (int a = 1; a < n; ++a) {
+      for (int b = a + 1; b < n; ++b) {
+        std::swap(best.mapping[std::size_t(a)], best.mapping[std::size_t(b)]);
+        const double c = cost(best.mapping);
+        ++best.evaluations;
+        if (c + 1e-15 < best.cost) {
+          best.cost = c;
+          improved = true;
+        } else {
+          std::swap(best.mapping[std::size_t(a)],
+                    best.mapping[std::size_t(b)]);
+        }
+      }
+    }
+    if (!improved) break;
+  }
+  return best;
 }
 
 std::vector<int> hierarchy_mapping(const sim::Topology& topo, int root) {
@@ -108,12 +100,6 @@ std::vector<int> hierarchy_mapping(const sim::Topology& topo, int root) {
     return ka < kb;
   });
   return order;
-}
-
-MappingResult optimize_hierarchy_mapping(const sim::Topology& topo, int root,
-                                         const MappingCost& cost,
-                                         int max_rounds) {
-  return climb(hierarchy_mapping(topo, root), cost, max_rounds);
 }
 
 }  // namespace lmo::trees

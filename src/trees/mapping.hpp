@@ -59,11 +59,4 @@ void invert_mapping(const std::vector<int>& mapping, int n,
 [[nodiscard]] std::vector<int> hierarchy_mapping(const sim::Topology& topo,
                                                  int root);
 
-/// Pairwise-swap hill climbing seeded from hierarchy_mapping instead of
-/// the default cyclic mapping — keeps the topology-aware structure while
-/// letting the cost oracle fix heterogeneity-driven misplacements.
-[[nodiscard]] MappingResult optimize_hierarchy_mapping(
-    const sim::Topology& topo, int root, const MappingCost& cost,
-    int max_rounds = 8);
-
 }  // namespace lmo::trees

@@ -359,10 +359,12 @@ TEST(TunerGoldenTest, ContendedHierarchyDecisionsUnchanged) {
 }
 
 /// Work of the decide() calls of decide_grid_digest's grid: messages the
-/// schedule replays sent and candidates pruned, read off the counters.
+/// schedule replays sent, candidates pruned and cost-oracle calls of the
+/// mapping climb, read off the counters.
 struct GridWork {
   std::uint64_t replay_sends = 0;
   std::uint64_t pruned = 0;
+  std::uint64_t climb_evals = 0;
 };
 
 GridWork decide_grid_work(const sim::ClusterConfig& cfg) {
@@ -372,29 +374,51 @@ GridWork decide_grid_work(const sim::ClusterConfig& cfg) {
   obs::Registry& reg = obs::Registry::global();
   const obs::Counter sends = reg.counter("tuner.replay_sends");
   const obs::Counter pruned = reg.counter("tuner.pruned");
-  const GridWork before{sends.value(), pruned.value()};
+  const obs::Counter evals = reg.counter("tuner.climb_evals");
+  const GridWork before{sends.value(), pruned.value(), evals.value()};
   for (const CollectiveKind kind : kAllKinds)
     for (Bytes m = 1024; m <= 1024 * 1024; m *= 2)
       for (int root = 0; root < cfg.size(); ++root)
         (void)t.decide(kind, root, m);
-  return {sends.value() - before.replay_sends, pruned.value() - before.pruned};
+  return {sends.value() - before.replay_sends, pruned.value() - before.pruned,
+          evals.value() - before.climb_evals};
 }
 
 // Ceilings on the golden grids' decide() work. Pricing every candidate
 // replayed 5,211,120 messages on the paper cluster and 7,851,150 on the
-// contended tree; with pruning they replay 1,016,805 and 4,447,470 (most
-// of the latter in the mapping climb). A decide() that stops pruning
-// blows through the ceilings.
+// contended tree; with pruning they replay 1,018,800 and 1,932,030. A
+// climb on every decide calls its cost oracle 214,799 and 173,954 times;
+// skipping the climbs whose floor cannot win leaves 38,954 and 6,962. A
+// decide() that stops pruning blows through the ceilings.
 TEST(TunerWorkTest, PaperGridPrunesItsReplays) {
   const GridWork w = decide_grid_work(sim::make_paper_cluster(1));
   EXPECT_GT(w.pruned, 0u);
   EXPECT_LE(w.replay_sends, 1100000u);
+  EXPECT_LE(w.climb_evals, 42000u);
 }
 
 TEST(TunerWorkTest, ContendedGridPrunesItsReplays) {
   const GridWork w = decide_grid_work(sim::make_multicore_cluster(1, 4, 4, 1));
   EXPECT_GT(w.pruned, 0u);
-  EXPECT_LE(w.replay_sends, 4600000u);
+  EXPECT_LE(w.replay_sends, 2000000u);
+  EXPECT_LE(w.climb_evals, 7600u);
+}
+
+/// decide(kind, root, m) is exactly the candidate with the least
+/// (predicted_seconds, position in candidates()), to the bit.
+void expect_argmin(const Tuner& t, CollectiveKind kind, int root, Bytes m,
+                   const TunedDecision& d, const std::string& where) {
+  const std::vector<TunedDecision> all = t.candidates(kind, root, m);
+  const TunedDecision* best = &all.front();
+  for (const TunedDecision& c : all)
+    if (c.predicted_seconds < best->predicted_seconds) best = &c;
+  EXPECT_EQ(d.algorithm, best->algorithm) << where;
+  EXPECT_EQ(d.segment, best->segment) << where;
+  EXPECT_EQ(d.mapping, best->mapping) << where;
+  std::uint64_t got = 0, want = 0;
+  std::memcpy(&got, &d.predicted_seconds, sizeof got);
+  std::memcpy(&want, &best->predicted_seconds, sizeof want);
+  EXPECT_EQ(got, want) << where;
 }
 
 TEST(TunerDifferentialTest, DecideIsTheArgminOfCandidates) {
@@ -423,22 +447,38 @@ TEST(TunerDifferentialTest, DecideIsTheArgminOfCandidates) {
         const std::uint64_t pruned0 = pruned.value();
         const TunedDecision d = t.decide(kind, root, m);
         if (pruned.value() > pruned0) ++pruned_somewhere;
-        const std::vector<TunedDecision> all = t.candidates(kind, root, m);
-        const TunedDecision* best = &all.front();
-        for (const TunedDecision& c : all)
-          if (c.predicted_seconds < best->predicted_seconds) best = &c;
-        EXPECT_EQ(d.algorithm, best->algorithm)
-            << "seed " << seed << " m=" << m;
-        EXPECT_EQ(d.segment, best->segment) << "seed " << seed << " m=" << m;
-        EXPECT_EQ(d.mapping, best->mapping) << "seed " << seed << " m=" << m;
-        std::uint64_t got = 0, want = 0;
-        std::memcpy(&got, &d.predicted_seconds, sizeof got);
-        std::memcpy(&want, &best->predicted_seconds, sizeof want);
-        EXPECT_EQ(got, want) << "seed " << seed << " m=" << m;
+        expect_argmin(t, kind, root, m, d,
+                      "seed " + std::to_string(seed) + " m=" +
+                          std::to_string(m));
       }
   }
   // The comparison only tests pruning if decisions really pruned.
   EXPECT_GT(pruned_somewhere, 0);
+
+  // Small messages on the contended multicore(1,4,4) tree take both sides
+  // of the mapping-climb skip: most floors already exceed the best other
+  // price, and some climbed mappings win.
+  const sim::ClusterConfig cfg = sim::make_multicore_cluster(1, 4, 4, 1);
+  TunerOptions opts;
+  opts.topology = &cfg.topology;
+  const Tuner t(from_ground_truth(cfg), paper_band(), opts);
+  const obs::Counter evals =
+      obs::Registry::global().counter("tuner.climb_evals");
+  int skipped = 0, mapped = 0;
+  for (const CollectiveKind kind : kAllKinds)
+    for (const Bytes m : {Bytes(1), Bytes(64), Bytes(512), Bytes(2048)})
+      for (int root = 0; root < cfg.size(); root += 3) {
+        const std::uint64_t evals0 = evals.value();
+        const TunedDecision d = t.decide(kind, root, m);
+        if (evals.value() == evals0) ++skipped;
+        if (!d.mapping.empty()) ++mapped;
+        expect_argmin(t, kind, root, m, d,
+                      std::string("multicore ") + collective_name(kind) +
+                          " root " + std::to_string(root) + " m=" +
+                          std::to_string(m));
+      }
+  EXPECT_GT(skipped, 0);
+  EXPECT_GT(mapped, 0);
 }
 
 TEST(TunerParallelTest, SharedTunerDecidesLikeSerial) {

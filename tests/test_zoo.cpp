@@ -379,6 +379,92 @@ TEST(TreeLowerBound, NeverExceedsTheReplay) {
   }
 }
 
+TEST(ClosedFormFloor, BelowTheClosedFormBelowTheReplay) {
+  // The mapping-free floor decide() skips the binomial mapping climb on:
+  // the binomial closed form with every processor and link at its table's
+  // minimum. On flat clusters, contended multicore and irregular trees,
+  // under default and random mappings, it never exceeds the closed form,
+  // and the closed form never exceeds the (contended) replay by more than
+  // decide()'s 1e-9 slack. A homogeneous cluster at the floor's terms
+  // prices exactly at the floor.
+  Rng rng(41);
+  for (int trial = 0; trial < 30; ++trial) {
+    sim::Topology topo;
+    int n = int(rng.uniform_int(2, 20));
+    if (trial % 3 == 1) {
+      topo = sim::make_multicore_cluster(int(rng.uniform_int(1, 2)),
+                                         int(rng.uniform_int(1, 3)),
+                                         int(rng.uniform_int(2, 4)),
+                                         std::uint64_t(trial))
+                 .topology;
+      ASSERT_TRUE(topo.constrains_concurrency());
+    } else if (trial % 3 == 2) {
+      topo = test_support::random_contended_tree(rng, /*irregular=*/true);
+    }
+    if (!topo.empty()) n = topo.ranks();
+    LmoParams p = random_params(rng, n);
+    if (trial % 2 == 1) {
+      // Lift every term off zero, so the minima (and the floor) are not.
+      for (int i = 0; i < n; ++i) {
+        p.C[std::size_t(i)] += 5e-5;
+        p.t[std::size_t(i)] += 5e-8;
+        for (int j = 0; j < n; ++j) {
+          p.L(i, j) += 5e-5;
+          p.inv_beta(i, j) += 5e-8;
+        }
+      }
+    }
+    core::UniformLmo lo{p.C[0], p.t[0], p.L(0, 1), p.inv_beta(0, 1)};
+    for (int i = 0; i < n; ++i) {
+      lo.C = std::min(lo.C, p.C[std::size_t(i)]);
+      lo.t = std::min(lo.t, p.t[std::size_t(i)]);
+      for (int j = 0; j < n; ++j) {
+        if (j == i) continue;
+        lo.L = std::min(lo.L, p.L(i, j));
+        lo.inv_beta = std::min(lo.inv_beta, p.inv_beta(i, j));
+      }
+    }
+    LmoParams at_floor;
+    at_floor.C.assign(std::size_t(n), lo.C);
+    at_floor.t.assign(std::size_t(n), lo.t);
+    at_floor.L = models::PairTable(n, lo.L);
+    at_floor.inv_beta = models::PairTable(n, lo.inv_beta);
+    const core::ScheduleSet set(n, topo.empty() ? nullptr : &topo);
+    core::ScheduleScratch scratch;
+    const int root = int(rng.uniform_int(0, n - 1));
+    std::vector<std::vector<int>> mappings = {{}};
+    for (int k = 0; k < 3; ++k) {
+      std::vector<int> mapping = trees::default_mapping(n, root);
+      for (std::size_t i = mapping.size(); i > 2; --i)
+        std::swap(mapping[i - 1],
+                  mapping[std::size_t(rng.uniform_int(1, std::int64_t(i) - 1))]);
+      mappings.push_back(std::move(mapping));
+    }
+    for (const Bytes m : {Bytes(0), Bytes(13), Bytes(3000), Bytes(70001),
+                          Bytes(600000)})
+      for (const auto kind :
+           {CollectiveKind::kScatter, CollectiveKind::kGather,
+            CollectiveKind::kBcast, CollectiveKind::kReduce}) {
+        const double floor = set.binomial_floor(lo, kind, m, scratch);
+        EXPECT_GE(floor, 0.0);
+        for (const auto& mapping : mappings) {
+          const double closed =
+              set.binomial_closed_time(p, kind, root, m, mapping, scratch);
+          const double replay = set.tree_time(p, TreeKind::kBinomial, kind,
+                                              root, m, mapping, 0, scratch);
+          const std::string where =
+              "trial " + std::to_string(trial) + " n=" + std::to_string(n) +
+              " m=" + std::to_string(m) + " " + core::collective_name(kind);
+          EXPECT_LE(floor, closed) << where;
+          EXPECT_LE(closed, replay * (1.0 + 1e-9)) << where;
+          EXPECT_EQ(floor, set.binomial_closed_time(at_floor, kind, root, m,
+                                                    mapping, scratch))
+              << where;
+        }
+      }
+  }
+}
+
 /// The acceptance bar: across the Fig. 6 message-size sweep, executing
 /// the tuner's chosen (algorithm, segment) is within 10% of the best
 /// simulated candidate.
