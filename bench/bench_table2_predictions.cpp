@@ -95,10 +95,8 @@ int run(int argc, char** argv) {
   bench::emit(err, cli, "Mean relative error vs simulated observation");
 
   if (bench::reporting()) {
-    obs::Json est = obs::Json::object();
-    est["lmo"] = core::params_json(lmo.params);
-    est["gather_empirical"] = core::empirical_json(emp.empirical);
-    bench::report_set("estimated_parameters", std::move(est));
+    bench::report_set("estimated_parameters",
+                      core::model_json(lmo.params, emp.empirical));
     bench::report_set("mean_relative_error", std::move(err_json));
     obs::Json cost = obs::Json::object();
     auto model_cost = [&](const char* name, std::uint64_t world_runs,

@@ -1,16 +1,16 @@
 // lmo_tool — the command-line workflow of the paper's software tool [13]:
 //
-//   lmo_tool make-cluster --out cluster.cfg [--nodes N] [--seed S]
+//   lmo_tool make-cluster --out cluster.json [--nodes N] [--seed S]
 //            [--switches S --nodes N --cores C]
-//       write a cluster description (default: the Table-I cluster;
+//       write a JSON cluster description (default: the Table-I cluster;
 //       --switches makes a hierarchical S x N x C multi-core cluster);
-//   lmo_tool estimate --cluster cluster.cfg --out model.cfg
+//   lmo_tool estimate --cluster cluster.json --out model.json
 //       run the LMO estimation experiments on the (simulated) cluster and
-//       persist the point-to-point + empirical parameters;
-//   lmo_tool predict --model model.cfg --op scatter|gather|bcast|reduce
+//       persist the point-to-point + empirical parameters as a JSON model;
+//   lmo_tool predict --model model.json --op scatter|gather|bcast|reduce
 //            [--size BYTES] [--root R]
 //       predict the collective's execution time from the saved model;
-//   lmo_tool tune --model model.cfg --op ... --size BYTES
+//   lmo_tool tune --model model.json --op ... --size BYTES
 //       print the tuned algorithm decision for one invocation;
 //   lmo_tool estimate ... --shard i/k --measurements-save shard_i.json
 //       measure only shard i of k of the estimation experiments (no fit) —
@@ -58,7 +58,7 @@ int usage() {
 }
 
 int cmd_make_cluster(const Cli& cli) {
-  const std::string out = cli.get("out", "cluster.cfg");
+  const std::string out = cli.get("out", "cluster.json");
   const auto seed = std::uint64_t(cli.get_int("seed", 1));
   const int switches = int(cli.get_int("switches", 0));
   const int nodes = int(cli.get_int("nodes", 0));
@@ -78,8 +78,8 @@ int cmd_make_cluster(const Cli& cli) {
 }
 
 int cmd_estimate(const Cli& cli) {
-  const auto cfg = sim::load_cluster(cli.get("cluster", "cluster.cfg"));
-  const std::string out = cli.get("out", "model.cfg");
+  const auto cfg = sim::load_cluster(cli.get("cluster", "cluster.json"));
+  const std::string out = cli.get("out", "model.json");
   vmpi::World world(cfg);
   world.set_trace_sink(obs::global_sink());
   // --fault-* rates (default 0 = off) exercise the recovery pipeline:
@@ -182,11 +182,9 @@ int cmd_estimate(const Cli& cli) {
     obs::ReportBuilder report("lmo_tool");
     report.provenance("seed", std::int64_t(cfg.seed));
     report.provenance("jobs", cli.get_int("jobs", 0));
-    report.set("cluster", cli.get("cluster", "cluster.cfg"));
-    obs::Json est = obs::Json::object();
-    est["lmo"] = core::params_json(lmo.params);
-    est["gather_empirical"] = core::empirical_json(emp.empirical);
-    report.set("estimated_parameters", std::move(est));
+    report.set("cluster", cli.get("cluster", "cluster.json"));
+    report.set("estimated_parameters",
+               core::model_json(lmo.params, emp.empirical));
     obs::Json cost = obs::Json::object();
     cost["roundtrip_experiments"] = lmo.roundtrip_experiments;
     cost["one_to_two_experiments"] = lmo.one_to_two_experiments;
@@ -297,7 +295,7 @@ int cmd_merge(const Cli& cli) {
 }
 
 int cmd_predict(const Cli& cli) {
-  const auto loaded = core::load_params(cli.get("model", "model.cfg"));
+  const auto loaded = core::load_params(cli.get("model", "model.json"));
   const auto kind = core::parse_collective(cli.get("op", "scatter"));
   const Bytes m = cli.get_bytes("size", 65536);
   const int root = int(cli.get_int("root", 0));
@@ -325,7 +323,7 @@ int cmd_predict(const Cli& cli) {
 }
 
 int cmd_tune(const Cli& cli) {
-  const auto loaded = core::load_params(cli.get("model", "model.cfg"));
+  const auto loaded = core::load_params(cli.get("model", "model.json"));
   const auto kind = core::parse_collective(cli.get("op", "scatter"));
   const Bytes m = cli.get_bytes("size", 65536);
   const int root = int(cli.get_int("root", 0));

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <limits>
 #include <ostream>
 #include <sstream>
@@ -110,8 +111,11 @@ double Json::as_double() const {
 
 std::int64_t Json::as_int() const {
   if (std::holds_alternative<double>(v_)) {
+    // Range-check before the cast: converting a double outside int64's
+    // range (or nan) is undefined behaviour. -2^63 and 2^63 are exact.
     const double d = std::get<double>(v_);
-    LMO_CHECK_MSG(d == std::int64_t(d), "JSON number is not integral");
+    if (!(d >= -0x1p63 && d < 0x1p63) || d != std::trunc(d))
+      throw Error("JSON number " + dump() + " is not an int64 integer");
     return std::int64_t(d);
   }
   LMO_CHECK_MSG(std::holds_alternative<std::int64_t>(v_),
@@ -451,5 +455,102 @@ class Parser {
 }  // namespace
 
 Json Json::parse(std::string_view text) { return Parser(text).document(); }
+
+// ------------------------------------------------------- JsonField ----
+
+void JsonField::fail(const std::string& what) const {
+  throw Error(std::string(doc_) + ": " +
+              (path_.empty() ? std::string("document root")
+                             : "field '" + path_ + "'") +
+              " " + what);
+}
+
+JsonField JsonField::operator[](const std::string& key) const {
+  if (!v_.is_object()) fail("must be a JSON object");
+  std::string at = path_.empty() ? key : path_ + "." + key;
+  const Json* j = v_.find(key);
+  if (j == nullptr)
+    throw Error(std::string(doc_) + ": missing field '" + at + "'");
+  return JsonField(*j, std::move(at), doc_);
+}
+
+JsonField JsonField::operator[](std::size_t i) const {
+  if (i >= size()) fail("has no entry " + std::to_string(i));
+  return JsonField(v_[i], path_ + "[" + std::to_string(i) + "]", doc_);
+}
+
+std::size_t JsonField::size() const {
+  if (!v_.is_array()) fail("must be an array");
+  return v_.size();
+}
+
+void JsonField::expect_size(std::size_t n) const {
+  if (size() != n)
+    fail("has " + std::to_string(size()) + " entries, expected " +
+         std::to_string(n));
+}
+
+double JsonField::number() const {
+  if (!v_.is_number()) fail("must be a number");
+  const double v = v_.as_double();
+  if (!std::isfinite(v)) fail("= " + std::to_string(v) + " is not finite");
+  return v;
+}
+
+std::int64_t JsonField::integer(std::int64_t lo, std::int64_t hi) const {
+  if (!v_.is_number()) fail("must be an integer");
+  std::int64_t v = 0;
+  try {
+    v = v_.as_int();
+  } catch (const Error&) {
+    fail("= " + v_.dump() + " is not an int64 integer");
+  }
+  if (v < lo || v > hi)
+    fail("= " + std::to_string(v) + ", must be in [" + std::to_string(lo) +
+         ", " + std::to_string(hi) + "]");
+  return v;
+}
+
+bool JsonField::boolean() const {
+  if (!v_.is_bool()) fail("must be a boolean");
+  return v_.as_bool();
+}
+
+const std::string& JsonField::string() const {
+  if (!v_.is_string()) fail("must be a string");
+  return v_.as_string();
+}
+
+std::vector<double> JsonField::numbers() const {
+  std::vector<double> out(size());
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = (*this)[i].number();
+  return out;
+}
+
+void save_json(const Json& doc, const std::string& path) {
+  std::ofstream os(path);
+  if (!os.good()) throw Error("cannot open " + path + " for writing");
+  doc.dump(os, 2);
+  os << "\n";
+  if (!os.good()) throw Error("write failed: " + path);
+}
+
+Json load_json(const std::string& path, const std::string& regenerate) {
+  std::ifstream is(path);
+  if (!is.good()) throw Error("cannot open " + path);
+  std::ostringstream buffer;
+  buffer << is.rdbuf();
+  const std::string text = buffer.str();
+  const auto first = text.find_first_not_of(" \t\r\n");
+  if (first == std::string::npos || text[first] != '{')
+    throw Error(path +
+                ": not a JSON document (the `key = value` text format was "
+                "removed); regenerate it with `" + regenerate + "`");
+  try {
+    return Json::parse(text);
+  } catch (const Error& e) {
+    throw Error(path + ": " + e.what());
+  }
+}
 
 }  // namespace lmo::obs

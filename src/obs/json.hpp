@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -72,6 +73,7 @@ class Json {
 
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] double as_double() const;  ///< int64 converts
+  /// Throws lmo::Error unless the number is integral and in int64 range.
   [[nodiscard]] std::int64_t as_int() const;
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] const Array& items() const;
@@ -94,5 +96,60 @@ class Json {
                Array, Object>
       v_ = nullptr;
 };
+
+/// A value of a persisted document (cluster config, model file) together
+/// with its field path, for the readers of those documents: every typed
+/// access that finds something else throws lmo::Error
+/// "<doc>: field '<path>' ...", naming the exact field — e.g.
+/// "topology.levels[1].bandwidth_bps" or "lmo.L[2][5]".
+class JsonField {
+ public:
+  /// The document root; `doc` ("cluster config", "model") prefixes every
+  /// error and must outlive the field.
+  JsonField(const Json& root, const char* doc) : v_(root), doc_(doc) {}
+  JsonField(Json&&, const char*) = delete;  // would dangle
+
+  [[nodiscard]] bool has(const std::string& key) const {
+    return v_.find(key) != nullptr;
+  }
+  /// Object member; throws naming the missing field.
+  [[nodiscard]] JsonField operator[](const std::string& key) const;
+  /// Array element; throws unless this is an array holding index i.
+  [[nodiscard]] JsonField operator[](std::size_t i) const;
+  /// Array length; throws unless this is an array.
+  [[nodiscard]] std::size_t size() const;
+  /// Throws unless this is an array of exactly n entries.
+  void expect_size(std::size_t n) const;
+
+  [[nodiscard]] double number() const;  ///< finite
+  /// An integer in [lo, hi].
+  [[nodiscard]] std::int64_t integer(
+      std::int64_t lo = std::numeric_limits<std::int64_t>::min(),
+      std::int64_t hi = std::numeric_limits<std::int64_t>::max()) const;
+  [[nodiscard]] bool boolean() const;
+  [[nodiscard]] const std::string& string() const;
+  [[nodiscard]] std::vector<double> numbers() const;  ///< array of finite
+
+  /// Throw "<doc>: field '<path>' <what>".
+  [[noreturn]] void fail(const std::string& what) const;
+
+ private:
+  JsonField(const Json& v, std::string path, const char* doc)
+      : v_(v), path_(std::move(path)), doc_(doc) {}
+
+  const Json& v_;
+  std::string path_;  ///< empty at the document root
+  const char* doc_;
+};
+
+/// Write `doc` pretty-printed (two-space indent) to `path`.
+void save_json(const Json& doc, const std::string& path);
+
+/// Read and parse the JSON document at `path`; errors name the path. A
+/// file that does not start with '{' is refused up front with a hint that
+/// the `key = value` text formats were removed and that `regenerate` (a
+/// command) writes a current file.
+[[nodiscard]] Json load_json(const std::string& path,
+                             const std::string& regenerate);
 
 }  // namespace lmo::obs

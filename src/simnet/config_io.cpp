@@ -1,8 +1,6 @@
 #include "simnet/config_io.hpp"
 
-#include <cmath>
-#include <fstream>
-#include <sstream>
+#include <limits>
 
 #include "util/error.hpp"
 
@@ -10,97 +8,7 @@ namespace lmo::sim {
 
 namespace {
 using obs::Json;
-
-std::string trim(const std::string& s) {
-  const auto b = s.find_first_not_of(" \t\r");
-  if (b == std::string::npos) return "";
-  const auto e = s.find_last_not_of(" \t\r");
-  return s.substr(b, e - b + 1);
-}
-
-// --- v2 JSON field access, erroring with the full field path ------------
-
-std::string path_join(const std::string& parent, const std::string& key) {
-  return parent.empty() ? key : parent + "." + key;
-}
-
-const Json& req(const Json& o, const std::string& parent, const char* key) {
-  if (!o.is_object())
-    throw Error("cluster config: " +
-                (parent.empty() ? std::string("document root") : parent) +
-                " must be a JSON object");
-  const Json* j = o.find(key);
-  if (!j)
-    throw Error("cluster config: missing field '" + path_join(parent, key) +
-                "'");
-  return *j;
-}
-
-double num_field(const Json& o, const std::string& parent, const char* key) {
-  const Json& j = req(o, parent, key);
-  if (!j.is_number())
-    throw Error("cluster config: field '" + path_join(parent, key) +
-                "' must be a number");
-  const double v = j.as_double();
-  if (!std::isfinite(v))
-    throw Error("cluster config: field '" + path_join(parent, key) + "' = " +
-                std::to_string(v) + " is not finite");
-  return v;
-}
-
-std::int64_t int_field(const Json& o, const std::string& parent,
-                       const char* key) {
-  const Json& j = req(o, parent, key);
-  if (!j.is_number())
-    throw Error("cluster config: field '" + path_join(parent, key) +
-                "' must be an integer");
-  return j.as_int();
-}
-
-bool bool_field(const Json& o, const std::string& parent, const char* key) {
-  const Json& j = req(o, parent, key);
-  if (!j.is_bool())
-    throw Error("cluster config: field '" + path_join(parent, key) +
-                "' must be a boolean");
-  return j.as_bool();
-}
-
-std::string str_field(const Json& o, const std::string& parent,
-                      const char* key) {
-  const Json& j = req(o, parent, key);
-  if (!j.is_string())
-    throw Error("cluster config: field '" + path_join(parent, key) +
-                "' must be a string");
-  return j.as_string();
-}
-
-const Json& array_field(const Json& o, const std::string& parent,
-                        const char* key) {
-  const Json& j = req(o, parent, key);
-  if (!j.is_array())
-    throw Error("cluster config: field '" + path_join(parent, key) +
-                "' must be an array");
-  return j;
-}
-
-std::vector<double> num_list(const Json& o, const std::string& parent,
-                             const char* key) {
-  const Json& arr = array_field(o, parent, key);
-  std::vector<double> out;
-  out.reserve(arr.size());
-  for (std::size_t i = 0; i < arr.size(); ++i) {
-    const std::string at =
-        path_join(parent, key) + "[" + std::to_string(i) + "]";
-    if (!arr[i].is_number())
-      throw Error("cluster config: field '" + at + "' must be a number");
-    const double v = arr[i].as_double();
-    if (!std::isfinite(v))
-      throw Error("cluster config: field '" + at + "' = " +
-                  std::to_string(v) + " is not finite");
-    out.push_back(v);
-  }
-  return out;
-}
+using obs::JsonField;
 
 // The six NodeParams fields, shared by the "nodes", "profiles" and
 // "overrides" sections.
@@ -114,55 +22,18 @@ void node_params_to_json(Json& jn, const NodeParams& n) {
   jn["latency_s"] = n.latency_s;
 }
 
-NodeParams node_params_from_json(const Json& jn, const std::string& at) {
+NodeParams node_params_from_json(const JsonField& jn) {
   NodeParams n;
-  n.label = str_field(jn, at, "label");
-  n.type = int(int_field(jn, at, "type"));
-  n.fixed_delay_s = num_field(jn, at, "fixed_delay_s");
-  n.per_byte_s = num_field(jn, at, "per_byte_s");
-  n.link_rate_bps = num_field(jn, at, "link_rate_bps");
-  n.latency_s = num_field(jn, at, "latency_s");
+  n.label = jn["label"].string();
+  n.type = int(jn["type"].integer(std::numeric_limits<int>::min(),
+                                  std::numeric_limits<int>::max()));
+  n.fixed_delay_s = jn["fixed_delay_s"].number();
+  n.per_byte_s = jn["per_byte_s"].number();
+  n.link_rate_bps = jn["link_rate_bps"].number();
+  n.latency_s = jn["latency_s"].number();
   return n;
 }
 }  // namespace
-
-std::string to_text(const ClusterConfig& cfg) {
-  std::ostringstream os;
-  os.precision(17);
-  os << "[cluster]\n";
-  os << "switch_latency_s = " << cfg.switch_latency_s << "\n";
-  os << "noise_rel = " << cfg.noise_rel << "\n";
-  os << "seed = " << cfg.seed << "\n";
-  const auto& q = cfg.quirks;
-  os << "[quirks]\n";
-  os << "enabled = " << (q.enabled ? 1 : 0) << "\n";
-  os << "rendezvous_threshold = " << q.rendezvous_threshold << "\n";
-  os << "escalation_min = " << q.escalation_min << "\n";
-  os << "escalation_peak_prob = " << q.escalation_peak_prob << "\n";
-  os << "frag_threshold = " << q.frag_threshold << "\n";
-  os << "frag_leap_s = " << q.frag_leap_s << "\n";
-  os << "send_buffer = " << q.send_buffer << "\n";
-  auto emit_list = [&os](const char* key, const std::vector<double>& v) {
-    os << key << " = ";
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      if (i) os << ", ";
-      os << v[i];
-    }
-    os << "\n";
-  };
-  emit_list("escalation_values_s", q.escalation_values_s);
-  emit_list("escalation_weights", q.escalation_weights);
-  for (const auto& n : cfg.nodes) {
-    os << "[node]\n";
-    os << "label = " << n.label << "\n";
-    os << "type = " << n.type << "\n";
-    os << "fixed_delay_s = " << n.fixed_delay_s << "\n";
-    os << "per_byte_s = " << n.per_byte_s << "\n";
-    os << "link_rate_bps = " << n.link_rate_bps << "\n";
-    os << "latency_s = " << n.latency_s << "\n";
-  }
-  return os.str();
-}
 
 Json to_json(const ClusterConfig& cfg) {
   Json root = Json::object();
@@ -270,228 +141,112 @@ Json to_json(const ClusterConfig& cfg) {
   return root;
 }
 
-ClusterConfig cluster_from_json(const Json& root) {
-  const std::string schema = str_field(root, "", "schema");
+ClusterConfig cluster_from_json(const Json& doc) {
+  const JsonField root(doc, "cluster config");
+  const std::string& schema = root["schema"].string();
   if (schema != "lmo.cluster/2")
-    throw Error("cluster config: schema = '" + schema +
-                "', expected 'lmo.cluster/2'");
+    root["schema"].fail("= '" + schema + "', expected 'lmo.cluster/2'");
 
   ClusterConfig cfg;
-  cfg.nodes.clear();
-  const Json& cl = req(root, "", "cluster");
-  cfg.switch_latency_s = num_field(cl, "cluster", "switch_latency_s");
-  cfg.noise_rel = num_field(cl, "cluster", "noise_rel");
-  cfg.seed = std::uint64_t(int_field(cl, "cluster", "seed"));
+  const JsonField cl = root["cluster"];
+  cfg.switch_latency_s = cl["switch_latency_s"].number();
+  cfg.noise_rel = cl["noise_rel"].number();
+  cfg.seed = std::uint64_t(cl["seed"].integer());
 
-  const Json& qj = req(root, "", "quirks");
+  const JsonField qj = root["quirks"];
   TcpQuirks& q = cfg.quirks;
-  q.enabled = bool_field(qj, "quirks", "enabled");
-  q.rendezvous_threshold = int_field(qj, "quirks", "rendezvous_threshold");
-  q.escalation_min = int_field(qj, "quirks", "escalation_min");
-  q.escalation_peak_prob = num_field(qj, "quirks", "escalation_peak_prob");
-  q.escalation_values_s = num_list(qj, "quirks", "escalation_values_s");
-  q.escalation_weights = num_list(qj, "quirks", "escalation_weights");
-  q.frag_threshold = int_field(qj, "quirks", "frag_threshold");
-  q.frag_leap_s = num_field(qj, "quirks", "frag_leap_s");
-  q.send_buffer = int_field(qj, "quirks", "send_buffer");
+  q.enabled = qj["enabled"].boolean();
+  q.rendezvous_threshold = qj["rendezvous_threshold"].integer();
+  q.escalation_min = qj["escalation_min"].integer();
+  q.escalation_peak_prob = qj["escalation_peak_prob"].number();
+  q.escalation_values_s = qj["escalation_values_s"].numbers();
+  q.escalation_weights = qj["escalation_weights"].numbers();
+  q.frag_threshold = qj["frag_threshold"].integer();
+  q.frag_leap_s = qj["frag_leap_s"].number();
+  q.send_buffer = qj["send_buffer"].integer();
 
-  if (root.find("profiles")) {
-    const Json& profiles = array_field(root, "", "profiles");
+  if (root.has("profiles")) {
+    const JsonField profiles = root["profiles"];
     for (std::size_t k = 0; k < profiles.size(); ++k) {
-      const std::string at = "profiles[" + std::to_string(k) + "]";
       NodeProfile p;
-      p.name = str_field(profiles[k], at, "name");
-      p.params = node_params_from_json(profiles[k], at);
+      p.name = profiles[k]["name"].string();
+      p.params = node_params_from_json(profiles[k]);
       cfg.profiles.push_back(std::move(p));
     }
-    const Json& runs = array_field(root, "", "profile_of");
+    // [index, count] runs. Counts are checked against the rank ceiling
+    // before anything is inserted: a hostile count must fail by name, not
+    // exhaust memory.
+    const JsonField runs = root["profile_of"];
+    std::int64_t ranks = 0;
     for (std::size_t k = 0; k < runs.size(); ++k) {
-      const std::string at = "profile_of[" + std::to_string(k) + "]";
-      if (!runs[k].is_array() || runs[k].size() != 2 ||
-          !runs[k][0].is_number() || !runs[k][1].is_number())
-        throw Error("cluster config: field '" + at +
-                    "' must be an [index, count] pair");
-      const int idx = int(runs[k][0].as_int());
-      const std::int64_t count = runs[k][1].as_int();
-      if (count < 1)
-        throw Error("cluster config: field '" + at + "' has count " +
-                    std::to_string(count) + ", must be >= 1");
+      const JsonField run = runs[k];
+      run.expect_size(2);  // [index, count]
+      const auto idx = int(
+          run[0].integer(0, std::int64_t(cfg.profiles.size()) - 1));
+      const std::int64_t count = run[1].integer(1, kMaxRanks - ranks);
+      ranks += count;
       cfg.profile_of.insert(cfg.profile_of.end(), std::size_t(count), idx);
     }
     cfg.materialize_profiles();
-    if (const Json* overrides = root.find("overrides")) {
-      for (std::size_t k = 0; k < overrides->size(); ++k) {
-        const std::string at = "overrides[" + std::to_string(k) + "]";
-        const int rank = int(int_field((*overrides)[k], at, "rank"));
-        if (rank < 0 || rank >= cfg.size())
-          throw Error("cluster config: field '" + at + ".rank' = " +
-                      std::to_string(rank) + " out of range for " +
-                      std::to_string(cfg.size()) + " ranks");
-        cfg.nodes[std::size_t(rank)] =
-            node_params_from_json((*overrides)[k], at);
+    if (root.has("overrides")) {
+      const JsonField overrides = root["overrides"];
+      for (std::size_t k = 0; k < overrides.size(); ++k) {
+        const auto rank = overrides[k]["rank"].integer(0, cfg.size() - 1);
+        cfg.nodes[std::size_t(rank)] = node_params_from_json(overrides[k]);
       }
     }
   } else {
-    const Json& nodes = array_field(root, "", "nodes");
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      const std::string at = "nodes[" + std::to_string(i) + "]";
-      cfg.nodes.push_back(node_params_from_json(nodes[i], at));
-    }
+    const JsonField nodes = root["nodes"];
+    for (std::size_t i = 0; i < nodes.size(); ++i)
+      cfg.nodes.push_back(node_params_from_json(nodes[i]));
   }
 
-  if (const Json* topo = root.find("topology")) {
-    const Json& levels = array_field(*topo, "topology", "levels");
+  if (root.has("topology")) {
+    const JsonField topo = root["topology"];
+    const JsonField levels = topo["levels"];
     std::vector<TopologyLevel> specs;
     for (std::size_t l = 0; l < levels.size(); ++l) {
-      const std::string at = "topology.levels[" + std::to_string(l) + "]";
+      const JsonField level = levels[l];
       TopologyLevel lv;
-      lv.name = str_field(levels[l], at, "name");
-      lv.forward_latency_s = num_field(levels[l], at, "forward_latency_s");
-      lv.bandwidth_bps = num_field(levels[l], at, "bandwidth_bps");
-      lv.contended = bool_field(levels[l], at, "contended");
+      lv.name = level["name"].string();
+      lv.forward_latency_s = level["forward_latency_s"].number();
+      lv.bandwidth_bps = level["bandwidth_bps"].number();
+      lv.contended = level["contended"].boolean();
       specs.push_back(std::move(lv));
     }
-    if (topo->find("fanout")) {
-      const Json& fanout = array_field(*topo, "topology", "fanout");
+    const bool balanced = topo.has("fanout");
+    const JsonField places = topo[balanced ? "fanout" : "groups"];
+    places.expect_size(specs.size());  // one entry per level
+    if (balanced) {
       std::vector<int> counts;
-      for (std::size_t l = 0; l < fanout.size(); ++l) {
-        if (!fanout[l].is_number())
-          throw Error("cluster config: field 'topology.fanout[" +
-                      std::to_string(l) + "]' must be an integer");
-        counts.push_back(int(fanout[l].as_int()));
-      }
-      if (counts.size() != specs.size())
-        throw Error("cluster config: topology.fanout has " +
-                    std::to_string(counts.size()) +
-                    " entries but topology.levels has " +
-                    std::to_string(specs.size()));
+      for (std::size_t l = 0; l < places.size(); ++l)
+        counts.push_back(int(places[l].integer(1, kMaxRanks)));
       // Rebuilding through balanced() reproduces the exact placement (and
       // the fanout hint), so a fanout-form config round-trips bit-exactly.
       cfg.topology = Topology::balanced(counts, std::move(specs));
-      cfg.validate();
-      return cfg;
-    }
-    const Json& groups = array_field(*topo, "topology", "groups");
-    if (groups.size() != specs.size())
-      throw Error("cluster config: topology.groups has " +
-                  std::to_string(groups.size()) +
-                  " placement arrays but topology.levels has " +
-                  std::to_string(specs.size()));
-    std::vector<std::vector<int>> group_of;
-    for (std::size_t l = 0; l < groups.size(); ++l) {
-      const std::string at = "topology.groups[" + std::to_string(l) + "]";
-      if (!groups[l].is_array())
-        throw Error("cluster config: field '" + at + "' must be an array");
-      std::vector<int> row;
-      row.reserve(groups[l].size());
-      for (std::size_t r = 0; r < groups[l].size(); ++r) {
-        if (!groups[l][r].is_number())
-          throw Error("cluster config: field '" + at + "[" +
-                      std::to_string(r) + "]' must be an integer");
-        row.push_back(int(groups[l][r].as_int()));
+    } else {
+      std::vector<std::vector<int>> group_of(places.size());
+      for (std::size_t l = 0; l < places.size(); ++l) {
+        const JsonField row = places[l];
+        for (std::size_t r = 0; r < row.size(); ++r)
+          group_of[l].push_back(int(row[r].integer(0, kMaxRanks - 1)));
       }
-      group_of.push_back(std::move(row));
+      cfg.topology = Topology::custom(std::move(specs), std::move(group_of));
     }
-    cfg.topology = Topology::custom(std::move(specs), std::move(group_of));
   }
 
-  cfg.validate();
-  return cfg;
-}
-
-ClusterConfig cluster_from_text(const std::string& text) {
-  const auto first = text.find_first_not_of(" \t\r\n");
-  if (first != std::string::npos && text[first] == '{')
-    return cluster_from_json(Json::parse(text));
-  ClusterConfig cfg;
-  cfg.nodes.clear();
-  std::istringstream is(text);
-  std::string line, section;
-  int lineno = 0;
-  NodeParams* node = nullptr;
-  while (std::getline(is, line)) {
-    ++lineno;
-    line = trim(line);
-    if (line.empty() || line[0] == '#') continue;
-    if (line.front() == '[' && line.back() == ']') {
-      section = line.substr(1, line.size() - 2);
-      if (section == "node") {
-        cfg.nodes.emplace_back();
-        node = &cfg.nodes.back();
-      }
-      continue;
-    }
-    const auto eq = line.find('=');
-    LMO_CHECK_MSG(eq != std::string::npos,
-                  "config line " + std::to_string(lineno) + ": missing '='");
-    const std::string key = trim(line.substr(0, eq));
-    const std::string value = trim(line.substr(eq + 1));
-    auto d = [&] { return std::stod(value); };
-    auto ll = [&] { return std::stoll(value); };
-    try {
-      if (section == "cluster") {
-        if (key == "switch_latency_s") cfg.switch_latency_s = d();
-        else if (key == "noise_rel") cfg.noise_rel = d();
-        else if (key == "seed") cfg.seed = std::uint64_t(ll());
-        else LMO_CHECK_MSG(false, "unknown cluster key: " + key);
-      } else if (section == "quirks") {
-        auto& q = cfg.quirks;
-        if (key == "enabled") q.enabled = ll() != 0;
-        else if (key == "rendezvous_threshold") q.rendezvous_threshold = ll();
-        else if (key == "escalation_min") q.escalation_min = ll();
-        else if (key == "escalation_peak_prob") q.escalation_peak_prob = d();
-        else if (key == "frag_threshold") q.frag_threshold = ll();
-        else if (key == "frag_leap_s") q.frag_leap_s = d();
-        else if (key == "send_buffer") q.send_buffer = ll();
-        else if (key == "escalation_values_s" ||
-                 key == "escalation_weights") {
-          std::vector<double> row;
-          std::istringstream cells(value);
-          std::string cell;
-          while (std::getline(cells, cell, ','))
-            row.push_back(std::stod(trim(cell)));
-          (key == "escalation_values_s" ? q.escalation_values_s
-                                        : q.escalation_weights) =
-              std::move(row);
-        } else LMO_CHECK_MSG(false, "unknown quirks key: " + key);
-      } else if (section == "node") {
-        LMO_CHECK_MSG(node != nullptr, "node key outside [node] section");
-        if (key == "label") node->label = value;
-        else if (key == "type") node->type = int(ll());
-        else if (key == "fixed_delay_s") node->fixed_delay_s = d();
-        else if (key == "per_byte_s") node->per_byte_s = d();
-        else if (key == "link_rate_bps") node->link_rate_bps = d();
-        else if (key == "latency_s") node->latency_s = d();
-        else LMO_CHECK_MSG(false, "unknown node key: " + key);
-      } else {
-        LMO_CHECK_MSG(false, "unknown section: " + section);
-      }
-    } catch (const std::invalid_argument&) {
-      throw Error("config line " + std::to_string(lineno) +
-                  ": bad number '" + value + "'");
-    }
-  }
   cfg.validate();
   return cfg;
 }
 
 void save_cluster(const ClusterConfig& cfg, const std::string& path) {
-  std::ofstream os(path);
-  LMO_CHECK_MSG(os.good(), "cannot open " + path + " for writing");
-  if (cfg.topology.empty())
-    os << to_text(cfg);
-  else
-    os << to_json(cfg).dump(2) << "\n";
-  LMO_CHECK_MSG(os.good(), "write failed: " + path);
+  obs::save_json(to_json(cfg), path);
 }
 
 ClusterConfig load_cluster(const std::string& path) {
-  std::ifstream is(path);
-  LMO_CHECK_MSG(is.good(), "cannot open " + path);
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
+  const Json doc = obs::load_json(path, "lmo_tool make-cluster");
   try {
-    return cluster_from_text(buffer.str());
+    return cluster_from_json(doc);
   } catch (const Error& e) {
     throw Error(path + ": " + e.what());
   }

@@ -2,20 +2,15 @@
 //
 // The paper's software tool [13] persists what it learns about a cluster;
 // we do the same for both the simulated cluster description and (in
-// core/params_io) the estimated model parameters. Two formats coexist:
-//
-//  * v1 — line-oriented "key = value" text with [section] headers:
-//    diffable, hand-editable, and what every flat (no-topology) config
-//    saves as, byte-compatible with earlier releases.
-//  * v2 — JSON ("lmo.cluster/2") adding a `topology` section (levels and
-//    per-level group placement). Doubles print with the shortest
-//    round-tripping representation, so save/load is bit-exact.
-//
-// cluster_from_text() sniffs the format ('{' starts v2); a v1 file maps
-// onto the empty topology, i.e. the degenerate flat tree.
+// core/params_io) the estimated model parameters. A config is one JSON
+// document ("lmo.cluster/2"): the cluster constants, the TCP quirks, the
+// nodes (per rank, or as a profile table plus a run-length rank -> profile
+// index) and, for hierarchical clusters, a `topology` section (levels and
+// per-level group placement). No topology is the degenerate flat tree.
+// Doubles print with the shortest round-tripping representation, so
+// save/load is bit-exact.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 
 #include "obs/json.hpp"
@@ -23,30 +18,19 @@
 
 namespace lmo::sim {
 
-/// Serialize the full configuration in the v1 text format (nodes, quirks,
-/// noise, seed). The topology is NOT representable here — use to_json for
-/// hierarchical configs.
-[[nodiscard]] std::string to_text(const ClusterConfig& cfg);
-
-/// Serialize as a v2 "lmo.cluster/2" JSON document, including the
-/// topology section when the config has one. Bit-exact round trip through
+/// Serialize as an "lmo.cluster/2" JSON document, including the topology
+/// section when the config has one. Bit-exact round trip through
 /// cluster_from_json.
 [[nodiscard]] obs::Json to_json(const ClusterConfig& cfg);
 
-/// Parse a v2 document; throws lmo::Error naming the offending field path
+/// Parse a document; throws lmo::Error naming the offending field path
 /// (e.g. "topology.levels[1].bandwidth_bps") on malformed, negative or
 /// non-finite values. The result is validate()d.
 [[nodiscard]] ClusterConfig cluster_from_json(const obs::Json& root);
 
-/// Parse either format: a leading '{' selects v2 JSON, anything else the
-/// v1 text format (throwing lmo::Error with a line number on malformed
-/// input). The result is validate()d.
-[[nodiscard]] ClusterConfig cluster_from_text(const std::string& text);
-
-/// File helpers. save_cluster writes v1 text for flat configs (bytes
-/// unchanged from earlier releases) and v2 JSON when a topology is
-/// present; load_cluster sniffs the format and prefixes errors with the
-/// file path.
+/// File helpers. load_cluster prefixes errors with the file path and
+/// refuses a file that is not JSON (the removed `key = value` format),
+/// naming `lmo_tool make-cluster` as the way to regenerate it.
 void save_cluster(const ClusterConfig& cfg, const std::string& path);
 [[nodiscard]] ClusterConfig load_cluster(const std::string& path);
 

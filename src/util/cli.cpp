@@ -25,7 +25,7 @@ Cli::Cli(int argc, const char* const* argv, std::vector<std::string> known) {
     } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
       value = argv[++i];
     }
-    LMO_CHECK_MSG(is_known(name), "unknown option --" + name);
+    if (!is_known(name)) throw Error("unknown option --" + name);
     values_[name] = std::move(value);
   }
 }

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <sys/wait.h>
 
@@ -62,17 +63,102 @@ TEST(LmoToolExitTest, MissingModelFileFailsNamed) {
 }
 
 TEST(LmoToolExitTest, UnknownFlagFailsNamed) {
+  const RunResult r =
+      run(std::string(LMO_TOOL_BIN) + " make-cluster --no-such-flag x");
+  expect_named_failure(r, "unknown option --no-such-flag");
+  // A plain message: no assertion framing, no build path.
+  EXPECT_EQ(r.output.find("check failed"), std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find("cli.cpp"), std::string::npos) << r.output;
+}
+
+/// Write `text` to a file in the test's temp dir; returns its path.
+std::string temp_file(const std::string& name, const std::string& text) {
+  const std::string path = testing::TempDir() + name;
+  std::ofstream(path) << text;
+  return path;
+}
+
+/// A two-rank JSON model with the given C row and escalation mode.
+std::string model_json(const std::string& c, const std::string& mode) {
+  return R"({"schema": "lmo.model/1", "lmo": {"size": 2, "C": [)" + c +
+         R"(], "t": [5e-8, 6e-8], "L": [[0, 1e-5], [1e-5, 0]], )"
+         R"("inv_beta": [[0, 1e-8], [1e-8, 0]]}, "gather_empirical": )"
+         R"({"m1": 4096, "m2": 65536, "escalation_modes": [)" +
+         mode + R"(], "linear_prob_at_m1": 1, "linear_prob_at_m2": 1}})";
+}
+
+TEST(LmoToolExitTest, TextClusterFileFailsNamed) {
+  const std::string path = temp_file(
+      "lmo_exit_v1.cfg", "[cluster]\nnoise_rel = 1e999\nseed = 1\n");
+  const RunResult r = run(std::string(LMO_TOOL_BIN) + " estimate --cluster " +
+                          path + " --out /dev/null");
+  expect_named_failure(r, path);
+  EXPECT_NE(r.output.find("lmo_tool make-cluster"), std::string::npos)
+      << r.output;
+  std::remove(path.c_str());
+}
+
+TEST(LmoToolExitTest, TextModelFileFailsNamed) {
+  const std::string path =
+      temp_file("lmo_exit_text_model.cfg", "[lmo]\nsize = abc\n");
+  const RunResult r =
+      run(std::string(LMO_TOOL_BIN) + " predict --model " + path);
+  expect_named_failure(r, path);
+  EXPECT_NE(r.output.find("lmo_tool estimate"), std::string::npos)
+      << r.output;
+  std::remove(path.c_str());
+}
+
+TEST(LmoToolExitTest, NegativeModelTermFailsNamed) {
+  const std::string path = temp_file(
+      "lmo_exit_neg_c.json",
+      model_json("-1e-5, 2e-5",
+                 R"({"value": 0.05, "count": 3, "frequency": 1})"));
   expect_named_failure(
-      run(std::string(LMO_TOOL_BIN) + " make-cluster --no-such-flag x"),
-      "--no-such-flag");
+      run(std::string(LMO_TOOL_BIN) + " tune --model " + path), "lmo.C[0]");
+  std::remove(path.c_str());
+}
+
+TEST(LmoToolExitTest, NegativeModeCountFailsNamed) {
+  const std::string path = temp_file(
+      "lmo_exit_neg_count.json",
+      model_json("1e-5, 2e-5",
+                 R"({"value": 0.05, "count": -5, "frequency": 1})"));
+  expect_named_failure(
+      run(std::string(LMO_TOOL_BIN) + " predict --op gather --model " + path),
+      "gather_empirical.escalation_modes[0].count");
+  std::remove(path.c_str());
+}
+
+TEST(LmoToolExitTest, HugeProfileRunFailsNamed) {
+  // A valid profile-form cluster whose one run claims 4e12 ranks: must
+  // fail by name before allocating, not die of std::bad_alloc.
+  const std::string path = temp_file(
+      "lmo_exit_huge_run.json",
+      R"({"schema": "lmo.cluster/2",
+          "cluster": {"switch_latency_s": 1e-5, "noise_rel": 0.01,
+                      "seed": 1},
+          "quirks": {"enabled": true, "rendezvous_threshold": 65536,
+                     "escalation_min": 4096, "escalation_peak_prob": 0.12,
+                     "escalation_values_s": [0.05], "escalation_weights": [1],
+                     "frag_threshold": 65536, "frag_leap_s": 0.0008,
+                     "send_buffer": 131072},
+          "profiles": [{"name": "core", "label": "core", "type": 0,
+                        "fixed_delay_s": 1e-5, "per_byte_s": 1e-9,
+                        "link_rate_bps": 1.25e8, "latency_s": 1e-6}],
+          "profile_of": [[0, 4000000000000]]})");
+  expect_named_failure(run(std::string(LMO_TOOL_BIN) + " estimate --cluster " +
+                           path + " --out /dev/null"),
+                       "profile_of[0]");
+  std::remove(path.c_str());
 }
 
 TEST(LmoToolExitTest, BadCollectiveNameFailsNamed) {
   // The model file must exist for the failure to be about the op name:
   // make a cluster + model first, in the test's temp dir.
   const std::string dir = testing::TempDir();
-  const std::string cluster = dir + "lmo_exit_cluster.cfg";
-  const std::string model = dir + "lmo_exit_model.cfg";
+  const std::string cluster = dir + "lmo_exit_cluster.json";
+  const std::string model = dir + "lmo_exit_model.json";
   ASSERT_EQ(run(std::string(LMO_TOOL_BIN) + " make-cluster --nodes 4 --out " +
                 cluster)
                 .exit_code,
@@ -93,8 +179,8 @@ TEST(LmoToolExitTest, ForeignSeedMeasurementsFailNamed) {
   // platform, so estimate must refuse it rather than fit a model of the
   // wrong cluster from cached measurements.
   const std::string dir = testing::TempDir();
-  const std::string c1 = dir + "lmo_exit_seed1.cfg";
-  const std::string c2 = dir + "lmo_exit_seed2.cfg";
+  const std::string c1 = dir + "lmo_exit_cluster_seed1.json";
+  const std::string c2 = dir + "lmo_exit_cluster_seed2.json";
   const std::string store = dir + "lmo_exit_seed1.json";
   ASSERT_EQ(run(std::string(LMO_TOOL_BIN) +
                 " make-cluster --nodes 4 --seed 1 --out " + c1)
@@ -139,8 +225,8 @@ TEST(LmoServedExitTest, ForeignMeasurementsFailNamed) {
   // A store from a different cluster must refuse at startup (exit 1), not
   // silently serve a mixed-platform model.
   const std::string dir = testing::TempDir();
-  const std::string cluster = dir + "lmo_exit_served.cfg";
-  const std::string other = dir + "lmo_exit_other.cfg";
+  const std::string cluster = dir + "lmo_exit_served.json";
+  const std::string other = dir + "lmo_exit_other.json";
   const std::string store = dir + "lmo_exit_store.json";
   ASSERT_EQ(run(std::string(LMO_TOOL_BIN) + " make-cluster --nodes 4 --out " +
                 cluster)
@@ -164,7 +250,7 @@ TEST(LmoServedExitTest, ForeignMeasurementsFailNamed) {
 
 TEST(LmoServedExitTest, ShutdownRequestExitsZeroAndBadLinesDoNot) {
   const std::string dir = testing::TempDir();
-  const std::string cluster = dir + "lmo_exit_daemon.cfg";
+  const std::string cluster = dir + "lmo_exit_daemon.json";
   ASSERT_EQ(run(std::string(LMO_TOOL_BIN) + " make-cluster --nodes 4 --out " +
                 cluster)
                 .exit_code,

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 
 #include "core/params_io.hpp"
@@ -12,56 +13,89 @@
 namespace lmo {
 namespace {
 
+/// Runs `read` and expects an lmo::Error whose message contains `needle`.
+template <typename Read>
+void expect_error_naming(Read read, const std::string& needle) {
+  try {
+    read();
+    ADD_FAILURE() << "accepted; expected an error naming " << needle;
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+void write_file(const std::string& path, const std::string& text) {
+  std::ofstream(path) << text;
+}
+
+sim::ClusterConfig through_json(const sim::ClusterConfig& cfg) {
+  return sim::cluster_from_json(obs::Json::parse(sim::to_json(cfg).dump(2)));
+}
+
 TEST(ClusterIo, RoundTripPaperCluster) {
   const auto cfg = sim::make_paper_cluster(42);
-  const auto back = sim::cluster_from_text(sim::to_text(cfg));
+  const auto back = through_json(cfg);
   ASSERT_EQ(back.size(), cfg.size());
   EXPECT_EQ(back.seed, cfg.seed);
-  EXPECT_DOUBLE_EQ(back.switch_latency_s, cfg.switch_latency_s);
-  EXPECT_DOUBLE_EQ(back.noise_rel, cfg.noise_rel);
+  EXPECT_EQ(back.switch_latency_s, cfg.switch_latency_s);
+  EXPECT_EQ(back.noise_rel, cfg.noise_rel);
   EXPECT_EQ(back.quirks.enabled, cfg.quirks.enabled);
   EXPECT_EQ(back.quirks.rendezvous_threshold, cfg.quirks.rendezvous_threshold);
   EXPECT_EQ(back.quirks.escalation_values_s, cfg.quirks.escalation_values_s);
   EXPECT_EQ(back.quirks.escalation_weights, cfg.quirks.escalation_weights);
-  for (int i = 0; i < cfg.size(); ++i) {
-    EXPECT_EQ(back.nodes[std::size_t(i)].label, cfg.nodes[std::size_t(i)].label);
-    EXPECT_EQ(back.nodes[std::size_t(i)].type, cfg.nodes[std::size_t(i)].type);
-    EXPECT_DOUBLE_EQ(back.nodes[std::size_t(i)].fixed_delay_s,
-                     cfg.nodes[std::size_t(i)].fixed_delay_s);
-    EXPECT_DOUBLE_EQ(back.nodes[std::size_t(i)].per_byte_s,
-                     cfg.nodes[std::size_t(i)].per_byte_s);
-    EXPECT_DOUBLE_EQ(back.nodes[std::size_t(i)].link_rate_bps,
-                     cfg.nodes[std::size_t(i)].link_rate_bps);
-    EXPECT_DOUBLE_EQ(back.nodes[std::size_t(i)].latency_s,
-                     cfg.nodes[std::size_t(i)].latency_s);
+  for (std::size_t i = 0; i < cfg.nodes.size(); ++i) {
+    EXPECT_EQ(back.nodes[i].label, cfg.nodes[i].label);
+    EXPECT_EQ(back.nodes[i].type, cfg.nodes[i].type);
+    EXPECT_EQ(back.nodes[i].fixed_delay_s, cfg.nodes[i].fixed_delay_s);
+    EXPECT_EQ(back.nodes[i].per_byte_s, cfg.nodes[i].per_byte_s);
+    EXPECT_EQ(back.nodes[i].link_rate_bps, cfg.nodes[i].link_rate_bps);
+    EXPECT_EQ(back.nodes[i].latency_s, cfg.nodes[i].latency_s);
   }
 }
 
-TEST(ClusterIo, CommentsAndBlankLinesIgnored) {
-  const auto cfg = sim::make_random_cluster(3, 9);
-  std::string text = "# a comment\n\n" + sim::to_text(cfg) + "\n# tail\n";
-  const auto back = sim::cluster_from_text(text);
-  EXPECT_EQ(back.size(), 3);
+TEST(ClusterIo, RefusesTheRemovedTextFormat) {
+  const std::string path = ::testing::TempDir() + "lmo_v1_cluster.cfg";
+  write_file(path, "# a v1 config\n[cluster]\nseed = 1\n[node]\nlabel = a\n");
+  expect_error_naming([&] { (void)sim::load_cluster(path); }, path);
+  expect_error_naming([&] { (void)sim::load_cluster(path); },
+                      "`key = value` text format was removed");
+  expect_error_naming([&] { (void)sim::load_cluster(path); },
+                      "lmo_tool make-cluster");
+  // Blank lines before the document are fine.
+  write_file(path, "\n\n  " + sim::to_json(sim::make_random_cluster(3, 9))
+                                  .dump(2));
+  EXPECT_EQ(sim::load_cluster(path).size(), 3);
+  std::remove(path.c_str());
 }
 
 TEST(ClusterIo, RejectsMalformedInput) {
-  EXPECT_THROW((void)sim::cluster_from_text("[cluster]\nnonsense"), Error);
-  EXPECT_THROW((void)sim::cluster_from_text("[cluster]\nbogus_key = 1\n"),
-               Error);
-  EXPECT_THROW(
-      (void)sim::cluster_from_text("[cluster]\nnoise_rel = not_a_number\n"),
-      Error);
+  auto parse = [](const std::string& text) {
+    return [text] { (void)sim::cluster_from_json(obs::Json::parse(text)); };
+  };
+  expect_error_naming(parse("[]"), "document root must be a JSON object");
+  expect_error_naming(parse("{}"), "missing field 'schema'");
+  expect_error_naming(parse(R"({"schema": "lmo.cluster/1"})"),
+                      "expected 'lmo.cluster/2'");
+  obs::Json doc = sim::to_json(sim::make_random_cluster(3, 9));
+  doc["cluster"]["noise_rel"] = "not_a_number";
+  expect_error_naming(parse(doc.dump()),
+                      "field 'cluster.noise_rel' must be a number");
   // Too few nodes fails validation.
-  EXPECT_THROW((void)sim::cluster_from_text("[cluster]\nseed = 1\n"), Error);
+  doc = sim::to_json(sim::make_random_cluster(3, 9));
+  obs::Json one = obs::Json::array();
+  one.push_back(doc.at("nodes")[0]);
+  doc["nodes"] = std::move(one);
+  expect_error_naming(parse(doc.dump()), "at least two nodes");
 }
 
 TEST(ClusterIo, FileRoundTrip) {
   const auto cfg = sim::make_random_cluster(4, 77);
-  const std::string path = "/tmp/lmo_test_cluster.cfg";
+  const std::string path = ::testing::TempDir() + "lmo_test_cluster.json";
   sim::save_cluster(cfg, path);
   const auto back = sim::load_cluster(path);
   EXPECT_EQ(back.size(), 4);
-  EXPECT_DOUBLE_EQ(back.nodes[2].per_byte_s, cfg.nodes[2].per_byte_s);
+  EXPECT_EQ(back.nodes[2].per_byte_s, cfg.nodes[2].per_byte_s);
   std::remove(path.c_str());
   EXPECT_THROW((void)sim::load_cluster(path), Error);
 }
@@ -82,22 +116,28 @@ core::LmoParams sample_params(int n) {
   return p;
 }
 
+core::LoadedParams through_json(const core::LmoParams& p,
+                                const core::GatherEmpirical& emp) {
+  return core::model_from_json(
+      obs::Json::parse(core::model_json(p, emp).dump(2)));
+}
+
 TEST(ParamsIo, RoundTripLmoParams) {
   const auto p = sample_params(5);
-  const auto back = core::lmo_params_from_text(core::to_text(p));
+  const auto back = through_json(p, {}).params;
   ASSERT_EQ(back.size(), 5);
   for (int i = 0; i < 5; ++i) {
-    EXPECT_DOUBLE_EQ(back.C[std::size_t(i)], p.C[std::size_t(i)]);
-    EXPECT_DOUBLE_EQ(back.t[std::size_t(i)], p.t[std::size_t(i)]);
+    EXPECT_EQ(back.C[std::size_t(i)], p.C[std::size_t(i)]);
+    EXPECT_EQ(back.t[std::size_t(i)], p.t[std::size_t(i)]);
     for (int j = 0; j < 5; ++j) {
       if (i == j) continue;
-      EXPECT_DOUBLE_EQ(back.L(i, j), p.L(i, j));
-      EXPECT_DOUBLE_EQ(back.inv_beta(i, j), p.inv_beta(i, j));
+      EXPECT_EQ(back.L(i, j), p.L(i, j));
+      EXPECT_EQ(back.inv_beta(i, j), p.inv_beta(i, j));
     }
   }
   // Predictions from the round-tripped model are bit-identical.
-  EXPECT_DOUBLE_EQ(core::linear_scatter_time(back, 0, 4096),
-                   core::linear_scatter_time(p, 0, 4096));
+  EXPECT_EQ(core::linear_scatter_time(back, 0, 4096),
+            core::linear_scatter_time(p, 0, 4096));
 }
 
 TEST(ParamsIo, RoundTripEmpirical) {
@@ -107,14 +147,17 @@ TEST(ParamsIo, RoundTripEmpirical) {
   emp.linear_prob_at_m1 = 0.9;
   emp.linear_prob_at_m2 = 0.4;
   emp.escalation_modes = {{0.05, 12, 0.5}, {0.2, 6, 0.25}};
-  const auto back = core::gather_empirical_from_text(core::to_text(emp));
+  const auto back = through_json(sample_params(2), emp).empirical;
   EXPECT_EQ(back.m1, emp.m1);
   EXPECT_EQ(back.m2, emp.m2);
+  EXPECT_EQ(back.linear_prob_at_m1, emp.linear_prob_at_m1);
+  EXPECT_EQ(back.linear_prob_at_m2, emp.linear_prob_at_m2);
   ASSERT_EQ(back.escalation_modes.size(), 2u);
-  EXPECT_DOUBLE_EQ(back.escalation_modes[1].value, 0.2);
+  EXPECT_EQ(back.escalation_modes[1].value, 0.2);
   EXPECT_EQ(back.escalation_modes[1].count, 6u);
-  EXPECT_DOUBLE_EQ(back.linear_probability(emp.m1 + (emp.m2 - emp.m1) / 2),
-                   emp.linear_probability(emp.m1 + (emp.m2 - emp.m1) / 2));
+  EXPECT_EQ(back.escalation_modes[1].frequency, 0.25);
+  EXPECT_EQ(back.linear_probability(emp.m1 + (emp.m2 - emp.m1) / 2),
+            emp.linear_probability(emp.m1 + (emp.m2 - emp.m1) / 2));
 }
 
 TEST(ParamsIo, CombinedFileRoundTrip) {
@@ -122,53 +165,92 @@ TEST(ParamsIo, CombinedFileRoundTrip) {
   core::GatherEmpirical emp;
   emp.m1 = 1000;
   emp.m2 = 2000;
-  const std::string path = "/tmp/lmo_test_params.cfg";
+  const std::string path = ::testing::TempDir() + "lmo_test_params.json";
   core::save_params(p, emp, path);
   const auto loaded = core::load_params(path);
   EXPECT_EQ(loaded.params.size(), 4);
   EXPECT_EQ(loaded.empirical.m1, 1000);
   EXPECT_EQ(loaded.empirical.m2, 2000);
+  // A model in the removed text format is refused, naming the path and
+  // the command that regenerates it.
+  write_file(path, "[lmo]\nsize = abc\n");
+  expect_error_naming([&] { (void)core::load_params(path); }, path);
+  expect_error_naming([&] { (void)core::load_params(path); },
+                      "lmo_tool estimate");
   std::remove(path.c_str());
 }
 
 TEST(ParamsIo, RejectsMalformed) {
-  EXPECT_THROW((void)core::lmo_params_from_text("C = 1, 2\n"), Error);
-  EXPECT_THROW((void)core::lmo_params_from_text("[lmo]\nsize = 1\n"), Error);
-  const auto p = sample_params(3);
-  std::string text = core::to_text(p);
-  text += "unknown_key = 1, 2, 3\n";
-  EXPECT_THROW((void)core::lmo_params_from_text(text), Error);
+  const obs::Json valid = core::model_json(sample_params(3), {});
+  auto without = [&](const char* section) {
+    obs::Json doc = obs::Json::object();
+    for (const auto& [key, value] : valid.entries())
+      if (key != section) doc[key] = value;
+    return [doc] { (void)core::model_from_json(doc); };
+  };
+  expect_error_naming(without("gather_empirical"),
+                      "missing field 'gather_empirical'");
+  expect_error_naming(without("lmo"), "missing field 'lmo'");
+  expect_error_naming(without("schema"), "missing field 'schema'");
+  obs::Json doc = valid;
+  doc["schema"] = "lmo.model/0";
+  expect_error_naming([&] { (void)core::model_from_json(doc); },
+                      "expected 'lmo.model/1'");
+  doc = valid;
+  doc["lmo"]["size"] = 1;
+  expect_error_naming([&] { (void)core::model_from_json(doc); },
+                      "field 'lmo.size' = 1, must be in [2,");
+  doc = valid;
+  doc["lmo"]["size"] = 4;
+  expect_error_naming([&] { (void)core::model_from_json(doc); },
+                      "field 'lmo.C' has 3 entries, expected 4");
 }
 
-TEST(ParamsIo, RejectsHostileNumbersNamingTheLine) {
-  // A two-rank model whose rows are overridden one at a time: line 3 is C,
-  // 4 is t, 5 is L's first row, 6 is inv_beta's first row.
-  auto model = [](const char* c, const char* t, const char* l,
-                  const char* b) {
-    return std::string("[lmo]\nsize = 2\n") + "C = " + c + "\nt = " + t +
-           "\nL = " + l + "\ninv_beta = " + b +
-           "\nL = 1e-5, 0\ninv_beta = 1e-8, 0\n";
+TEST(ParamsIo, RejectsHostileNumbersNamingTheField) {
+  // A two-rank model whose C, t, first L and inv_beta rows and escalation
+  // modes are overridden one at a time.
+  auto model = [](const char* c, const char* t, const char* l, const char* b,
+                  const char* modes) {
+    return std::string(R"({"schema": "lmo.model/1", "lmo": {"size": 2, )") +
+           R"("C": [)" + c + R"(], "t": [)" + t + R"(], "L": [)" + l +
+           R"(, [1e-5, 0]], "inv_beta": [)" + b + R"(, [1e-8, 0]]}, )" +
+           R"("gather_empirical": {"m1": 4096, "m2": 65536, )" +
+           R"("escalation_modes": [)" + modes +
+           R"(], "linear_prob_at_m1": 1, "linear_prob_at_m2": 1}})";
   };
   const char* c = "1e-5, 2e-5";
   const char* t = "5e-8, 6e-8";
-  const char* l = "0, 1e-5";
-  const char* b = "0, 1e-8";
-  ASSERT_EQ(core::lmo_params_from_text(model(c, t, l, b)).size(), 2);
+  const char* l = "[0, 1e-5]";
+  const char* b = "[0, 1e-8]";
+  const char* modes = R"({"value": 0.05, "count": 3, "frequency": 1})";
+  ASSERT_EQ(
+      core::model_from_json(obs::Json::parse(model(c, t, l, b, modes)))
+          .params.size(),
+      2);
   auto expect_named = [](const std::string& text, const std::string& what) {
-    try {
-      (void)core::lmo_params_from_text(text);
-      ADD_FAILURE() << "accepted: " << what;
-    } catch (const Error& e) {
-      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
-          << e.what();
-    }
+    expect_error_naming(
+        [&] { (void)core::model_from_json(obs::Json::parse(text)); }, what);
   };
-  expect_named(model("1e999, 2e-5", t, l, b), "line 3: number out of range");
-  expect_named(model(c, "nan, 6e-8", l, b), "line 4: non-finite number");
-  expect_named(model(c, t, "0, inf", b), "line 5: non-finite number");
-  expect_named(model(c, t, l, "0, -1e-8"), "line 6: inv_beta value 1");
-  expect_named(model("-1e-5, 2e-5", t, l, b), "line 3: C value 0");
-  expect_named(model("1e-5x, 2e-5", t, l, b), "line 3: bad number");
+  expect_named(model("1e999, 2e-5", t, l, b, modes),
+               "field 'lmo.C[0]' = inf is not finite");
+  expect_named(model("-1e-5, 2e-5", t, l, b, modes),
+               "field 'lmo.C[0]' = -1e-05 is negative");
+  expect_named(model(c, R"(5e-8, "x")", l, b, modes),
+               "field 'lmo.t[1]' must be a number");
+  expect_named(model(c, t, "[0, -1e-5]", b, modes),
+               "field 'lmo.L[0][1]' = -1e-05 is negative");
+  expect_named(model(c, t, l, "[0]", modes),
+               "field 'lmo.inv_beta[0]' has 1 entries, expected 2");
+  expect_named(model(c, t, l, b, R"({"value": 0.05, "count": -5,
+                                     "frequency": 1})"),
+               "field 'gather_empirical.escalation_modes[0].count' = -5");
+  expect_named(model(c, t, l, b, R"({"value": 0.05, "count": 0.5,
+                                     "frequency": 1})"),
+               "field 'gather_empirical.escalation_modes[0].count' = 0.5 "
+               "is not an int64 integer");
+  expect_named(model(c, t, l, b, R"({"value": 0.05, "count": 1e300,
+                                     "frequency": 1})"),
+               "field 'gather_empirical.escalation_modes[0].count'");
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -94,6 +95,52 @@ TEST(Json, MalformedInputThrows) {
   EXPECT_THROW((void)Json::parse("[1,]"), Error);
   EXPECT_THROW((void)Json::parse("{} trailing"), Error);
   EXPECT_THROW((void)Json::parse("\"unterminated"), Error);
+}
+
+TEST(Json, AsIntRangeChecksDoublesBeforeConverting) {
+  // Out-of-range doubles must throw, not hit the undefined float-to-int
+  // conversion.
+  EXPECT_THROW((void)Json::parse("1e300").as_int(), Error);
+  EXPECT_THROW((void)Json::parse("-1e300").as_int(), Error);
+  EXPECT_THROW((void)Json::parse("9.3e18").as_int(), Error);
+  EXPECT_THROW((void)Json::parse("2.5").as_int(), Error);
+  EXPECT_EQ(Json::parse("-9.223372036854775808e18").as_int(),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(Json::parse("4e3").as_int(), 4000);
+}
+
+TEST(JsonField, ErrorsNameTheDocumentAndTheFieldPath) {
+  const Json doc = Json::parse(
+      R"({"a": {"xs": [1, "two", 1e999]}, "n": 2.5, "k": -3})");
+  const JsonField root(doc, "test doc");
+  auto expect_named = [](auto read, const std::string& what) {
+    try {
+      read();
+      ADD_FAILURE() << "accepted: " << what;
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()), what);
+    }
+  };
+  EXPECT_EQ(root["a"]["xs"][0].integer(), 1);
+  expect_named([&] { (void)root["a"]["xs"].numbers(); },
+               "test doc: field 'a.xs[1]' must be a number");
+  expect_named([&] { (void)root["a"]["xs"][2].number(); },
+               "test doc: field 'a.xs[2]' = inf is not finite");
+  expect_named([&] { (void)root["a"]["ys"]; },
+               "test doc: missing field 'a.ys'");
+  expect_named([&] { (void)root["a"]["xs"][3]; },
+               "test doc: field 'a.xs' has no entry 3");
+  expect_named([&] { (void)root["n"].integer(); },
+               "test doc: field 'n' = 2.5 is not an int64 integer");
+  expect_named([&] { (void)root["k"].integer(0, 9); },
+               "test doc: field 'k' = -3, must be in [0, 9]");
+  expect_named([&] { (void)root["a"].size(); },
+               "test doc: field 'a' must be an array");
+  expect_named([&] { root["a"]["xs"].expect_size(2); },
+               "test doc: field 'a.xs' has 3 entries, expected 2");
+  const Json array = Json::parse("[]");
+  expect_named([&] { (void)JsonField(array, "test doc")["a"]; },
+               "test doc: document root must be a JSON object");
 }
 
 TEST(Json, HostileNestingFailsWithOffsetInsteadOfOverflowing) {

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -491,7 +492,7 @@ TEST(TopologyMappingTest, HierarchyMappingBeatsFlatPlacementOnBcast) {
 TEST(TopologyIoTest, JsonRoundTripIsBitExact) {
   const auto cfg = sim::make_multicore_cluster(2, 2, 2);
   const auto dumped = sim::to_json(cfg).dump(2);
-  const auto back = sim::cluster_from_text(dumped);
+  const auto back = sim::cluster_from_json(obs::Json::parse(dumped));
   EXPECT_EQ(sim::to_json(back).dump(2), dumped);
   EXPECT_TRUE(back.topology == cfg.topology);
   EXPECT_EQ(back.size(), cfg.size());
@@ -503,13 +504,13 @@ TEST(TopologyIoTest, JsonRoundTripIsBitExact) {
     }
 }
 
-TEST(TopologyIoTest, FlatConfigsKeepTheV1TextFormat) {
+TEST(TopologyIoTest, FlatConfigsRoundTripThroughJsonByteForByte) {
   const auto cfg = sim::make_random_cluster(3, /*seed=*/5);
-  const std::string text = sim::to_text(cfg);
-  EXPECT_EQ(text.find('{'), std::string::npos);
-  const auto back = sim::cluster_from_text(text);
+  const std::string text = sim::to_json(cfg).dump(2);
+  EXPECT_EQ(text.find("\"topology\""), std::string::npos);
+  const auto back = sim::cluster_from_json(obs::Json::parse(text));
   EXPECT_TRUE(back.topology.empty());
-  EXPECT_EQ(sim::to_text(back), text);
+  EXPECT_EQ(sim::to_json(back).dump(2), text);
 }
 
 TEST(TopologyIoTest, FileRoundTripPicksFormatBySniffing) {
@@ -519,6 +520,9 @@ TEST(TopologyIoTest, FileRoundTripPicksFormatBySniffing) {
   const auto back = sim::load_cluster(path);
   EXPECT_TRUE(back.topology == cfg.topology);
   EXPECT_EQ(sim::to_json(back).dump(), sim::to_json(cfg).dump());
+  // Anything that does not start like a JSON document is refused by name.
+  std::ofstream(path) << "[cluster]\nseed = 1\n";
+  EXPECT_THROW((void)sim::load_cluster(path), Error);
   std::remove(path.c_str());
 }
 
@@ -587,6 +591,21 @@ TEST(TopologyIoTest, ParseErrorsNameTheFieldPath) {
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("profile_of[0]"), std::string::npos)
         << e.what();
+  }
+
+  // A run count past the rank ceiling (or past int64) fails by name before
+  // anything is allocated.
+  for (const char* count : {"4000000000000", "1e300"}) {
+    bad_runs["profile_of"] =
+        obs::Json::parse(std::string("[[0, ") + count + "]]");
+    try {
+      (void)sim::cluster_from_json(bad_runs);
+      FAIL() << "expected lmo::Error for count " << count;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("profile_of[0]"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

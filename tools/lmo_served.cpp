@@ -1,8 +1,8 @@
 // lmo_served — estimation-as-a-service over stdio JSONL (DESIGN.md §17).
 //
-//   lmo_served --cluster cluster.cfg [options]
+//   lmo_served --cluster cluster.json [options]
 //
-// Loads the cluster (v1 text or v2 JSON, flat or hierarchical), runs the
+// Loads the cluster (a JSON config, flat or hierarchical), runs the
 // estimation campaign (resuming from --measurements-load when given),
 // then answers one JSON request per stdin line with one JSON response per
 // stdout line (compact, flushed per response). Status goes to stderr, so
@@ -29,7 +29,7 @@
 #include "util/thread_pool.hpp"
 
 int usage() {
-  std::cerr << "usage: lmo_served --cluster cluster.cfg "
+  std::cerr << "usage: lmo_served --cluster cluster.json "
                "[--measurements-load f] [--measurements-save f] [--jobs N] "
                "[--max-request-bytes N] [--metrics-out f]\n"
                "  see the header comment of tools/lmo_served.cpp\n";
