@@ -59,7 +59,12 @@ int usage() {
 
 int cmd_make_cluster(const Cli& cli) {
   const std::string out = cli.get("out", "cluster.json");
-  const auto seed = std::uint64_t(cli.get_int("seed", 1));
+  // The config stores the seed as a JSON integer, which holds 0..2^63-1.
+  const std::int64_t seed_arg = cli.get_int("seed", 1);
+  if (seed_arg < 0)
+    throw Error("option --seed: " + std::to_string(seed_arg) +
+                " is negative; a cluster seed is 0 .. 2^63-1");
+  const auto seed = std::uint64_t(seed_arg);
   const int switches = int(cli.get_int("switches", 0));
   const int nodes = int(cli.get_int("nodes", 0));
   // --switches S --nodes N --cores C: a hierarchical multi-core cluster

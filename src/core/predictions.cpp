@@ -16,17 +16,21 @@ double root_serial(const LmoParams& p, int root, Bytes m) {
          (p.C[std::size_t(root)] + double(m) * p.t[std::size_t(root)]);
 }
 
-/// max_i / sum_i of (L_ri + M/beta_ri + C_i + M t_i).
+/// max_i / sum_i of (L + M/beta + C_i + M t_i), each message priced on
+/// the link it crosses: root -> i for scatter and bcast, i -> root for
+/// gather and reduce (`to_root`).
 struct Tail {
   double max = 0.0;
   double sum = 0.0;
 };
-Tail remote_tail(const LmoParams& p, int root, Bytes m) {
+Tail remote_tail(const LmoParams& p, int root, Bytes m, bool to_root) {
   Tail tail;
   for (int i = 0; i < p.size(); ++i) {
     if (i == root) continue;
+    const int src = to_root ? i : root;
+    const int dst = to_root ? root : i;
     const double term =
-        p.L(root, i) + double(m) * p.inv_beta(root, i) +
+        p.L(src, dst) + double(m) * p.inv_beta(src, dst) +
         p.C[std::size_t(i)] + double(m) * p.t[std::size_t(i)];
     tail.max = std::max(tail.max, term);
     tail.sum += term;
@@ -38,7 +42,7 @@ Tail remote_tail(const LmoParams& p, int root, Bytes m) {
 double linear_scatter_time(const LmoParams& p, int root, Bytes m) {
   p.validate();
   LMO_CHECK(root >= 0 && root < p.size());
-  return root_serial(p, root, m) + remote_tail(p, root, m).max;
+  return root_serial(p, root, m) + remote_tail(p, root, m, false).max;
 }
 
 double linear_scatter_time(const LmoOriginalParams& p, int root, Bytes m) {
@@ -63,7 +67,7 @@ GatherPrediction linear_gather_time(const LmoParams& p,
   p.validate();
   LMO_CHECK(root >= 0 && root < p.size());
   const double serial = root_serial(p, root, m);
-  const Tail tail = remote_tail(p, root, m);
+  const Tail tail = remote_tail(p, root, m, true);
 
   GatherPrediction out;
   if (emp.m2 > 0 && m >= emp.m2) {
@@ -296,7 +300,7 @@ double linear_reduce_time(const LmoParams& p, int root, Bytes m) {
   p.validate();
   LMO_CHECK(root >= 0 && root < p.size());
   // One receive processing plus one combine per block, both at the root.
-  return 2.0 * root_serial(p, root, m) + remote_tail(p, root, m).max;
+  return 2.0 * root_serial(p, root, m) + remote_tail(p, root, m, true).max;
 }
 
 double binomial_reduce_time(const LmoParams& p, int root, Bytes m,

@@ -8,7 +8,7 @@
 // into a dump that the run report / --flight-dump flag renders as JSON.
 // Storage is allocated once at construction (ring capacity is a power of
 // two), so attaching a recorder never perturbs the allocation-free
-// invariant asserted by bench_engine_microbench.
+// invariant asserted by tests/test_alloc.cpp.
 //
 // Threading contract: record() is NOT synchronized. A recorder belongs to
 // exactly one single-threaded owner (a SimSession and the host thread

@@ -12,8 +12,7 @@
 // results are *committed* — speculative repetitions the adaptive stopping
 // rule discards never reach the registry, which keeps the global snapshot
 // as jobs-independent as the estimates themselves. snapshot() captures a
-// point-in-time copy that merges, serializes to JSON (run reports), and
-// diffs across runs (tools/bench_report.py).
+// point-in-time copy that merges and serializes to JSON (run reports).
 #pragma once
 
 #include <atomic>

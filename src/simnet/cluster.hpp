@@ -22,12 +22,6 @@
 
 namespace lmo::sim {
 
-/// Ceiling on the ranks a config may describe: 2^22, 64x the 65,536-rank
-/// scale target. The config reader checks every rank count against it
-/// before allocating, so a hostile count fails by name instead of
-/// exhausting memory.
-inline constexpr std::int64_t kMaxRanks = std::int64_t(1) << 22;
-
 struct NodeParams {
   std::string label;           ///< e.g. "Dell Poweredge 750 / 3.4 Xeon"
   int type = 0;                ///< node type id (Table I rows)

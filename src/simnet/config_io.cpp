@@ -219,8 +219,14 @@ ClusterConfig cluster_from_json(const Json& doc) {
     places.expect_size(specs.size());  // one entry per level
     if (balanced) {
       std::vector<int> counts;
-      for (std::size_t l = 0; l < places.size(); ++l)
+      std::int64_t ranks = 1;
+      for (std::size_t l = 0; l < places.size(); ++l) {
         counts.push_back(int(places[l].integer(1, kMaxRanks)));
+        ranks *= counts.back();  // both factors <= 2^22: no overflow
+        if (ranks > kMaxRanks)
+          places.fail("describes more than " + std::to_string(kMaxRanks) +
+                      " ranks");
+      }
       // Rebuilding through balanced() reproduces the exact placement (and
       // the fanout hint), so a fanout-form config round-trips bit-exactly.
       cfg.topology = Topology::balanced(counts, std::move(specs));

@@ -75,8 +75,8 @@ class Engine {
   /// Attach (or detach, with nullptr) a flight recorder. Each executed
   /// event records a kEngineEvent with the post-pop queue depth — one
   /// predicted branch plus a 16-byte ring store, no allocation
-  /// (bench_engine_microbench asserts allocs_per_event == 0 with a
-  /// recorder attached). The recorder is borrowed; the engine is
+  /// (AllocGate.EngineEventsAllocateNothing in tests/test_alloc.cpp runs
+  /// with a recorder attached). The recorder is borrowed; the engine is
   /// single-threaded so no synchronization is needed.
   void set_flight_recorder(obs::FlightRecorder* recorder) {
     flight_ = recorder;

@@ -44,7 +44,7 @@ Topology Topology::balanced(const std::vector<int>& fanout,
                                       std::to_string(fanout[l]) +
                                       " must be >= 1");
     n *= fanout[l];
-    LMO_CHECK_MSG(n <= 1 << 24, "balanced topology: too many ranks");
+    LMO_CHECK_MSG(n <= kMaxRanks, "balanced topology: too many ranks");
   }
   Topology t;
   t.levels_ = std::move(levels);

@@ -32,10 +32,17 @@
 // pointer soup and a 4096-rank fabric that fits in cache.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 namespace lmo::sim {
+
+/// Ceiling on the ranks a config or topology may describe: 2^22, 64x the
+/// 65,536-rank scale target. The config reader checks every rank count
+/// against it before allocating, so a hostile count fails by name instead
+/// of exhausting memory.
+inline constexpr std::int64_t kMaxRanks = std::int64_t(1) << 22;
 
 struct TopologyLevel {
   std::string name;               ///< "node", "switch", "uplink", ...

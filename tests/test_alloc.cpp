@@ -1,0 +1,130 @@
+// Allocation gates of the simulation hot path. This binary replaces the
+// global operator new with a counting one, so it must stay a binary of its
+// own: the count covers everything the process allocates.
+//
+//  * The engine's schedule/fire cycle allocates nothing in steady state —
+//    the indexed heap, Action's inline captures, the OpState arena and the
+//    coroutine frame pool exist for exactly that — with a flight recorder
+//    attached, so record() is proven allocation-free too.
+//  * A warm pooled repetition (SimSession::reset(seed) + run on a reused
+//    program vector, the experimenter's per-repetition path) allocates
+//    nothing either: the pin is its measured count, 0. A change that adds
+//    per-repetition allocations moves the pin and has to say why.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <vector>
+
+#include "obs/flight_recorder.hpp"
+#include "simnet/cluster.hpp"
+#include "simnet/engine.hpp"
+#include "vmpi/session.hpp"
+
+namespace {
+std::atomic<std::int64_t> g_allocs{0};
+
+std::int64_t allocs() { return g_allocs.load(std::memory_order_relaxed); }
+}  // namespace
+
+// Count every heap allocation in the process. Relaxed ordering: the
+// measured regions are single-threaded; the atomic only guards against
+// gtest's or the runtime's background use.
+void* operator new(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n ? n : 1);
+}
+void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
+  return ::operator new(n, t);
+}
+// GCC flags the sized form as mismatched with the replaced new; every new
+// above allocates with malloc, so free is the right counterpart.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
+namespace lmo {
+namespace {
+
+TEST(AllocGate, HookCountsAllocations) {
+  // A zero below means nothing was allocated, not that nothing was seen.
+  const std::int64_t before = allocs();
+  auto* v = new std::vector<int>(64);
+  asm volatile("" : : "g"(v) : "memory");  // keep the pair from elision
+  delete v;
+  EXPECT_EQ(allocs() - before, 2);
+}
+
+TEST(AllocGate, EngineEventsAllocateNothing) {
+  for (const int batch : {1024, 16384}) {
+    sim::Engine engine;
+    // The recorder's ring is allocated here, before the counted region.
+    obs::FlightRecorder flight;
+    engine.set_flight_recorder(&flight);
+    // Warm the heap and slab vectors to the high-water mark.
+    for (int e = 0; e < batch; ++e) engine.schedule_at(SimTime(e), [] {});
+    engine.run();
+
+    const std::int64_t before = allocs();
+    for (int round = 0; round < 8; ++round) {
+      engine.reset();
+      for (int e = 0; e < batch; ++e) engine.schedule_at(SimTime(e), [] {});
+      engine.run();
+    }
+    EXPECT_EQ(allocs() - before, 0) << "batch " << batch;
+  }
+}
+
+TEST(AllocGate, PooledRepetitionAllocationsArePinned) {
+  vmpi::SimSession session(
+      std::make_shared<const sim::ClusterConfig>(sim::make_paper_cluster()));
+  obs::FlightRecorder flight;
+  auto programs = vmpi::idle_programs(session.size());
+  programs[0] = [](vmpi::Comm& c) -> vmpi::Task {
+    co_await c.send(1, 1024);
+    co_await c.recv(1);
+  };
+  programs[1] = [](vmpi::Comm& c) -> vmpi::Task {
+    co_await c.recv(0);
+    co_await c.send(0, 1024);
+  };
+  auto repetition = [&](std::uint64_t seed) {
+    session.reset(seed);
+    session.set_flight_recorder(&flight);  // reset() detaches it
+    (void)session.run(programs);
+  };
+  // Warm-up: engine vectors, session scratch, arena chunks and frame-pool
+  // blocks reach steady state.
+  repetition(1);
+  repetition(2);
+
+  constexpr int kReps = 16;
+  const std::int64_t before = allocs();
+  for (int r = 0; r < kReps; ++r) repetition(std::uint64_t(100 + r));
+  EXPECT_EQ(allocs() - before, 0) << "over " << kReps << " repetitions";
+  EXPECT_GT(session.metrics().events, 0u) << "the repetitions did no work";
+}
+
+}  // namespace
+}  // namespace lmo

@@ -7,34 +7,20 @@
 // message is exactly the regression this suite exists to catch.
 //
 // Binary paths are injected by CMake via LMO_*_BIN compile definitions
-// ($<TARGET_FILE:...>), so the suite always tests the binaries built
-// alongside it.
+// (see spawn.hpp), so the suite always tests the binaries built alongside
+// it.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <string>
-#include <sys/wait.h>
+
+#include "spawn.hpp"
 
 namespace {
 
-struct RunResult {
-  int exit_code = -1;
-  std::string output;  // stdout + stderr interleaved
-};
-
-/// Run a shell command, capturing combined output and the exit code.
-RunResult run(const std::string& command) {
-  RunResult r;
-  std::FILE* pipe = popen((command + " 2>&1").c_str(), "r");
-  EXPECT_NE(pipe, nullptr) << command;
-  if (pipe == nullptr) return r;
-  char buf[4096];
-  while (std::fgets(buf, sizeof(buf), pipe) != nullptr) r.output += buf;
-  const int status = pclose(pipe);
-  r.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : 128 + status;
-  return r;
-}
+using lmo::test::run;
+using lmo::test::RunResult;
 
 void expect_named_failure(const RunResult& r, const std::string& needle) {
   EXPECT_EQ(r.exit_code, 1) << r.output;
@@ -69,6 +55,18 @@ TEST(LmoToolExitTest, UnknownFlagFailsNamed) {
   // A plain message: no assertion framing, no build path.
   EXPECT_EQ(r.output.find("check failed"), std::string::npos) << r.output;
   EXPECT_EQ(r.output.find("cli.cpp"), std::string::npos) << r.output;
+}
+
+TEST(LmoToolExitTest, NegativeSeedFailsNamed) {
+  // The config's JSON integer cannot hold 2^64-1: refuse by option name
+  // before building anything, not by the writer's overflow check.
+  const std::string out = testing::TempDir() + "lmo_exit_neg_seed.json";
+  const RunResult r = run(std::string(LMO_TOOL_BIN) +
+                          " make-cluster --seed -1 --out " + out);
+  expect_named_failure(r, "--seed");
+  EXPECT_EQ(r.output.find("check failed"), std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find(".cpp"), std::string::npos) << r.output;
+  EXPECT_FALSE(std::ifstream(out).good()) << "nothing may be written";
 }
 
 /// Write `text` to a file in the test's temp dir; returns its path.

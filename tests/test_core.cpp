@@ -135,6 +135,39 @@ TEST(LmoPredictions, GatherSumBranchIsSumOfTerms) {
   EXPECT_DOUBLE_EQ(linear_gather_time(p, emp, 0, m).base, expect);
 }
 
+TEST(LmoPredictions, LinearOpsPriceTheLinkTheyCross) {
+  // Scatter sends root -> i; gather and reduce send i -> root. With the
+  // outbound links 100x slower, each must read its own direction.
+  auto p = paper_params();
+  const int root = 2;
+  const Bytes m = 50000;
+  for (int i = 0; i < p.size(); ++i) {
+    if (i == root) continue;
+    p.L(root, i) *= 100.0;
+    p.inv_beta(root, i) *= 100.0;
+  }
+  double out_max = 0, in_max = 0, in_sum = 0;
+  for (int i = 0; i < p.size(); ++i) {
+    if (i == root) continue;
+    const double remote = p.C[std::size_t(i)] + double(m) * p.t[std::size_t(i)];
+    out_max = std::max(out_max, p.L(root, i) +
+                                    double(m) * p.inv_beta(root, i) + remote);
+    const double in = p.L(i, root) + double(m) * p.inv_beta(i, root) + remote;
+    in_max = std::max(in_max, in);
+    in_sum += in;
+  }
+  const double serial = double(p.size() - 1) *
+                        (p.C[std::size_t(root)] +
+                         double(m) * p.t[std::size_t(root)]);
+  EXPECT_DOUBLE_EQ(linear_scatter_time(p, root, m), serial + out_max);
+  EXPECT_DOUBLE_EQ(linear_reduce_time(p, root, m), 2.0 * serial + in_max);
+  GatherEmpirical emp;
+  EXPECT_DOUBLE_EQ(linear_gather_time(p, emp, root, m).base, serial + in_max);
+  emp.m1 = 1;
+  emp.m2 = 2;  // the large-message (sum) branch
+  EXPECT_DOUBLE_EQ(linear_gather_time(p, emp, root, m).base, serial + in_sum);
+}
+
 TEST(LmoPredictions, BinomialScatterHomogeneousSanity) {
   // On a homogeneous cluster the LMO binomial recursion approximates the
   // homogeneous Hockney eq. (3) with alpha = C+L+C, beta_H = t+1/b+t.

@@ -607,6 +607,23 @@ TEST(TopologyIoTest, ParseErrorsNameTheFieldPath) {
           << e.what();
     }
   }
+
+  // A fanout whose product passes the rank ceiling names the fanout field,
+  // not Topology::balanced's internal check.
+  ASSERT_GE(cfg.topology.depth(), 2);
+  obs::Json huge = valid;
+  obs::Json fanout = obs::Json::array();
+  for (int l = 0; l < cfg.topology.depth(); ++l)
+    fanout.push_back(l == 0 ? 4096 : l == 1 ? 8192 : 1);
+  huge["topology"]["fanout"] = std::move(fanout);
+  try {
+    (void)sim::cluster_from_json(huge);
+    FAIL() << "expected lmo::Error";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("topology.fanout"), std::string::npos) << what;
+    EXPECT_EQ(what.find("check failed"), std::string::npos) << what;
+  }
 }
 
 TEST(TopologyIoTest, PairAccessorsNameTheOffendingPair) {

@@ -35,10 +35,6 @@ if ! command -v ninja >/dev/null 2>&1 && ! command -v make >/dev/null 2>&1; then
   echo "tools/check.sh: no CMake generator found in PATH (need ninja or make)" >&2
   exit 2
 fi
-if ! command -v python3 >/dev/null 2>&1; then
-  echo "tools/check.sh: python3 not found in PATH (needed for tools/bench_report.py)" >&2
-  exit 2
-fi
 
 # Compiler cache, when available (CI restores it across runs).
 LAUNCHER=""
@@ -60,9 +56,6 @@ if command -v git >/dev/null 2>&1 && git rev-parse --git-dir >/dev/null 2>&1; th
     exit 1
   fi
 fi
-
-echo "== tooling self-tests =="
-python3 tools/bench_report.py --self-test
 
 echo "== regular build =="
 cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo ${LAUNCHER:+$LAUNCHER}
