@@ -22,9 +22,7 @@
 //       shards' run reports via --reports r0.json,r1.json --report out).
 //
 // Byte sizes (--size) accept k/M/G suffixes (powers of 1024).
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 
 #include "core/params_io.hpp"
@@ -129,9 +127,10 @@ int cmd_estimate(const Cli& cli) {
   const std::string save_path = cli.get("measurements-save", "");
   if (!shard_text.empty()) {
     const auto shard = estimate::ShardSpec::parse(shard_text);
-    LMO_CHECK_MSG(!save_path.empty(),
-                  "--shard requires --measurements-save: the shard's slice "
-                  "must be persisted for merging");
+    if (save_path.empty())
+      throw Error(
+          "--shard requires --measurements-save: the shard's slice must be "
+          "persisted for merging");
     const estimate::LmoOptions lopts;
     const sim::Topology* topo = ex.topology();
     {
@@ -244,50 +243,52 @@ int cmd_estimate(const Cli& cli) {
 /// reports are folded too: estimation-cost fields summed, per-shard
 /// provenance listed.
 int cmd_merge(const Cli& cli) {
+  // Every input is read and checked before anything is written.
   const std::vector<std::string>& inputs = cli.positional();
-  LMO_CHECK_MSG(!inputs.empty(),
-                "merge needs at least one shard store path");
+  if (inputs.empty()) throw Error("merge needs at least one shard store path");
   const std::string out = cli.get("out", "");
-  LMO_CHECK_MSG(!out.empty(), "merge requires --out");
+  if (out.empty()) throw Error("merge requires --out");
+  const std::string reports = cli.get("reports", "");
+  const std::string report_out = cli.get("report", "");
+  if (!reports.empty() && report_out.empty())
+    throw Error("merge --reports requires --report for the folded output");
   estimate::MeasurementStore merged =
       estimate::MeasurementStore::load(inputs[0]);
   for (std::size_t i = 1; i < inputs.size(); ++i)
     merged.merge_from(estimate::MeasurementStore::load(inputs[i]));
+
+  obs::Json shards = obs::Json::array();
+  obs::Json cost = obs::Json::object();
+  std::string rest = reports;
+  while (!rest.empty()) {
+    const auto comma = rest.find(',');
+    const std::string path = rest.substr(0, comma);
+    rest = comma == std::string::npos ? "" : rest.substr(comma + 1);
+    if (path.empty()) continue;
+    obs::Json report;
+    try {
+      report = obs::Json::parse(obs::read_file(path));
+    } catch (const Error& e) {
+      throw Error("run report " + path + ": " + e.what());
+    }
+    obs::Json entry = obs::Json::object();
+    entry["path"] = path;
+    if (const obs::Json* prov = report.find("provenance"))
+      entry["provenance"] = *prov;
+    shards.push_back(std::move(entry));
+    if (const obs::Json* c = report.find("estimation_cost"))
+      for (const auto& [key, value] : c->entries()) {
+        const double prior =
+            cost.find(key) != nullptr ? cost.at(key).as_double() : 0.0;
+        cost[key] = prior + value.as_double();
+      }
+  }
+
   merged.save(out);
   std::cout << "merged " << inputs.size() << " shard stores ("
             << merged.size() << " entries, " << merged.quarantined_count()
             << " quarantined) into " << out << "\n";
-
-  const std::string reports = cli.get("reports", "");
-  const std::string report_out = cli.get("report", "");
   if (!reports.empty()) {
-    LMO_CHECK_MSG(!report_out.empty(),
-                  "merge --reports requires --report for the folded output");
-    obs::Json shards = obs::Json::array();
-    obs::Json cost = obs::Json::object();
-    std::string rest = reports;
-    while (!rest.empty()) {
-      const auto comma = rest.find(',');
-      const std::string path = rest.substr(0, comma);
-      rest = comma == std::string::npos ? "" : rest.substr(comma + 1);
-      if (path.empty()) continue;
-      std::ifstream in(path);
-      LMO_CHECK_MSG(in.good(), "cannot read run report " + path);
-      std::ostringstream text;
-      text << in.rdbuf();
-      const obs::Json report = obs::Json::parse(text.str());
-      obs::Json entry = obs::Json::object();
-      entry["path"] = path;
-      if (const obs::Json* prov = report.find("provenance"))
-        entry["provenance"] = *prov;
-      shards.push_back(std::move(entry));
-      if (const obs::Json* c = report.find("estimation_cost"))
-        for (const auto& [key, value] : c->entries()) {
-          const double prior =
-              cost.find(key) != nullptr ? cost.at(key).as_double() : 0.0;
-          cost[key] = prior + value.as_double();
-        }
-    }
     obs::ReportBuilder folded("lmo_tool merge");
     folded.set("shards", std::move(shards));
     folded.set("estimation_cost", std::move(cost));

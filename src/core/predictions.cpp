@@ -345,6 +345,24 @@ Phase chunked(Bytes total, Bytes segment) {
   return ph;
 }
 
+/// Serialized CPU work of physical rank r running virtual rank v's program
+/// in phase ph: over v's ops, (2 if combine else 1) x (S C_r + factor B
+/// t_r), with S the phase's chunks and B their bytes. The replay charges
+/// exactly these terms to r's clock, chunk by chunk; tree_lower_bound's
+/// CPU term and run_schedule's cutoff both start from this sum.
+double serial_cpu(const LmoParams& p, const Phase& ph, int v, int r) {
+  const double chunks = double(ph.chunks);
+  const double total = (chunks - 1.0) * ph.full + ph.last;
+  const double c = p.C[std::size_t(r)], t = p.t[std::size_t(r)];
+  double cpu = 0.0;
+  for (const TemplateOp* op = ph.plan->begin(v); op != ph.plan->end(v);
+       ++op) {
+    const double proc = chunks * c + op->factor * total * t;
+    cpu += op->combine ? 2.0 * proc : proc;
+  }
+  return cpu;
+}
+
 /// Replays Fabric::transfer's resource chain for one message priced from
 /// the fitted parameters: the sender's egress port, every *contended*
 /// shared segment on the path (memory bus, oversubscribed uplink — only
@@ -392,10 +410,13 @@ double send_on_wire(const LmoParams& p, const WireLayout& wires,
 /// global post-time order with ties broken by rank — exactly the order the
 /// fabric's Timelines see them, which is what keeps chunked pipelines from
 /// looking serialized on shared segments. Allocates nothing once the
-/// scratch has grown to the schedule's size.
+/// scratch has grown to the schedule's size. With a finite `cutoff`, stops
+/// and returns +inf as soon as one rank's clock plus its serialized CPU
+/// work still to run, less kBoundSlack, exceeds it (ScheduleSet::tree_time).
 double run_schedule(const LmoParams& p, const Phase* phases,
                     std::size_t count, std::size_t slots,
-                    const WireLayout& wires, ScheduleScratch& w) {
+                    const WireLayout& wires, ScheduleScratch& w,
+                    double cutoff) {
   using Cursor = ScheduleScratch::Cursor;
   const int n = p.size();
   const std::size_t un = std::size_t(n);
@@ -409,6 +430,24 @@ double run_schedule(const LmoParams& p, const Phase* phases,
   w.cursor.resize(un);
   w.heap.clear();
   const auto later = std::greater<std::pair<double, int>>();
+  const bool bounded = cutoff < kNoCutoff;
+  if (bounded) {
+    w.remaining.assign(un, 0.0);
+    for (int r = 0; r < n; ++r)
+      for (std::size_t k = 0; k < count; ++k)
+        w.remaining[std::size_t(r)] +=
+            serial_cpu(p, phases[k], phases[k].to_virtual[r], r);
+  }
+  // Charges `work` to rank r's clock (already updated) and reports whether
+  // r can no longer finish by the cutoff.
+  bool cut = false;
+  auto charge = [&](int r, double work) {
+    if (!bounded) return false;
+    double& left = w.remaining[std::size_t(r)];
+    left -= work;
+    cut = (w.clock[std::size_t(r)] + left) * (1.0 - kBoundSlack) > cutoff;
+    return cut;
+  };
 
   auto chunk_bytes = [&](const Phase& ph, std::size_t chunk) {
     return chunk + 1 < ph.chunks ? ph.full : ph.last;
@@ -468,13 +507,14 @@ double run_schedule(const LmoParams& p, const Phase* phases,
       t = std::max(t, w.arrival[slot]) + proc;
       if (op->combine) t += proc;
       ++c.op;
+      if (charge(r, op->combine ? 2.0 * proc : proc)) return;
     }
   };
-  for (int r = 0; r < n; ++r) {
+  for (int r = 0; r < n && !cut; ++r) {
     enter(r, 0);
     advance(r);
   }
-  while (!w.heap.empty()) {
+  while (!cut && !w.heap.empty()) {
     std::pop_heap(w.heap.begin(), w.heap.end(), later);
     const int r = w.heap.back().second;
     w.heap.pop_back();
@@ -484,13 +524,19 @@ double run_schedule(const LmoParams& p, const Phase* phases,
     const int peer = phases[c.phase].to_physical[c.op->peer];
     const std::size_t slot = slot_of(c);
     double& t = w.clock[std::size_t(r)];
-    t += p.C[std::size_t(r)] + bytes * p.t[std::size_t(r)];  // send CPU
+    const double proc = p.C[std::size_t(r)] + bytes * p.t[std::size_t(r)];
+    t += proc;  // send CPU
     w.arrival[slot] = send_on_wire(p, wires, w, r, peer, bytes, t);
     w.known[slot] = 1;
     ++w.sends;
     ++c.op;
+    if (charge(r, proc)) break;
     advance(r);
-    advance(peer);
+    if (!cut) advance(peer);
+  }
+  if (cut) {
+    ++w.cuts;
+    return kNoCutoff;
   }
   double completion = 0.0;
   for (const double t : w.clock) completion = std::max(completion, t);
@@ -500,14 +546,15 @@ double run_schedule(const LmoParams& p, const Phase* phases,
 /// The tree collective of `plan`, chunked at `segment`, under `mapping`.
 double replay_tree(const LmoParams& p, const ScheduleTemplate& plan,
                    int root, Bytes m, const std::vector<int>& mapping,
-                   Bytes segment, const WireLayout& wires,
-                   ScheduleScratch& w) {
+                   Bytes segment, const WireLayout& wires, ScheduleScratch& w,
+                   double cutoff) {
   const int n = p.size();
   Phase ph = chunked(m, segment);
   ph.plan = &plan;
   ph.to_physical = bind_mapping(mapping, root, n, w);
   ph.to_virtual = w.inverse.data();
-  return run_schedule(p, &ph, 1, std::size_t(n) * ph.chunks, wires, w);
+  return run_schedule(p, &ph, 1, std::size_t(n) * ph.chunks, wires, w,
+                      cutoff);
 }
 
 /// One schedule covering both phases of the composite broadcast: each rank
@@ -518,7 +565,7 @@ double replay_scatter_allgather(const LmoParams& p,
                                 const ScheduleTemplate& scatter,
                                 const ScheduleTemplate& ring, int root,
                                 Bytes m, const WireLayout& wires,
-                                ScheduleScratch& w) {
+                                ScheduleScratch& w, double cutoff) {
   const int n = p.size();
   const Bytes block = (m + n - 1) / n;
   w.ring.resize(std::size_t(n));
@@ -534,7 +581,7 @@ double replay_scatter_allgather(const LmoParams& p,
   for (Phase& ph : phases) ph.full = ph.last = double(block);
   return run_schedule(p, phases, 2,
                       std::size_t(n) + std::size_t(n) * std::size_t(n - 1),
-                      wires, w);
+                      wires, w, cutoff);
 }
 
 double eval_tree(const LmoParams& p, trees::TreeKind shape,
@@ -547,7 +594,7 @@ double eval_tree(const LmoParams& p, trees::TreeKind shape,
   ScheduleScratch w;
   const int n = p.size();
   return replay_tree(p, compile_tree_schedule(shape, kind, n), root, m,
-                     mapping, segment, wire_layout(topology, n), w);
+                     mapping, segment, wire_layout(topology, n), w, kNoCutoff);
 }
 }  // namespace
 
@@ -590,7 +637,8 @@ double scatter_allgather_bcast_time(const LmoParams& p, int root, Bytes m,
       p,
       compile_tree_schedule(trees::TreeKind::kBinomial,
                             CollectiveKind::kScatter, n),
-      compile_ring_schedule(n), root, m, wire_layout(topology, n), w);
+      compile_ring_schedule(n), root, m, wire_layout(topology, n), w,
+      kNoCutoff);
 }
 
 ScheduleSet::ScheduleSet(int n, const sim::Topology* topology)
@@ -612,9 +660,9 @@ const ScheduleTemplate& ScheduleSet::plan(trees::TreeKind shape,
 double ScheduleSet::tree_time(const LmoParams& p, trees::TreeKind shape,
                               CollectiveKind kind, int root, Bytes m,
                               const std::vector<int>& mapping, Bytes segment,
-                              ScheduleScratch& scratch) const {
+                              ScheduleScratch& scratch, double cutoff) const {
   return replay_tree(p, plan(shape, kind), root, m, mapping, segment, wires_,
-                     scratch);
+                     scratch, cutoff);
 }
 
 double ScheduleSet::tree_lower_bound(const LmoParams& p,
@@ -623,12 +671,11 @@ double ScheduleSet::tree_lower_bound(const LmoParams& p,
                                      const std::vector<int>& mapping,
                                      Bytes segment,
                                      ScheduleScratch& scratch) const {
-  const ScheduleTemplate& tpl = plan(shape, kind);
   const int n = p.size();
-  const Phase ph = chunked(m, segment);
+  Phase ph = chunked(m, segment);
+  ph.plan = &plan(shape, kind);
   const int* map = bind_mapping(mapping, root, n, scratch);
   const double chunks = double(ph.chunks);
-  const double total = double(std::max<Bytes>(m, 0));
   // Wire bytes of one op over all its chunks, each at least a frame.
   auto frames = [&](double factor) {
     return (chunks - 1.0) * std::max(factor * ph.full, kMinFrameBytes) +
@@ -637,20 +684,16 @@ double ScheduleSet::tree_lower_bound(const LmoParams& p,
   double bound = 0.0;
   for (int v = 0; v < n; ++v) {
     const int r = map[v];
-    const double c = p.C[std::size_t(r)], t = p.t[std::size_t(r)];
-    double cpu = 0.0, egress = 0.0, ingress = 0.0;
-    for (const TemplateOp* op = tpl.begin(v); op != tpl.end(v); ++op) {
+    double egress = 0.0, ingress = 0.0;
+    for (const TemplateOp* op = ph.plan->begin(v); op != ph.plan->end(v);
+         ++op) {
       const int peer = map[op->peer];
-      const double proc = chunks * c + op->factor * total * t;
-      if (op->recv) {
-        cpu += op->combine ? 2.0 * proc : proc;
+      if (op->recv)
         ingress += frames(op->factor) * p.inv_beta(peer, r);
-      } else {
-        cpu += proc;
+      else
         egress += frames(op->factor) * p.inv_beta(r, peer);
-      }
     }
-    bound = std::max({bound, cpu, egress, ingress});
+    bound = std::max({bound, serial_cpu(p, ph, v, r), egress, ingress});
   }
   return bound;
 }
@@ -676,10 +719,11 @@ double ScheduleSet::binomial_floor(const UniformLmo& terms,
 }
 
 double ScheduleSet::scatter_allgather_bcast_time(
-    const LmoParams& p, int root, Bytes m, ScheduleScratch& scratch) const {
+    const LmoParams& p, int root, Bytes m, ScheduleScratch& scratch,
+    double cutoff) const {
   return replay_scatter_allgather(
       p, plan(trees::TreeKind::kBinomial, CollectiveKind::kScatter), ring_,
-      root, m, wires_, scratch);
+      root, m, wires_, scratch, cutoff);
 }
 
 double ring_allgather_time(const LmoParams& p, Bytes m) {

@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -198,7 +199,8 @@ struct WireLayout {
 /// occupancy, the send heap, and the bound mapping. Reusing one across
 /// replays avoids every per-call allocation once the buffers have grown;
 /// a scratch serves one replay at a time, so concurrent callers each keep
-/// their own. Contents between calls are unspecified, except `sends`.
+/// their own. Contents between calls are unspecified, except the work
+/// counts `sends` and `cuts`.
 struct ScheduleScratch {
   struct Cursor {
     const TemplateOp* op = nullptr;     ///< next op of the current chunk
@@ -211,14 +213,26 @@ struct ScheduleScratch {
     std::size_t phase = 0;
   };
   std::vector<double> arrival, clock, egress, ingress, shared;
+  /// Per rank, the serialized CPU work still to run (a cutoff replay only).
+  std::vector<double> remaining;
   std::vector<char> known, queued;
   std::vector<Cursor> cursor;
   std::vector<std::pair<double, int>> heap;
   std::vector<int> map, inverse, ring;
-  /// Messages replayed, summed over every replay run in this scratch (a
-  /// work count the caller reads and publishes).
+  /// Messages replayed, and replays stopped at their cutoff, summed over
+  /// every replay run in this scratch (work counts the caller reads and
+  /// publishes).
   std::uint64_t sends = 0;
+  std::uint64_t cuts = 0;
 };
+
+/// Relative slack of every test of a lower bound against a price: far
+/// above the rounding by which a bound's sums (tree_lower_bound,
+/// binomial_floor, a replay's cutoff) may differ from the replay's own.
+inline constexpr double kBoundSlack = 1e-9;
+
+/// The cutoff of a replay that prices its schedule fully.
+inline constexpr double kNoCutoff = std::numeric_limits<double>::infinity();
 
 /// One value per LMO term for every processor and every link — with each
 /// at its table's minimum, the terms of a mapping-free floor.
@@ -242,11 +256,20 @@ class ScheduleSet {
  public:
   ScheduleSet(int n, const sim::Topology* topology);
 
-  /// tree_<kind>_time(p, shape, root, m, mapping, segment, topology).
+  /// tree_<kind>_time(p, shape, root, m, mapping, segment, topology), or
+  /// +inf once the replay proves that price exceeds `cutoff`. After every
+  /// clock update the replay tests one rank: its clock plus its serialized
+  /// CPU work still to run (the sum tree_lower_bound's CPU term starts
+  /// from) is a lower bound on its final clock, because the replay only
+  /// adds non-negative terms to a clock. When that bound, less
+  /// kBoundSlack, exceeds `cutoff`, the replay stops and returns +inf
+  /// (counted in scratch.cuts). So a price equal to `cutoff` is always
+  /// returned in full, to the bit; kNoCutoff prices every schedule fully.
   [[nodiscard]] double tree_time(const LmoParams& p, trees::TreeKind shape,
                                  CollectiveKind kind, int root, Bytes m,
                                  const std::vector<int>& mapping,
-                                 Bytes segment, ScheduleScratch& scratch) const;
+                                 Bytes segment, ScheduleScratch& scratch,
+                                 double cutoff = kNoCutoff) const;
 
   /// A lower bound on tree_time with the same arguments, in
   /// O(template ops) whatever the chunk count S: the largest over ranks r
@@ -285,9 +308,11 @@ class ScheduleSet {
                                       CollectiveKind kind, Bytes m,
                                       ScheduleScratch& scratch) const;
 
-  /// scatter_allgather_bcast_time(p, root, m, topology).
+  /// scatter_allgather_bcast_time(p, root, m, topology), with tree_time's
+  /// `cutoff`.
   [[nodiscard]] double scatter_allgather_bcast_time(
-      const LmoParams& p, int root, Bytes m, ScheduleScratch& scratch) const;
+      const LmoParams& p, int root, Bytes m, ScheduleScratch& scratch,
+      double cutoff = kNoCutoff) const;
 
  private:
   [[nodiscard]] const ScheduleTemplate& plan(trees::TreeKind shape,

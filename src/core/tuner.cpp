@@ -97,11 +97,6 @@ obs::Json TunedDecision::to_json() const {
 }
 
 namespace {
-/// Relative slack of decide()'s pruning tests: far above the rounding by
-/// which tree_lower_bound's and binomial_floor's sums may differ from the
-/// replay's.
-constexpr double kBoundSlack = 1e-9;
-
 /// Throws unless table[i] (or table[i][j], when j >= 0) = v is finite and
 /// >= 0.
 void check_term(double v, const char* table, int i, int j = -1) {
@@ -114,17 +109,21 @@ void check_term(double v, const char* table, int i, int j = -1) {
               " must be finite and >= 0");
 }
 
-/// Publishes one call's work: messages replayed, candidates pruned and
-/// cost-oracle calls of the mapping climb.
+/// Publishes one call's work: messages replayed, candidates pruned,
+/// replays stopped at their cutoff and cost-oracle calls of the mapping
+/// climb.
 void publish(const ScheduleScratch& scratch, std::uint64_t pruned,
              std::uint64_t climb_evals) {
   static obs::Counter sends =
       obs::Registry::global().counter("tuner.replay_sends");
   static obs::Counter skipped = obs::Registry::global().counter("tuner.pruned");
+  static obs::Counter cut =
+      obs::Registry::global().counter("tuner.replays_cut");
   static obs::Counter evals =
       obs::Registry::global().counter("tuner.climb_evals");
   sends.inc(scratch.sends);
   skipped.inc(pruned);
+  cut.inc(scratch.cuts);
   evals.inc(climb_evals);
 }
 }  // namespace
@@ -196,16 +195,17 @@ bool Tuner::replays_tree(CollectiveKind kind, AlgorithmId id,
 
 double Tuner::predict(CollectiveKind kind, AlgorithmId id, int root, Bytes m,
                       const std::vector<int>& mapping, Bytes segment,
-                      ScheduleScratch& scratch) const {
+                      ScheduleScratch& scratch, double cutoff) const {
   // The schedule evaluator prices the exact chunked schedule coll::tree_*
   // executes.
   if (replays_tree(kind, id, segment))
     return schedules_.tree_time(params_, shape_of(id), kind, root, m, mapping,
-                                segment, scratch);
+                                segment, scratch, cutoff);
   if (id == AlgorithmId::kScatterAllgather) {
     LMO_CHECK_MSG(kind == CollectiveKind::kBcast,
                   "scatter+allgather is a broadcast algorithm");
-    return schedules_.scatter_allgather_bcast_time(params_, root, m, scratch);
+    return schedules_.scatter_allgather_bcast_time(params_, root, m, scratch,
+                                                   cutoff);
   }
   // The empirical gather band rides on top of whichever base the topology
   // calls for: the closed form on flat clusters, the schedule evaluator's
@@ -372,8 +372,11 @@ TunedDecision Tuner::decide(CollectiveKind kind, int root, Bytes m) const {
       ++pruned;
       continue;
     }
+    // A replay stopped at the best price so far returns +inf: it would
+    // have cost strictly more, so it cannot win either.
     d.predicted_seconds =
-        predict(kind, d.algorithm, root, m, d.mapping, d.segment, scratch);
+        predict(kind, d.algorithm, root, m, d.mapping, d.segment, scratch,
+                best < all.size() ? all[best].predicted_seconds : kNoCutoff);
     consider(i);
   }
   // The climbed binomial costs at least its floor under any mapping (up to

@@ -109,7 +109,9 @@ class Tuner {
   /// with the least (predicted_seconds, position in candidates()), bit for
   /// bit. Candidates are priced cheapest replay first; a replayed tree
   /// whose ScheduleSet::tree_lower_bound already exceeds the best price so
-  /// far is skipped unpriced. The mapping climb runs last, and only when
+  /// far is skipped unpriced, and every other replay runs with the best
+  /// price so far as its cutoff, stopping once it has provably lost (one
+  /// `tuner.replays_cut` each). The mapping climb runs last, and only when
   /// its floor — ScheduleSet::binomial_floor at every table's minimum,
   /// below the binomial's price under any mapping — does not exceed the
   /// best price of the others. Each skip counts one `tuner.pruned`.
@@ -154,9 +156,12 @@ class Tuner {
   [[nodiscard]] bool replays_tree(CollectiveKind kind, AlgorithmId id,
                                   Bytes segment) const;
 
+  /// The price of one candidate; replays stop at `cutoff` and return +inf
+  /// (ScheduleSet::tree_time), the closed forms ignore it.
   [[nodiscard]] double predict(CollectiveKind kind, AlgorithmId id, int root,
                                Bytes m, const std::vector<int>& mapping,
-                               Bytes segment, ScheduleScratch& scratch) const;
+                               Bytes segment, ScheduleScratch& scratch,
+                               double cutoff = kNoCutoff) const;
 
   LmoParams params_;
   GatherEmpirical gather_empirical_;

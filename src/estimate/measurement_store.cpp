@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -266,22 +264,17 @@ MeasurementStore MeasurementStore::from_json(const obs::Json& j) {
 }
 
 void MeasurementStore::save(const std::string& path) const {
-  std::ofstream out(path);
-  LMO_CHECK_MSG(out.good(), "cannot write measurements to " + path);
-  to_json().dump(out, 2);
-  out << "\n";
-  LMO_CHECK_MSG(out.good(), "failed writing measurements to " + path);
+  std::string text = to_json().dump(2);
+  text += '\n';
+  obs::replace_file(path, text);
 }
 
 MeasurementStore MeasurementStore::load(const std::string& path) {
-  std::ifstream in(path);
-  LMO_CHECK_MSG(in.good(), "cannot read measurements from " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
+  const std::string text = obs::read_file(path);
   // Truncated or garbage input must fail loudly with the file named —
   // parse errors alone only carry a byte offset.
   try {
-    return from_json(obs::Json::parse(text.str()));
+    return from_json(obs::Json::parse(text));
   } catch (const Error& e) {
     throw Error("failed to load measurements from " + path + ": " + e.what());
   }

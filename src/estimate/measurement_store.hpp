@@ -116,6 +116,8 @@ class MeasurementStore {
   [[nodiscard]] obs::Json to_json() const;
   [[nodiscard]] static MeasurementStore from_json(const obs::Json& j);
 
+  /// Writes to_json() to `path` through obs::replace_file (temp file +
+  /// rename), so a checkpoint cut short leaves the previous file whole.
   void save(const std::string& path) const;
   /// Throws lmo::Error naming `path` on unreadable, truncated, or garbage
   /// input; every entry value must be finite.

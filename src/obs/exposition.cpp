@@ -1,11 +1,10 @@
 #include "obs/exposition.hpp"
 
 #include <cstdio>
-#include <fstream>
 #include <utility>
 
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "util/error.hpp"
 
 namespace lmo::obs {
 
@@ -78,16 +77,7 @@ std::string render_prometheus(const Snapshot& snap) {
 }
 
 void write_prometheus(const std::string& path) {
-  const std::string text = render_prometheus(Registry::global().snapshot());
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp);
-    LMO_CHECK_MSG(os.good(), "cannot open " + tmp + " for writing");
-    os << text;
-    LMO_CHECK_MSG(os.good(), "write failed: " + tmp);
-  }
-  LMO_CHECK_MSG(std::rename(tmp.c_str(), path.c_str()) == 0,
-                "cannot rename " + tmp + " to " + path);
+  replace_file(path, render_prometheus(Registry::global().snapshot()));
 }
 
 }  // namespace lmo::obs

@@ -1,9 +1,5 @@
 #include "obs/flight_recorder.hpp"
 
-#include <fstream>
-
-#include "util/error.hpp"
-
 namespace lmo::obs {
 
 const char* flight_event_name(FlightEvent code) {
@@ -70,11 +66,7 @@ Json FlightRecorder::to_json() const {
 }
 
 void FlightRecorder::save(const std::string& path) const {
-  std::ofstream os(path);
-  LMO_CHECK_MSG(os.good(), "cannot open " + path + " for writing");
-  to_json().dump(os, 2);
-  os << "\n";
-  LMO_CHECK_MSG(os.good(), "write failed: " + path);
+  save_json(to_json(), path);
 }
 
 }  // namespace lmo::obs

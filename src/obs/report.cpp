@@ -1,7 +1,6 @@
 #include "obs/report.hpp"
 
 #include <ctime>
-#include <fstream>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -93,11 +92,7 @@ Json ReportBuilder::build() const {
 }
 
 void ReportBuilder::write(const std::string& path) const {
-  std::ofstream os(path);
-  LMO_CHECK_MSG(os.good(), "cannot open " + path + " for writing");
-  build().dump(os, 2);
-  os << "\n";
-  LMO_CHECK_MSG(os.good(), "write failed: " + path);
+  save_json(build(), path);
 }
 
 }  // namespace lmo::obs

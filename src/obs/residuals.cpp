@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <fstream>
 #include <set>
-#include <sstream>
 
 #include "util/error.hpp"
 
@@ -215,11 +213,7 @@ Json ResidualTracker::to_json() const {
 }
 
 void ResidualTracker::save(const std::string& path) const {
-  std::ofstream os(path);
-  LMO_CHECK_MSG(os.good(), "cannot open " + path + " for writing");
-  to_json().dump(os, 2);
-  os << "\n";
-  LMO_CHECK_MSG(os.good(), "write failed: " + path);
+  save_json(to_json(), path);
 }
 
 namespace {
@@ -242,11 +236,7 @@ void record_residual(const std::string& model, const std::string& op,
 }
 
 Json load_fidelity(const std::string& path) {
-  std::ifstream is(path);
-  LMO_CHECK_MSG(is.good(), "cannot read fidelity document " + path);
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  Json doc = Json::parse(buffer.str());
+  Json doc = Json::parse(read_file(path));
   if (const Json* section = doc.find("fidelity")) doc = *section;
   const Json* schema = doc.find("schema");
   LMO_CHECK_MSG(schema != nullptr && schema->is_string() &&

@@ -76,6 +76,33 @@ std::string temp_file(const std::string& name, const std::string& text) {
   return path;
 }
 
+TEST(LmoToolExitTest, MergeInputErrorsFailNamed) {
+  // Each input check of `merge` is a plain named error, made before the
+  // merged store is written: no --out, no store, --reports without
+  // --report, an unreadable report.
+  const std::string store = temp_file(
+      "lmo_exit_merge_in.json",
+      R"({"schema": "lmo.measurements/1", "entries": []})");
+  const std::string out = testing::TempDir() + "lmo_exit_merge_out.json";
+  std::remove(out.c_str());
+  const std::string merge = std::string(LMO_TOOL_BIN) + " merge ";
+  for (const auto& [args, flag] :
+       {std::pair<std::string, std::string>{store, "--out"},
+        {"--out " + out, "shard store path"},
+        {store + " --out " + out + " --reports " + store, "--report"},
+        {store + " --out " + out + " --reports /nonexistent/r.json --report " +
+             out + ".report",
+         "/nonexistent/r.json"}}) {
+    const RunResult r = run(merge + args);
+    expect_named_failure(r, flag);
+    EXPECT_EQ(r.output.find("check failed"), std::string::npos) << r.output;
+    EXPECT_EQ(r.output.find(".cpp"), std::string::npos) << r.output;
+    EXPECT_FALSE(std::ifstream(out).good()) << "nothing may be written";
+  }
+  std::remove(out.c_str());
+  std::remove(store.c_str());
+}
+
 /// A two-rank JSON model with the given C row and escalation mode.
 std::string model_json(const std::string& c, const std::string& mode) {
   return R"({"schema": "lmo.model/1", "lmo": {"size": 2, "C": [)" + c +

@@ -197,7 +197,8 @@ TEST(TunerGate, RegretPruningAndClimbs) {
   // On the flat paper cluster and the hierarchical multi-core one, every
   // sweep case must choose a plan within 10% of the best simulated
   // candidate, and decide() must equal the candidates() argmin. The
-  // counters prove the lower-bound pruning and the mapping climb both ran.
+  // counters prove the lower-bound pruning, the replay cutoff and the
+  // mapping climb all ran.
   const std::string d = gate_dir("tuner");
   ASSERT_TRUE(ran(std::string(LMO_BENCH_TUNER_BIN) +
                   " --reps 2 --points 3 --jobs 2 --max-regret 0.10"
@@ -205,6 +206,7 @@ TEST(TunerGate, RegretPruningAndClimbs) {
   const obs::Json report = load(d + "report.json");
   const obs::Json& counters = report.at("metrics").at("counters");
   EXPECT_GT(counters.at("tuner.pruned").as_int(), 0);
+  EXPECT_GT(counters.at("tuner.replays_cut").as_int(), 0);
   EXPECT_GT(counters.at("tuner.climb_evals").as_int(), 0);
 }
 

@@ -17,6 +17,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <set>
 #include <string>
 #include <thread>
@@ -277,6 +278,39 @@ TEST(MeasurementStoreTest, HostileNestingInFileFailsCleanly) {
     EXPECT_NE(what.find("nesting"), std::string::npos) << what;
   }
   std::remove(path.c_str());
+}
+
+TEST(MeasurementStoreTest, FailedSaveKeepsThePreviousFile) {
+  // save() writes a temp file and renames it into place, so a checkpoint
+  // that fails part way (here: the temp file is /dev/full, every write
+  // fails) leaves the previous store loadable and no temp file behind.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const std::string path = testing::TempDir() + "lmo_store_checkpoint.json";
+  const std::string tmp = path + ".tmp";
+  std::filesystem::remove(tmp);
+  MeasurementStore first;
+  first.insert(ExperimentKey::roundtrip(0, 1, 0, 0), 1.5);
+  first.save(path);
+  const std::string saved = obs::read_file(path);
+
+  MeasurementStore second = MeasurementStore::load(path);
+  second.insert(ExperimentKey::roundtrip(0, 1, 1024, 1024), 2.5);
+  std::filesystem::create_symlink("/dev/full", tmp);
+  try {
+    second.save(path);
+    ADD_FAILURE() << "save onto a full device succeeded";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(tmp), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(obs::read_file(path), saved);
+  EXPECT_EQ(MeasurementStore::load(path).size(), 1u);
+  EXPECT_EQ(std::filesystem::symlink_status(tmp).type(),
+            std::filesystem::file_type::not_found);
+
+  second.save(path);  // the next checkpoint goes through
+  EXPECT_EQ(MeasurementStore::load(path).size(), 2u);
+  EXPECT_FALSE(std::filesystem::exists(tmp));
+  std::filesystem::remove(path);
 }
 
 TEST(MeasurementStoreTest, CountsHitsAndMisses) {

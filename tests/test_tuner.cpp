@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -359,11 +360,13 @@ TEST(TunerGoldenTest, ContendedHierarchyDecisionsUnchanged) {
 }
 
 /// Work of the decide() calls of decide_grid_digest's grid: messages the
-/// schedule replays sent, candidates pruned and cost-oracle calls of the
-/// mapping climb, read off the counters.
+/// schedule replays sent, candidates pruned, replays stopped at their
+/// cutoff and cost-oracle calls of the mapping climb, read off the
+/// counters.
 struct GridWork {
   std::uint64_t replay_sends = 0;
   std::uint64_t pruned = 0;
+  std::uint64_t replays_cut = 0;
   std::uint64_t climb_evals = 0;
 };
 
@@ -374,34 +377,48 @@ GridWork decide_grid_work(const sim::ClusterConfig& cfg) {
   obs::Registry& reg = obs::Registry::global();
   const obs::Counter sends = reg.counter("tuner.replay_sends");
   const obs::Counter pruned = reg.counter("tuner.pruned");
+  const obs::Counter cut = reg.counter("tuner.replays_cut");
   const obs::Counter evals = reg.counter("tuner.climb_evals");
-  const GridWork before{sends.value(), pruned.value(), evals.value()};
+  const GridWork before{sends.value(), pruned.value(), cut.value(),
+                        evals.value()};
   for (const CollectiveKind kind : kAllKinds)
     for (Bytes m = 1024; m <= 1024 * 1024; m *= 2)
       for (int root = 0; root < cfg.size(); ++root)
         (void)t.decide(kind, root, m);
   return {sends.value() - before.replay_sends, pruned.value() - before.pruned,
+          cut.value() - before.replays_cut,
           evals.value() - before.climb_evals};
 }
 
 // Ceilings on the golden grids' decide() work. Pricing every candidate
 // replayed 5,211,120 messages on the paper cluster and 7,851,150 on the
-// contended tree; with pruning they replay 1,018,800 and 1,932,030. A
-// climb on every decide calls its cost oracle 214,799 and 173,954 times;
-// skipping the climbs whose floor cannot win leaves 38,954 and 6,962. A
-// decide() that stops pruning blows through the ceilings.
+// contended tree; with lower-bound pruning they replay 1,018,800 and
+// 1,932,030; stopping each replay once it has lost the best price so far
+// (2,564 and 3,278 replays cut) leaves 749,895 and 1,045,564. A climb on
+// every decide calls its cost oracle 214,799 and 173,954 times; skipping
+// the climbs whose floor cannot win leaves 38,954 and 6,962. A decide()
+// that stops pruning or cutting blows through the ceilings.
 TEST(TunerWorkTest, PaperGridPrunesItsReplays) {
   const GridWork w = decide_grid_work(sim::make_paper_cluster(1));
   EXPECT_GT(w.pruned, 0u);
-  EXPECT_LE(w.replay_sends, 1100000u);
+  EXPECT_GT(w.replays_cut, 0u);
+  EXPECT_LE(w.replay_sends, 765000u);
   EXPECT_LE(w.climb_evals, 42000u);
 }
 
 TEST(TunerWorkTest, ContendedGridPrunesItsReplays) {
   const GridWork w = decide_grid_work(sim::make_multicore_cluster(1, 4, 4, 1));
   EXPECT_GT(w.pruned, 0u);
-  EXPECT_LE(w.replay_sends, 2000000u);
+  EXPECT_GT(w.replays_cut, 0u);
+  EXPECT_LE(w.replay_sends, 1070000u);
   EXPECT_LE(w.climb_evals, 7600u);
+}
+
+/// The bit pattern of a price.
+std::uint64_t bits(double seconds) {
+  std::uint64_t out = 0;
+  std::memcpy(&out, &seconds, sizeof out);
+  return out;
 }
 
 /// decide(kind, root, m) is exactly the candidate with the least
@@ -415,10 +432,7 @@ void expect_argmin(const Tuner& t, CollectiveKind kind, int root, Bytes m,
   EXPECT_EQ(d.algorithm, best->algorithm) << where;
   EXPECT_EQ(d.segment, best->segment) << where;
   EXPECT_EQ(d.mapping, best->mapping) << where;
-  std::uint64_t got = 0, want = 0;
-  std::memcpy(&got, &d.predicted_seconds, sizeof got);
-  std::memcpy(&want, &best->predicted_seconds, sizeof want);
-  EXPECT_EQ(got, want) << where;
+  EXPECT_EQ(bits(d.predicted_seconds), bits(best->predicted_seconds)) << where;
 }
 
 TEST(TunerDifferentialTest, DecideIsTheArgminOfCandidates) {
@@ -479,6 +493,67 @@ TEST(TunerDifferentialTest, DecideIsTheArgminOfCandidates) {
       }
   EXPECT_GT(skipped, 0);
   EXPECT_GT(mapped, 0);
+}
+
+TEST(TunerCutoffTest, TiedReplayRunsInFullAndTheEarlierCandidateWins) {
+  // On two ranks every tree shape sends the same single message, and on a
+  // contended cluster every candidate replays, so without segments the
+  // linear, binomial, chain and binary-tree prices tie to the bit. The
+  // later replays run with the linear price as their cutoff: a tie is
+  // never cut off, and the linear tree, first in candidates(), wins.
+  const sim::ClusterConfig cfg = sim::make_multicore_cluster(1, 1, 2, 1);
+  ASSERT_TRUE(cfg.topology.constrains_concurrency());
+  TunerOptions opts;
+  opts.topology = &cfg.topology;
+  opts.segment_candidates = {};
+  const Tuner t(from_ground_truth(cfg), paper_band(), opts);
+  const obs::Counter cut = obs::Registry::global().counter("tuner.replays_cut");
+  for (const CollectiveKind kind :
+       {CollectiveKind::kScatter, CollectiveKind::kReduce})
+    for (const Bytes m : {Bytes(1024), Bytes(65536)}) {
+      const std::vector<TunedDecision> all = t.candidates(kind, 0, m);
+      ASSERT_GE(all.size(), 4u);
+      for (const TunedDecision& c : all)
+        ASSERT_EQ(bits(c.predicted_seconds), bits(all[0].predicted_seconds))
+            << c.describe();
+      const std::uint64_t cut0 = cut.value();
+      const TunedDecision d = t.decide(kind, 0, m);
+      EXPECT_EQ(cut.value(), cut0) << collective_name(kind) << " m=" << m;
+      EXPECT_EQ(d.algorithm, AlgorithmId::kLinear);
+      EXPECT_TRUE(d.mapping.empty());
+      EXPECT_EQ(bits(d.predicted_seconds), bits(all[0].predicted_seconds));
+    }
+}
+
+TEST(TunerCutoffTest, CandidatePricesStayFullWhenDecideCuts) {
+  // decide() cuts replays off on the contended golden cluster; the prices
+  // candidates() and price() report stay the full replays, bit for bit,
+  // before and after.
+  const sim::ClusterConfig cfg = sim::make_multicore_cluster(1, 4, 4, 1);
+  TunerOptions opts;
+  opts.topology = &cfg.topology;
+  const Tuner t(from_ground_truth(cfg), paper_band(), opts);
+  const obs::Counter cut = obs::Registry::global().counter("tuner.replays_cut");
+  const std::uint64_t cut0 = cut.value();
+  for (const CollectiveKind kind : kAllKinds)
+    for (const Bytes m : {Bytes(4096), Bytes(262144)}) {
+      const std::vector<TunedDecision> before = t.candidates(kind, 3, m);
+      (void)t.decide(kind, 3, m);
+      const std::vector<TunedDecision> after = t.candidates(kind, 3, m);
+      ASSERT_EQ(before.size(), after.size());
+      for (std::size_t i = 0; i < before.size(); ++i) {
+        const std::string where = std::string(collective_name(kind)) +
+                                  " m=" + std::to_string(m) + " " +
+                                  before[i].describe();
+        EXPECT_TRUE(std::isfinite(after[i].predicted_seconds)) << where;
+        EXPECT_EQ(bits(after[i].predicted_seconds),
+                  bits(before[i].predicted_seconds))
+            << where;
+        EXPECT_EQ(bits(t.price(after[i])), bits(after[i].predicted_seconds))
+            << where;
+      }
+    }
+  EXPECT_GT(cut.value(), cut0);
 }
 
 TEST(TunerParallelTest, SharedTunerDecidesLikeSerial) {

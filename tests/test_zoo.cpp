@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "coll/zoo.hpp"
@@ -377,6 +378,79 @@ TEST(TreeLowerBound, NeverExceedsTheReplay) {
                   << " kind " << core::collective_name(kind);
             }
   }
+}
+
+TEST(ReplayCutoff, ReturnsTheFullPriceOrInfinity) {
+  // A replay given a cutoff returns its full price, to the bit, or +inf,
+  // and +inf only when that price exceeds the cutoff: a cutoff equal to
+  // the price (a tie) or above it never stops the replay. Flat, contended
+  // multicore and irregular trees; every shape x kind and the composite
+  // broadcast; unsegmented, segmented and default or random mappings.
+  Rng rng(29);
+  std::uint64_t total_cuts = 0, checked = 0;
+  for (int trial = 0; trial < 18; ++trial) {
+    sim::Topology topo;
+    if (trial % 3 == 1)
+      topo = sim::make_multicore_cluster(1, int(rng.uniform_int(1, 3)),
+                                         int(rng.uniform_int(2, 4)),
+                                         std::uint64_t(trial))
+                 .topology;
+    else if (trial % 3 == 2)
+      topo = test_support::random_contended_tree(rng, /*irregular=*/true);
+    const int n = topo.empty() ? int(rng.uniform_int(2, 20)) : topo.ranks();
+    const LmoParams p = random_params(rng, n);
+    const core::ScheduleSet set(n, topo.empty() ? nullptr : &topo);
+    core::ScheduleScratch scratch;
+    const int root = int(rng.uniform_int(0, n - 1));
+    std::vector<int> shuffled = trees::default_mapping(n, root);
+    for (std::size_t i = shuffled.size(); i > 2; --i)
+      std::swap(shuffled[i - 1],
+                shuffled[std::size_t(rng.uniform_int(1, std::int64_t(i) - 1))]);
+    const Bytes m = rng.uniform_int(1, 40000);
+    std::uint64_t cuts = 0;
+    auto expect_full_or_cut = [&](double full, const auto& price,
+                                  const std::string& where) {
+      for (const double cutoff :
+           {full, std::nextafter(full, 1.0), full * 0.999, full * 0.5, 0.0}) {
+        const double got = price(cutoff);
+        ++checked;
+        if (std::isinf(got)) {
+          ++cuts;
+          EXPECT_GT(full, cutoff) << where;
+        } else {
+          EXPECT_EQ(got, full) << where << " cutoff " << cutoff;
+        }
+      }
+    };
+    for (const Bytes segment : {Bytes(0), m / 7 + 1})
+      for (const auto shape : {TreeKind::kFlat, TreeKind::kChain,
+                               TreeKind::kBinary, TreeKind::kBinomial})
+        for (const auto kind :
+             {CollectiveKind::kScatter, CollectiveKind::kGather,
+              CollectiveKind::kBcast, CollectiveKind::kReduce})
+          for (const auto& mapping : {std::vector<int>{}, shuffled}) {
+            auto price = [&](double cutoff) {
+              return set.tree_time(p, shape, kind, root, m, mapping, segment,
+                                   scratch, cutoff);
+            };
+            expect_full_or_cut(
+                price(core::kNoCutoff), price,
+                "trial " + std::to_string(trial) + " n=" + std::to_string(n) +
+                    " segment=" + std::to_string(segment) + " shape " +
+                    std::to_string(int(shape)) + " " +
+                    core::collective_name(kind));
+          }
+    auto composite = [&](double cutoff) {
+      return set.scatter_allgather_bcast_time(p, root, m, scratch, cutoff);
+    };
+    expect_full_or_cut(composite(core::kNoCutoff), composite,
+                       "trial " + std::to_string(trial) + " composite");
+    EXPECT_EQ(scratch.cuts, cuts) << "trial " << trial;
+    total_cuts += cuts;
+  }
+  // Some cutoffs below the price must really stop a replay.
+  EXPECT_GT(total_cuts, 0u);
+  EXPECT_LT(total_cuts, checked);
 }
 
 TEST(ClosedFormFloor, BelowTheClosedFormBelowTheReplay) {
