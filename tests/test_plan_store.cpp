@@ -862,6 +862,37 @@ TEST_F(SuiteContendedGoldenTest, FlatCampaignMatchesRecordedDigest) {
   EXPECT_EQ(h, 0xefd120aa0bb486f6ull) << std::hex << "0x" << h;
 }
 
+/// Every fitted LMO parameter of a campaign: C, t, both pair tables and
+/// the per-level links. The store digests above pin what was measured;
+/// this pins what the triplet solve makes of it, to the last bit.
+std::uint64_t lmo_fit_digest(const core::LmoParams& p) {
+  Fnv fnv;
+  for (const double x : p.C) fnv.add(x);
+  for (const double x : p.t) fnv.add(x);
+  for (int i = 0; i < p.size(); ++i)
+    for (int j = 0; j < p.size(); ++j) {
+      fnv.add(p.L(i, j));
+      fnv.add(p.inv_beta(i, j));
+    }
+  for (const core::LevelLink& link : p.per_level) {
+    fnv.add(link.L);
+    fnv.add(link.inv_beta);
+    fnv.add(link.pairs);
+  }
+  return fnv.h;
+}
+
+TEST_F(SuiteContendedGoldenTest, LmoFitMatchesRecordedDigest) {
+  const std::uint64_t h =
+      lmo_fit_digest(cold(Cluster::kMulticore).report.lmo.params);
+  EXPECT_EQ(h, 0xcef402b2c248f729ull) << std::hex << "0x" << h;
+}
+
+TEST_F(SuiteContendedGoldenTest, FlatLmoFitMatchesRecordedDigest) {
+  const std::uint64_t h = lmo_fit_digest(cold(Cluster::kFlat).report.lmo.params);
+  EXPECT_EQ(h, 0xd603bc6d2a7b19b9ull) << std::hex << "0x" << h;
+}
+
 TEST_F(SuiteContendedGoldenTest, ConflictProbesStayUnderCeiling) {
   // Bitmap words OR'd while packing the campaign: 240,991 on the
   // multicore tree when recorded. A packer that rescans rounds or probes

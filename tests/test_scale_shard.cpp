@@ -271,6 +271,48 @@ TEST(ScaleEstimator, RecoversPerLevelParametersOnMulticoreCluster) {
   }
 }
 
+TEST(ScaleEstimator, FitMatchesRecordedDigest) {
+  // Every fitted value of the sampled fit, FNV-1a over the raw bytes: the
+  // triplet solve and its per-level/per-profile aggregation must not move
+  // a bit.
+  const auto cfg = sim::make_multicore_cluster(2, 2, 2, 1);
+  ScaleOptions sopts;
+  sopts.cluster = &cfg;
+  sopts.topology = &cfg.topology;
+  MeasurementStore store;
+  store.set_cluster(cfg.size(), cfg.seed);
+  vmpi::World world(cfg);
+  SimExperimenter ex(world);
+  (void)estimate_scale_lmo(ex, store, sopts);
+  const ScaleLmoReport r = fit_scale_lmo(store, cfg.size(), sopts);
+
+  std::uint64_t h = 1469598103934665603ull;
+  const auto add = [&h](const auto& value) {
+    const auto* p = reinterpret_cast<const unsigned char*>(&value);
+    for (std::size_t k = 0; k < sizeof(value); ++k) {
+      h ^= p[k];
+      h *= 1099511628211ull;
+    }
+  };
+  for (const int rank : r.sampled_ranks) add(rank);
+  for (const double x : r.C) add(x);
+  for (const double x : r.t) add(x);
+  add(r.C_mean);
+  add(r.t_mean);
+  for (const core::LevelLink& link : r.per_level) {
+    add(link.L);
+    add(link.inv_beta);
+    add(link.pairs);
+  }
+  for (const ProfileParams& p : r.per_profile) {
+    add(p.C);
+    add(p.t);
+    add(p.sampled);
+  }
+  EXPECT_FALSE(r.per_profile.empty());
+  EXPECT_EQ(h, 0xfe10db748edb6b2aull) << std::hex << "0x" << h;
+}
+
 TEST(ScaleEstimator, ShardedScaleCampaignBitIdentical) {
   const auto cfg = sim::make_multicore_cluster(2, 2, 2, 1);
   ScaleOptions sopts;
