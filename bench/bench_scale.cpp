@@ -19,13 +19,11 @@
 
 #include <chrono>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 
 #include "coll/collectives.hpp"
 #include "common.hpp"
 #include "estimate/scale_estimator.hpp"
-#include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace lmo;
@@ -137,12 +135,7 @@ int run(int argc, char** argv) {
   doc["seed"] = std::int64_t(seed);
   doc["machine"] = machine_json();
   doc["series"] = std::move(series);
-  {
-    std::ofstream f(out);
-    LMO_CHECK_MSG(f.good(), "cannot write " + out);
-    doc.dump(f, 2);
-    f << "\n";
-  }
+  obs::save_json(doc, out);
   std::cout << "\nscale series: " << out << "\n";
   return bench::finish_run();
 }

@@ -20,7 +20,6 @@
 // with --min-qps (service_qps, default 10000; 0 disables).
 #include <atomic>
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <thread>
 #include <vector>
@@ -177,12 +176,7 @@ int run(int argc, char** argv) {
   doc["service_qps"] = service_qps;
   doc["reader_qps_single"] = reader_qps_single;
   doc["reader_qps_threads"] = reader_qps_threads;
-  {
-    std::ofstream f(out);
-    LMO_CHECK_MSG(f.good(), "cannot write " + out);
-    doc.dump(f, 2);
-    f << "\n";
-  }
+  obs::save_json(doc, out);
   std::cout << "served benchmark: " << out << "\n";
 
   const int rc = bench::finish_run();

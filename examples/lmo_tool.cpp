@@ -116,46 +116,31 @@ int cmd_estimate(const Cli& cli) {
   }
   store.bind_cluster(cfg.size(), cfg.seed);
 
-  // --shard i/k: measure-only mode. Execute this process's slice of the
-  // measured rounds (seeds pinned to the single-process round indices),
-  // persist the slice, and skip the fits — they need the full campaign.
-  // Stage 2 plans from the stage-1 results, so a cold k-shard campaign is
-  // two passes: every shard on the cold store, merge, every shard again on
-  // the merged store; then a final estimate --measurements-load runs
-  // entirely cached and fits the bit-identical model.
+  // --shard i/k: measure-only mode. estimate_lmo executes this process's
+  // slice of the measured rounds (seeds pinned to the single-process round
+  // indices) and the slice is persisted. A cold k-shard campaign is two
+  // passes (stage 2 plans from the merged stage 1); then a final estimate
+  // --measurements-load runs entirely cached and fits the same model.
   const std::string shard_text = cli.get("shard", "");
   const std::string save_path = cli.get("measurements-save", "");
-  if (!shard_text.empty()) {
-    const auto shard = estimate::ShardSpec::parse(shard_text);
+  estimate::ShardSpec shard;
+  if (shard_text.empty()) {
+    std::cout << "running estimation experiments on " << cfg.size()
+              << " nodes...\n";
+  } else {
+    shard = estimate::ShardSpec::parse(shard_text);
     if (save_path.empty())
       throw Error(
           "--shard requires --measurements-save: the shard's slice must be "
           "persisted for merging");
-    const estimate::LmoOptions lopts;
-    const sim::Topology* topo = ex.topology();
-    {
-      estimate::PlanBuilder stage1(topo);
-      estimate::plan_lmo_roundtrips(stage1, cfg.size(), lopts);
-      (void)estimate::execute_plan(stage1.build(lopts.parallel), ex, store,
-                                   shard);
-    }
-    bool stage1_done = true;
-    for (const auto& [i, j] : estimate::all_pairs(cfg.size()))
-      if (!store.contains(estimate::ExperimentKey::roundtrip(i, j, 0, 0)) ||
-          !store.contains(estimate::ExperimentKey::roundtrip(
-              i, j, lopts.probe_size, lopts.probe_size))) {
-        stage1_done = false;
-        break;
-      }
-    if (stage1_done) {
-      estimate::PlanBuilder stage2(topo);
-      estimate::plan_lmo_one_to_two(stage2, store, cfg.size(), lopts);
-      (void)estimate::execute_plan(stage2.build(lopts.parallel), ex, store,
-                                   shard);
+  }
+  const auto lmo = estimate::estimate_lmo(ex, store, {}, shard);
+  if (!shard_text.empty()) {
+    if (lmo.one_to_two_experiments > 0) {
       // The gather sweep is raw observations on the anchor session —
       // identical in every process (measured rounds never touch the
       // anchor), so it runs unsharded and merges bit-equal.
-      estimate::PlanBuilder sweep(topo);
+      estimate::PlanBuilder sweep(ex.topology());
       estimate::plan_gather_sweep(sweep);
       (void)estimate::execute_plan(sweep.build(true), ex, store);
     } else {
@@ -170,10 +155,6 @@ int cmd_estimate(const Cli& cli) {
     obs::set_global_residuals(nullptr);
     return 0;
   }
-
-  std::cout << "running estimation experiments on " << cfg.size()
-            << " nodes...\n";
-  const auto lmo = estimate::estimate_lmo(ex, store);
   const auto emp = estimate::estimate_gather_empirical(ex, store, lmo.params);
   core::save_params(lmo.params, emp.empirical, out);
   if (!save_path.empty()) {
@@ -276,12 +257,16 @@ int cmd_merge(const Cli& cli) {
     if (const obs::Json* prov = report.find("provenance"))
       entry["provenance"] = *prov;
     shards.push_back(std::move(entry));
-    if (const obs::Json* c = report.find("estimation_cost"))
-      for (const auto& [key, value] : c->entries()) {
+    const std::string doc = "run report " + path;
+    const obs::JsonField root(report, doc.c_str());
+    if (root.has("estimation_cost")) {
+      const obs::JsonField c = root["estimation_cost"];
+      for (const std::string& key : c.keys()) {
         const double prior =
             cost.find(key) != nullptr ? cost.at(key).as_double() : 0.0;
-        cost[key] = prior + value.as_double();
+        cost[key] = prior + c[key].number();
       }
+    }
   }
 
   merged.save(out);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -242,20 +243,28 @@ obs::Json MeasurementStore::to_json() const {
 }
 
 MeasurementStore MeasurementStore::from_json(const obs::Json& j) {
-  LMO_CHECK_MSG(j.at("schema").as_string() == kMeasurementsSchema,
-                "unexpected measurements schema '" +
-                    j.at("schema").as_string() + "'");
+  const obs::JsonField root(j, "measurement store");
+  const std::string& schema = root["schema"].string();
+  if (schema != kMeasurementsSchema)
+    root["schema"].fail("= '" + schema + "', expected '" +
+                        kMeasurementsSchema + "'");
   MeasurementStore store;
-  if (const obs::Json* cluster = j.find("cluster"))
-    store.set_cluster(int(cluster->at("size").as_int()),
-                      std::uint64_t(cluster->at("seed").as_int()));
-  for (const obs::Json& e : j.at("entries").items()) {
+  if (root.has("cluster")) {
+    const obs::JsonField cluster = root["cluster"];
+    store.set_cluster(int(cluster["size"].integer(0, sim::kMaxRanks)),
+                      std::uint64_t(cluster["seed"].integer()));
+  }
+  // Each entry is read as its own document: its name and field paths are
+  // short strings, so loading a large store allocates none of them.
+  const std::size_t n = root["entries"].size();
+  const obs::Json& entries = j.at("entries");
+  for (std::size_t i = 0; i < n; ++i) {
+    char doc[48];
+    std::snprintf(doc, sizeof doc, "measurement store entries[%zu]", i);
+    const obs::JsonField e(entries[i], doc);
     const ExperimentKey key = ExperimentKey::from_json(e);
-    const double value = e.at("value").as_double();
-    LMO_CHECK_MSG(std::isfinite(value),
-                  "non-finite measurement value for " + key.describe());
-    const obs::Json* q = e.find("quarantined");
-    if (q != nullptr && q->as_bool())
+    const double value = e["value"].number();
+    if (e.has("quarantined") && e["quarantined"].boolean())
       store.quarantine(key, value);
     else
       store.insert(key, value);

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -95,6 +96,10 @@ struct ExperimentKey {
   /// {"kind": "roundtrip", "a": 3, "b": 7, "m": 32768, "reply": 32768, ...}
   /// — only the fields the kind uses are emitted.
   [[nodiscard]] obs::Json to_json() const;
+  /// Throws lmo::Error naming the field: ranks must lie in
+  /// [0, sim::kMaxRanks), sizes and counts must be >= 0.
+  [[nodiscard]] static ExperimentKey from_json(const obs::JsonField& j);
+  /// A standalone key document ("experiment key: field 'a' ...").
   [[nodiscard]] static ExperimentKey from_json(const obs::Json& j);
 
   /// Every processor the experiment occupies.
@@ -185,6 +190,12 @@ struct ShardSpec {
   /// naming the malformed value otherwise.
   [[nodiscard]] static ShardSpec parse(const std::string& text);
 };
+
+/// True when `store` holds a clean value for every key of `rounds` (a
+/// whole stage, or one round of it). A stage the store holds whole needs
+/// no more measuring; quarantined keys count as missing.
+[[nodiscard]] bool store_holds(const MeasurementStore& store,
+                               std::span<const PlannedRound> rounds);
 
 /// Run every experiment in the plan that `store` does not already hold,
 /// inserting the measured means; keys already present are skipped (their

@@ -1,23 +1,19 @@
 // Sampled LMO estimation for large clusters (the 4096-rank regime).
 //
-// The full Section-IV procedure needs C(n,2) round-trips and 3*C(n,3)
-// one-to-two experiments — O(n^3) experiments and O(n^2) fitted tables,
-// both infeasible at thousands of ranks. On a hierarchical platform the
+// The exact Section-IV fit needs O(n^3) experiments and O(n^2) fitted
+// tables, infeasible at thousands of ranks. On a hierarchical platform the
 // parameters are not n^2 free values though: nodes fall into a handful of
-// profiles (identical C_i/t_i) and links into depth() level classes
-// (identical L/1-over-beta per LCA level). This estimator samples a few
-// triplets per resource-tree level, solves the same per-triplet systems
-// (eqs. 8/11) as the exact fit, and aggregates:
+// profiles and links into depth() level classes. This estimator runs the
+// exact fit's triplet method (lmo_estimator.hpp: the same stage-2 keys,
+// eqs. (8)/(11) solve and sharded two-stage driver) on a few triplets per
+// resource-tree level, and accumulates differently:
 //  * C_i/t_i per sampled rank, broadcast to unsampled ranks by profile
 //    mean (when the cluster's profile table is known) or global mean,
-//  * L/1-over-beta per level (the LevelLink form priced_by_path expands).
+//  * L/1-over-beta per LCA level (the LevelLink form priced_by_path
+//    expands).
 // Experiment count is O(depth * triplets_per_level), report size is
-// O(sampled + depth) — no pair table anywhere.
-//
-// Deterministic end to end: triplet sampling is a pure function of the
-// topology, orientation derives from stored round-trips, and both stages
-// flow through plan/execute_plan — so the estimator shards (ShardSpec)
-// and refits offline exactly like the exact pipeline.
+// O(sampled + depth). Sampling is a pure function of the topology, so the
+// estimator shards (ShardSpec) and refits offline like the exact one.
 #pragma once
 
 #include <vector>

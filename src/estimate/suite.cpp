@@ -1,5 +1,7 @@
 #include "estimate/suite.hpp"
 
+#include <utility>
+
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -15,6 +17,14 @@ SuiteReport estimate_model_suite(Experimenter& ex, MeasurementStore& store,
   const SimTime cost0 = ex.cost();
 
   SuiteReport report;
+  const auto run = [&](const PlanBuilder& plan) {
+    report.requested += plan.requests();
+    const ExperimentPlan built = plan.build(opts.parallel);
+    report.deduplicated += built.deduplicated;
+    const ExecuteStats stats = execute_plan(built, ex, store);
+    report.measured += stats.measured;
+    report.cached += stats.cached;
+  };
 
   // Stage 1: everything every estimator can declare up front — one merged
   // plan, deduplicated across estimators, executed in disjoint rounds.
@@ -29,12 +39,7 @@ SuiteReport estimate_model_suite(Experimenter& ex, MeasurementStore& store,
       plan_gather_sweep(plan, opts.empirical);
       plan_scatter_sweep(plan, opts.empirical);
     }
-    report.requested += plan.requests();
-    const ExperimentPlan built = plan.build(opts.parallel);
-    report.deduplicated += built.deduplicated;
-    const ExecuteStats stats = execute_plan(built, ex, store);
-    report.measured += stats.measured;
-    report.cached += stats.cached;
+    run(plan);
   }
 
   // Stage 2: LMO's one-to-two orientations derive from the stage-1
@@ -43,12 +48,7 @@ SuiteReport estimate_model_suite(Experimenter& ex, MeasurementStore& store,
     const obs::Span stage_sp = obs::span("suite.stage2");
     PlanBuilder plan(ex.topology());
     plan_lmo_one_to_two(plan, store, n, opts.lmo);
-    report.requested += plan.requests();
-    const ExperimentPlan built = plan.build(opts.parallel);
-    report.deduplicated += built.deduplicated;
-    const ExecuteStats stats = execute_plan(built, ex, store);
-    report.measured += stats.measured;
-    report.cached += stats.cached;
+    run(plan);
   }
 
   // Stage 3: PLogP's bisection midpoints derive from the stored ladder,
@@ -62,16 +62,12 @@ SuiteReport estimate_model_suite(Experimenter& ex, MeasurementStore& store,
   }
 
   // Fits: every model reads the store only.
-  report.hockney = fit_hockney(store, n, opts.hockney);
-  report.loggp = fit_loggp(store, n, opts.loggp);
-  report.lmo = fit_lmo(store, n, opts.lmo);
-  report.plogp = fit_plogp(store, n, opts.plogp);
-  if (opts.empirical_sweeps) {
-    report.gather = fit_gather_empirical(store, report.lmo.params,
-                                         opts.empirical);
-    report.scatter = fit_scatter_empirical(store, report.lmo.params,
-                                           opts.empirical);
-  }
+  SuiteReport fitted = fit_model_suite(store, n, opts);
+  fitted.requested = report.requested;
+  fitted.deduplicated = report.deduplicated;
+  fitted.measured = report.measured;
+  fitted.cached = report.cached;
+  report = std::move(fitted);
 
   report.world_runs = ex.runs() - runs0;
   report.estimation_cost = ex.cost() - cost0;

@@ -577,6 +577,13 @@ JsonField JsonField::operator[](std::size_t i) const {
   return JsonField(v_[i], path_ + "[" + std::to_string(i) + "]", doc_);
 }
 
+std::vector<std::string> JsonField::keys() const {
+  if (!v_.is_object()) fail("must be a JSON object");
+  std::vector<std::string> out;
+  for (const auto& [key, value] : v_.entries()) out.push_back(key);
+  return out;
+}
+
 std::size_t JsonField::size() const {
   if (!v_.is_array()) fail("must be an array");
   return v_.size();

@@ -118,6 +118,9 @@ class JsonField {
   [[nodiscard]] JsonField operator[](const std::string& key) const;
   /// Array element; throws unless this is an array holding index i.
   [[nodiscard]] JsonField operator[](std::size_t i) const;
+  /// Member names of an object, in document order; throws unless this is
+  /// an object.
+  [[nodiscard]] std::vector<std::string> keys() const;
   /// Array length; throws unless this is an array.
   [[nodiscard]] std::size_t size() const;
   /// Throws unless this is an array of exactly n entries.

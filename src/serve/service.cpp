@@ -124,13 +124,7 @@ std::uint64_t Service::run_stage(const estimate::ExperimentPlan& plan,
   std::uint64_t w = 0;
   for (const estimate::PlannedRound& round : plan.rounds) {
     if (is_observation(round.kind)) continue;  // stages plan none
-    bool complete = true;
-    for (const estimate::ExperimentKey& key : round.keys)
-      if (!store_.contains(key)) {
-        complete = false;
-        break;
-      }
-    if (!complete) {
+    if (!estimate::store_holds(store_, {&round, 1})) {
       // Pin the cursor to the ordinal the uninterrupted run would have
       // reached, so the re-measured round derives identical seeds. The
       // store only ever checkpoints at round boundaries, so a missing
@@ -149,20 +143,13 @@ std::uint64_t Service::run_stage(const estimate::ExperimentPlan& plan,
 }
 
 void Service::run_observation_sweep(const estimate::ExperimentPlan& plan) {
-  bool complete = true;
-  for (const estimate::PlannedRound& round : plan.rounds)
-    for (const estimate::ExperimentKey& key : round.keys)
-      if (is_observation(round.kind) && !store_.contains(key)) {
-        complete = false;
-        break;
-      }
   // All cached: serve the sweep from the store without touching the
   // anchor session. Any gap: replay the ENTIRE sweep in plan order. The
   // anchor RNG starts from the cluster seed in every daemon process and
   // the sweep is its only consumer, so the replayed stream reproduces the
   // uninterrupted run's samples bit for bit; first-write-wins makes the
   // re-inserts of already-cached samples no-ops.
-  if (complete) return;
+  if (estimate::store_holds(store_, plan.rounds)) return;
   for (const estimate::PlannedRound& round : plan.rounds)
     for (const estimate::ExperimentKey& key : round.keys) {
       if (round.kind == estimate::ExperimentKind::kScatterObservation)

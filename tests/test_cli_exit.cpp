@@ -79,10 +79,20 @@ std::string temp_file(const std::string& name, const std::string& text) {
 TEST(LmoToolExitTest, MergeInputErrorsFailNamed) {
   // Each input check of `merge` is a plain named error, made before the
   // merged store is written: no --out, no store, --reports without
-  // --report, an unreadable report.
+  // --report, an unreadable report, a store of another schema, a store
+  // entry whose rank is out of range, a non-numeric report cost.
   const std::string store = temp_file(
       "lmo_exit_merge_in.json",
       R"({"schema": "lmo.measurements/1", "entries": []})");
+  const std::string bad_schema =
+      temp_file("lmo_exit_merge_schema.json", R"({"schema": "x", "entries": []})");
+  const std::string bad_rank = temp_file(
+      "lmo_exit_merge_rank.json",
+      R"({"schema": "lmo.measurements/1", "entries": [{"kind": "roundtrip",)"
+      R"( "a": 99999999999, "b": 1, "m": 0, "reply": 0, "value": 1e-5}]})");
+  const std::string bad_report = temp_file(
+      "lmo_exit_merge_report.json",
+      R"({"estimation_cost": {"world_runs": "many"}})");
   const std::string out = testing::TempDir() + "lmo_exit_merge_out.json";
   std::remove(out.c_str());
   const std::string merge = std::string(LMO_TOOL_BIN) + " merge ";
@@ -92,15 +102,23 @@ TEST(LmoToolExitTest, MergeInputErrorsFailNamed) {
         {store + " --out " + out + " --reports " + store, "--report"},
         {store + " --out " + out + " --reports /nonexistent/r.json --report " +
              out + ".report",
-         "/nonexistent/r.json"}}) {
+         "/nonexistent/r.json"},
+        {bad_schema + " --out " + out, "field 'schema' = 'x'"},
+        {bad_rank + " --out " + out, "entries[0]: field 'a' = 99999999999"},
+        {store + " --out " + out + " --reports " + bad_report + " --report " +
+             out + ".report",
+         "field 'estimation_cost.world_runs' must be a number"}}) {
     const RunResult r = run(merge + args);
     expect_named_failure(r, flag);
     EXPECT_EQ(r.output.find("check failed"), std::string::npos) << r.output;
     EXPECT_EQ(r.output.find(".cpp"), std::string::npos) << r.output;
     EXPECT_FALSE(std::ifstream(out).good()) << "nothing may be written";
+    EXPECT_FALSE(std::ifstream(out + ".report").good())
+        << "nothing may be written";
   }
   std::remove(out.c_str());
-  std::remove(store.c_str());
+  for (const std::string& path : {store, bad_schema, bad_rank, bad_report})
+    std::remove(path.c_str());
 }
 
 /// A two-rank JSON model with the given C row and escalation mode.
@@ -300,6 +318,9 @@ TEST(BenchExitTest, UnknownFlagFailsNamedNotAborts) {
   expect_named_failure(
       run(std::string(LMO_BENCH_TABLE1_BIN) + " --no-such-flag 3"),
       "--no-such-flag");
+  // No bench shards its campaign: --shard is lmo_tool's flag only.
+  expect_named_failure(run(std::string(LMO_BENCH_TABLE1_BIN) + " --shard 0/2"),
+                       "--shard");
 }
 
 TEST(BenchExitTest, NonNumericSeedFailsNamed) {
