@@ -44,8 +44,7 @@ int run(int argc, char** argv) {
   int band_samples = 0, cover_lmo = 0, cover_hock = 0, cover_loggp = 0,
       cover_plogp = 0;
   for (const Bytes m : sizes) {
-    const auto samples = bench::observe_samples(
-        env.ex,
+    const auto samples = env.ex.observe_global_samples(
         [m](vmpi::Comm& c) { return coll::linear_gather(c, 0, m); }, reps);
     stats::RunningStats s;
     s.add_all(samples);

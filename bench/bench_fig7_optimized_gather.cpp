@@ -32,8 +32,7 @@ int run(int argc, char** argv) {
   double best_speedup = 0;
   for (const Bytes m : sizes) {
     const auto plan = core::plan_optimized_gather(lmo.params, emp, root, m);
-    const auto native = bench::observe_samples(
-        env.ex,
+    const auto native = env.ex.observe_global_samples(
         [m](vmpi::Comm& c) { return coll::linear_gather(c, 0, m); }, reps);
     stats::RunningStats ns;
     ns.add_all(native);
@@ -51,7 +50,7 @@ int run(int argc, char** argv) {
       optimized = [m](vmpi::Comm& c) { return coll::linear_gather(c, 0, m); };
       plan_str = "native";
     }
-    const auto opt = bench::observe_samples(env.ex, optimized, reps);
+    const auto opt = env.ex.observe_global_samples(optimized, reps);
     stats::RunningStats os;
     os.add_all(opt);
 
