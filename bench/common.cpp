@@ -1,14 +1,12 @@
 #include "common.hpp"
 
-#include <cmath>
+#include <algorithm>
+#include <filesystem>
 #include <iostream>
 #include <memory>
 
-#include "obs/exposition.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
-#include "obs/report.hpp"
-#include "obs/residuals.hpp"
+#include "obs/run_artifacts.hpp"
 #include "obs/trace.hpp"
 #include "simnet/fault.hpp"
 #include "stats/summary.hpp"
@@ -19,34 +17,41 @@
 namespace lmo::bench {
 
 namespace {
-/// Per-process run state for the --report/--trace flags. Benches are
-/// single-run binaries, so one static slot (written once during CLI
-/// parsing, before any parallelism starts) is enough.
+/// Per-process run state. Benches are single-run binaries, so one static
+/// slot (written once during CLI parsing, before any parallelism starts)
+/// is enough.
 struct RunState {
-  std::unique_ptr<obs::ReportBuilder> report;
-  std::string report_path;
-  std::string trace_path;
+  std::unique_ptr<obs::RunArtifacts> artifacts;
   mpib::MeasureOptions measure;  ///< defaults + the --fault-* spec
-  /// Fidelity tracking: installed as the process-global tracker when any
-  /// of --report/--fidelity-save/--fidelity-baseline asked for it.
-  std::unique_ptr<obs::ResidualTracker> residuals;
-  std::string fidelity_save_path;
-  std::string fidelity_baseline_path;
-  /// Flight recorder: armed by --flight-dump, attached to every BenchEnv.
-  std::unique_ptr<obs::FlightRecorder> flight;
-  std::string flight_path;
-  std::string metrics_path;  ///< --metrics-out Prometheus text target
+  /// Live BenchEnvs whose anchor session has not published its metrics.
+  std::vector<BenchEnv*> unpublished;
 };
 RunState& run_state() {
   static RunState s;
   return s;
 }
 
-std::string tool_name(const char* argv0) {
-  std::string name = argv0 ? argv0 : "bench";
-  const auto slash = name.find_last_of('/');
-  if (slash != std::string::npos) name = name.substr(slash + 1);
-  return name;
+obs::RunArtifacts& artifacts() {
+  LMO_CHECK_MSG(run_state().artifacts, "parse_bench_cli has not run");
+  return *run_state().artifacts;
+}
+
+/// {"title": ..., "columns": [...], "rows": [[...], ...]} — the JSON shape
+/// of a bench table, shared by --json and the run report.
+obs::Json table_json(const Table& table, const std::string& title) {
+  obs::Json out = obs::Json::object();
+  out["title"] = title;
+  obs::Json columns = obs::Json::array();
+  for (const std::string& h : table.header()) columns.push_back(h);
+  out["columns"] = std::move(columns);
+  obs::Json rows = obs::Json::array();
+  for (std::size_t i = 0; i < table.rows(); ++i) {
+    obs::Json row = obs::Json::array();
+    for (const std::string& cell : table.row(i)) row.push_back(cell);
+    rows.push_back(std::move(row));
+  }
+  out["rows"] = std::move(rows);
+  return out;
 }
 }  // namespace
 
@@ -66,29 +71,20 @@ BenchEnv::BenchEnv(std::uint64_t seed)
 BenchEnv::BenchEnv(sim::ClusterConfig cluster)
     : cfg(std::move(cluster)), world(cfg), ex(world, bench_measure_options()) {
   world.set_trace_sink(obs::global_sink());
-  if (run_state().flight) ex.set_flight_recorder(run_state().flight.get());
+  ex.set_flight_recorder(artifacts().flight());
+  run_state().unpublished.push_back(this);
 }
 
 mpib::MeasureOptions bench_measure_options() { return run_state().measure; }
 
-BenchEnv::~BenchEnv() {
-  vmpi::publish_metrics(world.metrics(), obs::Registry::global());
-}
+BenchEnv::~BenchEnv() { publish(); }
 
-obs::Json table_json(const Table& table, const std::string& title) {
-  obs::Json out = obs::Json::object();
-  out["title"] = title;
-  obs::Json columns = obs::Json::array();
-  for (const std::string& h : table.header()) columns.push_back(h);
-  out["columns"] = std::move(columns);
-  obs::Json rows = obs::Json::array();
-  for (std::size_t i = 0; i < table.rows(); ++i) {
-    obs::Json row = obs::Json::array();
-    for (const std::string& cell : table.row(i)) row.push_back(cell);
-    rows.push_back(std::move(row));
-  }
-  out["rows"] = std::move(rows);
-  return out;
+void BenchEnv::publish() {
+  std::vector<BenchEnv*>& live = run_state().unpublished;
+  const auto it = std::find(live.begin(), live.end(), this);
+  if (it == live.end()) return;
+  live.erase(it);
+  vmpi::publish_metrics(world.metrics(), obs::Registry::global());
 }
 
 void emit(const Table& table, const Cli& cli, const std::string& title) {
@@ -102,13 +98,13 @@ void emit(const Table& table, const Cli& cli, const std::string& title) {
     std::cout << "\n-- json --\n";
     std::cout << table_json(table, title).dump(2) << "\n";
   }
-  if (run_state().report) run_state().report->add_table(table_json(table, title));
+  if (reporting()) artifacts().report()->add_table(table_json(table, title));
 }
 
-bool reporting() { return run_state().report != nullptr; }
+bool reporting() { return artifacts().report() != nullptr; }
 
 void report_set(const std::string& key, obs::Json value) {
-  if (run_state().report) run_state().report->set(key, std::move(value));
+  if (reporting()) artifacts().report()->set(key, std::move(value));
 }
 
 void record_residual(const std::string& model, const std::string& op, Bytes m,
@@ -117,69 +113,20 @@ void record_residual(const std::string& model, const std::string& op, Bytes m,
                        /*level=*/-1, std::uint64_t(m), predicted, observed);
 }
 
-namespace {
-/// Accuracy gate: ranking equality plus bounded per-model MRE drift
-/// (obs::fidelity_drift defaults). Both bounds are generous against the
-/// deterministic simulator — a trip means the models genuinely changed.
-int check_fidelity_baseline(const obs::ResidualTracker& residuals,
-                            const std::string& path) {
-  const obs::Json baseline = obs::load_fidelity(path);
-  const obs::Json current = residuals.to_json();
-  const std::vector<std::string> failures =
-      obs::fidelity_drift(baseline, current);
-  for (const std::string& f : failures)
-    std::cout << "fidelity-baseline: FAIL " << f << "\n";
-  if (failures.empty())
-    std::cout << "fidelity-baseline: OK (" << current.at("ranking").size()
-              << " models, ranking unchanged, accuracy within bounds)\n";
-  return failures.empty() ? 0 : 1;
-}
-}  // namespace
-
 int finish_run() {
-  RunState& s = run_state();
-  int rc = 0;
-  if (s.report) {
-    if (s.residuals && s.residuals->recorded() > 0)
-      s.report->set("fidelity", s.residuals->to_json());
-    if (s.flight && s.flight->has_dump())
-      s.report->set("flight", s.flight->to_json());
-    s.report->set("degradation",
-                  obs::degradation_json(obs::Registry::global().snapshot()));
-    s.report->write(s.report_path);
-    std::cout << "\nreport: " << s.report_path << "\n";
-  }
-  if (!s.fidelity_save_path.empty() && s.residuals) {
-    s.residuals->save(s.fidelity_save_path);
-    std::cout << "fidelity: " << s.fidelity_save_path << "\n";
-  }
-  if (!s.fidelity_baseline_path.empty() && s.residuals)
-    rc = check_fidelity_baseline(*s.residuals, s.fidelity_baseline_path);
-  if (!s.flight_path.empty() && s.flight) {
-    s.flight->save(s.flight_path);
-    std::cout << "flight: " << s.flight_path
-              << (s.flight->degraded() ? " (degraded)" : "") << "\n";
-  }
-  if (!s.metrics_path.empty()) {
-    obs::write_prometheus(s.metrics_path);
-    std::cout << "metrics: " << s.metrics_path << "\n";
-  }
-  if (!s.trace_path.empty()) {
-    obs::TraceSink* sink = obs::global_sink();
-    if (sink) {
-      sink->save(s.trace_path);
-      std::cout << "trace: " << s.trace_path << "\n";
-    }
-  }
-  return rc;
+  // The anchor sessions of the BenchEnvs still alive count too.
+  while (!run_state().unpublished.empty())
+    run_state().unpublished.back()->publish();
+  return artifacts().finish();
 }
 
 Cli parse_bench_cli(int argc, const char* const* argv,
                     std::vector<std::string> extra) {
-  std::vector<std::string> known = {
-      "seed", "reps", "csv", "json", "points", "jobs", "report",
-      "trace", "measurements-load", "measurements-save", "fidelity-save",
-      "fidelity-baseline", "flight-dump", "metrics-out"};
+  std::vector<std::string> known = {"seed", "reps", "csv", "json", "points",
+                                    "jobs", "measurements-load",
+                                    "measurements-save"};
+  known.insert(known.end(), obs::RunArtifacts::kOptions.begin(),
+               obs::RunArtifacts::kOptions.end());
   for (const std::string& f : sim::fault_cli_options()) known.push_back(f);
   for (std::string& f : extra) known.push_back(std::move(f));
   Cli cli(argc, argv, std::move(known));
@@ -187,26 +134,12 @@ Cli parse_bench_cli(int argc, const char* const* argv,
   set_default_jobs(int(cli.get_int("jobs", 0)));
   RunState& s = run_state();
   s.measure.fault = sim::fault_spec_from_cli(cli);
-  s.trace_path = cli.get("trace", "");
-  if (!s.trace_path.empty()) obs::set_global_trace_enabled(true);
-  s.report_path = cli.get("report", "");
-  if (!s.report_path.empty()) {
-    s.report = std::make_unique<obs::ReportBuilder>(
-        tool_name(argc > 0 ? argv[0] : nullptr));
-    s.report->provenance("seed", cli.get_int("seed", 1));
-    s.report->provenance("jobs", cli.get_int("jobs", 0));
+  s.artifacts = std::make_unique<obs::RunArtifacts>(
+      cli, std::filesystem::path(argc > 0 ? argv[0] : "bench").filename());
+  if (obs::ReportBuilder* report = s.artifacts->report()) {
+    report->provenance("seed", cli.get_int("seed", 1));
+    report->provenance("jobs", cli.get_int("jobs", 0));
   }
-  s.fidelity_save_path = cli.get("fidelity-save", "");
-  s.fidelity_baseline_path = cli.get("fidelity-baseline", "");
-  if (s.report || !s.fidelity_save_path.empty() ||
-      !s.fidelity_baseline_path.empty()) {
-    s.residuals = std::make_unique<obs::ResidualTracker>();
-    obs::set_global_residuals(s.residuals.get());
-  }
-  s.flight_path = cli.get("flight-dump", "");
-  if (!s.flight_path.empty())
-    s.flight = std::make_unique<obs::FlightRecorder>();
-  s.metrics_path = cli.get("metrics-out", "");
   return cli;
 }
 
@@ -230,15 +163,6 @@ void save_measurements(const Cli& cli,
   store.save(path);
   std::cout << "measurements: saved " << store.size() << " entries to " << path
             << "\n";
-}
-
-int guarded_main(const std::function<int()>& body) {
-  try {
-    return body();
-  } catch (const Error& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
-  }
 }
 
 }  // namespace lmo::bench

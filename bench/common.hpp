@@ -43,26 +43,28 @@ struct BenchEnv {
   vmpi::World world;
   estimate::SimExperimenter ex;
 
-  /// Attaches the world to the global trace sink when --trace is active.
-  /// The experimenter picks up the --fault-* spec parse_bench_cli recorded
-  /// (inert when no fault flag was given).
+  /// Attaches the world to the global trace sink when --trace is active
+  /// and the experimenter to the --flight-dump recorder. The experimenter
+  /// picks up the --fault-* spec parse_bench_cli recorded (inert when no
+  /// fault flag was given).
   explicit BenchEnv(std::uint64_t seed = 1);
   /// Same harness on a caller-supplied cluster (e.g. a hierarchical
   /// multi-core cluster) instead of the Table-I paper cluster.
   explicit BenchEnv(sim::ClusterConfig cluster);
-  /// Publishes the world's session metrics into the global registry.
-  ~BenchEnv();
+  ~BenchEnv();  ///< publish()
+  BenchEnv(const BenchEnv&) = delete;  // the run state holds its address
+  BenchEnv& operator=(const BenchEnv&) = delete;
+
+  /// Publish the world's (anchor session's) metrics into the global
+  /// registry, once: finish_run() calls it for every BenchEnv still alive,
+  /// the destructor for the rest.
+  void publish();
 };
 
 /// The measurement options parse_bench_cli assembled for this run:
 /// defaults plus the --fault-* spec. BenchEnv applies them automatically;
 /// benches constructing their own SimExperimenter should start from this.
 [[nodiscard]] mpib::MeasureOptions bench_measure_options();
-
-/// {"title": ..., "columns": [...], "rows": [[...], ...]} — the JSON shape
-/// of a bench table, shared by --json and the run report.
-[[nodiscard]] obs::Json table_json(const Table& table,
-                                   const std::string& title);
 
 /// Print a table; --csv appends its CSV form, --json its JSON form. When a
 /// run report is active the table is also recorded in it.
@@ -73,47 +75,28 @@ void emit(const Table& table, const Cli& cli, const std::string& title);
 /// Record a top-level report section; no-op without --report.
 void report_set(const std::string& key, obs::Json value);
 
-/// Record one collective-scope prediction residual into the fidelity
-/// tracker (no-op unless --report/--fidelity-save/--fidelity-baseline
-/// installed one). Benches use this to score every model's collective
-/// predictions against the simulated observation — the data the fidelity
-/// ranking (paper Table 2) is computed from.
+/// Score one model's collective prediction against the simulated
+/// observation in the fidelity tracker (the paper's Table 2 ranking);
+/// no-op unless an artifact flag installed the tracker.
 void record_residual(const std::string& model, const std::string& op, Bytes m,
                      double predicted, double observed);
 
-/// Write the --report / --trace / --fidelity-save / --flight-dump /
-/// --metrics-out output files, if requested, and check
-/// --fidelity-baseline. Call once at the end of every bench main() and
-/// return its value: 0 on success, 1 when the fidelity baseline check
-/// failed (model ranking changed or per-model accuracy drifted).
+/// Publish the anchor session of every BenchEnv still alive, then
+/// obs::RunArtifacts::finish(). Call once at the end of every bench main()
+/// and return its value: 1 when --fidelity-baseline failed, else 0.
 [[nodiscard]] int finish_run();
 
-/// Wrap a bench main body in the CLI error contract every binary in the
-/// repo follows: an uncaught lmo::Error becomes "error: <message>" on
-/// stderr and exit code 1 — never an unexplained SIGABRT. Usage:
-///   int run(int argc, char** argv) { ... }
-///   int main(int argc, char** argv) {
-///     return lmo::bench::guarded_main([&] { return run(argc, argv); });
-///   }
-[[nodiscard]] int guarded_main(const std::function<int()>& body);
+/// The CLI error contract (util/cli.hpp): return guarded_main(...) from
+/// every bench main().
+using lmo::guarded_main;
 
-/// Standard bench CLI: --seed N --reps N --csv --json --jobs N
-/// --report out.json --trace out.trace.json
-/// --measurements-load in.json --measurements-save out.json
-/// --fidelity-save out.json --fidelity-baseline baseline.json
-/// --flight-dump out.json --metrics-out out.prom, plus the
-/// fault-injection knobs --fault-spike-rate/--fault-drop-rate/
-/// --fault-hang-rate/--fault-slow-rate (all default 0 = off) with
-/// --fault-spike-scale/--fault-hang-delay/--fault-slow-factor/
-/// --fault-seed shaping them (see sim::FaultSpec). Parsing
-/// applies --jobs (default: hardware concurrency) as the process-wide
-/// default parallelism for session fan-out (util::set_default_jobs),
-/// enables the global trace sink when --trace is given, opens the run
-/// report when --report is, installs the global residual tracker when any
-/// of --report/--fidelity-save/--fidelity-baseline is, and arms the
-/// flight recorder (attached to every BenchEnv experimenter) when
-/// --flight-dump is. `extra` names bench-specific flags (e.g. --switches)
-/// accepted on top of the standard set.
+/// Standard bench CLI: --seed --reps --csv --json --points --jobs
+/// --measurements-load/-save, the artifact flags of obs::RunArtifacts and
+/// the --fault-* knobs (sim::fault_cli_options; all rates default to 0).
+/// Applies --jobs (default: hardware concurrency) as the process-wide
+/// default parallelism (util::set_default_jobs) and opens the process's
+/// RunArtifacts, with seed and jobs as report provenance. `extra` names
+/// bench-specific flags (e.g. --switches) accepted on top.
 [[nodiscard]] Cli parse_bench_cli(int argc, const char* const* argv,
                                   std::vector<std::string> extra = {});
 

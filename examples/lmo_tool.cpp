@@ -6,7 +6,9 @@
 //       --switches makes a hierarchical S x N x C multi-core cluster);
 //   lmo_tool estimate --cluster cluster.json --out model.json
 //       run the LMO estimation experiments on the (simulated) cluster and
-//       persist the point-to-point + empirical parameters as a JSON model;
+//       persist the point-to-point + empirical parameters as a JSON model
+//       (--report/--trace/--fidelity-*/--flight-dump/--metrics-out write
+//       the run's artifact files, obs::RunArtifacts);
 //   lmo_tool predict --model model.json --op scatter|gather|bcast|reduce
 //            [--size BYTES] [--root R]
 //       predict the collective's execution time from the saved model;
@@ -16,22 +18,21 @@
 //       measure only shard i of k of the estimation experiments (no fit) —
 //       run all k shards (any machines, any order), merge, then re-run
 //       estimate with --measurements-load merged.json for the exact model
-//       a single-process run would produce;
+//       a single-process run would produce (each pass writes its own
+//       artifact files);
 //   lmo_tool merge shard_0.json shard_1.json ... --out merged.json
 //       fold shard measurement stores into one (optionally folding the
 //       shards' run reports via --reports r0.json,r1.json --report out).
 //
 // Byte sizes (--size) accept k/M/G suffixes (powers of 1024).
 #include <iostream>
+#include <sstream>
 #include <string>
 
 #include "core/params_io.hpp"
 #include "core/tuner.hpp"
-#include "obs/exposition.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
-#include "obs/report.hpp"
-#include "obs/residuals.hpp"
+#include "obs/run_artifacts.hpp"
 #include "obs/trace.hpp"
 #include "estimate/empirical_estimator.hpp"
 #include "estimate/experimenter.hpp"
@@ -81,8 +82,16 @@ int cmd_make_cluster(const Cli& cli) {
 }
 
 int cmd_estimate(const Cli& cli) {
-  const auto cfg = sim::load_cluster(cli.get("cluster", "cluster.json"));
+  const std::string cluster_path = cli.get("cluster", "cluster.json");
+  const auto cfg = sim::load_cluster(cluster_path);
   const std::string out = cli.get("out", "model.json");
+  obs::RunArtifacts art(cli, "lmo_tool");
+  obs::ReportBuilder* report = art.report();
+  if (report) {
+    report->provenance("seed", std::int64_t(cfg.seed));
+    report->provenance("jobs", cli.get_int("jobs", 0));
+    report->set("cluster", cluster_path);
+  }
   vmpi::World world(cfg);
   world.set_trace_sink(obs::global_sink());
   // --fault-* rates (default 0 = off) exercise the recovery pipeline:
@@ -90,20 +99,7 @@ int cmd_estimate(const Cli& cli) {
   mpib::MeasureOptions measure;
   measure.fault = sim::fault_spec_from_cli(cli);
   estimate::SimExperimenter ex(world, measure);
-
-  // Fidelity telemetry: --report/--fidelity-save/--fidelity-baseline turn
-  // on the residual tracker; --flight-dump arms the engine flight
-  // recorder. Neither changes any estimate (record-only).
-  const std::string report_path = cli.get("report", "");
-  const std::string fidelity_save = cli.get("fidelity-save", "");
-  const std::string fidelity_baseline = cli.get("fidelity-baseline", "");
-  obs::ResidualTracker residuals;
-  if (!report_path.empty() || !fidelity_save.empty() ||
-      !fidelity_baseline.empty())
-    obs::set_global_residuals(&residuals);
-  const std::string flight_path = cli.get("flight-dump", "");
-  obs::FlightRecorder flight;
-  if (!flight_path.empty()) ex.set_flight_recorder(&flight);
+  ex.set_flight_recorder(art.flight());
 
   // A warm store (--measurements-load) skips every experiment it already
   // holds; --measurements-save persists the campaign for later refits.
@@ -135,41 +131,38 @@ int cmd_estimate(const Cli& cli) {
           "persisted for merging");
   }
   const auto lmo = estimate::estimate_lmo(ex, store, {}, shard);
-  if (!shard_text.empty()) {
-    if (lmo.one_to_two_experiments > 0) {
-      // The gather sweep is raw observations on the anchor session —
-      // identical in every process (measured rounds never touch the
-      // anchor), so it runs unsharded and merges bit-equal.
-      estimate::PlanBuilder sweep(ex.topology());
-      estimate::plan_gather_sweep(sweep);
-      (void)estimate::execute_plan(sweep.build(true), ex, store);
-    } else {
-      std::cout << "shard " << shard.index << "/" << shard.count
-                << ": stage-1 round-trips incomplete; merge the shard "
-                   "stores and re-run each shard on the merged store\n";
-    }
-    store.save(save_path);
-    std::cout << "shard " << shard.index << "/" << shard.count << ": saved "
-              << store.size() << " measurements to " << save_path << "\n";
-    vmpi::publish_metrics(world.metrics(), obs::Registry::global());
-    obs::set_global_residuals(nullptr);
-    return 0;
+  if (shard_text.empty()) {
+    const auto emp = estimate::estimate_gather_empirical(ex, store, lmo.params);
+    core::save_params(lmo.params, emp.empirical, out);
+    if (report)
+      report->set("estimated_parameters",
+                  core::model_json(lmo.params, emp.empirical));
+    std::cout << "estimated from " << lmo.roundtrip_experiments
+              << " round-trips + " << lmo.one_to_two_experiments
+              << " one-to-two experiments ("
+              << format_time(lmo.estimation_cost)
+              << " simulated); wrote model to " << out << "\n"
+              << "gather band: M1 = " << format_bytes(emp.empirical.m1)
+              << ", M2 = " << format_bytes(emp.empirical.m2) << "\n";
+  } else if (lmo.one_to_two_experiments > 0) {
+    // The gather sweep is raw observations on the anchor session —
+    // identical in every process (measured rounds never touch the
+    // anchor), so it runs unsharded and merges bit-equal.
+    estimate::PlanBuilder sweep(ex.topology());
+    estimate::plan_gather_sweep(sweep);
+    (void)estimate::execute_plan(sweep.build(true), ex, store);
+  } else {
+    std::cout << "shard " << shard_text
+              << ": stage-1 round-trips incomplete; merge the shard stores "
+                 "and re-run each shard on the merged store\n";
   }
-  const auto emp = estimate::estimate_gather_empirical(ex, store, lmo.params);
-  core::save_params(lmo.params, emp.empirical, out);
   if (!save_path.empty()) {
     store.save(save_path);
-    std::cout << "saved " << store.size() << " measurements to " << save_path
+    std::cout << (shard_text.empty() ? "" : "shard " + shard_text + ": ")
+              << "saved " << store.size() << " measurements to " << save_path
               << "\n";
   }
-  vmpi::publish_metrics(world.metrics(), obs::Registry::global());
-  if (!report_path.empty()) {
-    obs::ReportBuilder report("lmo_tool");
-    report.provenance("seed", std::int64_t(cfg.seed));
-    report.provenance("jobs", cli.get_int("jobs", 0));
-    report.set("cluster", cli.get("cluster", "cluster.json"));
-    report.set("estimated_parameters",
-               core::model_json(lmo.params, emp.empirical));
+  if (report) {
     obs::Json cost = obs::Json::object();
     cost["roundtrip_experiments"] = lmo.roundtrip_experiments;
     cost["one_to_two_experiments"] = lmo.one_to_two_experiments;
@@ -177,46 +170,12 @@ int cmd_estimate(const Cli& cli) {
     cost["cost_seconds"] = lmo.estimation_cost.seconds();
     cost["store_entries"] = store.size();
     cost["store_hits"] = store.hits();
-    report.set("estimation_cost", std::move(cost));
-    if (residuals.recorded() > 0)
-      report.set("fidelity", residuals.to_json());
-    if (flight.has_dump()) report.set("flight", flight.to_json());
-    report.set("degradation",
-               obs::degradation_json(obs::Registry::global().snapshot()));
-    report.write(report_path);
-    std::cout << "report: " << report_path << "\n";
+    report->set("estimation_cost", std::move(cost));
   }
-  int rc = 0;
-  if (!fidelity_save.empty()) {
-    residuals.save(fidelity_save);
-    std::cout << "fidelity: " << fidelity_save << "\n";
-  }
-  if (!fidelity_baseline.empty()) {
-    const auto failures = obs::fidelity_drift(
-        obs::load_fidelity(fidelity_baseline), residuals.to_json());
-    for (const std::string& f : failures)
-      std::cout << "fidelity-baseline: FAIL " << f << "\n";
-    if (failures.empty()) std::cout << "fidelity-baseline: OK\n";
-    rc = failures.empty() ? 0 : 1;
-  }
-  if (!flight_path.empty()) {
-    flight.save(flight_path);
-    std::cout << "flight: " << flight_path
-              << (flight.degraded() ? " (degraded)" : "") << "\n";
-  }
-  const std::string metrics_path = cli.get("metrics-out", "");
-  if (!metrics_path.empty()) {
-    obs::write_prometheus(metrics_path);
-    std::cout << "metrics: " << metrics_path << "\n";
-  }
-  obs::set_global_residuals(nullptr);
-  std::cout << "estimated from " << lmo.roundtrip_experiments
-            << " round-trips + " << lmo.one_to_two_experiments
-            << " one-to-two experiments (" << format_time(lmo.estimation_cost)
-            << " simulated); wrote model to " << out << "\n"
-            << "gather band: M1 = " << format_bytes(emp.empirical.m1)
-            << ", M2 = " << format_bytes(emp.empirical.m2) << "\n";
-  return rc;
+  // The anchor session publishes before the artifacts snapshot the
+  // registry.
+  vmpi::publish_metrics(world.metrics(), obs::Registry::global());
+  return art.finish();
 }
 
 /// Fold shard measurement stores (positional paths) into --out. With
@@ -240,11 +199,8 @@ int cmd_merge(const Cli& cli) {
 
   obs::Json shards = obs::Json::array();
   obs::Json cost = obs::Json::object();
-  std::string rest = reports;
-  while (!rest.empty()) {
-    const auto comma = rest.find(',');
-    const std::string path = rest.substr(0, comma);
-    rest = comma == std::string::npos ? "" : rest.substr(comma + 1);
+  std::istringstream report_list(reports);
+  for (std::string path; std::getline(report_list, path, ',');) {
     if (path.empty()) continue;
     obs::Json report;
     try {
@@ -285,42 +241,25 @@ int cmd_merge(const Cli& cli) {
   return 0;
 }
 
-int cmd_predict(const Cli& cli) {
+/// predict: the linear algorithm's price; tune: the tuner's decision. Both
+/// price through core::Tuner, the path lmo_served answers with.
+int cmd_price(const Cli& cli, bool tune) {
   const auto loaded = core::load_params(cli.get("model", "model.json"));
-  const auto kind = core::parse_collective(cli.get("op", "scatter"));
-  const Bytes m = cli.get_bytes("size", 65536);
-  const int root = int(cli.get_int("root", 0));
-  double prediction = 0.0;
-  switch (kind) {
-    case core::CollectiveKind::kScatter:
-      prediction = core::linear_scatter_time(loaded.params, root, m);
-      break;
-    case core::CollectiveKind::kGather:
-      prediction = core::linear_gather_time(loaded.params, loaded.empirical,
-                                            root, m)
-                       .expected();
-      break;
-    case core::CollectiveKind::kBcast:
-      prediction = core::linear_bcast_time(loaded.params, root, m);
-      break;
-    case core::CollectiveKind::kReduce:
-      prediction = core::linear_reduce_time(loaded.params, root, m);
-      break;
-  }
-  std::cout << cli.get("op", "scatter") << " of " << format_bytes(m)
-            << " from root " << root << ": predicted "
-            << format_seconds(prediction) << " (linear algorithm)\n";
-  return 0;
-}
-
-int cmd_tune(const Cli& cli) {
-  const auto loaded = core::load_params(cli.get("model", "model.json"));
-  const auto kind = core::parse_collective(cli.get("op", "scatter"));
-  const Bytes m = cli.get_bytes("size", 65536);
-  const int root = int(cli.get_int("root", 0));
+  const std::string op = cli.get("op", "scatter");
+  core::TunedDecision d;
+  d.kind = core::parse_collective(op);
+  d.message = cli.get_bytes("size", 65536);
+  d.root = int(cli.get_int("root", 0));
   const core::Tuner tuner(loaded.params, loaded.empirical);
-  const auto d = tuner.decide(kind, root, m);
-  std::cout << cli.get("op", "scatter") << " of " << format_bytes(m) << ": "
+  if (!tune) {
+    const double seconds = tuner.price(d);
+    std::cout << op << " of " << format_bytes(d.message) << " from root "
+              << d.root << ": predicted " << format_seconds(seconds)
+              << " (linear algorithm)\n";
+    return 0;
+  }
+  d = tuner.decide(d.kind, d.root, d.message);
+  std::cout << op << " of " << format_bytes(d.message) << ": "
             << d.describe() << ", predicted "
             << format_seconds(d.predicted_seconds) << "\n";
   if (!d.mapping.empty()) {
@@ -331,47 +270,36 @@ int cmd_tune(const Cli& cli) {
   return 0;
 }
 
+int run(int argc, char** argv) {
+  if (argc < 2) return usage();
+  const std::string command = argv[1];
+  std::vector<std::string> known = {
+      "out", "cluster", "model", "op", "size", "root", "nodes", "switches",
+      "cores", "seed", "jobs", "measurements-load", "measurements-save",
+      "shard", "reports"};
+  known.insert(known.end(), obs::RunArtifacts::kOptions.begin(),
+               obs::RunArtifacts::kOptions.end());
+  for (const std::string& f : sim::fault_cli_options()) known.push_back(f);
+  const Cli cli(argc - 1, argv + 1, std::move(known));
+  // --jobs N: parallel experiment sessions (default: hardware
+  // concurrency). Estimates are bit-identical for any value.
+  set_default_jobs(int(cli.get_int("jobs", 0)));
+  // The artifact flags are estimate's (merge's --report is the folded
+  // report); elsewhere they would be dropped without a word.
+  for (const std::string f : obs::RunArtifacts::kOptions)
+    if (cli.has(f) && command != "estimate" &&
+        !(command == "merge" && f == "report"))
+      throw Error("option --" + f + " applies to estimate only");
+  if (command == "make-cluster") return cmd_make_cluster(cli);
+  if (command == "estimate") return cmd_estimate(cli);
+  if (command == "predict" || command == "tune")
+    return cmd_price(cli, command == "tune");
+  if (command == "merge") return cmd_merge(cli);
+  return usage();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
-  const std::string command = argv[1];
-  try {
-    std::vector<std::string> known = {
-        "out", "cluster", "model", "op", "size", "root",
-        "nodes", "switches", "cores", "seed", "jobs", "report", "trace",
-        "measurements-load", "measurements-save", "shard", "reports",
-        "fidelity-save", "fidelity-baseline", "flight-dump", "metrics-out"};
-    for (const std::string& f : lmo::sim::fault_cli_options())
-      known.push_back(f);
-    const lmo::Cli cli(argc - 1, argv + 1, std::move(known));
-    // --jobs N: parallel experiment sessions (default: hardware
-    // concurrency). Estimates are bit-identical for any value.
-    lmo::set_default_jobs(int(cli.get_int("jobs", 0)));
-    const std::string trace_path = cli.get("trace", "");
-    if (!trace_path.empty()) lmo::obs::set_global_trace_enabled(true);
-    int rc = 2;
-    if (command == "make-cluster")
-      rc = cmd_make_cluster(cli);
-    else if (command == "estimate")
-      rc = cmd_estimate(cli);
-    else if (command == "predict")
-      rc = cmd_predict(cli);
-    else if (command == "tune")
-      rc = cmd_tune(cli);
-    else if (command == "merge")
-      rc = cmd_merge(cli);
-    else
-      return usage();
-    if (!trace_path.empty()) {
-      if (lmo::obs::TraceSink* sink = lmo::obs::global_sink()) {
-        sink->save(trace_path);
-        std::cout << "trace: " << trace_path << "\n";
-      }
-    }
-    return rc;
-  } catch (const lmo::Error& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
-  }
+  return lmo::guarded_main([&] { return run(argc, argv); });
 }

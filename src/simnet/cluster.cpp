@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <tuple>
 
 #include "util/rng.hpp"
 
@@ -235,38 +233,6 @@ std::vector<LevelGroundTruth> ground_truth_per_level(
     if (lv.pairs == 0) continue;
     lv.L /= lv.pairs;
     lv.inv_beta /= lv.pairs;
-  }
-  return out;
-}
-
-std::vector<ProfileClassGroundTruth> ground_truth_per_profile_class(
-    const ClusterConfig& cfg) {
-  std::vector<ProfileClassGroundTruth> out;
-  if (!cfg.has_profiles()) return out;
-  // (level, profile_a, profile_b) -> accumulating row. std::map keeps the
-  // output deterministically ordered by class.
-  std::map<std::tuple<int, int, int>, ProfileClassGroundTruth> classes;
-  const int n = cfg.size();
-  for (int i = 0; i < n; ++i) {
-    for (int j = i + 1; j < n; ++j) {
-      int pa = cfg.profile_of[std::size_t(i)];
-      int pb = cfg.profile_of[std::size_t(j)];
-      if (pa > pb) std::swap(pa, pb);
-      const int level = cfg.lca_level(i, j);
-      ProfileClassGroundTruth& row = classes[{level, pa, pb}];
-      row.level = level;
-      row.profile_a = pa;
-      row.profile_b = pb;
-      row.L += cfg.latency(i, j);
-      row.inv_beta += 1.0 / cfg.rate(i, j);
-      ++row.pairs;
-    }
-  }
-  out.reserve(classes.size());
-  for (auto& [key, row] : classes) {
-    row.L /= double(row.pairs);
-    row.inv_beta /= double(row.pairs);
-    out.push_back(row);
   }
   return out;
 }

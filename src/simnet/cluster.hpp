@@ -182,24 +182,6 @@ struct LevelGroundTruth {
 [[nodiscard]] std::vector<LevelGroundTruth> ground_truth_per_level(
     const ClusterConfig& cfg);
 
-/// Ground-truth link parameters aggregated per (profile pair, LCA level)
-/// class: the mean L_ij and 1/beta_ij over all pairs whose endpoints
-/// carry those profiles and whose LCA sits at that level. On a profiled
-/// cluster this is the full pair structure in O(profiles² · depth) rows.
-/// Empty when the config has no profile table. Rows are ordered by
-/// (level, profile_a, profile_b).
-struct ProfileClassGroundTruth {
-  int level = 1;          ///< LCA level (1 on a flat cluster)
-  int profile_a = 0;      ///< lower profile index of the unordered pair
-  int profile_b = 0;      ///< higher profile index
-  double L = 0.0;         ///< mean pair latency [s]
-  double inv_beta = 0.0;  ///< mean inverse rate [s/B]
-  std::int64_t pairs = 0; ///< pairs in the class
-};
-
-[[nodiscard]] std::vector<ProfileClassGroundTruth>
-ground_truth_per_profile_class(const ClusterConfig& cfg);
-
 /// The 16-node heterogeneous cluster of Table I: seven node types with
 /// heterogeneous processing delays (derived from CPU class) on a single
 /// switch. Rates are 100 Mbit/s Fast Ethernet across the board except the

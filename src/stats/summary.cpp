@@ -48,12 +48,6 @@ double RunningStats::max() const {
 
 void RunningStats::reset() { *this = RunningStats{}; }
 
-double mean_of(const std::vector<double>& xs) {
-  RunningStats s;
-  s.add_all(xs);
-  return s.mean();
-}
-
 double median_of(std::vector<double> xs) {
   LMO_CHECK(!xs.empty());
   const std::size_t mid = xs.size() / 2;
@@ -62,12 +56,6 @@ double median_of(std::vector<double> xs) {
   const double hi = xs[mid];
   const double lo = *std::max_element(xs.begin(), xs.begin() + mid);
   return 0.5 * (lo + hi);
-}
-
-double stddev_of(const std::vector<double>& xs) {
-  RunningStats s;
-  s.add_all(xs);
-  return s.stddev();
 }
 
 }  // namespace lmo::stats

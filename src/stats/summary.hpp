@@ -33,9 +33,7 @@ class RunningStats {
   double max_ = 0.0;
 };
 
-/// One-shot helpers.
-[[nodiscard]] double mean_of(const std::vector<double>& xs);
-[[nodiscard]] double median_of(std::vector<double> xs);  // by value: sorts
-[[nodiscard]] double stddev_of(const std::vector<double>& xs);
+/// Median of a sample (taken by value: it is partially sorted).
+[[nodiscard]] double median_of(std::vector<double> xs);
 
 }  // namespace lmo::stats

@@ -1,6 +1,7 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <iostream>
 #include <limits>
 
 #include "util/error.hpp"
@@ -129,6 +130,15 @@ bool Cli::get_flag(const std::string& name) const {
   auto it = values_.find(name);
   if (it == values_.end()) return false;
   return it->second == "true" || it->second == "1" || it->second == "yes";
+}
+
+int guarded_main(const std::function<int()>& body) {
+  try {
+    return body();
+  } catch (const Error& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
 }
 
 }  // namespace lmo

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -41,5 +42,13 @@ class Cli {
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };
+
+/// Run a binary's main body under the CLI error contract every binary in
+/// the repo follows: an uncaught lmo::Error becomes "error: <message>" on
+/// stderr and exit code 1, never an unexplained SIGABRT. Usage:
+///   int main(int argc, char** argv) {
+///     return lmo::guarded_main([&] { return run(argc, argv); });
+///   }
+[[nodiscard]] int guarded_main(const std::function<int()>& body);
 
 }  // namespace lmo

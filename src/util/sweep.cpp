@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "util/error.hpp"
-#include "util/parallel.hpp"
 
 namespace lmo {
 
@@ -27,15 +26,6 @@ std::vector<Bytes> linear_sizes(Bytes lo, Bytes hi, int points) {
   for (int s = 0; s < points; ++s)
     sizes.push_back(lo + (hi - lo) * Bytes(s) / Bytes(points - 1));
   return sizes;
-}
-
-std::vector<double> sweep_map(int points, const std::function<double(int)>& fn,
-                              int jobs) {
-  LMO_CHECK(points >= 0);
-  std::vector<double> out(std::size_t(points), 0.0);
-  parallel_for(jobs > 0 ? jobs : default_jobs(), points,
-               [&](int i) { out[std::size_t(i)] = fn(i); });
-  return out;
 }
 
 double mean_relative_error(const std::vector<double>& observed,

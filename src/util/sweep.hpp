@@ -2,7 +2,6 @@
 // and the examples.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "util/bytes.hpp"
@@ -19,13 +18,5 @@ namespace lmo {
 /// Mean of |predicted - observed| / observed over a series.
 [[nodiscard]] double mean_relative_error(const std::vector<double>& observed,
                                          const std::vector<double>& predicted);
-
-/// Evaluate one sweep point per index: fn(i) for i in [0, points), possibly
-/// concurrently (jobs; 0 = the process default), results in input order.
-/// fn must be safe to call concurrently for distinct indices — e.g. run an
-/// isolated SimSession per point, or pure model evaluation. Results do not
-/// depend on jobs.
-[[nodiscard]] std::vector<double> sweep_map(
-    int points, const std::function<double(int)>& fn, int jobs = 0);
 
 }  // namespace lmo

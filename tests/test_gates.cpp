@@ -69,9 +69,12 @@ void expect_same_bytes(const std::string& a, const std::string& b) {
 
 /// The EXPERIMENTS.md multi-process recipe end to end: a cold 2-shard
 /// two-pass campaign whose merged store and fitted model must be
-/// byte-identical to the single-process run.
+/// byte-identical to the single-process run. With `artifacts`, the
+/// second-pass shards also write every artifact file, which must parse,
+/// fold through `merge --reports`, and leave the results unchanged.
 void expect_sharded_matches_single(const std::string& name,
-                                   const std::string& cluster_args) {
+                                   const std::string& cluster_args,
+                                   bool artifacts = false) {
   const std::string d = gate_dir(name);
   const std::string est = kTool + " estimate --jobs 2 --cluster " + d +
                           "cluster.json";
@@ -79,25 +82,65 @@ void expect_sharded_matches_single(const std::string& name,
                   "cluster.json"));
   ASSERT_TRUE(ran(est + " --measurements-save " + d + "single.json --out " +
                   d + "model_single.json"));
-  for (const char* s : {"0", "1"})
+  // A shard pass scores no collective, so the second passes check their
+  // fidelity against a first pass.
+  for (const std::string s : {"0", "1"})
     ASSERT_TRUE(ran(est + " --shard " + s + "/2 --measurements-save " + d +
-                    "s" + s + ".json --out /dev/null"));
+                    "s" + s + ".json --out /dev/null" +
+                    (artifacts ? " --fidelity-save " + d + "s" + s +
+                                     "_fidelity.json"
+                               : std::string())));
   ASSERT_TRUE(ran(kTool + " merge --out " + d + "m1.json " + d + "s0.json " +
                   d + "s1.json"));
-  for (const char* s : {"0", "1"})
-    ASSERT_TRUE(ran(est + " --shard " + s + "/2 --measurements-load " + d +
-                    "m1.json --measurements-save " + d + "s" + s +
-                    "b.json --out /dev/null"));
+  for (const std::string s : {"0", "1"}) {
+    const std::string p = d + "s" + s + "b_";
+    ASSERT_TRUE(ran(
+        est + " --shard " + s + "/2 --measurements-load " + d +
+        "m1.json --measurements-save " + d + "s" + s +
+        "b.json --out /dev/null" +
+        (artifacts ? " --report " + p + "report.json --trace " + p +
+                         "trace.json --fidelity-save " + p +
+                         "fidelity.json --fidelity-baseline " + d +
+                         "s0_fidelity.json --flight-dump " + p +
+                         "flight.json --metrics-out " + p + "metrics.prom"
+                   : std::string())));
+  }
   ASSERT_TRUE(ran(kTool + " merge --out " + d + "m2.json " + d + "s0b.json " +
-                  d + "s1b.json"));
+                  d + "s1b.json" +
+                  (artifacts ? " --reports " + d + "s0b_report.json," + d +
+                                   "s1b_report.json --report " + d +
+                                   "folded.json"
+                             : std::string())));
   ASSERT_TRUE(ran(est + " --measurements-load " + d + "m2.json --out " + d +
                   "model_sharded.json"));
   expect_same_bytes(d + "single.json", d + "m2.json");
   expect_same_bytes(d + "model_single.json", d + "model_sharded.json");
+  if (!artifacts) return;
+
+  double world_runs = 0;
+  for (const std::string s : {"0", "1"}) {
+    const std::string p = d + "s" + s + "b_";
+    const obs::Json report = load(p + "report.json");
+    EXPECT_EQ(report.at("schema").as_string(), "lmo.run_report/1");
+    EXPECT_EQ(report.find("estimated_parameters"), nullptr)
+        << "a shard pass fits nothing";
+    EXPECT_TRUE(report.at("degradation").at("clean").as_bool());
+    world_runs += report.at("estimation_cost").at("world_runs").as_double();
+    EXPECT_EQ(load(p + "fidelity.json").at("schema").as_string(),
+              "lmo.fidelity/1");
+    EXPECT_EQ(load(p + "flight.json").at("schema").as_string(),
+              "lmo.flight/1");
+    EXPECT_TRUE(load(p + "trace.json").find("traceEvents") != nullptr);
+    EXPECT_GE(sample(read_file(p + "metrics.prom"), "lmo_sim_runs_total"),
+              1.0);
+  }
+  EXPECT_EQ(
+      load(d + "folded.json").at("estimation_cost").at("world_runs").as_double(),
+      world_runs);
 }
 
 TEST(ShardGate, FlatCampaignMatchesSingleProcess) {
-  expect_sharded_matches_single("shard_flat", "");
+  expect_sharded_matches_single("shard_flat", "", /*artifacts=*/true);
 }
 
 TEST(ShardGate, MulticoreCampaignMatchesSingleProcess) {
@@ -118,9 +161,19 @@ TEST(JobsGate, InjectedErrorsKeepModelAndStoreIdentical) {
                     " --fault-spike-rate 0.05 --fault-drop-rate 0.2"
                     " --fault-hang-rate 0.02 --fault-slow-rate 0.03 --jobs " +
                     j + " --measurements-save " + d + "store_j" + j +
-                    ".json --out " + d + "model_j" + j + ".json"));
+                    ".json --out " + d + "model_j" + j + ".json --report " +
+                    d + "report_j" + j + ".json"));
   expect_same_bytes(d + "model_j1.json", d + "model_j4.json");
   expect_same_bytes(d + "store_j1.json", d + "store_j4.json");
+  // The report tells the same story at any --jobs, and it says the run
+  // was degraded.
+  const obs::Json r1 = load(d + "report_j1.json");
+  const obs::Json r4 = load(d + "report_j4.json");
+  EXPECT_EQ(r1.at("estimated_parameters").dump(),
+            r4.at("estimated_parameters").dump());
+  EXPECT_EQ(r1.at("estimation_cost").dump(), r4.at("estimation_cost").dump());
+  EXPECT_FALSE(r1.at("degradation").at("clean").as_bool());
+  EXPECT_FALSE(r4.at("degradation").at("clean").as_bool());
 }
 
 // ---------------------------------------------------------- bench runs --
@@ -163,9 +216,16 @@ TEST(Table2Gate, ReportMetricsAndFidelityBaseline) {
   ASSERT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("fidelity-baseline: OK"), std::string::npos)
       << r.output;
-  EXPECT_EQ(load(d + "report.json").at("schema").as_string(),
-            "lmo.run_report/1");
+  const obs::Json report = load(d + "report.json");
+  EXPECT_EQ(report.at("schema").as_string(), "lmo.run_report/1");
   EXPECT_GE(sample(read_file(d + "metrics.prom"), "lmo_sim_runs_total"), 1.0);
+  // Committed repetitions and global observations run on pooled sessions;
+  // the anchor session's own runs (the gather sweep) must be counted too,
+  // so the world runs exceed both.
+  const obs::Json& counters = report.at("metrics").at("counters");
+  EXPECT_GT(counters.at("sim.runs").as_int(),
+            counters.at("estimate.reps_committed").as_int() +
+                counters.at("estimate.observe_reps").as_int());
 }
 
 TEST(Table2Gate, InjectedErrorsDegradeAndDumpFlight) {
