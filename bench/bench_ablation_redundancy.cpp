@@ -43,11 +43,10 @@ int run(int argc, char** argv) {
       cfg.noise_rel = noise;
       const auto gt = sim::ground_truth(cfg);
       for (const bool averaging : {true, false}) {
-        vmpi::World w(cfg);
-        estimate::SimExperimenter ex(w);
+        bench::BenchEnv env(cfg);
         estimate::LmoOptions opts;
         opts.redundancy_averaging = averaging;
-        const auto rep = estimate::estimate_lmo(ex, opts);
+        const auto rep = estimate::estimate_lmo(env.ex, opts);
         (averaging ? err_avg : err_first) +=
             parameter_error(rep.params, gt) / seeds;
       }

@@ -9,6 +9,7 @@
 #include "coll/collectives.hpp"
 #include "common.hpp"
 #include "core/predictions.hpp"
+#include "core/tuner.hpp"
 
 using namespace lmo;
 
@@ -30,10 +31,24 @@ int run(int argc, char** argv) {
     std::function<double(Bytes)> hockney_pred;
   };
   const models::Hockney avg = hockney.homogeneous;
+  const core::Tuner tuner(lmo.params, core::GatherEmpirical{});
+  // The tuner's price of one (kind, algorithm) from the root.
+  auto price = [&](core::CollectiveKind kind, core::AlgorithmId id) {
+    return [&tuner, kind, id, root](Bytes m) {
+      core::TunedDecision d;
+      d.kind = kind;
+      d.algorithm = id;
+      d.root = root;
+      d.message = m;
+      return tuner.price(d);
+    };
+  };
+  using core::AlgorithmId;
+  using core::CollectiveKind;
   const std::vector<Op> ops = {
       {"linear bcast",
        [root](vmpi::Comm& c, Bytes m) { return coll::linear_bcast(c, root, m); },
-       [&](Bytes m) { return core::linear_bcast_time(lmo.params, root, m); },
+       price(CollectiveKind::kBcast, AlgorithmId::kLinear),
        [&](Bytes m) {
          return avg.flat_collective(n, m, models::FlatAssumption::kSequential);
        }},
@@ -41,7 +56,7 @@ int run(int argc, char** argv) {
        [root](vmpi::Comm& c, Bytes m) {
          return coll::binomial_bcast(c, root, m);
        },
-       [&](Bytes m) { return core::binomial_bcast_time(lmo.params, root, m); },
+       price(CollectiveKind::kBcast, AlgorithmId::kBinomial),
        [&](Bytes m) {
          // log2(n) rounds of one pt2pt each under homogeneous Hockney.
          return double(trees::binomial_rounds(n)) * avg.pt2pt(m);
@@ -50,7 +65,7 @@ int run(int argc, char** argv) {
        [root](vmpi::Comm& c, Bytes m) {
          return coll::linear_reduce(c, root, m);
        },
-       [&](Bytes m) { return core::linear_reduce_time(lmo.params, root, m); },
+       price(CollectiveKind::kReduce, AlgorithmId::kLinear),
        [&](Bytes m) {
          return avg.flat_collective(n, m, models::FlatAssumption::kSequential);
        }},
@@ -58,7 +73,7 @@ int run(int argc, char** argv) {
        [root](vmpi::Comm& c, Bytes m) {
          return coll::binomial_reduce(c, root, m);
        },
-       [&](Bytes m) { return core::binomial_reduce_time(lmo.params, root, m); },
+       price(CollectiveKind::kReduce, AlgorithmId::kBinomial),
        [&](Bytes m) {
          return double(trees::binomial_rounds(n)) * avg.pt2pt(m);
        }},

@@ -11,7 +11,7 @@
 
 #include "coll/collectives.hpp"
 #include "common.hpp"
-#include "core/predictions.hpp"
+#include "core/tuner.hpp"
 #include "trees/mapping.hpp"
 
 using namespace lmo;
@@ -54,6 +54,18 @@ int run(int argc, char** argv) {
 
   // Broadcast: flat vs hierarchy-aware mapping.
   const auto mapping = trees::hierarchy_mapping(env.cfg.topology, root);
+  // No topology: the closed form, blind to the uplink contention the
+  // observed columns pay.
+  const core::Tuner tuner(lmo.params, core::GatherEmpirical{});
+  auto predict = [&](Bytes m, std::vector<int> map) {
+    core::TunedDecision d;
+    d.kind = core::CollectiveKind::kBcast;
+    d.algorithm = core::AlgorithmId::kBinomial;
+    d.root = root;
+    d.message = m;
+    d.mapping = std::move(map);
+    return tuner.price(d);
+  };
   const auto sizes = bench::geometric_sizes(
       4 * 1024, 64 * 1024, int(cli.get_int("points", 5)));
   Table bcast({"M", "flat obs [ms]", "topo obs [ms]", "gain",
@@ -69,9 +81,8 @@ int run(int argc, char** argv) {
           return coll::binomial_bcast(c, root, m, mapping);
         },
         reps);
-    const double pred_flat = core::binomial_bcast_time(lmo.params, root, m);
-    const double pred_topo =
-        core::binomial_bcast_time(lmo.params, root, m, mapping);
+    const double pred_flat = predict(m, {});
+    const double pred_topo = predict(m, mapping);
     bcast.add_row({format_bytes(m), bench::ms(obs_flat), bench::ms(obs_topo),
                    format_fixed(obs_flat / obs_topo, 2) + "x",
                    bench::ms(pred_flat), bench::ms(pred_topo)});

@@ -8,26 +8,50 @@
 
 #include "coll/collectives.hpp"
 #include "common.hpp"
-#include "core/predictions.hpp"
+#include "core/tuner.hpp"
 
 using namespace lmo;
+
+namespace {
+/// The binomial scatter from root 0 among the tuner's candidates: its
+/// default-mapping price, and the climbed mapping with its price.
+struct ClimbedMapping {
+  std::vector<int> mapping;
+  double predicted_default = 0.0;
+  double predicted_optimized = 0.0;
+};
+ClimbedMapping climbed_binomial_scatter(const core::Tuner& tuner, Bytes m) {
+  ClimbedMapping plan;
+  for (const core::TunedDecision& d :
+       tuner.candidates(core::CollectiveKind::kScatter, 0, m)) {
+    if (d.algorithm != core::AlgorithmId::kBinomial || d.segment != 0)
+      continue;
+    if (d.mapping.empty()) {
+      plan.predicted_default = d.predicted_seconds;
+    } else {
+      plan.mapping = d.mapping;
+      plan.predicted_optimized = d.predicted_seconds;
+    }
+  }
+  return plan;
+}
+}  // namespace
 
 int run(int argc, char** argv) {
   const Cli cli = bench::parse_bench_cli(argc, argv);
   bench::BenchEnv env(std::uint64_t(cli.get_int("seed", 1)));
   const int reps = int(cli.get_int("reps", 6));
-  const int root = 0;
 
   std::cout << "estimating the LMO model...\n";
   const auto lmo = estimate::estimate_lmo(env.ex);
+  const core::Tuner tuner(lmo.params, core::GatherEmpirical{});
 
   const auto sizes = bench::geometric_sizes(1024, 64 * 1024,
                                             int(cli.get_int("points", 6)));
   Table t({"M", "default obs [ms]", "optimized obs [ms]", "gain",
            "predicted default [ms]", "predicted optimized [ms]"});
   for (const Bytes m : sizes) {
-    const auto plan = core::optimize_binomial_scatter_mapping(lmo.params,
-                                                              root, m);
+    const auto plan = climbed_binomial_scatter(tuner, m);
     const double obs_default = bench::observe_mean(
         env.ex,
         [m](vmpi::Comm& c) { return coll::binomial_scatter(c, 0, m); }, reps);
@@ -45,8 +69,7 @@ int run(int argc, char** argv) {
   }
   bench::emit(t, cli, "Extension — LMO-guided binomial scatter mapping");
 
-  const auto plan =
-      core::optimize_binomial_scatter_mapping(lmo.params, root, 16 * 1024);
+  const auto plan = climbed_binomial_scatter(tuner, 16 * 1024);
   std::cout << "\noptimized mapping at 16 KB (virtual -> physical):";
   for (int v = 0; v < int(plan.mapping.size()); ++v)
     std::cout << " " << plan.mapping[std::size_t(v)];

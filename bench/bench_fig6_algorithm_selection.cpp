@@ -8,7 +8,7 @@
 #include "coll/collectives.hpp"
 #include "common.hpp"
 #include "core/optimize.hpp"
-#include "core/predictions.hpp"
+#include "core/tuner.hpp"
 
 using namespace lmo;
 
@@ -24,6 +24,15 @@ int run(int argc, char** argv) {
 
   const auto sizes = bench::linear_sizes(100 * 1024, 200 * 1024,
                                          int(cli.get_int("points", 6)));
+  const core::Tuner tuner(lmo.params, core::GatherEmpirical{});
+  auto lmo_price = [&](core::AlgorithmId id, Bytes m) {
+    core::TunedDecision d;
+    d.kind = core::CollectiveKind::kScatter;
+    d.algorithm = id;
+    d.root = root;
+    d.message = m;
+    return tuner.price(d);
+  };
 
   Table t({"M", "obs linear [ms]", "obs binomial [ms]", "LMO lin [ms]",
            "LMO bin [ms]", "Hockney choice", "LMO choice", "actual winner"});
@@ -37,7 +46,10 @@ int run(int argc, char** argv) {
         [m](vmpi::Comm& c) { return coll::binomial_scatter(c, 0, m); }, reps);
     const auto hockney_pick =
         core::choose_scatter_algorithm_hockney(hockney.hetero, root, m);
-    const auto lmo_pick = core::choose_scatter_algorithm(lmo.params, root, m);
+    const double lmo_lin = lmo_price(core::AlgorithmId::kLinear, m);
+    const double lmo_bin = lmo_price(core::AlgorithmId::kBinomial, m);
+    const auto lmo_pick = lmo_lin <= lmo_bin ? core::ScatterAlgorithm::kLinear
+                                             : core::ScatterAlgorithm::kBinomial;
     const auto actual = obs_lin <= obs_bin ? core::ScatterAlgorithm::kLinear
                                            : core::ScatterAlgorithm::kBinomial;
     hockney_correct += hockney_pick == actual;
@@ -46,8 +58,7 @@ int run(int argc, char** argv) {
       return a == core::ScatterAlgorithm::kLinear ? "linear" : "binomial";
     };
     t.add_row({format_bytes(m), bench::ms(obs_lin), bench::ms(obs_bin),
-               bench::ms(core::linear_scatter_time(lmo.params, root, m)),
-               bench::ms(core::binomial_scatter_time(lmo.params, root, m)),
+               bench::ms(lmo_lin), bench::ms(lmo_bin),
                name(hockney_pick), name(lmo_pick), name(actual)});
   }
   bench::emit(t, cli, "Fig. 6 — algorithm selection, 100-200 KB scatter");

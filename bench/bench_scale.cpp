@@ -81,19 +81,17 @@ int run(int argc, char** argv) {
     if (n > max_ranks) continue;
 
     const auto t_setup = std::chrono::steady_clock::now();
-    sim::ClusterConfig cfg = sim::make_multicore_cluster(
-        shape.switches, shape.nodes, shape.cores, seed);
-    vmpi::World world(cfg);
-    estimate::SimExperimenter ex(world, bench::bench_measure_options());
+    bench::BenchEnv env(sim::make_multicore_cluster(
+        shape.switches, shape.nodes, shape.cores, seed));
     const double setup_s = seconds_since(t_setup);
 
     // Micro: one anchor-session broadcast; events/s from the session's own
     // engine accounting (host_ns counts time inside engine runs only).
-    const vmpi::SessionMetrics before = world.metrics();
-    (void)ex.observe_global([bcast_bytes](vmpi::Comm& c) {
+    const vmpi::SessionMetrics before = env.world.metrics();
+    (void)env.ex.observe_global([bcast_bytes](vmpi::Comm& c) {
       return coll::binomial_bcast(c, 0, bcast_bytes);
     });
-    const vmpi::SessionMetrics after = world.metrics();
+    const vmpi::SessionMetrics after = env.world.metrics();
     const double events = double(after.events - before.events);
     const double engine_s = double(after.host_ns - before.host_ns) * 1e-9;
     const double events_per_s = engine_s > 0 ? events / engine_s : 0.0;
@@ -101,11 +99,11 @@ int run(int argc, char** argv) {
     // Macro: the sampled scale fit end to end (two experiment stages plus
     // the per-level/per-profile aggregation).
     estimate::MeasurementStore store;
-    store.set_cluster(cfg.size(), cfg.seed);
+    store.set_cluster(env.cfg.size(), env.cfg.seed);
     estimate::ScaleOptions sopts;
-    sopts.cluster = &cfg;
+    sopts.cluster = &env.cfg;
     const auto t_fit = std::chrono::steady_clock::now();
-    const auto fit = estimate::estimate_scale_lmo(ex, store, sopts);
+    const auto fit = estimate::estimate_scale_lmo(env.ex, store, sopts);
     const double fit_s = seconds_since(t_fit);
 
     const long rss_kb = peak_rss_kb();

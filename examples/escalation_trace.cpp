@@ -63,6 +63,6 @@ int main() {
   std::cout << "\n" << escalated << " of " << worst_trace.size()
             << " messages escalated; the root's sequential receive loop "
                "stalls behind each one —\nwhich is why the split-gather "
-               "optimization (examples/optimized_gather) pays off.\n";
+               "optimization (bench_fig7_optimized_gather) pays off.\n";
   return 0;
 }

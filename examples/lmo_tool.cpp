@@ -15,11 +15,10 @@
 //   lmo_tool tune --model model.json --op ... --size BYTES
 //       print the tuned algorithm decision for one invocation;
 //   lmo_tool estimate ... --shard i/k --measurements-save shard_i.json
-//       measure only shard i of k of the estimation experiments (no fit) —
-//       run all k shards (any machines, any order), merge, then re-run
-//       estimate with --measurements-load merged.json for the exact model
-//       a single-process run would produce (each pass writes its own
-//       artifact files);
+//       measure only shard i of k of the experiments (no fit): run all k
+//       shards (any machines, any order), merge, then estimate with
+//       --measurements-load merged.json for the model a single process
+//       would fit (each pass writes its own artifact files);
 //   lmo_tool merge shard_0.json shard_1.json ... --out merged.json
 //       fold shard measurement stores into one (optionally folding the
 //       shards' run reports via --reports r0.json,r1.json --report out).
@@ -180,8 +179,8 @@ int cmd_estimate(const Cli& cli) {
 
 /// Fold shard measurement stores (positional paths) into --out. With
 /// --reports r0.json,r1.json and --report out.json, the shards' run
-/// reports are folded too: estimation-cost fields summed, per-shard
-/// provenance listed.
+/// reports are folded too: provenance listed, work summed, the plan's
+/// experiment counts agreed on, store_entries the merged store's size.
 int cmd_merge(const Cli& cli) {
   // Every input is read and checked before anything is written.
   const std::vector<std::string>& inputs = cli.positional();
@@ -218,12 +217,18 @@ int cmd_merge(const Cli& cli) {
     if (root.has("estimation_cost")) {
       const obs::JsonField c = root["estimation_cost"];
       for (const std::string& key : c.keys()) {
-        const double prior =
-            cost.find(key) != nullptr ? cost.at(key).as_double() : 0.0;
-        cost[key] = prior + c[key].number();
+        const double v = c[key].number();
+        const obs::Json* prior = cost.find(key);
+        const bool plan = key == "roundtrip_experiments" ||
+                          key == "one_to_two_experiments";
+        if (plan && prior && prior->as_double() != v)
+          c[key].fail("is " + obs::Json(v).dump() + ", an earlier report's " +
+                      prior->dump() + ": the shards ran different plans");
+        cost[key] = plan || !prior ? v : prior->as_double() + v;
       }
     }
   }
+  if (cost.find("store_entries")) cost["store_entries"] = merged.size();
 
   merged.save(out);
   std::cout << "merged " << inputs.size() << " shard stores ("

@@ -91,42 +91,6 @@ Task split_gather(Comm& c, int root, Bytes block, Bytes chunk) {
   }
 }
 
-Task waitall_gather(Comm& c, int root, Bytes block) {
-  LMO_CHECK(root >= 0 && root < c.size());
-  LMO_CHECK(block >= 0);
-  if (c.rank() == root) {
-    std::vector<vmpi::Request> requests;
-    requests.reserve(std::size_t(c.size()));
-    for (int src = 0; src < c.size(); ++src)
-      if (src != root) requests.push_back(c.irecv(src));
-    for (auto& r : requests) co_await c.wait(r);
-  } else {
-    co_await c.send(root, block);
-  }
-}
-
-Task linear_scatterv(Comm& c, int root, std::vector<Bytes> sizes) {
-  LMO_CHECK(root >= 0 && root < c.size());
-  LMO_CHECK(int(sizes.size()) == c.size());
-  if (c.rank() == root) {
-    for (int dst = 0; dst < c.size(); ++dst)
-      if (dst != root) co_await c.send(dst, sizes[std::size_t(dst)]);
-  } else {
-    co_await c.recv(root);
-  }
-}
-
-Task linear_gatherv(Comm& c, int root, std::vector<Bytes> sizes) {
-  LMO_CHECK(root >= 0 && root < c.size());
-  LMO_CHECK(int(sizes.size()) == c.size());
-  if (c.rank() == root) {
-    for (int src = 0; src < c.size(); ++src)
-      if (src != root) co_await c.recv(src);
-  } else {
-    co_await c.send(root, sizes[std::size_t(c.rank())]);
-  }
-}
-
 Task linear_bcast(Comm& c, int root, Bytes bytes) {
   LMO_CHECK(root >= 0 && root < c.size());
   if (c.rank() == root) {
@@ -194,18 +158,6 @@ Task ring_allgather(Comm& c, Bytes block) {
   for (int step = 0; step < n - 1; ++step) {
     vmpi::Request out = c.isend(right, block);
     co_await c.recv(left);
-    co_await c.wait(out);
-  }
-}
-
-Task pairwise_alltoall(Comm& c, Bytes block) {
-  const int n = c.size();
-  LMO_CHECK(block >= 0);
-  for (int step = 1; step < n; ++step) {
-    const int to = (c.rank() + step) % n;
-    const int from = (c.rank() - step + n) % n;
-    vmpi::Request out = c.isend(to, block);
-    co_await c.recv(from);
     co_await c.wait(out);
   }
 }

@@ -44,20 +44,6 @@ vmpi::Task binomial_gather(vmpi::Comm& c, int root, Bytes block,
 /// escalation band.
 vmpi::Task split_gather(vmpi::Comm& c, int root, Bytes block, Bytes chunk);
 
-/// Flat-tree gather where the root posts all receives up front (irecv +
-/// waitall) instead of receiving in rank order. Message processing then
-/// happens on the progress engine in arrival order — the other common
-/// implementation of MPI_Gather, useful for contrasting serialization
-/// behaviour with `linear_gather`.
-vmpi::Task waitall_gather(vmpi::Comm& c, int root, Bytes block);
-
-/// Flat-tree scatter with per-destination block sizes (MPI_Scatterv);
-/// sizes[root] is ignored.
-vmpi::Task linear_scatterv(vmpi::Comm& c, int root, std::vector<Bytes> sizes);
-
-/// Flat-tree gather with per-source block sizes (MPI_Gatherv).
-vmpi::Task linear_gatherv(vmpi::Comm& c, int root, std::vector<Bytes> sizes);
-
 /// Flat-tree broadcast (same message to everyone) — extension beyond the
 /// paper's scatter/gather focus.
 vmpi::Task linear_bcast(vmpi::Comm& c, int root, Bytes bytes);
@@ -74,7 +60,7 @@ vmpi::Task linear_reduce(vmpi::Comm& c, int root, Bytes bytes);
 
 /// Binomial-tree reduce (reverse broadcast with a combine at each parent).
 /// `mapping` assigns physical ranks to virtual tree nodes — the same
-/// parameter core::binomial_reduce_time prices, so a tuner's
+/// parameter core::Tuner prices a binomial reduce under, so a tuner's
 /// mapping-optimized reduce decision is executable.
 vmpi::Task binomial_reduce(vmpi::Comm& c, int root, Bytes bytes,
                            std::vector<int> mapping = {});
@@ -82,10 +68,6 @@ vmpi::Task binomial_reduce(vmpi::Comm& c, int root, Bytes bytes,
 /// Ring allgather: n-1 steps, each rank forwards the next block around the
 /// ring (isend to the right, recv from the left).
 vmpi::Task ring_allgather(vmpi::Comm& c, Bytes block);
-
-/// Pairwise-exchange alltoall: n-1 steps of simultaneous send/recv with
-/// partner (rank + step) mod n.
-vmpi::Task pairwise_alltoall(vmpi::Comm& c, Bytes block);
 
 /// Wrap one SPMD body into a full program vector (all ranks participate).
 [[nodiscard]] std::vector<vmpi::RankProgram> spmd(

@@ -6,14 +6,6 @@
 
 namespace lmo::core {
 
-ScatterAlgorithm choose_scatter_algorithm(const LmoParams& p, int root,
-                                          Bytes m) {
-  const double linear = linear_scatter_time(p, root, m);
-  const double binomial = binomial_scatter_time(p, root, m);
-  return linear <= binomial ? ScatterAlgorithm::kLinear
-                            : ScatterAlgorithm::kBinomial;
-}
-
 ScatterAlgorithm choose_scatter_algorithm_hockney(
     const models::HeteroHockney& h, int root, Bytes m) {
   // Practical Hockney-based selectors (Chan et al. [3], Thakur et al. [15])

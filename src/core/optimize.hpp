@@ -2,7 +2,8 @@
 //
 // Two applications of an accurate model:
 //  * algorithm selection — pick linear vs. binomial scatter per message
-//    size (Fig. 6 shows Hockney picking wrong and LMO picking right);
+//    size (Fig. 6 shows Hockney picking wrong and LMO picking right). The
+//    LMO side compares core::Tuner prices; Hockney's selector is here;
 //  * the optimized gather — split medium-size gathers into chunked series
 //    that stay out of the escalation band (Fig. 7, "10 times better
 //    performance").
@@ -20,13 +21,9 @@ namespace lmo::core {
 
 enum class ScatterAlgorithm { kLinear, kBinomial };
 
-/// LMO-based selection: compare eq. (4) with the binomial recursion.
-[[nodiscard]] ScatterAlgorithm choose_scatter_algorithm(const LmoParams& p,
-                                                        int root, Bytes m);
-
-/// The same decision a heterogeneous-Hockney user would make, taking the
-/// better of its two flat-tree readings (the paper uses the sequential
-/// one, Table II) against its binomial recursion.
+/// The linear-vs-binomial scatter decision a heterogeneous-Hockney user
+/// would make, taking the better of its two flat-tree readings (the paper
+/// uses the sequential one, Table II) against its binomial recursion.
 [[nodiscard]] ScatterAlgorithm choose_scatter_algorithm_hockney(
     const models::HeteroHockney& h, int root, Bytes m);
 

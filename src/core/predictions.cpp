@@ -86,6 +86,23 @@ GatherPrediction linear_gather_time(const LmoParams& p,
   return out;
 }
 
+double linear_bcast_time(const LmoParams& p, int root, Bytes m) {
+  // Same structure as eq. (4): all messages carry m bytes.
+  return linear_scatter_time(p, root, m);
+}
+
+double linear_reduce_time(const LmoParams& p, int root, Bytes m) {
+  p.validate();
+  LMO_CHECK(root >= 0 && root < p.size());
+  // One receive processing plus one combine per block, both at the root.
+  return 2.0 * root_serial(p, root, m) + remote_tail(p, root, m, true).max;
+}
+
+std::size_t chunk_count(Bytes m, Bytes segment) {
+  if (m <= 0 || segment <= 0 || segment >= m) return 1;
+  return std::size_t((m + segment - 1) / segment);
+}
+
 namespace {
 /// Template of coll::tree_<kind> over n virtual ranks: bcast/scatter
 /// receive from the parent then send to each child (tree_children order);
@@ -264,56 +281,6 @@ const int* bind_mapping(const std::vector<int>& mapping, int root, int n,
   return default_or(mapping, root, n, w);
 }
 
-double eval_binomial(const LmoParams& p, CollectiveKind kind, int root,
-                     Bytes m, const std::vector<int>& mapping) {
-  p.validate();
-  LMO_CHECK(root >= 0 && root < p.size());
-  ScheduleScratch w;
-  const int n = p.size();
-  return binomial_closed(
-      DenseTerms{p}, compile_tree_schedule(trees::TreeKind::kBinomial, kind, n),
-      kind, bind_mapping(mapping, root, n, w), m);
-}
-}  // namespace
-
-double binomial_scatter_time(const LmoParams& p, int root, Bytes m,
-                             const std::vector<int>& mapping) {
-  return eval_binomial(p, CollectiveKind::kScatter, root, m, mapping);
-}
-
-double binomial_gather_time(const LmoParams& p, int root, Bytes m,
-                            const std::vector<int>& mapping) {
-  return eval_binomial(p, CollectiveKind::kGather, root, m, mapping);
-}
-
-double linear_bcast_time(const LmoParams& p, int root, Bytes m) {
-  // Same structure as eq. (4): all messages carry m bytes.
-  return linear_scatter_time(p, root, m);
-}
-
-double binomial_bcast_time(const LmoParams& p, int root, Bytes m,
-                           const std::vector<int>& mapping) {
-  return eval_binomial(p, CollectiveKind::kBcast, root, m, mapping);
-}
-
-double linear_reduce_time(const LmoParams& p, int root, Bytes m) {
-  p.validate();
-  LMO_CHECK(root >= 0 && root < p.size());
-  // One receive processing plus one combine per block, both at the root.
-  return 2.0 * root_serial(p, root, m) + remote_tail(p, root, m, true).max;
-}
-
-double binomial_reduce_time(const LmoParams& p, int root, Bytes m,
-                            const std::vector<int>& mapping) {
-  return eval_binomial(p, CollectiveKind::kReduce, root, m, mapping);
-}
-
-std::size_t chunk_count(Bytes m, Bytes segment) {
-  if (m <= 0 || segment <= 0 || segment >= m) return 1;
-  return std::size_t((m + segment - 1) / segment);
-}
-
-namespace {
 /// The fabric charges at least one minimal Ethernet frame per message on
 /// the wire; segment grids that go tiny would otherwise look free.
 constexpr double kMinFrameBytes = 64.0;
@@ -584,62 +551,7 @@ double replay_scatter_allgather(const LmoParams& p,
                       wires, w, cutoff);
 }
 
-double eval_tree(const LmoParams& p, trees::TreeKind shape,
-                 CollectiveKind kind, int root, Bytes m,
-                 const std::vector<int>& mapping, Bytes segment,
-                 const sim::Topology* topology) {
-  p.validate();
-  LMO_CHECK(root >= 0 && root < p.size());
-  LMO_CHECK(m >= 0);
-  ScheduleScratch w;
-  const int n = p.size();
-  return replay_tree(p, compile_tree_schedule(shape, kind, n), root, m,
-                     mapping, segment, wire_layout(topology, n), w, kNoCutoff);
-}
 }  // namespace
-
-double tree_bcast_time(const LmoParams& p, trees::TreeKind kind, int root,
-                       Bytes m, const std::vector<int>& mapping, Bytes segment,
-                       const sim::Topology* topology) {
-  return eval_tree(p, kind, CollectiveKind::kBcast, root, m, mapping, segment,
-                   topology);
-}
-
-double tree_scatter_time(const LmoParams& p, trees::TreeKind kind, int root,
-                         Bytes m, const std::vector<int>& mapping,
-                         Bytes segment, const sim::Topology* topology) {
-  return eval_tree(p, kind, CollectiveKind::kScatter, root, m, mapping,
-                   segment, topology);
-}
-
-double tree_gather_time(const LmoParams& p, trees::TreeKind kind, int root,
-                        Bytes m, const std::vector<int>& mapping, Bytes segment,
-                        const sim::Topology* topology) {
-  return eval_tree(p, kind, CollectiveKind::kGather, root, m, mapping,
-                   segment, topology);
-}
-
-double tree_reduce_time(const LmoParams& p, trees::TreeKind kind, int root,
-                        Bytes m, const std::vector<int>& mapping, Bytes segment,
-                        const sim::Topology* topology) {
-  return eval_tree(p, kind, CollectiveKind::kReduce, root, m, mapping,
-                   segment, topology);
-}
-
-double scatter_allgather_bcast_time(const LmoParams& p, int root, Bytes m,
-                                    const sim::Topology* topology) {
-  p.validate();
-  LMO_CHECK(root >= 0 && root < p.size());
-  LMO_CHECK(m >= 0);
-  const int n = p.size();
-  ScheduleScratch w;
-  return replay_scatter_allgather(
-      p,
-      compile_tree_schedule(trees::TreeKind::kBinomial,
-                            CollectiveKind::kScatter, n),
-      compile_ring_schedule(n), root, m, wire_layout(topology, n), w,
-      kNoCutoff);
-}
 
 ScheduleSet::ScheduleSet(int n, const sim::Topology* topology)
     : ring_(compile_ring_schedule(n)), wires_(wire_layout(topology, n)) {
@@ -737,50 +649,6 @@ double ring_allgather_time(const LmoParams& p, Bytes m) {
     step = std::max(step, p.pt2pt(i, j, m));
   }
   return double(n - 1) * step;
-}
-
-double pairwise_alltoall_time(const LmoParams& p, Bytes m) {
-  p.validate();
-  const int n = p.size();
-  // Step s pairs (i, i+s): the step ends when its slowest exchange does.
-  double total = 0.0;
-  for (int step = 1; step < n; ++step) {
-    double slowest = 0.0;
-    for (int i = 0; i < n; ++i)
-      slowest = std::max(slowest, p.pt2pt(i, (i + step) % n, m));
-    total += slowest;
-  }
-  return total;
-}
-
-double linear_scatter_time_with_leaps(const LmoParams& p,
-                                      const ScatterEmpirical& emp, int root,
-                                      Bytes m) {
-  // The root's n-2 pipelined sends each pay the per-message leap; the
-  // detected empirical magnitude is already the collective's total.
-  return linear_scatter_time(p, root, m) + emp.extra(m);
-}
-
-MappingPlan optimize_binomial_scatter_mapping(const LmoParams& p, int root,
-                                              Bytes m) {
-  p.validate();
-  LMO_CHECK(root >= 0 && root < p.size());
-  const int n = p.size();
-  // binomial_scatter_time per swap, compiled once, in one scratch.
-  const ScheduleTemplate binomial =
-      compile_tree_schedule(trees::TreeKind::kBinomial,
-                            CollectiveKind::kScatter, n);
-  ScheduleScratch w;
-  auto cost = [&](const std::vector<int>& mapping) {
-    return binomial_closed(DenseTerms{p}, binomial, CollectiveKind::kScatter,
-                           bind_mapping(mapping, root, n, w), m);
-  };
-  MappingPlan plan;
-  plan.predicted_default = cost({});
-  const auto result = trees::optimize_mapping(n, root, cost);
-  plan.mapping = result.mapping;
-  plan.predicted_optimized = result.cost;
-  return plan;
 }
 
 }  // namespace lmo::core

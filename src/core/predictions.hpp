@@ -4,6 +4,11 @@
 // a sum of processor terms, parallel transmission and remote processing as
 // a maximum over destinations, and the empirical parameters capture the
 // regime switches of linear gather.
+//
+// Beyond the flat-tree closed forms kept here (the paper's eqs. (4) and
+// (5), and their bcast/reduce siblings), every tree collective is priced
+// by ScheduleSet below, and code outside src/core reaches it through
+// core::Tuner (price, candidates, decide): one pricing path.
 #pragma once
 
 #include <cstddef>
@@ -54,20 +59,6 @@ struct GatherPrediction {
                                                   const GatherEmpirical& emp,
                                                   int root, Bytes m);
 
-/// Binomial scatter under LMO: per subtree root, CPU processing of the
-/// child messages is serialized while transmissions and remote processing
-/// run in parallel — the recursion eqs. (1)-(2) with separated terms.
-/// `mapping` assigns physical ranks to virtual nodes (empty = MPI default).
-[[nodiscard]] double binomial_scatter_time(
-    const LmoParams& p, int root, Bytes m,
-    const std::vector<int>& mapping = {});
-
-/// Binomial gather under LMO (mirror of binomial_scatter_time: children
-/// arrive in parallel, the parent's receive processing serializes).
-[[nodiscard]] double binomial_gather_time(
-    const LmoParams& p, int root, Bytes m,
-    const std::vector<int>& mapping = {});
-
 // --- Extension: the same sums-and-maxima style for other collectives. ---
 
 /// Flat-tree broadcast: structurally identical to eq. (4) — the root's
@@ -75,25 +66,14 @@ struct GatherPrediction {
 /// delivery (all messages are m bytes).
 [[nodiscard]] double linear_bcast_time(const LmoParams& p, int root, Bytes m);
 
-/// Binomial broadcast: the scatter recursion with every arc carrying m
-/// bytes.
-[[nodiscard]] double binomial_bcast_time(
-    const LmoParams& p, int root, Bytes m,
-    const std::vector<int>& mapping = {});
-
 /// Flat-tree reduce: linear gather's small branch plus one serialized
 /// combine (C_r + m t_r) per received block.
 [[nodiscard]] double linear_reduce_time(const LmoParams& p, int root,
                                         Bytes m);
 
-/// Binomial reduce: the gather recursion with a combine per child.
-[[nodiscard]] double binomial_reduce_time(
-    const LmoParams& p, int root, Bytes m,
-    const std::vector<int>& mapping = {});
-
-// --- The zoo: generic tree shapes with segmented pipelining. ---
+// --- Compiled schedules: the zoo's tree shapes, segmented. ---
 //
-// Each function prices the exact schedule coll::tree_* executes, from the
+// ScheduleSet prices the exact schedule coll::tree_* executes, from the
 // same fitted LMO parameters the closed forms use: per-node CPU terms
 // (C_i + b t_i per message, serialized on the rank's coroutine), per-node
 // egress/ingress wire occupancy (b/beta_ij, serialized per port), and
@@ -106,51 +86,10 @@ struct GatherPrediction {
 // coll::run_decision with the same arguments — the tuner never prices a
 // schedule the simulator cannot run.
 //
-// `topology` (optional) adds hierarchical contention: every transfer also
-// occupies the contended shared segments on its path (memory bus,
-// oversubscribed uplink), serialized exactly like sim::Fabric does. Flat
-// topologies and nullptr price identically to the port-only model.
-//
-// Each function compiles the shape's schedule template on the fly and
-// replays it; ScheduleSet (below) compiles every template once for
-// callers that price many schedules of one communicator.
-
-/// Tree broadcast (every arc carries the full message/segment).
-[[nodiscard]] double tree_bcast_time(const LmoParams& p, trees::TreeKind kind,
-                                     int root, Bytes m,
-                                     const std::vector<int>& mapping = {},
-                                     Bytes segment = 0,
-                                     const sim::Topology* topology = nullptr);
-
-/// Tree scatter (arc into v carries tree_subtree_size(v) blocks).
-[[nodiscard]] double tree_scatter_time(
-    const LmoParams& p, trees::TreeKind kind, int root, Bytes m,
-    const std::vector<int>& mapping = {}, Bytes segment = 0,
-    const sim::Topology* topology = nullptr);
-
-/// Tree gather (mirror of tree_scatter: subtree data travels up).
-[[nodiscard]] double tree_gather_time(const LmoParams& p, trees::TreeKind kind,
-                                      int root, Bytes m,
-                                      const std::vector<int>& mapping = {},
-                                      Bytes segment = 0,
-                                      const sim::Topology* topology = nullptr);
-
-/// Tree reduce (every arc carries m; one combine per received block).
-[[nodiscard]] double tree_reduce_time(const LmoParams& p, trees::TreeKind kind,
-                                      int root, Bytes m,
-                                      const std::vector<int>& mapping = {},
-                                      Bytes segment = 0,
-                                      const sim::Topology* topology = nullptr);
-
-/// Composite broadcast: binomial scatter of ceil(m/n) blocks followed by
-/// a ring allgather of the same block size (van-de-Geijn style). Both
-/// phases are priced by schedule replay (the ring pipelines across steps,
-/// unlike the ring_allgather_time bound).
-[[nodiscard]] double scatter_allgather_bcast_time(
-    const LmoParams& p, int root, Bytes m,
-    const sim::Topology* topology = nullptr);
-
-// --- Compiled schedules: the one evaluator behind the tree_* functions. ---
+// A topology adds hierarchical contention: every transfer also occupies
+// the contended shared segments on its path (memory bus, oversubscribed
+// uplink), serialized exactly like sim::Fabric does. Flat topologies and
+// nullptr price identically to the port-only model.
 //
 // A schedule template is one tree shape's per-chunk program for one
 // collective, over *virtual* ranks: per rank, the receives and sends it
@@ -248,15 +187,17 @@ struct UniformLmo {
 [[nodiscard]] std::size_t chunk_count(Bytes m, Bytes segment);
 
 /// Every tree schedule of one communicator size and topology, compiled
-/// once: the evaluator core::Tuner prices candidates with. Results are
-/// bit-identical to the free functions above. `topology` is only read by
-/// the constructor. Mappings must be permutations (replays check theirs;
-/// the closed form trusts the caller — see trees::invert_mapping).
+/// once: the evaluator core::Tuner prices candidates with. `topology` is
+/// only read by the constructor. Mappings must be permutations (replays
+/// check theirs; the closed form trusts the caller — see
+/// trees::invert_mapping).
 class ScheduleSet {
  public:
   ScheduleSet(int n, const sim::Topology* topology);
 
-  /// tree_<kind>_time(p, shape, root, m, mapping, segment, topology), or
+  /// The replayed price of `shape`'s `kind` collective from `root` (m
+  /// bytes per message or block, chunked at `segment`, virtual ranks
+  /// placed by `mapping`, empty = the MPI default (v + root) mod n), or
   /// +inf once the replay proves that price exceeds `cutoff`. After every
   /// clock update the replay tests one rank: its clock plus its serialized
   /// CPU work still to run (the sum tree_lower_bound's CPU term starts
@@ -288,8 +229,13 @@ class ScheduleSet {
                                         Bytes segment,
                                         ScheduleScratch& scratch) const;
 
-  /// binomial_<kind>_time(p, root, m, mapping): the closed-form recursion,
-  /// walking the compiled children lists.
+  /// The unsegmented binomial tree in closed form, walking the compiled
+  /// children lists: per subtree root, CPU processing of the child
+  /// messages is serialized while transmissions and remote processing run
+  /// in parallel — the recursion of eqs. (1)-(2) with separated terms.
+  /// Gather and reduce mirror it (children arrive in parallel, the
+  /// parent's receive processing serializes; reduce adds a combine per
+  /// child).
   [[nodiscard]] double binomial_closed_time(const LmoParams& p,
                                             CollectiveKind kind, int root,
                                             Bytes m,
@@ -308,8 +254,10 @@ class ScheduleSet {
                                       CollectiveKind kind, Bytes m,
                                       ScheduleScratch& scratch) const;
 
-  /// scatter_allgather_bcast_time(p, root, m, topology), with tree_time's
-  /// `cutoff`.
+  /// Composite broadcast: binomial scatter of ceil(m/n) blocks followed by
+  /// a ring allgather of the same block size (van-de-Geijn style), replayed
+  /// as one schedule (the ring pipelines across steps, unlike the
+  /// ring_allgather_time bound), with tree_time's `cutoff`.
   [[nodiscard]] double scatter_allgather_bcast_time(
       const LmoParams& p, int root, Bytes m, ScheduleScratch& scratch,
       double cutoff = kNoCutoff) const;
@@ -326,28 +274,5 @@ class ScheduleSet {
 /// Ring allgather: n-1 synchronized steps, each bounded by the slowest
 /// neighbour link (approximation: steps do not pipeline).
 [[nodiscard]] double ring_allgather_time(const LmoParams& p, Bytes m);
-
-/// Pairwise alltoall: n-1 exchange steps; each step is bounded by the
-/// slowest (send-processing + wire + receive-processing) pair active in it.
-[[nodiscard]] double pairwise_alltoall_time(const LmoParams& p, Bytes m);
-
-/// Linear scatter with the piecewise leap model — the multi-parameter
-/// variant the paper mentions ("we could have included multiple empirical
-/// parameters ... a piecewise linear function") but omits for simplicity:
-/// eq. (4) plus one detected leap per (n-1) pipelined sends per threshold
-/// crossing.
-[[nodiscard]] double linear_scatter_time_with_leaps(
-    const LmoParams& p, const ScatterEmpirical& emp, int root, Bytes m);
-
-/// LMO-guided processor-to-tree-node mapping for binomial scatter
-/// (Hatta-style optimization from the paper's introduction): hill-climbs
-/// the mapping under the binomial_scatter_time cost.
-struct MappingPlan {
-  std::vector<int> mapping;
-  double predicted_default = 0.0;
-  double predicted_optimized = 0.0;
-};
-[[nodiscard]] MappingPlan optimize_binomial_scatter_mapping(
-    const LmoParams& p, int root, Bytes m);
 
 }  // namespace lmo::core

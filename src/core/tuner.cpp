@@ -240,11 +240,21 @@ double Tuner::predict(CollectiveKind kind, AlgorithmId id, int root, Bytes m,
   return 0.0;
 }
 
+void Tuner::check_invocation(int root, Bytes m) const {
+  const bool bad_root = root < 0 || root >= params_.size();
+  if (!bad_root && m >= 0) return;
+  throw Error("tuner: " +
+              (bad_root ? "root " + std::to_string(root) + " is out of range"
+                        : "message size " + std::to_string(m) +
+                              " is negative") +
+              " (the model has " + std::to_string(params_.size()) +
+              " processors)");
+}
+
 std::vector<TunedDecision> Tuner::enumerate(CollectiveKind kind, int root,
                                             Bytes m,
                                             std::size_t& mapped) const {
-  LMO_CHECK(root >= 0 && root < params_.size());
-  LMO_CHECK(m >= 0);
+  check_invocation(root, m);
   std::vector<TunedDecision> out;
   auto add = [&](AlgorithmId id, std::vector<int> mapping, Bytes segment) {
     for (const TunedDecision& d : out)
@@ -267,7 +277,7 @@ std::vector<TunedDecision> Tuner::enumerate(CollectiveKind kind, int root,
 
   // Fig. 7 split plan: a segmented linear gather chunked at the empirical
   // band edge m1 (the split_gather series).
-  if (kind == CollectiveKind::kGather && options_.split_gathers) {
+  if (kind == CollectiveKind::kGather) {
     const auto plan =
         plan_optimized_gather(params_, gather_empirical_, root, m);
     if (plan.split) add(AlgorithmId::kLinear, {}, plan.chunk);
@@ -277,29 +287,23 @@ std::vector<TunedDecision> Tuner::enumerate(CollectiveKind kind, int root,
   // the unsegmented binomial whose mapping the caller climbs. A climbed
   // mapping is a full permutation, unlike every other candidate's, so the
   // slot needs no deduplication.
-  if (options_.optimize_mappings) {
-    mapped = out.size();
-    out.push_back(TunedDecision(out[1]));
-  }
+  mapped = out.size();
+  out.push_back(TunedDecision(out[1]));
 
   // The tree zoo with segmented pipelining.
-  if (options_.tree_zoo) {
-    for (const AlgorithmId id :
-         {AlgorithmId::kChain, AlgorithmId::kBinaryTree}) {
-      add(id, {}, 0);
-      for (const Bytes seg : options_.segment_candidates)
-        if (seg > 0 && seg < m) add(id, {}, seg);
-    }
-    for (const Bytes seg : options_.segment_candidates) {
-      if (seg > 0 && seg < m) {
-        add(AlgorithmId::kLinear, {}, seg);
-        add(AlgorithmId::kBinomial, {}, seg);
-      }
-    }
-    if (kind == CollectiveKind::kBcast)
-      add(AlgorithmId::kScatterAllgather, {}, 0);
+  for (const AlgorithmId id : {AlgorithmId::kChain, AlgorithmId::kBinaryTree}) {
+    add(id, {}, 0);
+    for (const Bytes seg : options_.segment_candidates)
+      if (seg > 0 && seg < m) add(id, {}, seg);
   }
-  if (!options_.optimize_mappings) mapped = out.size();
+  for (const Bytes seg : options_.segment_candidates) {
+    if (seg > 0 && seg < m) {
+      add(AlgorithmId::kLinear, {}, seg);
+      add(AlgorithmId::kBinomial, {}, seg);
+    }
+  }
+  if (kind == CollectiveKind::kBcast)
+    add(AlgorithmId::kScatterAllgather, {}, 0);
   return out;
 }
 
@@ -322,8 +326,7 @@ std::vector<TunedDecision> Tuner::candidates(CollectiveKind kind, int root,
   ScheduleScratch scratch;
   std::size_t mapped = 0;
   std::vector<TunedDecision> out = enumerate(kind, root, m, mapped);
-  const std::uint64_t evals =
-      mapped < out.size() ? climb(out[mapped], scratch) : 0;
+  const std::uint64_t evals = climb(out[mapped], scratch);
   for (TunedDecision& d : out)
     d.predicted_seconds =
         predict(kind, d.algorithm, root, m, d.mapping, d.segment, scratch);
@@ -335,7 +338,6 @@ TunedDecision Tuner::decide(CollectiveKind kind, int root, Bytes m) const {
   ScheduleScratch scratch;
   std::size_t mapped = 0;
   std::vector<TunedDecision> all = enumerate(kind, root, m, mapped);
-  LMO_CHECK(!all.empty());
   // Cheapest replays first (stable: enumeration order among equals), so
   // the best price is already low when the long segmented replays come
   // up. The composite broadcast's ring walks n - 1 steps.
@@ -383,15 +385,13 @@ TunedDecision Tuner::decide(CollectiveKind kind, int root, Bytes m) const {
   // the replay's rounding), so a floor above the best price by more than
   // the slack proves the climb cannot win.
   std::uint64_t evals = 0;
-  if (mapped < all.size()) {
-    if (schedules_.binomial_floor(floor_terms_, kind, m, scratch) *
-            (1.0 - kBoundSlack) >
-        all[best].predicted_seconds) {
-      ++pruned;
-    } else {
-      evals = climb(all[mapped], scratch);
-      consider(mapped);
-    }
+  if (schedules_.binomial_floor(floor_terms_, kind, m, scratch) *
+          (1.0 - kBoundSlack) >
+      all[best].predicted_seconds) {
+    ++pruned;
+  } else {
+    evals = climb(all[mapped], scratch);
+    consider(mapped);
   }
   publish(scratch, pruned, evals);
   return std::move(all[best]);
@@ -430,8 +430,7 @@ Bytes Tuner::crossover(CollectiveKind kind, int root, Bytes lo,
 }
 
 double Tuner::price(const TunedDecision& d) const {
-  LMO_CHECK(d.root >= 0 && d.root < params_.size());
-  LMO_CHECK(d.message >= 0);
+  check_invocation(d.root, d.message);
   ScheduleScratch scratch;
   // The closed forms index the parameter tables through the mapping
   // unchecked, so a decision off the wire is checked here, once.

@@ -69,13 +69,6 @@ struct TunedDecision {
 };
 
 struct TunerOptions {
-  /// Try the mapping hill-climb for binomial algorithms (slower to plan).
-  bool optimize_mappings = true;
-  /// Consider splitting medium gathers (needs empirical parameters).
-  bool split_gathers = true;
-  /// Consider the chain/binary/composite zoo and segmented pipelining on
-  /// top of the paper's linear/binomial pair.
-  bool tree_zoo = true;
   /// Segment sizes the (algorithm, segment) search tries for pipelined
   /// tree collectives; only candidates < the message size apply. The
   /// validation harness replays exactly this grid.
@@ -96,11 +89,17 @@ class Tuner {
         TunerOptions options = {});
 
   [[nodiscard]] const LmoParams& params() const { return params_; }
-  [[nodiscard]] const TunerOptions& options() const { return options_; }
 
   /// Every (algorithm, segment, mapping) candidate the tuner prices for
   /// one collective invocation, each with its predicted cost — the search
   /// space decide() minimizes over and the validation harness replays.
+  /// Candidates come in a fixed order: linear, binomial, the Fig. 7 split
+  /// gather (in the band), the binomial with a climbed mapping, then chain
+  /// and binary tree (each unsegmented, then per segment), the segmented
+  /// linear and binomial, and the composite broadcast. candidates(),
+  /// decide() and price() throw lmo::Error naming the root, or the
+  /// negative size, and the processor count when the invocation is out of
+  /// range.
   [[nodiscard]] std::vector<TunedDecision> candidates(CollectiveKind kind,
                                                       int root,
                                                       Bytes m) const;
@@ -138,10 +137,12 @@ class Tuner {
   [[nodiscard]] double price(const TunedDecision& d) const;
 
  private:
+  /// Throws lmo::Error unless 0 <= root < params_.size() and m >= 0.
+  void check_invocation(int root, Bytes m) const;
+
   /// candidates() unpriced, in order, with the mapping climb deferred: the
   /// mapped-binomial candidate holds its position with an empty mapping,
-  /// and its index is written to `mapped` (the size of the result when
-  /// options_.optimize_mappings is off).
+  /// and its index is written to `mapped`.
   [[nodiscard]] std::vector<TunedDecision> enumerate(CollectiveKind kind,
                                                      int root, Bytes m,
                                                      std::size_t& mapped) const;

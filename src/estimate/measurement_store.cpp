@@ -10,27 +10,10 @@
 
 namespace lmo::estimate {
 
-namespace {
-
-/// Binary search in a sorted key band; returns the paired value or
-/// nullopt.
-std::optional<double> band_find(const std::vector<ExperimentKey>& keys,
-                                const std::vector<double>& values,
-                                const ExperimentKey& key) {
+std::optional<double> StoreSnapshot::find(const ExperimentKey& key) const {
   const auto it = std::lower_bound(keys.begin(), keys.end(), key);
   if (it == keys.end() || key < *it) return std::nullopt;
   return values[std::size_t(it - keys.begin())];
-}
-
-}  // namespace
-
-std::optional<double> StoreSnapshot::find(const ExperimentKey& key) const {
-  return band_find(keys, values, key);
-}
-
-std::optional<double> StoreSnapshot::find_suspect(
-    const ExperimentKey& key) const {
-  return band_find(suspect_keys, suspect_values, key);
 }
 
 MeasurementStore::MeasurementStore(MeasurementStore&& other) noexcept {

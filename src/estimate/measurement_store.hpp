@@ -49,9 +49,6 @@ struct StoreSnapshot {
 
   /// Binary-search lookup of a clean value. Uncounted.
   [[nodiscard]] std::optional<double> find(const ExperimentKey& key) const;
-  /// Binary-search lookup of a quarantined suspect value. Uncounted.
-  [[nodiscard]] std::optional<double> find_suspect(
-      const ExperimentKey& key) const;
   [[nodiscard]] std::size_t size() const { return keys.size(); }
 };
 

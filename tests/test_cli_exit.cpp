@@ -80,7 +80,8 @@ TEST(LmoToolExitTest, MergeInputErrorsFailNamed) {
   // Each input check of `merge` is a plain named error, made before the
   // merged store is written: no --out, no store, --reports without
   // --report, an unreadable report, a store of another schema, a store
-  // entry whose rank is out of range, a non-numeric report cost.
+  // entry whose rank is out of range, a non-numeric report cost, and two
+  // shard reports that disagree on the plan's size.
   const std::string store = temp_file(
       "lmo_exit_merge_in.json",
       R"({"schema": "lmo.measurements/1", "entries": []})");
@@ -93,6 +94,12 @@ TEST(LmoToolExitTest, MergeInputErrorsFailNamed) {
   const std::string bad_report = temp_file(
       "lmo_exit_merge_report.json",
       R"({"estimation_cost": {"world_runs": "many"}})");
+  const std::string plan_a = temp_file(
+      "lmo_exit_merge_plan_a.json",
+      R"({"estimation_cost": {"roundtrip_experiments": 120}})");
+  const std::string plan_b = temp_file(
+      "lmo_exit_merge_plan_b.json",
+      R"({"estimation_cost": {"roundtrip_experiments": 121}})");
   const std::string out = testing::TempDir() + "lmo_exit_merge_out.json";
   std::remove(out.c_str());
   const std::string merge = std::string(LMO_TOOL_BIN) + " merge ";
@@ -107,7 +114,10 @@ TEST(LmoToolExitTest, MergeInputErrorsFailNamed) {
         {bad_rank + " --out " + out, "entries[0]: field 'a' = 99999999999"},
         {store + " --out " + out + " --reports " + bad_report + " --report " +
              out + ".report",
-         "field 'estimation_cost.world_runs' must be a number"}}) {
+         "field 'estimation_cost.world_runs' must be a number"},
+        {store + " --out " + out + " --reports " + plan_a + "," + plan_b +
+             " --report " + out + ".report",
+         plan_b + ": field 'estimation_cost.roundtrip_experiments' is 121"}}) {
     const RunResult r = run(merge + args);
     expect_named_failure(r, flag);
     EXPECT_EQ(r.output.find("check failed"), std::string::npos) << r.output;
@@ -117,7 +127,8 @@ TEST(LmoToolExitTest, MergeInputErrorsFailNamed) {
         << "nothing may be written";
   }
   std::remove(out.c_str());
-  for (const std::string& path : {store, bad_schema, bad_rank, bad_report})
+  for (const std::string& path :
+       {store, bad_schema, bad_rank, bad_report, plan_a, plan_b})
     std::remove(path.c_str());
 }
 
@@ -159,6 +170,25 @@ TEST(LmoToolExitTest, NegativeModelTermFailsNamed) {
                  R"({"value": 0.05, "count": 3, "frequency": 1})"));
   expect_named_failure(
       run(std::string(LMO_TOOL_BIN) + " tune --model " + path), "lmo.C[0]");
+  std::remove(path.c_str());
+}
+
+TEST(LmoToolExitTest, OutOfRangeRootFailsNamed) {
+  // The tuner names the root and the processor count, not a source line.
+  const std::string path = temp_file(
+      "lmo_exit_root.json",
+      model_json("1e-5, 2e-5",
+                 R"({"value": 0.05, "count": 3, "frequency": 1})"));
+  for (const auto& [command, root] :
+       {std::pair<std::string, std::string>{"predict", "99"},
+        {"tune", "-1"}}) {
+    const RunResult r = run(std::string(LMO_TOOL_BIN) + " " + command +
+                            " --model " + path + " --root " + root);
+    expect_named_failure(r, "root " + root);
+    EXPECT_NE(r.output.find("2 processors"), std::string::npos) << r.output;
+    EXPECT_EQ(r.output.find("check failed"), std::string::npos) << r.output;
+    EXPECT_EQ(r.output.find("tuner.cpp"), std::string::npos) << r.output;
+  }
   std::remove(path.c_str());
 }
 

@@ -6,6 +6,7 @@
 #include "core/lmo_model.hpp"
 #include "core/optimize.hpp"
 #include "core/predictions.hpp"
+#include "core/tuner.hpp"
 #include "simnet/cluster.hpp"
 #include "util/error.hpp"
 
@@ -31,6 +32,27 @@ LmoParams from_ground_truth(const sim::ClusterConfig& cfg) {
 }
 
 LmoParams paper_params() { return from_ground_truth(sim::make_paper_cluster()); }
+
+/// The tuner's price of `id` for one `kind` invocation of m bytes from
+/// root 0, under `mapping` (empty = the MPI default).
+double tuner_price(const LmoParams& p, CollectiveKind kind, AlgorithmId id,
+                   Bytes m, std::vector<int> mapping = {}) {
+  TunedDecision d;
+  d.kind = kind;
+  d.algorithm = id;
+  d.message = m;
+  d.mapping = std::move(mapping);
+  return Tuner(p, GatherEmpirical{}).price(d);
+}
+
+/// Fig. 6's LMO choice from root 0: linear unless binomial prices lower.
+ScatterAlgorithm lmo_scatter_choice(const LmoParams& p, Bytes m) {
+  return tuner_price(p, CollectiveKind::kScatter, AlgorithmId::kLinear, m) <=
+                 tuner_price(p, CollectiveKind::kScatter,
+                             AlgorithmId::kBinomial, m)
+             ? ScatterAlgorithm::kLinear
+             : ScatterAlgorithm::kBinomial;
+}
 
 TEST(LmoModel, PointToPointFormula) {
   const auto p = paper_params();
@@ -179,7 +201,8 @@ TEST(LmoPredictions, BinomialScatterHomogeneousSanity) {
   const auto cfg = sim::make_homogeneous_cluster(16, node);
   const auto p = from_ground_truth(cfg);
   const Bytes m = 8192;
-  const double lmo = binomial_scatter_time(p, 0, m);
+  const double lmo =
+      tuner_price(p, CollectiveKind::kScatter, AlgorithmId::kBinomial, m);
   const double hockney = p.as_hockney().binomial_collective(0, m);
   // The homogeneous critical path always descends through each node's
   // *first* (largest) child, where LMO's serialized-CPU accounting and the
@@ -191,12 +214,14 @@ TEST(LmoPredictions, BinomialScatterHomogeneousSanity) {
 
 TEST(LmoPredictions, BinomialMappingSensitivity) {
   const auto p = paper_params();
-  const double default_time = binomial_scatter_time(p, 0, 16384);
+  const double default_time = tuner_price(p, CollectiveKind::kScatter,
+                                         AlgorithmId::kBinomial, 16384);
   // Put the Celeron (node 12, slowest) at virtual rank 8 (sends 8 blocks).
   std::vector<int> mapping(16);
   for (int v = 0; v < 16; ++v) mapping[std::size_t(v)] = v;
   std::swap(mapping[8], mapping[12]);
-  const double bad = binomial_scatter_time(p, 0, 16384, mapping);
+  const double bad = tuner_price(p, CollectiveKind::kScatter,
+                                AlgorithmId::kBinomial, 16384, mapping);
   EXPECT_GT(bad, default_time);
 }
 
@@ -204,7 +229,8 @@ TEST(LmoPredictions, BinomialGatherPositiveAndSizeMonotone) {
   const auto p = paper_params();
   double prev = 0;
   for (Bytes m : {512, 2048, 8192, 32768}) {
-    const double t = binomial_gather_time(p, 0, m);
+    const double t =
+        tuner_price(p, CollectiveKind::kGather, AlgorithmId::kBinomial, m);
     EXPECT_GT(t, prev);
     prev = t;
   }
@@ -237,9 +263,8 @@ TEST(Optimize, ScatterSelectionCrossesOver) {
   // linear wins (binomial re-transmits blocks) — the Fig. 6 landscape. The
   // crossover is low because binomial scatter pushes 2(n-1) block-copies
   // through the tree vs. the flat tree's n-1.
-  EXPECT_EQ(choose_scatter_algorithm(p, 0, 16), ScatterAlgorithm::kBinomial);
-  EXPECT_EQ(choose_scatter_algorithm(p, 0, 150 * 1024),
-            ScatterAlgorithm::kLinear);
+  EXPECT_EQ(lmo_scatter_choice(p, 16), ScatterAlgorithm::kBinomial);
+  EXPECT_EQ(lmo_scatter_choice(p, 150 * 1024), ScatterAlgorithm::kLinear);
 }
 
 TEST(Optimize, HockneyMispredictsLargeScatter) {
@@ -249,8 +274,7 @@ TEST(Optimize, HockneyMispredictsLargeScatter) {
   const auto h = p.as_hockney();
   EXPECT_EQ(choose_scatter_algorithm_hockney(h, 0, 150 * 1024),
             ScatterAlgorithm::kBinomial);
-  EXPECT_EQ(choose_scatter_algorithm(p, 0, 150 * 1024),
-            ScatterAlgorithm::kLinear);
+  EXPECT_EQ(lmo_scatter_choice(p, 150 * 1024), ScatterAlgorithm::kLinear);
 }
 
 TEST(Optimize, SplitGatherPlannedOnlyInBand) {

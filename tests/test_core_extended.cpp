@@ -1,11 +1,13 @@
-// Tests for the extension predictions (bcast/reduce/allgather, mapping
-// optimization) — each validated against the simulator, plus World tracing.
+// Tests for the extension predictions (bcast/reduce/allgather, and the
+// tuner's mapping optimization) — each validated against the simulator,
+// plus World tracing.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "coll/collectives.hpp"
 #include "core/predictions.hpp"
+#include "core/tuner.hpp"
 #include "simnet/cluster.hpp"
 #include "vmpi/world.hpp"
 
@@ -44,6 +46,37 @@ double observed(World& w, const std::function<Task(Comm&)>& body) {
   return w.run(coll::spmd(w.size(), body)).seconds();
 }
 
+/// The tuner's price of the unmapped binomial `kind` from root 0.
+double binomial_price(const LmoParams& p, CollectiveKind kind, Bytes m) {
+  TunedDecision d;
+  d.kind = kind;
+  d.algorithm = AlgorithmId::kBinomial;
+  d.message = m;
+  return Tuner(p, GatherEmpirical{}).price(d);
+}
+
+/// The binomial scatter from root 0 among the tuner's candidates: its
+/// default-mapping price, and the climbed mapping with its price.
+struct ClimbedMapping {
+  double predicted_default = 0.0;
+  std::vector<int> mapping;
+  double predicted_optimized = 0.0;
+};
+ClimbedMapping climbed_binomial_scatter(const LmoParams& p, Bytes m) {
+  ClimbedMapping plan;
+  for (const TunedDecision& d : Tuner(p, GatherEmpirical{})
+                                    .candidates(CollectiveKind::kScatter, 0, m)) {
+    if (d.algorithm != AlgorithmId::kBinomial || d.segment != 0) continue;
+    if (d.mapping.empty()) {
+      plan.predicted_default = d.predicted_seconds;
+    } else {
+      plan.mapping = d.mapping;
+      plan.predicted_optimized = d.predicted_seconds;
+    }
+  }
+  return plan;
+}
+
 class CollectivePrediction
     : public ::testing::TestWithParam<Bytes> {};
 
@@ -66,7 +99,8 @@ TEST_P(CollectivePrediction, BinomialBcastWithinTolerance) {
   const double obs = observed(w, [m](Comm& c) {
     return coll::binomial_bcast(c, 0, m);
   });
-  EXPECT_NEAR(binomial_bcast_time(p, 0, m), obs, 0.15 * obs) << "m=" << m;
+  EXPECT_NEAR(binomial_price(p, CollectiveKind::kBcast, m), obs, 0.15 * obs)
+      << "m=" << m;
 }
 
 TEST_P(CollectivePrediction, LinearReduceWithinTolerance) {
@@ -88,7 +122,8 @@ TEST_P(CollectivePrediction, BinomialReduceWithinTolerance) {
   const double obs = observed(w, [m](Comm& c) {
     return coll::binomial_reduce(c, 0, m);
   });
-  EXPECT_NEAR(binomial_reduce_time(p, 0, m), obs, 0.20 * obs) << "m=" << m;
+  EXPECT_NEAR(binomial_price(p, CollectiveKind::kReduce, m), obs, 0.20 * obs)
+      << "m=" << m;
 }
 
 TEST_P(CollectivePrediction, RingAllgatherUpperBoundIsh) {
@@ -110,67 +145,12 @@ INSTANTIATE_TEST_SUITE_P(Sizes, CollectivePrediction,
                          ::testing::Values(Bytes(1024), Bytes(8) * 1024,
                                            Bytes(32) * 1024));
 
-TEST_P(CollectivePrediction, PairwiseAlltoallWithinFactor) {
-  const auto cfg = quiet_paper();
-  const auto p = from_ground_truth(cfg);
-  World w(cfg);
-  const Bytes m = GetParam();
-  const double obs = observed(w, [m](Comm& c) {
-    return coll::pairwise_alltoall(c, m);
-  });
-  const double pred = pairwise_alltoall_time(p, m);
-  EXPECT_GT(pred, 0.6 * obs) << "m=" << m;
-  EXPECT_LT(pred, 1.8 * obs) << "m=" << m;
-}
-
-TEST(LeapPrediction, AddsDetectedLeapsAboveThreshold) {
-  const auto p = from_ground_truth(quiet_paper());
-  ScatterEmpirical emp;
-  emp.detected = true;
-  emp.leap_threshold = 64 * 1024;
-  emp.leap_s = 0.012;
-  const Bytes below = 32 * 1024, above = 200 * 1024;
-  EXPECT_DOUBLE_EQ(linear_scatter_time_with_leaps(p, emp, 0, below),
-                   linear_scatter_time(p, 0, below));
-  EXPECT_DOUBLE_EQ(linear_scatter_time_with_leaps(p, emp, 0, above),
-                   linear_scatter_time(p, 0, above) + 3 * 0.012);
-}
-
-TEST(LeapPrediction, UndetectedLeapIsNoop) {
-  const auto p = from_ground_truth(quiet_paper());
-  ScatterEmpirical emp;  // detected = false
-  EXPECT_DOUBLE_EQ(linear_scatter_time_with_leaps(p, emp, 0, 1 << 20),
-                   linear_scatter_time(p, 0, 1 << 20));
-}
-
-TEST(LeapPrediction, ImprovesAccuracyOnQuirkyCluster) {
-  // With the leap quirk active, the leap-aware prediction must beat plain
-  // eq. (4) above the threshold.
-  auto cfg = sim::make_paper_cluster();
-  const auto p = from_ground_truth(cfg);
-  World w(cfg);
-  ScatterEmpirical emp;
-  emp.detected = true;
-  emp.leap_threshold = cfg.quirks.frag_threshold;
-  // (n-2) pipelined sends pay one quirk leap per crossing.
-  emp.leap_s = cfg.quirks.frag_leap_s * double(cfg.size() - 2);
-  const Bytes m = 192 * 1024;
-  double obs = 0;
-  for (int r = 0; r < 6; ++r)
-    obs += observed(w, [m](Comm& c) {
-      return coll::linear_scatter(c, 0, m);
-    }) / 6;
-  const double plain = linear_scatter_time(p, 0, m);
-  const double with_leaps = linear_scatter_time_with_leaps(p, emp, 0, m);
-  EXPECT_LT(std::fabs(with_leaps - obs), std::fabs(plain - obs));
-}
-
 TEST(MappingOptimization, ImprovesPredictionAndSimulation) {
   const auto cfg = quiet_paper();
   const auto p = from_ground_truth(cfg);
   World w(cfg);
   const Bytes m = 8 * 1024;
-  const auto plan = optimize_binomial_scatter_mapping(p, 0, m);
+  const auto plan = climbed_binomial_scatter(p, m);
   EXPECT_LE(plan.predicted_optimized, plan.predicted_default);
   // The optimized mapping must also help (or at least not hurt) in the
   // simulator, not just under the model.
@@ -192,7 +172,7 @@ TEST(MappingOptimization, MovesSlowNodeOffTheHeavyPath) {
   // cheaper position.
   const auto cfg = quiet_paper();
   const auto p = from_ground_truth(cfg);
-  const auto plan = optimize_binomial_scatter_mapping(p, 0, 16 * 1024);
+  const auto plan = climbed_binomial_scatter(p, 16 * 1024);
   int celeron_virtual = -1;
   for (int v = 0; v < 16; ++v)
     if (plan.mapping[std::size_t(v)] == 12) celeron_virtual = v;

@@ -134,9 +134,14 @@ void expect_sharded_matches_single(const std::string& name,
     EXPECT_GE(sample(read_file(p + "metrics.prom"), "lmo_sim_runs_total"),
               1.0);
   }
-  EXPECT_EQ(
-      load(d + "folded.json").at("estimation_cost").at("world_runs").as_double(),
-      world_runs);
+  // Work sums over the shards; the plan's sizes are the plan's, and the
+  // store holds what the merged store holds.
+  const obs::Json folded = load(d + "folded.json").at("estimation_cost");
+  EXPECT_EQ(folded.at("world_runs").as_double(), world_runs);
+  EXPECT_EQ(folded.at("roundtrip_experiments").as_double(), 120.0);
+  EXPECT_EQ(folded.at("one_to_two_experiments").as_double(), 1680.0);
+  EXPECT_EQ(folded.at("store_entries").as_double(),
+            double(load(d + "m2.json").at("entries").size()));
 }
 
 TEST(ShardGate, FlatCampaignMatchesSingleProcess) {
@@ -322,7 +327,7 @@ TEST(ScaleGate, WorkCountsMatchTheCommittedSeries) {
   // RSS are the machine's and are not compared.
   const std::string d = gate_dir("scale");
   ASSERT_TRUE(ran(std::string(LMO_BENCH_SCALE_BIN) + " --jobs 2 --out " + d +
-                  "BENCH_scale.json"));
+                  "BENCH_scale.json --report " + d + "report.json"));
   const char* counts[] = {"events", "triplets", "roundtrip_experiments",
                           "one_to_two_experiments", "store_entries"};
   auto rows = [](const obs::Json& doc) {
@@ -350,6 +355,13 @@ TEST(ScaleGate, WorkCountsMatchTheCommittedSeries) {
       EXPECT_EQ(it->second->at(c).as_int(), row->at(c).as_int())
           << c << " at N=" << n;
   }
+  // Each N's anchor session (its broadcast) publishes its runs, so the
+  // world runs exceed the pooled sessions' repetitions and observations.
+  const obs::Json report = load(d + "report.json");
+  const obs::Json& counters = report.at("metrics").at("counters");
+  EXPECT_GT(counters.at("sim.runs").as_int(),
+            counters.at("estimate.reps_committed").as_int() +
+                counters.at("estimate.observe_reps").as_int());
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include "coll/collectives.hpp"
 #include "core/predictions.hpp"
+#include "core/tuner.hpp"
 #include "estimate/experimenter.hpp"
 #include "estimate/lmo_estimator.hpp"
 #include "simnet/cluster.hpp"
@@ -159,7 +160,12 @@ TEST(Metamorphic, BinomialPredictionPermutationInvariantWhenHomogeneous) {
       p.L(i, j) = gt.L(i, j);
       p.inv_beta(i, j) = gt.inv_beta(i, j);
     }
-  const double base = core::binomial_scatter_time(p, 0, 4096);
+  const core::Tuner tuner(p, core::GatherEmpirical{});
+  core::TunedDecision d;
+  d.kind = core::CollectiveKind::kScatter;
+  d.algorithm = core::AlgorithmId::kBinomial;
+  d.message = 4096;
+  const double base = tuner.price(d);
   Rng rng(3);
   std::vector<int> mapping{0, 1, 2, 3, 4, 5, 6, 7};
   for (int trial = 0; trial < 5; ++trial) {
@@ -167,8 +173,8 @@ TEST(Metamorphic, BinomialPredictionPermutationInvariantWhenHomogeneous) {
     for (std::size_t i = mapping.size() - 1; i > 1; --i)
       std::swap(mapping[i],
                 mapping[std::size_t(rng.uniform_int(1, std::int64_t(i)))]);
-    EXPECT_NEAR(core::binomial_scatter_time(p, 0, 4096, mapping), base,
-                1e-12);
+    d.mapping = mapping;
+    EXPECT_NEAR(tuner.price(d), base, 1e-12);
   }
 }
 

@@ -13,6 +13,7 @@
 #include "coll/collectives.hpp"
 #include "core/lmo_model.hpp"
 #include "core/predictions.hpp"
+#include "core/tuner.hpp"
 #include "estimate/experimenter.hpp"
 #include "estimate/measurement_store.hpp"
 #include "estimate/suite.hpp"
@@ -468,8 +469,15 @@ TEST(TopologyMappingTest, HierarchyMappingBeatsFlatPlacementOnBcast) {
       p.L(i, j) = gt.L(i, j);
       p.inv_beta(i, j) = gt.inv_beta(i, j);
     }
-  const double pred_flat = core::binomial_bcast_time(p, root, m);
-  const double pred_topo = core::binomial_bcast_time(p, root, m, mapping);
+  const core::Tuner tuner(p, core::GatherEmpirical{});
+  core::TunedDecision d;
+  d.kind = core::CollectiveKind::kBcast;
+  d.algorithm = core::AlgorithmId::kBinomial;
+  d.root = root;
+  d.message = m;
+  const double pred_flat = tuner.price(d);
+  d.mapping = mapping;
+  const double pred_topo = tuner.price(d);
   EXPECT_LT(pred_topo, pred_flat);
 
   // Simulated cost on the contended fabric. Time the whole round, not the

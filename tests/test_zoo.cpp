@@ -78,32 +78,24 @@ core::TunedDecision make_decision(CollectiveKind kind, AlgorithmId id,
   return d;
 }
 
-double predict(const LmoParams& p, const core::TunedDecision& d) {
-  switch (d.algorithm) {
-    case AlgorithmId::kScatterAllgather:
-      return core::scatter_allgather_bcast_time(p, d.root, d.message);
-    default:
-      break;
-  }
-  TreeKind shape = TreeKind::kFlat;
-  if (d.algorithm == AlgorithmId::kBinomial) shape = TreeKind::kBinomial;
-  if (d.algorithm == AlgorithmId::kChain) shape = TreeKind::kChain;
-  if (d.algorithm == AlgorithmId::kBinaryTree) shape = TreeKind::kBinary;
-  switch (d.kind) {
-    case CollectiveKind::kScatter:
-      return core::tree_scatter_time(p, shape, d.root, d.message, d.mapping,
-                                     d.segment);
-    case CollectiveKind::kGather:
-      return core::tree_gather_time(p, shape, d.root, d.message, d.mapping,
-                                    d.segment);
-    case CollectiveKind::kBcast:
-      return core::tree_bcast_time(p, shape, d.root, d.message, d.mapping,
-                                   d.segment);
-    case CollectiveKind::kReduce:
-      return core::tree_reduce_time(p, shape, d.root, d.message, d.mapping,
-                                    d.segment);
-  }
-  return 0.0;
+TreeKind shape_of(AlgorithmId id) {
+  if (id == AlgorithmId::kBinomial) return TreeKind::kBinomial;
+  if (id == AlgorithmId::kChain) return TreeKind::kChain;
+  if (id == AlgorithmId::kBinaryTree) return TreeKind::kBinary;
+  return TreeKind::kFlat;
+}
+
+/// `d` replayed by a test-owned ScheduleSet over `topo` (nullptr: the
+/// port-only model): the schedule evaluator itself, without the tuner's
+/// routing.
+double replay(const LmoParams& p, const core::TunedDecision& d,
+              const sim::Topology* topo = nullptr) {
+  const core::ScheduleSet set(p.size(), topo);
+  core::ScheduleScratch scratch;
+  if (d.algorithm == AlgorithmId::kScatterAllgather)
+    return set.scatter_allgather_bcast_time(p, d.root, d.message, scratch);
+  return set.tree_time(p, shape_of(d.algorithm), d.kind, d.root, d.message,
+                       d.mapping, d.segment, scratch);
 }
 
 TEST(ZooParity, EveryTreeAlgorithmMatchesItsPredictor) {
@@ -120,7 +112,7 @@ TEST(ZooParity, EveryTreeAlgorithmMatchesItsPredictor) {
     for (const auto id : shapes)
       for (const Bytes segment : {Bytes(0), Bytes(1024)}) {
         const auto d = make_decision(kind, id, 10 * 1024, segment);
-        const double predicted = predict(p, d);
+        const double predicted = replay(p, d);
         const double simulated = simulate(w, d);
         EXPECT_NEAR(predicted, simulated, simulated * 0.02)
             << core::collective_name(kind) << "/" << d.describe();
@@ -139,7 +131,7 @@ TEST(ZooParity, MappedTreesMatchTheirPredictor) {
   for (const auto id : {AlgorithmId::kBinomial, AlgorithmId::kChain}) {
     const auto d =
         make_decision(CollectiveKind::kBcast, id, 8 * 1024, 0, mapping);
-    const double predicted = predict(p, d);
+    const double predicted = replay(p, d);
     const double simulated = simulate(w, d);
     EXPECT_NEAR(predicted, simulated, simulated * 0.02) << d.describe();
   }
@@ -151,7 +143,7 @@ TEST(ZooParity, ScatterAllgatherBcastMatchesItsPredictor) {
   World w(cfg);
   const auto d = make_decision(CollectiveKind::kBcast,
                                AlgorithmId::kScatterAllgather, 64 * 1024);
-  const double predicted = predict(p, d);
+  const double predicted = replay(p, d);
   const double simulated = simulate(w, d);
   // The composite's ring phase uses the closed non-pipelined step bound,
   // so allow a looser band than the schedule evaluator's.
@@ -159,8 +151,8 @@ TEST(ZooParity, ScatterAllgatherBcastMatchesItsPredictor) {
 }
 
 TEST(ZooParity, BinomialReduceHonorsMappingLikeItsPredictor) {
-  // The satellite bugfix: coll::binomial_reduce takes the same mapping
-  // core::binomial_reduce_time prices.
+  // coll::binomial_reduce takes the same mapping the tuner prices a
+  // binomial reduce under.
   const auto cfg = quiet_paper_cluster();
   const auto p = from_ground_truth(cfg);
   const int n = cfg.size();
@@ -180,19 +172,22 @@ TEST(ZooParity, BinomialReduceHonorsMappingLikeItsPredictor) {
   // The mapping must actually steer the schedule on this heterogeneous
   // cluster, and each variant must match its prediction.
   EXPECT_NE(sim_default, sim_mapped);
-  EXPECT_NEAR(core::binomial_reduce_time(p, 0, m), sim_default,
-              sim_default * 0.02);
-  EXPECT_NEAR(core::binomial_reduce_time(p, 0, m, mapping), sim_mapped,
-              sim_mapped * 0.02);
+  const core::Tuner tuner(p, core::GatherEmpirical{});
+  EXPECT_NEAR(tuner.price(make_decision(CollectiveKind::kReduce,
+                                        AlgorithmId::kBinomial, m)),
+              sim_default, sim_default * 0.02);
+  EXPECT_NEAR(tuner.price(make_decision(CollectiveKind::kReduce,
+                                        AlgorithmId::kBinomial, m, 0,
+                                        mapping)),
+              sim_mapped, sim_mapped * 0.02);
 }
 
-/// The free evaluator the tuner's routing names for `d`: closed forms for
-/// unsegmented linear/binomial on uncontended clusters, the schedule
-/// replay (tree_*_time / scatter_allgather_bcast_time) for the rest.
+/// The price the tuner's routing names for `d`, from the kept closed
+/// forms and a test-owned ScheduleSet: the linear closed forms and the
+/// binomial recursion for unsegmented linear/binomial on uncontended
+/// clusters, the schedule replay for the rest.
 double free_price(const LmoParams& p, const core::TunedDecision& d,
                   const sim::Topology* topo, bool contended) {
-  if (d.algorithm == AlgorithmId::kScatterAllgather)
-    return core::scatter_allgather_bcast_time(p, d.root, d.message, topo);
   const bool closed = !contended && d.segment == 0;
   if (closed && d.algorithm == AlgorithmId::kLinear) {
     switch (d.kind) {
@@ -207,41 +202,18 @@ double free_price(const LmoParams& p, const core::TunedDecision& d,
     }
   }
   if (closed && d.algorithm == AlgorithmId::kBinomial) {
-    switch (d.kind) {
-      case CollectiveKind::kScatter:
-        return core::binomial_scatter_time(p, d.root, d.message, d.mapping);
-      case CollectiveKind::kGather:
-        return core::binomial_gather_time(p, d.root, d.message, d.mapping);
-      case CollectiveKind::kBcast:
-        return core::binomial_bcast_time(p, d.root, d.message, d.mapping);
-      case CollectiveKind::kReduce:
-        return core::binomial_reduce_time(p, d.root, d.message, d.mapping);
-    }
+    const core::ScheduleSet set(p.size(), topo);
+    core::ScheduleScratch scratch;
+    return set.binomial_closed_time(p, d.kind, d.root, d.message, d.mapping,
+                                    scratch);
   }
-  TreeKind shape = TreeKind::kFlat;
-  if (d.algorithm == AlgorithmId::kBinomial) shape = TreeKind::kBinomial;
-  if (d.algorithm == AlgorithmId::kChain) shape = TreeKind::kChain;
-  if (d.algorithm == AlgorithmId::kBinaryTree) shape = TreeKind::kBinary;
-  switch (d.kind) {
-    case CollectiveKind::kScatter:
-      return core::tree_scatter_time(p, shape, d.root, d.message, d.mapping,
-                                     d.segment, topo);
-    case CollectiveKind::kGather:
-      return core::tree_gather_time(p, shape, d.root, d.message, d.mapping,
-                                    d.segment, topo);
-    case CollectiveKind::kBcast:
-      return core::tree_bcast_time(p, shape, d.root, d.message, d.mapping,
-                                   d.segment, topo);
-    case CollectiveKind::kReduce:
-      return core::tree_reduce_time(p, shape, d.root, d.message, d.mapping,
-                                    d.segment, topo);
-  }
-  return 0.0;
+  return replay(p, d, topo);
 }
 
-/// The tuner's compiled schedules and the free evaluators agree to the bit
-/// on every shape x kind x segment grid entry x {default, optimized}
-/// mapping (the optimized one is the tuner's own climb result).
+/// Tuner::price and free_price agree to the bit on every shape x kind x
+/// segment grid entry x {default, optimized} mapping (the optimized one is
+/// the tuner's own climb result): the tuner routes each decision to the
+/// evaluator free_price names.
 void expect_one_replay_path(const sim::ClusterConfig& cfg) {
   const auto p = from_ground_truth(cfg);
   core::TunerOptions opts;
