@@ -31,9 +31,4 @@ double GatherEmpirical::max_escalation() const {
   return mx;
 }
 
-double ScatterEmpirical::extra(Bytes m) const {
-  if (!detected || leap_threshold <= 0 || m < leap_threshold) return 0.0;
-  return leap_s * double(m / leap_threshold);
-}
-
 }  // namespace lmo::core

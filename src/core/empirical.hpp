@@ -8,8 +8,9 @@
 //  * the most frequent escalation magnitudes in (M1, M2) with their
 //    empirical frequencies, and the probability that an observation still
 //    fits the linear (small-message) model, decreasing with size;
-//  * the scatter leap threshold and magnitude (Fig. 4) — kept for the
-//    ablation even though the paper's final model omits it for simplicity.
+//  * the scatter leap threshold and magnitude (Fig. 4) — fitted and
+//    printed by bench_fig4, but added to no prediction: the paper's final
+//    model omits the leap for simplicity.
 #pragma once
 
 #include <vector>
@@ -49,10 +50,6 @@ struct ScatterEmpirical {
   Bytes leap_threshold = 0;  ///< message size at which the leap appears
   double leap_s = 0.0;       ///< magnitude of one leap for the collective
   bool detected = false;
-
-  /// The piecewise-constant extra delay at size m: one leap per full
-  /// threshold contained in m ("leaps regularly repeated").
-  [[nodiscard]] double extra(Bytes m) const;
 };
 
 }  // namespace lmo::core

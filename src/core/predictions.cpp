@@ -312,6 +312,11 @@ Phase chunked(Bytes total, Bytes segment) {
   return ph;
 }
 
+/// Bytes of chunk `chunk` of phase ph: full-size, the remainder last.
+double chunk_bytes(const Phase& ph, std::size_t chunk) {
+  return chunk + 1 < ph.chunks ? ph.full : ph.last;
+}
+
 /// Serialized CPU work of physical rank r running virtual rank v's program
 /// in phase ph: over v's ops, (2 if combine else 1) x (S C_r + factor B
 /// t_r), with S the phase's chunks and B their bytes. The replay charges
@@ -328,6 +333,72 @@ double serial_cpu(const LmoParams& p, const Phase& ph, int v, int r) {
     cpu += op->combine ? 2.0 * proc : proc;
   }
   return cpu;
+}
+
+/// The critical-path terms of the tree `kind` collective in phase ph, per
+/// virtual rank v (ScheduleSet::tree_lower_bound): w.head[v], the earliest
+/// time chunk 0 can land at v (bcast and scatter; 0 otherwise), and
+/// w.tail[v], the least time from v's final op to the end. Each sums terms
+/// the replay adds to a clock on the way: a message lands no earlier than
+/// its send CPU finishes plus L plus its wire time (send_on_wire), and its
+/// receiver's later ops each add their CPU term. The direction comes from
+/// `kind`, not from the template, whose inner gather ranks also start with
+/// a receive. Every shape numbers a parent below its children, so one pass
+/// each way covers the tree. O(template ops), whatever the chunk count.
+void critical_path(const LmoParams& p, const Phase& ph, CollectiveKind kind,
+                   ScheduleScratch& w) {
+  const ScheduleTemplate& plan = *ph.plan;
+  const int n = int(plan.start.size()) - 1;
+  const int* map = ph.to_physical;
+  w.head.assign(std::size_t(n), 0.0);
+  w.tail.assign(std::size_t(n), 0.0);
+  auto proc = [&](int r, double bytes) {
+    return p.C[std::size_t(r)] + bytes * p.t[std::size_t(r)];
+  };
+  auto hop = [&](int src, int dst, double bytes) {
+    return p.L(src, dst) +
+           std::max(bytes, kMinFrameBytes) * p.inv_beta(src, dst);
+  };
+  const double first = chunk_bytes(ph, 0);
+  if (kind == CollectiveKind::kScatter || kind == CollectiveKind::kBcast) {
+    // Chunk 0 leaves v after v's chunk-0 ops up to and including its send.
+    for (int v = 0; v < n; ++v) {
+      const int r = map[v];
+      double clock = w.head[std::size_t(v)];
+      for (const TemplateOp* op = plan.begin(v); op != plan.end(v); ++op) {
+        clock += proc(r, op->factor * first);
+        if (!op->recv)
+          w.head[std::size_t(op->peer)] =
+              clock + hop(r, map[op->peer], op->factor * first);
+      }
+    }
+    // v's final op sends the last chunk to its last child c, which then
+    // runs its last-chunk ops.
+    for (int v = n; v-- > 0;) {
+      if (plan.begin(v) == plan.end(v) || plan.end(v)[-1].recv) continue;
+      const TemplateOp& send = plan.end(v)[-1];
+      const int c = map[send.peer];
+      double drain = hop(map[v], c, send.factor * ph.last);
+      for (const TemplateOp* op = plan.begin(send.peer);
+           op != plan.end(send.peer); ++op)
+        drain += proc(c, op->factor * ph.last);
+      w.tail[std::size_t(v)] = drain + w.tail[std::size_t(send.peer)];
+    }
+    return;
+  }
+  // v's final op sends its last chunk up; the parent receives it (and
+  // combines, for reduce), then, below the root, sends its own last chunk.
+  const double receives = kind == CollectiveKind::kReduce ? 2.0 : 1.0;
+  for (int v = 1; v < n; ++v) {
+    const TemplateOp& send = plan.end(v)[-1];
+    const int parent = map[send.peer];
+    const double bytes = send.factor * ph.last;
+    double drain = hop(map[v], parent, bytes) + receives * proc(parent, bytes);
+    if (send.peer != 0)
+      drain += proc(parent, plan.end(send.peer)[-1].factor * ph.last) +
+               w.tail[std::size_t(send.peer)];
+    w.tail[std::size_t(v)] = drain;
+  }
 }
 
 /// Replays Fabric::transfer's resource chain for one message priced from
@@ -379,11 +450,13 @@ double send_on_wire(const LmoParams& p, const WireLayout& wires,
 /// looking serialized on shared segments. Allocates nothing once the
 /// scratch has grown to the schedule's size. With a finite `cutoff`, stops
 /// and returns +inf as soon as one rank's clock plus its serialized CPU
-/// work still to run, less kBoundSlack, exceeds it (ScheduleSet::tree_time).
+/// work still to run plus its tail, less kBoundSlack, exceeds it
+/// (ScheduleSet::tree_time). `tail` holds phase 0's tails per virtual rank
+/// (critical_path), or is null for none.
 double run_schedule(const LmoParams& p, const Phase* phases,
                     std::size_t count, std::size_t slots,
                     const WireLayout& wires, ScheduleScratch& w,
-                    double cutoff) {
+                    double cutoff, const double* tail) {
   using Cursor = ScheduleScratch::Cursor;
   const int n = p.size();
   const std::size_t un = std::size_t(n);
@@ -400,13 +473,16 @@ double run_schedule(const LmoParams& p, const Phase* phases,
   const bool bounded = cutoff < kNoCutoff;
   if (bounded) {
     w.remaining.assign(un, 0.0);
-    for (int r = 0; r < n; ++r)
+    for (int r = 0; r < n; ++r) {
       for (std::size_t k = 0; k < count; ++k)
         w.remaining[std::size_t(r)] +=
             serial_cpu(p, phases[k], phases[k].to_virtual[r], r);
+      if (tail) w.remaining[std::size_t(r)] += tail[phases[0].to_virtual[r]];
+    }
   }
   // Charges `work` to rank r's clock (already updated) and reports whether
-  // r can no longer finish by the cutoff.
+  // r can no longer finish by the cutoff. The tail is never charged: it
+  // runs after r's final op.
   bool cut = false;
   auto charge = [&](int r, double work) {
     if (!bounded) return false;
@@ -416,9 +492,6 @@ double run_schedule(const LmoParams& p, const Phase* phases,
     return cut;
   };
 
-  auto chunk_bytes = [&](const Phase& ph, std::size_t chunk) {
-    return chunk + 1 < ph.chunks ? ph.full : ph.last;
-  };
   auto enter = [&](int r, std::size_t phase) {
     Cursor& c = w.cursor[std::size_t(r)];
     c.phase = phase;
@@ -510,18 +583,22 @@ double run_schedule(const LmoParams& p, const Phase* phases,
   return completion;
 }
 
-/// The tree collective of `plan`, chunked at `segment`, under `mapping`.
+/// The tree `kind` collective of `plan`, chunked at `segment`, under
+/// `mapping`; a cutoff replay adds each rank's tail to its remaining work.
 double replay_tree(const LmoParams& p, const ScheduleTemplate& plan,
-                   int root, Bytes m, const std::vector<int>& mapping,
-                   Bytes segment, const WireLayout& wires, ScheduleScratch& w,
+                   CollectiveKind kind, int root, Bytes m,
+                   const std::vector<int>& mapping, Bytes segment,
+                   const WireLayout& wires, ScheduleScratch& w,
                    double cutoff) {
   const int n = p.size();
   Phase ph = chunked(m, segment);
   ph.plan = &plan;
   ph.to_physical = bind_mapping(mapping, root, n, w);
   ph.to_virtual = w.inverse.data();
+  const bool bounded = cutoff < kNoCutoff;
+  if (bounded) critical_path(p, ph, kind, w);
   return run_schedule(p, &ph, 1, std::size_t(n) * ph.chunks, wires, w,
-                      cutoff);
+                      cutoff, bounded ? w.tail.data() : nullptr);
 }
 
 /// One schedule covering both phases of the composite broadcast: each rank
@@ -548,7 +625,7 @@ double replay_scatter_allgather(const LmoParams& p,
   for (Phase& ph : phases) ph.full = ph.last = double(block);
   return run_schedule(p, phases, 2,
                       std::size_t(n) + std::size_t(n) * std::size_t(n - 1),
-                      wires, w, cutoff);
+                      wires, w, cutoff, nullptr);
 }
 
 }  // namespace
@@ -573,8 +650,8 @@ double ScheduleSet::tree_time(const LmoParams& p, trees::TreeKind shape,
                               CollectiveKind kind, int root, Bytes m,
                               const std::vector<int>& mapping, Bytes segment,
                               ScheduleScratch& scratch, double cutoff) const {
-  return replay_tree(p, plan(shape, kind), root, m, mapping, segment, wires_,
-                     scratch, cutoff);
+  return replay_tree(p, plan(shape, kind), kind, root, m, mapping, segment,
+                     wires_, scratch, cutoff);
 }
 
 double ScheduleSet::tree_lower_bound(const LmoParams& p,
@@ -586,7 +663,8 @@ double ScheduleSet::tree_lower_bound(const LmoParams& p,
   const int n = p.size();
   Phase ph = chunked(m, segment);
   ph.plan = &plan(shape, kind);
-  const int* map = bind_mapping(mapping, root, n, scratch);
+  const int* map = ph.to_physical = bind_mapping(mapping, root, n, scratch);
+  critical_path(p, ph, kind, scratch);
   const double chunks = double(ph.chunks);
   // Wire bytes of one op over all its chunks, each at least a frame.
   auto frames = [&](double factor) {
@@ -605,7 +683,9 @@ double ScheduleSet::tree_lower_bound(const LmoParams& p,
       else
         egress += frames(op->factor) * p.inv_beta(r, peer);
     }
-    bound = std::max({bound, serial_cpu(p, ph, v, r), egress, ingress});
+    const double path = scratch.head[std::size_t(v)] +
+                        serial_cpu(p, ph, v, r) + scratch.tail[std::size_t(v)];
+    bound = std::max({bound, path, egress, ingress});
   }
   return bound;
 }

@@ -152,8 +152,13 @@ struct ScheduleScratch {
     std::size_t phase = 0;
   };
   std::vector<double> arrival, clock, egress, ingress, shared;
-  /// Per rank, the serialized CPU work still to run (a cutoff replay only).
+  /// Per rank, the serialized CPU work still to run plus its tail (a
+  /// cutoff replay only).
   std::vector<double> remaining;
+  /// Per virtual rank, the critical-path terms of a tree schedule: the
+  /// earliest arrival of its first chunk (bcast, scatter) and the least
+  /// time from its final op to the end of the collective.
+  std::vector<double> head, tail;
   std::vector<char> known, queued;
   std::vector<Cursor> cursor;
   std::vector<std::pair<double, int>> heap;
@@ -200,12 +205,13 @@ class ScheduleSet {
   /// placed by `mapping`, empty = the MPI default (v + root) mod n), or
   /// +inf once the replay proves that price exceeds `cutoff`. After every
   /// clock update the replay tests one rank: its clock plus its serialized
-  /// CPU work still to run (the sum tree_lower_bound's CPU term starts
-  /// from) is a lower bound on its final clock, because the replay only
-  /// adds non-negative terms to a clock. When that bound, less
-  /// kBoundSlack, exceeds `cutoff`, the replay stops and returns +inf
-  /// (counted in scratch.cuts). So a price equal to `cutoff` is always
-  /// returned in full, to the bit; kNoCutoff prices every schedule fully.
+  /// CPU work still to run is a lower bound on its final clock, because
+  /// the replay only adds non-negative terms to a clock, and its tail (see
+  /// tree_lower_bound) is a lower bound on the time from there to the end.
+  /// When that sum, less kBoundSlack, exceeds `cutoff`, the replay stops
+  /// and returns +inf (counted in scratch.cuts). So a price equal to
+  /// `cutoff` is always returned in full, to the bit; kNoCutoff prices
+  /// every schedule fully.
   [[nodiscard]] double tree_time(const LmoParams& p, trees::TreeKind shape,
                                  CollectiveKind kind, int root, Bytes m,
                                  const std::vector<int>& mapping,
@@ -214,9 +220,17 @@ class ScheduleSet {
 
   /// A lower bound on tree_time with the same arguments, in
   /// O(template ops) whatever the chunk count S: the largest over ranks r
-  /// of r's serialized CPU time, sum over its ops of (2 if combine else 1)
-  /// x (S C_r + factor m t_r), of its egress wire occupancy, and of its
-  /// ingress wire occupancy (each chunk at least one minimal frame). The
+  /// of head_r + cpu_r + tail_r, of r's egress wire occupancy, and of its
+  /// ingress wire occupancy (each chunk at least one minimal frame).
+  /// cpu_r is r's serialized CPU time, sum over its ops of (2 if combine
+  /// else 1) x (S C_r + factor m t_r). head_r (bcast, scatter; 0
+  /// otherwise) is the earliest time chunk 0 can land at r: its parent's
+  /// head, plus the parent's chunk-0 CPU terms up to and including the
+  /// send to r, plus L and the wire of one chunk. tail_r is the least time
+  /// from r's final op to the end: the last chunk's latency and wire to
+  /// the next rank, plus that rank's CPU terms for the last chunk and its
+  /// own tail — the last child's for bcast and scatter, the parent's
+  /// receive (twice for reduce) and send for gather and reduce. The
   /// replay only ever adds these non-negative terms to a clock or port
   /// cursor, so the bound holds up to rounding (about ops x 2^-53,
   /// relative) provided every C_i, t_i, L_ij and 1/beta_ij is finite and

@@ -4,8 +4,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <numeric>
 #include <string>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "trees/mapping.hpp"
@@ -97,15 +97,20 @@ obs::Json TunedDecision::to_json() const {
 }
 
 namespace {
-/// Throws unless table[i] (or table[i][j], when j >= 0) = v is finite and
-/// >= 0.
-void check_term(double v, const char* table, int i, int j = -1) {
-  if (std::isfinite(v) && v >= 0.0) return;
+/// "table[i] = v", or "table[i][j] = v" when j >= 0.
+std::string term_name(double v, const char* table, int i, int j = -1) {
   std::string what = std::string(table) + "[" + std::to_string(i) + "]";
   if (j >= 0) what += "[" + std::to_string(j) + "]";
   char value[32];
   std::snprintf(value, sizeof value, "%g", v);
-  throw Error("tuner: model parameter " + what + " = " + value +
+  return what + " = " + value;
+}
+
+/// Throws unless table[i] (or table[i][j], when j >= 0) = v is finite and
+/// >= 0.
+void check_term(double v, const char* table, int i, int j = -1) {
+  if (std::isfinite(v) && v >= 0.0) return;
+  throw Error("tuner: model parameter " + term_name(v, table, i, j) +
               " must be finite and >= 0");
 }
 
@@ -240,6 +245,32 @@ double Tuner::predict(CollectiveKind kind, AlgorithmId id, int root, Bytes m,
   return 0.0;
 }
 
+void Tuner::check_price(double seconds, CollectiveKind kind, Bytes m) const {
+  if (std::isfinite(seconds)) return;
+  // Every term is finite, so the sums overflowed: name the largest term.
+  std::string largest = term_name(params_.C[0], "C", 0);
+  double top = params_.C[0];
+  auto see = [&](double v, const char* table, int i, int j = -1) {
+    if (v <= top) return;
+    top = v;
+    largest = term_name(v, table, i, j);
+  };
+  for (int i = 0; i < params_.size(); ++i) {
+    see(params_.C[std::size_t(i)], "C", i);
+    see(params_.t[std::size_t(i)], "t", i);
+    for (int j = 0; j < params_.size(); ++j) {
+      if (j == i) continue;
+      see(params_.L(i, j), "L", i, j);
+      see(params_.inv_beta(i, j), "inv_beta", i, j);
+    }
+  }
+  throw Error(std::string("tuner: the ") + collective_name(kind) + " of " +
+              std::to_string(m) +
+              " bytes has no finite price: the model's parameters overflow "
+              "(largest " +
+              largest + ")");
+}
+
 void Tuner::check_invocation(int root, Bytes m) const {
   const bool bad_root = root < 0 || root >= params_.size();
   if (!bad_root && m >= 0) return;
@@ -309,9 +340,10 @@ std::vector<TunedDecision> Tuner::enumerate(CollectiveKind kind, int root,
 
 std::uint64_t Tuner::climb(TunedDecision& d, ScheduleScratch& scratch) const {
   const trees::MappingResult result = trees::optimize_mapping(
-      params_.size(), d.root, [&](const std::vector<int>& mapping) {
+      params_.size(), d.root,
+      [&](const std::vector<int>& mapping, double cutoff) {
         return predict(d.kind, AlgorithmId::kBinomial, d.root, d.message,
-                       mapping, 0, scratch);
+                       mapping, 0, scratch, cutoff);
       });
   d.mapping = result.mapping;
   // The climb's cost of its final mapping is predict()'s price of it.
@@ -338,23 +370,28 @@ TunedDecision Tuner::decide(CollectiveKind kind, int root, Bytes m) const {
   ScheduleScratch scratch;
   std::size_t mapped = 0;
   std::vector<TunedDecision> all = enumerate(kind, root, m, mapped);
-  // Cheapest replays first (stable: enumeration order among equals), so
-  // the best price is already low when the long segmented replays come
-  // up. The composite broadcast's ring walks n - 1 steps.
-  auto chunks = [&](const TunedDecision& d) {
-    return d.algorithm == AlgorithmId::kScatterAllgather
-               ? std::size_t(params_.size() - 1)
-               : chunk_count(m, d.segment);
-  };
-  std::vector<std::size_t> order(all.size());
-  std::iota(order.begin(), order.end(), std::size_t(0));
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return chunks(all[a]) < chunks(all[b]);
-                   });
-  // A replay never finishes before its bound, so a candidate whose bound
-  // exceeds the best price by more than the rounding slack costs strictly
-  // more than the best and cannot win, not even a tie on position.
+  // Best first: every tree replay's lower bound, every other candidate at
+  // 0 (priced first, in enumeration order), stably sorted by bound.
+  std::vector<std::pair<double, std::size_t>> order;
+  order.reserve(all.size());
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    if (i == mapped) continue;
+    const TunedDecision& d = all[i];
+    order.push_back(
+        {replays_tree(kind, d.algorithm, d.segment)
+             ? schedules_.tree_lower_bound(params_, shape_of(d.algorithm),
+                                           kind, root, m, d.mapping,
+                                           d.segment, scratch)
+             : 0.0,
+         i});
+  }
+  std::stable_sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  });
+  // A replay never finishes before its bound, so once the next bound
+  // exceeds the best price by more than the rounding slack, that candidate
+  // and every later one cost strictly more than the best and cannot win,
+  // not even a tie on position.
   std::size_t best = all.size();
   std::uint64_t pruned = 0;
   auto consider = [&](std::size_t i) {
@@ -363,19 +400,16 @@ TunedDecision Tuner::decide(CollectiveKind kind, int root, Bytes m) const {
         (price == all[best].predicted_seconds && i < best))
       best = i;
   };
-  for (const std::size_t i : order) {
-    if (i == mapped) continue;
-    TunedDecision& d = all[i];
-    if (best < all.size() && replays_tree(kind, d.algorithm, d.segment) &&
-        schedules_.tree_lower_bound(params_, shape_of(d.algorithm), kind,
-                                    root, m, d.mapping, d.segment, scratch) *
-                (1.0 - kBoundSlack) >
-            all[best].predicted_seconds) {
-      ++pruned;
-      continue;
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const auto [bound, i] = order[k];
+    if (best < all.size() &&
+        bound * (1.0 - kBoundSlack) > all[best].predicted_seconds) {
+      pruned += order.size() - k;
+      break;
     }
     // A replay stopped at the best price so far returns +inf: it would
     // have cost strictly more, so it cannot win either.
+    TunedDecision& d = all[i];
     d.predicted_seconds =
         predict(kind, d.algorithm, root, m, d.mapping, d.segment, scratch,
                 best < all.size() ? all[best].predicted_seconds : kNoCutoff);
@@ -394,6 +428,7 @@ TunedDecision Tuner::decide(CollectiveKind kind, int root, Bytes m) const {
     consider(mapped);
   }
   publish(scratch, pruned, evals);
+  check_price(all[best].predicted_seconds, kind, m);
   return std::move(all[best]);
 }
 
@@ -438,6 +473,7 @@ double Tuner::price(const TunedDecision& d) const {
   const double seconds = predict(d.kind, d.algorithm, d.root, d.message,
                                  d.mapping, d.segment, scratch);
   publish(scratch, 0, 0);
+  check_price(seconds, d.kind, d.message);
   return seconds;
 }
 

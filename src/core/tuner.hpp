@@ -106,14 +106,18 @@ class Tuner {
 
   /// Choose the best plan for one collective invocation: the candidate
   /// with the least (predicted_seconds, position in candidates()), bit for
-  /// bit. Candidates are priced cheapest replay first; a replayed tree
-  /// whose ScheduleSet::tree_lower_bound already exceeds the best price so
-  /// far is skipped unpriced, and every other replay runs with the best
-  /// price so far as its cutoff, stopping once it has provably lost (one
-  /// `tuner.replays_cut` each). The mapping climb runs last, and only when
-  /// its floor — ScheduleSet::binomial_floor at every table's minimum,
-  /// below the binomial's price under any mapping — does not exceed the
-  /// best price of the others. Each skip counts one `tuner.pruned`.
+  /// bit. Candidates are priced best first: those not priced by a tree
+  /// replay in enumeration order, then the replayed trees by ascending
+  /// ScheduleSet::tree_lower_bound, until the next bound exceeds the best
+  /// price so far; that candidate and every later one are skipped
+  /// unpriced. Every replay runs with the best price so far as its cutoff,
+  /// stopping once it has provably lost (one `tuner.replays_cut` each).
+  /// The mapping climb runs last, and only when its floor —
+  /// ScheduleSet::binomial_floor at every table's minimum, below the
+  /// binomial's price under any mapping — does not exceed the best price
+  /// of the others; its swaps are priced with the climb's best as their
+  /// cutoff. Each skipped candidate counts one `tuner.pruned`. Throws
+  /// lmo::Error (check_price) when the decided price is not finite.
   [[nodiscard]] TunedDecision decide(CollectiveKind kind, int root,
                                      Bytes m) const;
 
@@ -132,13 +136,19 @@ class Tuner {
   /// Price an externally supplied decision (e.g. one parsed off the wire)
   /// with this tuner's model — the same evaluator candidates() uses, so a
   /// replayed decision re-prices to the bit. Throws lmo::Error naming the
-  /// problem for an out-of-range root, a negative size, or a mapping that
-  /// is not a permutation of the ranks (trees::invert_mapping).
+  /// problem for an out-of-range root, a negative size, a mapping that
+  /// is not a permutation of the ranks (trees::invert_mapping), or a price
+  /// that is not finite (check_price).
   [[nodiscard]] double price(const TunedDecision& d) const;
 
  private:
   /// Throws lmo::Error unless 0 <= root < params_.size() and m >= 0.
   void check_invocation(int root, Bytes m) const;
+
+  /// Throws lmo::Error naming the op, the size and the model's largest
+  /// parameter unless `seconds` is finite: finite terms whose sums
+  /// overflow.
+  void check_price(double seconds, CollectiveKind kind, Bytes m) const;
 
   /// candidates() unpriced, in order, with the mapping climb deferred: the
   /// mapped-binomial candidate holds its position with an empty mapping,
@@ -148,8 +158,8 @@ class Tuner {
                                                      std::size_t& mapped) const;
 
   /// Fills the mapped-binomial candidate `d` in: hill-climbs its mapping
-  /// (pricing the swaps in `scratch`) and sets its price. Returns the
-  /// climb's cost-oracle calls.
+  /// (pricing the swaps in `scratch`, each replay cut at the climb's best
+  /// so far) and sets its price. Returns the climb's cost-oracle calls.
   std::uint64_t climb(TunedDecision& d, ScheduleScratch& scratch) const;
 
   /// True when predict() prices (kind, id, segment) by replaying a tree

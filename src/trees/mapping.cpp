@@ -1,6 +1,7 @@
 #include "trees/mapping.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -51,7 +52,7 @@ MappingResult optimize_mapping(int n, int root, const MappingCost& cost,
   LMO_CHECK(n >= 1);
   MappingResult best;
   best.mapping = default_mapping(n, root);
-  best.cost = cost(best.mapping);
+  best.cost = cost(best.mapping, std::numeric_limits<double>::infinity());
   best.evaluations = 1;
 
   for (int round = 0; round < max_rounds; ++round) {
@@ -60,7 +61,7 @@ MappingResult optimize_mapping(int n, int root, const MappingCost& cost,
     for (int a = 1; a < n; ++a) {
       for (int b = a + 1; b < n; ++b) {
         std::swap(best.mapping[std::size_t(a)], best.mapping[std::size_t(b)]);
-        const double c = cost(best.mapping);
+        const double c = cost(best.mapping, best.cost);
         ++best.evaluations;
         if (c + 1e-15 < best.cost) {
           best.cost = c;

@@ -17,8 +17,12 @@
 namespace lmo::trees {
 
 /// Cost of a candidate mapping: mapping[v] = physical rank of virtual
-/// rank v; mapping[0] is the root and is never moved.
-using MappingCost = std::function<double(const std::vector<int>&)>;
+/// rank v; mapping[0] is the root and is never moved. `cutoff` is the
+/// climb's best cost so far (+inf for the first mapping): once the oracle
+/// proves the cost exceeds it, it may return any larger value (+inf) in
+/// place of the exact cost, since such a swap is rejected either way.
+using MappingCost =
+    std::function<double(const std::vector<int>& mapping, double cutoff)>;
 
 struct MappingResult {
   std::vector<int> mapping;

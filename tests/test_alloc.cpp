@@ -10,8 +10,13 @@
 //    program vector, the experimenter's per-repetition path) allocates
 //    nothing either: the pin is its measured count, 0. A change that adds
 //    per-repetition allocations moves the pin and has to say why.
+//  * A warm Tuner::decide over the flat golden grid allocates at most its
+//    pinned count per call: the candidate list, the best-first order, the
+//    replay scratch and the decision itself. A change that allocates more
+//    per decide moves the pin and has to say why.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -19,6 +24,7 @@
 #include <new>
 #include <vector>
 
+#include "core/tuner.hpp"
 #include "obs/flight_recorder.hpp"
 #include "simnet/cluster.hpp"
 #include "simnet/engine.hpp"
@@ -124,6 +130,53 @@ TEST(AllocGate, PooledRepetitionAllocationsArePinned) {
   for (int r = 0; r < kReps; ++r) repetition(std::uint64_t(100 + r));
   EXPECT_EQ(allocs() - before, 0) << "over " << kReps << " repetitions";
   EXPECT_GT(session.metrics().events, 0u) << "the repetitions did no work";
+}
+
+TEST(AllocGate, WarmDecideAllocationsPinned) {
+  // The flat golden grid of tests/test_tuner.cpp: ground-truth parameters
+  // of the paper cluster, 4 ops x 1 KB..1 MB x every root.
+  const sim::ClusterConfig cfg = sim::make_paper_cluster(1);
+  const sim::GroundTruth gt = sim::ground_truth(cfg);
+  const int n = cfg.size();
+  core::LmoParams p;
+  p.C = gt.C;
+  p.t = gt.t;
+  p.L = models::PairTable(n);
+  p.inv_beta = models::PairTable(n);
+  for (int i = 0; i < n; ++i)
+    for (int j = 0; j < n; ++j) {
+      if (i == j) continue;
+      p.L(i, j) = gt.L(i, j);
+      p.inv_beta(i, j) = gt.inv_beta(i, j);
+    }
+  core::GatherEmpirical band;
+  band.m1 = 4 * 1024;
+  band.m2 = 80 * 1024;
+  band.escalation_modes = {{0.10, 10, 0.6}, {0.25, 4, 0.4}};
+  band.linear_prob_at_m1 = 0.9;
+  band.linear_prob_at_m2 = 0.3;
+  core::TunerOptions opts;
+  opts.topology = &cfg.topology;
+  const core::Tuner tuner(p, band, opts);
+  // Warm-up: the work counters register on the first call.
+  (void)tuner.decide(core::CollectiveKind::kScatter, 0, 1024);
+
+  std::int64_t most = 0;
+  for (const core::CollectiveKind kind :
+       {core::CollectiveKind::kScatter, core::CollectiveKind::kGather,
+        core::CollectiveKind::kBcast, core::CollectiveKind::kReduce})
+    for (Bytes m = 1024; m <= 1024 * 1024; m *= 2)
+      for (int root = 0; root < n; ++root) {
+        const std::int64_t before = allocs();
+        {
+          const core::TunedDecision d = tuner.decide(kind, root, m);
+          asm volatile("" : : "g"(&d) : "memory");
+        }
+        most = std::max(most, allocs() - before);
+      }
+  // Measured: 10 to 31 per decide (most grow the replay scratch's
+  // buffers, which a decide builds afresh); the pin is the maximum.
+  EXPECT_EQ(most, 31) << "most allocations of one decide";
 }
 
 }  // namespace

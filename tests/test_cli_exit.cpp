@@ -132,10 +132,11 @@ TEST(LmoToolExitTest, MergeInputErrorsFailNamed) {
     std::remove(path.c_str());
 }
 
-/// A two-rank JSON model with the given C row and escalation mode.
-std::string model_json(const std::string& c, const std::string& mode) {
+/// A two-rank JSON model with the given C row, escalation mode and t row.
+std::string model_json(const std::string& c, const std::string& mode,
+                       const std::string& t = "5e-8, 6e-8") {
   return R"({"schema": "lmo.model/1", "lmo": {"size": 2, "C": [)" + c +
-         R"(], "t": [5e-8, 6e-8], "L": [[0, 1e-5], [1e-5, 0]], )"
+         R"(], "t": [)" + t + R"(], "L": [[0, 1e-5], [1e-5, 0]], )"
          R"("inv_beta": [[0, 1e-8], [1e-8, 0]]}, "gather_empirical": )"
          R"({"m1": 4096, "m2": 65536, "escalation_modes": [)" +
          mode + R"(], "linear_prob_at_m1": 1, "linear_prob_at_m2": 1}})";
@@ -170,6 +171,29 @@ TEST(LmoToolExitTest, NegativeModelTermFailsNamed) {
                  R"({"value": 0.05, "count": 3, "frequency": 1})"));
   expect_named_failure(
       run(std::string(LMO_TOOL_BIN) + " tune --model " + path), "lmo.C[0]");
+  std::remove(path.c_str());
+}
+
+TEST(LmoToolExitTest, OverflowingModelFailsNamed) {
+  // Every term is finite, but their sums overflow: the price is named as
+  // an error (op, size and the largest parameter), not printed as inf.
+  const std::string path = temp_file(
+      "lmo_exit_overflow.json",
+      model_json("1e308, 2e-5",
+                 R"({"value": 0.05, "count": 3, "frequency": 1})",
+                 "1e308, 6e-8"));
+  for (const auto& [command, op] :
+       {std::pair<std::string, std::string>{"predict", "scatter"},
+        {"tune", "bcast"}}) {
+    const RunResult r = run(std::string(LMO_TOOL_BIN) + " " + command +
+                            " --model " + path + " --op " + op +
+                            " --size 65536");
+    expect_named_failure(r, "C[0] = 1e+308");
+    EXPECT_NE(r.output.find(op + " of 65536 bytes"), std::string::npos)
+        << r.output;
+    EXPECT_EQ(r.output.find("predicted"), std::string::npos) << r.output;
+    EXPECT_EQ(r.output.find("check failed"), std::string::npos) << r.output;
+  }
   std::remove(path.c_str());
 }
 

@@ -247,16 +247,6 @@ TEST(Empirical, LinearProbabilityInterpolates) {
   EXPECT_DOUBLE_EQ(emp.linear_probability(3000), 0.0);
 }
 
-TEST(Empirical, ScatterLeapRepeats) {
-  ScatterEmpirical s;
-  s.detected = true;
-  s.leap_threshold = 64 * 1024;
-  s.leap_s = 0.01;
-  EXPECT_DOUBLE_EQ(s.extra(1024), 0.0);
-  EXPECT_DOUBLE_EQ(s.extra(64 * 1024), 0.01);
-  EXPECT_DOUBLE_EQ(s.extra(200 * 1024), 0.03);  // three crossings
-}
-
 TEST(Optimize, ScatterSelectionCrossesOver) {
   const auto p = paper_params();
   // Tiny messages: binomial (fewer serialized root sends) wins; large:

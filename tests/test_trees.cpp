@@ -179,7 +179,7 @@ TEST(MappingTest, OptimizerFindsPlantedOptimum) {
   // costs. The optimizer starts from root-rotated order and must untangle
   // it (root fixed at position 0 with processor 0, so root = 0).
   const int n = 8;
-  auto cost = [](const std::vector<int>& m) {
+  auto cost = [](const std::vector<int>& m, double /*cutoff*/) {
     double c = 0;
     for (std::size_t v = 0; v < m.size(); ++v)
       c += (m[v] == int(v)) ? 0.0 : 1.0;
@@ -192,7 +192,7 @@ TEST(MappingTest, OptimizerFindsPlantedOptimum) {
 }
 
 TEST(MappingTest, RootNeverMoves) {
-  auto cost = [](const std::vector<int>& m) {
+  auto cost = [](const std::vector<int>& m, double /*cutoff*/) {
     // Reward moving processor 5 away from position 0 — must not happen.
     return m[0] == 5 ? 1.0 : 100.0;
   };
@@ -201,7 +201,7 @@ TEST(MappingTest, RootNeverMoves) {
 }
 
 TEST(MappingTest, MappingIsAlwaysPermutation) {
-  auto cost = [](const std::vector<int>& m) {
+  auto cost = [](const std::vector<int>& m, double /*cutoff*/) {
     double c = 0;
     for (std::size_t v = 0; v < m.size(); ++v) c += double(m[v]) * double(v);
     return c;

@@ -350,12 +350,14 @@ TEST(TunerGoldenTest, ContendedHierarchyDecisionsUnchanged) {
 /// Work of the decide() calls of decide_grid_digest's grid: messages the
 /// schedule replays sent, candidates pruned, replays stopped at their
 /// cutoff and cost-oracle calls of the mapping climb, read off the
-/// counters.
+/// counters; and the messages price() replays for each decision, the
+/// winners' own replays, which no exact pruning can go under.
 struct GridWork {
   std::uint64_t replay_sends = 0;
   std::uint64_t pruned = 0;
   std::uint64_t replays_cut = 0;
   std::uint64_t climb_evals = 0;
+  std::uint64_t winner_sends = 0;
 };
 
 GridWork decide_grid_work(const sim::ClusterConfig& cfg) {
@@ -369,28 +371,40 @@ GridWork decide_grid_work(const sim::ClusterConfig& cfg) {
   const obs::Counter evals = reg.counter("tuner.climb_evals");
   const GridWork before{sends.value(), pruned.value(), cut.value(),
                         evals.value()};
+  std::uint64_t winner_sends = 0;
   for (const CollectiveKind kind : kAllKinds)
     for (Bytes m = 1024; m <= 1024 * 1024; m *= 2)
-      for (int root = 0; root < cfg.size(); ++root)
-        (void)t.decide(kind, root, m);
-  return {sends.value() - before.replay_sends, pruned.value() - before.pruned,
-          cut.value() - before.replays_cut,
-          evals.value() - before.climb_evals};
+      for (int root = 0; root < cfg.size(); ++root) {
+        const TunedDecision d = t.decide(kind, root, m);
+        const std::uint64_t priced = sends.value();
+        (void)t.price(d);
+        winner_sends += sends.value() - priced;
+      }
+  return {sends.value() - before.replay_sends - winner_sends,
+          pruned.value() - before.pruned, cut.value() - before.replays_cut,
+          evals.value() - before.climb_evals, winner_sends};
 }
 
 // Ceilings on the golden grids' decide() work. Pricing every candidate
 // replayed 5,211,120 messages on the paper cluster and 7,851,150 on the
 // contended tree; with lower-bound pruning they replay 1,018,800 and
 // 1,932,030; stopping each replay once it has lost the best price so far
-// (2,564 and 3,278 replays cut) leaves 749,895 and 1,045,564. A climb on
-// every decide calls its cost oracle 214,799 and 173,954 times; skipping
-// the climbs whose floor cannot win leaves 38,954 and 6,962. A decide()
-// that stops pruning or cutting blows through the ceilings.
+// (2,564 and 3,278 replays cut) leaves 749,895 and 1,045,564. Pricing
+// best first by a bound with critical-path terms (the pipeline's fill and
+// drain), the same tails in every replay's cutoff and the climb's best as
+// its swaps' cutoff leave 540,319 and 731,135 (372 and 4,344 cut). The
+// winners' own replays are 330,030 and 590,040 of those, a floor no exact
+// pruning goes under; the sends beyond it fell from 419,865 and 455,524
+// to 210,289 and 141,095. A climb on every decide calls its cost oracle
+// 214,799 and 173,954 times; skipping the climbs whose floor cannot win
+// leaves 38,954 and 6,962. A decide() that stops pruning or cutting blows
+// through the ceilings.
 TEST(TunerWorkTest, PaperGridPrunesItsReplays) {
   const GridWork w = decide_grid_work(sim::make_paper_cluster(1));
   EXPECT_GT(w.pruned, 0u);
   EXPECT_GT(w.replays_cut, 0u);
-  EXPECT_LE(w.replay_sends, 765000u);
+  EXPECT_LE(w.replay_sends, 570000u);
+  EXPECT_LE(w.replay_sends - w.winner_sends, 215000u);
   EXPECT_LE(w.climb_evals, 42000u);
 }
 
@@ -398,7 +412,8 @@ TEST(TunerWorkTest, ContendedGridPrunesItsReplays) {
   const GridWork w = decide_grid_work(sim::make_multicore_cluster(1, 4, 4, 1));
   EXPECT_GT(w.pruned, 0u);
   EXPECT_GT(w.replays_cut, 0u);
-  EXPECT_LE(w.replay_sends, 1070000u);
+  EXPECT_LE(w.replay_sends, 770000u);
+  EXPECT_LE(w.replay_sends - w.winner_sends, 228000u);
   EXPECT_LE(w.climb_evals, 7600u);
 }
 

@@ -352,6 +352,41 @@ TEST(TreeLowerBound, NeverExceedsTheReplay) {
   }
 }
 
+TEST(TreeLowerBound, SeesThePipelineFill) {
+  // A segmented chain on uniform parameters: every chunk crosses n - 1
+  // hops, and the last rank processes all S chunks, so no replay finishes
+  // before (n - 1) hops + S x proc. A bound made of per-rank occupancy
+  // alone misses the fill; the critical-path terms bring it within 5% of
+  // the replay.
+  const int n = 10;
+  const double C = 20e-6, t = 1e-9, L = 50e-6, inv_beta = 8e-9;
+  LmoParams p;
+  p.C.assign(std::size_t(n), C);
+  p.t.assign(std::size_t(n), t);
+  p.L = models::PairTable(n, L);
+  p.inv_beta = models::PairTable(n, inv_beta);
+  const core::ScheduleSet set(n, nullptr);
+  core::ScheduleScratch scratch;
+  const Bytes segment = 1024, m = 32 * segment;
+  const double proc = C + double(segment) * t;
+  const double hop = L + double(segment) * inv_beta + proc;
+  const double chunks = double(core::chunk_count(m, segment));
+  ASSERT_GE(chunks, 16.0);
+  for (const auto kind : {CollectiveKind::kBcast, CollectiveKind::kReduce})
+    for (const int root : {0, 3}) {
+      const double replay = set.tree_time(p, TreeKind::kChain, kind, root, m,
+                                          {}, segment, scratch);
+      const double bound = set.tree_lower_bound(p, TreeKind::kChain, kind,
+                                                root, m, {}, segment, scratch);
+      const std::string where =
+          std::string(core::collective_name(kind)) + " root " +
+          std::to_string(root);
+      EXPECT_GE(bound, double(n - 1) * hop + chunks * proc) << where;
+      EXPECT_GE(bound, 0.95 * replay) << where;
+      EXPECT_LE(bound, replay * (1.0 + 1e-12)) << where;
+    }
+}
+
 TEST(ReplayCutoff, ReturnsTheFullPriceOrInfinity) {
   // A replay given a cutoff returns its full price, to the bit, or +inf,
   // and +inf only when that price exceeds the cutoff: a cutoff equal to
