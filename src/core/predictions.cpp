@@ -1,7 +1,7 @@
 #include "core/predictions.hpp"
 
 #include <algorithm>
-#include <functional>
+#include <limits>
 #include <utility>
 
 #include "trees/mapping.hpp"
@@ -460,16 +460,43 @@ double run_schedule(const LmoParams& p, const Phase* phases,
   using Cursor = ScheduleScratch::Cursor;
   const int n = p.size();
   const std::size_t un = std::size_t(n);
-  w.arrival.resize(slots);
-  w.known.assign(slots, 0);
+  // Every priced arrival is >= 0, so a negative one is a message not sent
+  // yet.
+  w.arrival.assign(slots, -1.0);
   w.clock.assign(un, 0.0);
-  w.queued.assign(un, 0);
   w.egress.assign(un, 0.0);
   w.ingress.assign(un, 0.0);
   w.shared.assign(wires.cursors, 0.0);
   w.cursor.resize(un);
-  w.heap.clear();
-  const auto later = std::greater<std::pair<double, int>>();
+  // The ranks whose next op is a send, in a tournament tree: leaf
+  // leaves + r holds (r's clock, r), or the idle key once r is not ready,
+  // and every inner node the lesser of its children by (time, rank), so
+  // node 1 is the next send. Every ready rank beats the idle key, even one
+  // whose clock overflowed to +inf.
+  constexpr int kIdle = std::numeric_limits<int>::max();
+  std::size_t leaves = 1;
+  while (leaves < un) leaves *= 2;
+  w.winner_time.assign(2 * leaves, kNoCutoff);
+  w.winner_rank.assign(2 * leaves, kIdle);
+  double* const win_t = w.winner_time.data();
+  int* const win_r = w.winner_rank.data();
+  // Keys rank r's leaf (kt, kr) and walks to the root carrying the winner,
+  // against each sibling's stored winner without a branch.
+  auto key = [&](int r, double kt, int kr) {
+    std::size_t i = leaves + std::size_t(r);
+    win_t[i] = kt;
+    win_r[i] = kr;
+    for (; i > 1; i >>= 1) {
+      const double st = win_t[i ^ 1];
+      const int sr = win_r[i ^ 1];
+      const bool sibling = (st < kt) | ((st == kt) & (sr < kr));
+      kt = sibling ? st : kt;
+      kr = sibling ? sr : kr;
+      win_t[i >> 1] = kt;
+      win_r[i >> 1] = kr;
+    }
+  };
+  auto ready = [&](int r) { return win_r[leaves + std::size_t(r)] == r; };
   const bool bounded = cutoff < kNoCutoff;
   if (bounded) {
     w.remaining.assign(un, 0.0);
@@ -526,39 +553,34 @@ double run_schedule(const LmoParams& p, const Phase* phases,
   auto slot_of = [](const Cursor& c) {
     return c.slot + std::size_t(c.op->edge) * c.stride;
   };
-  // Run rank `r` forward: consume satisfied receives, park on the first
-  // unsatisfied one, enqueue when the next op is a send.
+  // Runs rank `r` forward, consuming satisfied receives; true when its
+  // next op is a send, false when it parks on a receive not sent yet, is
+  // done, or is cut.
   auto advance = [&](int r) {
     double& t = w.clock[std::size_t(r)];
     while (const TemplateOp* op = current(r)) {
       Cursor& c = w.cursor[std::size_t(r)];
-      if (!op->recv) {
-        if (!w.queued[std::size_t(r)]) {
-          w.heap.push_back({t, r});
-          std::push_heap(w.heap.begin(), w.heap.end(), later);
-          w.queued[std::size_t(r)] = 1;
-        }
-        return;
-      }
-      const std::size_t slot = slot_of(c);
-      if (!w.known[slot]) return;  // parked until the matching send
+      if (!op->recv) return true;
+      const double arrival = w.arrival[slot_of(c)];
+      if (arrival < 0.0) return false;  // parked until the matching send
       const double proc =
           p.C[std::size_t(r)] + bytes_of(c) * p.t[std::size_t(r)];
-      t = std::max(t, w.arrival[slot]) + proc;
+      t = std::max(t, arrival) + proc;
       if (op->combine) t += proc;
       ++c.op;
-      if (charge(r, op->combine ? 2.0 * proc : proc)) return;
+      if (charge(r, op->combine ? 2.0 * proc : proc)) return false;
     }
+    return false;
   };
   for (int r = 0; r < n && !cut; ++r) {
     enter(r, 0);
-    advance(r);
+    if (advance(r)) key(r, w.clock[std::size_t(r)], r);
   }
-  while (!cut && !w.heap.empty()) {
-    std::pop_heap(w.heap.begin(), w.heap.end(), later);
-    const int r = w.heap.back().second;
-    w.heap.pop_back();
-    w.queued[std::size_t(r)] = 0;
+  // The sender stays at the root while its send is priced, then is
+  // re-keyed in place or set idle; its peer is keyed only when the
+  // arrival lets it reach a send.
+  while (!cut && win_r[1] != kIdle) {
+    const int r = win_r[1];
     Cursor& c = w.cursor[std::size_t(r)];
     const double bytes = bytes_of(c);
     const int peer = phases[c.phase].to_physical[c.op->peer];
@@ -567,12 +589,15 @@ double run_schedule(const LmoParams& p, const Phase* phases,
     const double proc = p.C[std::size_t(r)] + bytes * p.t[std::size_t(r)];
     t += proc;  // send CPU
     w.arrival[slot] = send_on_wire(p, wires, w, r, peer, bytes, t);
-    w.known[slot] = 1;
     ++w.sends;
     ++c.op;
     if (charge(r, proc)) break;
-    advance(r);
-    if (!cut) advance(peer);
+    if (advance(r))
+      key(r, t, r);
+    else
+      key(r, kNoCutoff, kIdle);
+    if (!cut && !ready(peer) && advance(peer))
+      key(peer, w.clock[std::size_t(peer)], peer);
   }
   if (cut) {
     ++w.cuts;

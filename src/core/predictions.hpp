@@ -135,11 +135,11 @@ struct WireLayout {
 };
 
 /// Workspace of one replay: arrivals, clocks, cursors, port and segment
-/// occupancy, the send heap, and the bound mapping. Reusing one across
-/// replays avoids every per-call allocation once the buffers have grown;
-/// a scratch serves one replay at a time, so concurrent callers each keep
-/// their own. Contents between calls are unspecified, except the work
-/// counts `sends` and `cuts`.
+/// occupancy, the send order's tournament tree, and the bound mapping.
+/// Reusing one across replays avoids every per-call allocation once the
+/// buffers have grown; a scratch serves one replay at a time, so
+/// concurrent callers each use their own. Contents between calls are
+/// unspecified, except the work counts `sends` and `cuts`.
 struct ScheduleScratch {
   struct Cursor {
     const TemplateOp* op = nullptr;     ///< next op of the current chunk
@@ -159,9 +159,12 @@ struct ScheduleScratch {
   /// earliest arrival of its first chunk (bcast, scatter) and the least
   /// time from its final op to the end of the collective.
   std::vector<double> head, tail;
-  std::vector<char> known, queued;
   std::vector<Cursor> cursor;
-  std::vector<std::pair<double, int>> heap;
+  /// The send order: a tournament tree over physical ranks, node i's
+  /// winner (post time, rank) at [i], its children at 2i and 2i + 1, rank
+  /// r's leaf at leaves + r (leaves = the least power of two >= n).
+  std::vector<double> winner_time;
+  std::vector<int> winner_rank;
   std::vector<int> map, inverse, ring;
   /// Messages replayed, and replays stopped at their cutoff, summed over
   /// every replay run in this scratch (work counts the caller reads and

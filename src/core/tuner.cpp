@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <mutex>
 #include <string>
 #include <utility>
 
@@ -184,6 +185,26 @@ bool contends(const sim::Topology* topo) {
 }
 }  // namespace
 
+/// The shared scratch while this lease holds its mutex, else a call-local
+/// one; its work counts start at zero either way.
+class Tuner::Lease {
+ public:
+  explicit Lease(SharedScratch& shared)
+      : lock_(shared.mutex, std::try_to_lock),
+        scratch_(lock_.owns_lock() ? &shared.scratch : &local_) {
+    scratch_->sends = 0;
+    scratch_->cuts = 0;
+  }
+  Lease(const Lease&) = delete;
+  Lease& operator=(const Lease&) = delete;
+  [[nodiscard]] ScheduleScratch& get() { return *scratch_; }
+
+ private:
+  std::unique_lock<std::mutex> lock_;
+  ScheduleScratch local_;
+  ScheduleScratch* scratch_;
+};
+
 bool Tuner::replays_tree(CollectiveKind kind, AlgorithmId id,
                          Bytes segment) const {
   if (id == AlgorithmId::kScatterAllgather) return false;
@@ -287,6 +308,10 @@ std::vector<TunedDecision> Tuner::enumerate(CollectiveKind kind, int root,
                                             std::size_t& mapped) const {
   check_invocation(root, m);
   std::vector<TunedDecision> out;
+  // Every candidate below at most once: linear, binomial, the split
+  // gather, the mapped binomial, chain and binary tree unsegmented, four
+  // per segment and the composite broadcast.
+  out.reserve(7 + 4 * options_.segment_candidates.size());
   auto add = [&](AlgorithmId id, std::vector<int> mapping, Bytes segment) {
     for (const TunedDecision& d : out)
       if (d.algorithm == id && d.segment == segment &&
@@ -355,7 +380,8 @@ std::vector<TunedDecision> Tuner::candidates(CollectiveKind kind, int root,
                                              Bytes m) const {
   // One workspace for every evaluation of this call: the mapping climb and
   // the zoo replay into the same buffers.
-  ScheduleScratch scratch;
+  Lease lease(scratch_);
+  ScheduleScratch& scratch = lease.get();
   std::size_t mapped = 0;
   std::vector<TunedDecision> out = enumerate(kind, root, m, mapped);
   const std::uint64_t evals = climb(out[mapped], scratch);
@@ -367,7 +393,8 @@ std::vector<TunedDecision> Tuner::candidates(CollectiveKind kind, int root,
 }
 
 TunedDecision Tuner::decide(CollectiveKind kind, int root, Bytes m) const {
-  ScheduleScratch scratch;
+  Lease lease(scratch_);
+  ScheduleScratch& scratch = lease.get();
   std::size_t mapped = 0;
   std::vector<TunedDecision> all = enumerate(kind, root, m, mapped);
   // Best first: every tree replay's lower bound, every other candidate at
@@ -466,7 +493,8 @@ Bytes Tuner::crossover(CollectiveKind kind, int root, Bytes lo,
 
 double Tuner::price(const TunedDecision& d) const {
   check_invocation(d.root, d.message);
-  ScheduleScratch scratch;
+  Lease lease(scratch_);
+  ScheduleScratch& scratch = lease.get();
   // The closed forms index the parameter tables through the mapping
   // unchecked, so a decision off the wire is checked here, once.
   trees::invert_mapping(d.mapping, params_.size(), scratch.inverse);

@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -174,15 +175,29 @@ class Tuner {
                                Bytes segment, ScheduleScratch& scratch,
                                double cutoff = kNoCutoff) const;
 
+  /// The replay workspace of every call. candidates(), decide() and
+  /// price() take it with try_lock (Lease, tuner.cpp), and a call that
+  /// finds it held evaluates in a scratch of its own. So a warm call grows
+  /// no replay buffer, and a const Tuner shared across threads never
+  /// blocks. A copy starts empty.
+  struct SharedScratch {
+    SharedScratch() = default;
+    SharedScratch(const SharedScratch&) {}
+    SharedScratch& operator=(const SharedScratch&) { return *this; }
+    std::mutex mutex;
+    ScheduleScratch scratch;
+  };
+  class Lease;
+
   LmoParams params_;
   GatherEmpirical gather_empirical_;
   TunerOptions options_;
   /// Every tree schedule of params_.size() ranks under options_.topology,
-  /// compiled once; evaluations bring their own scratch, so a const Tuner
-  /// is safe to share across threads.
+  /// compiled once.
   ScheduleSet schedules_;
   /// Every table's minimum over params_: the terms of the climb's floor.
   UniformLmo floor_terms_;
+  mutable SharedScratch scratch_;
 };
 
 }  // namespace lmo::core

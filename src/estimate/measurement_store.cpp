@@ -202,21 +202,24 @@ void MeasurementStore::bind_cluster(int size, std::uint64_t seed) {
 obs::Json MeasurementStore::to_json() const {
   std::shared_lock lk(mu_);
   obs::Json j = obs::Json::object();
+  j.reserve(3);
   j["schema"] = kMeasurementsSchema;
   if (cluster_size_ > 0) {
     obs::Json cluster = obs::Json::object();
+    cluster.reserve(2);
     cluster["size"] = cluster_size_;
     cluster["seed"] = cluster_seed_;
     j["cluster"] = std::move(cluster);
   }
   obs::Json entries = obs::Json::array();
+  entries.reserve(values_.size() + suspects_.size());
   for (const auto& [key, value] : values_) {  // map order: deterministic
-    obs::Json e = key.to_json();
+    obs::Json e = key.to_json(1);
     e["value"] = value;
     entries.push_back(std::move(e));
   }
   for (const auto& [key, value] : suspects_) {
-    obs::Json e = key.to_json();
+    obs::Json e = key.to_json(2);
     e["value"] = value;
     e["quarantined"] = true;
     entries.push_back(std::move(e));

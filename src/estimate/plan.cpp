@@ -142,20 +142,23 @@ std::string ExperimentKey::describe() const {
   return s;
 }
 
-obs::Json ExperimentKey::to_json() const {
+obs::Json ExperimentKey::to_json(std::size_t spare) const {
+  const bool reply = kind == ExperimentKind::kRoundtrip ||
+                     kind == ExperimentKind::kOneToTwo;
+  const bool counted = kind == ExperimentKind::kSaturationGap ||
+                       kind == ExperimentKind::kScatterObservation ||
+                       kind == ExperimentKind::kGatherObservation;
   obs::Json j = obs::Json::object();
+  j.reserve(3 + std::size_t(b >= 0) + std::size_t(c >= 0) +
+            std::size_t(reply) + std::size_t(counted) +
+            std::size_t(level != 0) + spare);
   j["kind"] = kind_name(kind);
   j["a"] = a;
   if (b >= 0) j["b"] = b;
   if (c >= 0) j["c"] = c;
   j["m"] = m_fwd;
-  if (kind == ExperimentKind::kRoundtrip ||
-      kind == ExperimentKind::kOneToTwo)
-    j["reply"] = m_back;
-  if (kind == ExperimentKind::kSaturationGap ||
-      kind == ExperimentKind::kScatterObservation ||
-      kind == ExperimentKind::kGatherObservation)
-    j["count"] = count;
+  if (reply) j["reply"] = m_back;
+  if (counted) j["count"] = count;
   // Annotation only — stores that predate the field parse unchanged.
   if (level != 0) j["level"] = level;
   return j;

@@ -14,6 +14,7 @@
 // can be re-fit offline.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -94,8 +95,9 @@ struct ExperimentKey {
   [[nodiscard]] std::string describe() const;
 
   /// {"kind": "roundtrip", "a": 3, "b": 7, "m": 32768, "reply": 32768, ...}
-  /// — only the fields the kind uses are emitted.
-  [[nodiscard]] obs::Json to_json() const;
+  /// — only the fields the kind uses are emitted — with room for `spare`
+  /// more members the caller appends.
+  [[nodiscard]] obs::Json to_json(std::size_t spare = 0) const;
   /// Throws lmo::Error naming the field: ranks must lie in
   /// [0, sim::kMaxRanks), sizes and counts must be >= 0.
   [[nodiscard]] static ExperimentKey from_json(const obs::JsonField& j);

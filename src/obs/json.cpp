@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <iterator>
 #include <limits>
 #include <ostream>
 #include <system_error>
@@ -98,6 +99,12 @@ void Json::push_back(Json v) {
   if (is_null()) v_ = Array{};
   LMO_CHECK_MSG(is_array(), "JSON push_back on a non-array");
   std::get<Array>(v_).push_back(std::move(v));
+}
+
+void Json::reserve(std::size_t n) {
+  if (is_array()) return std::get<Array>(v_).reserve(n);
+  LMO_CHECK_MSG(is_object(), "JSON reserve on a scalar");
+  std::get<Object>(v_).reserve(n);
 }
 
 std::size_t Json::size() const {
@@ -312,9 +319,7 @@ std::string Json::dump(int indent) const {
 
 // ------------------------------------------------------------- parser ----
 
-namespace {
-
-class Parser {
+class Json::Parser {
  public:
   explicit Parser(std::string_view text) : s_(text) {}
 
@@ -520,6 +525,9 @@ class Parser {
     }
   }
 
+  /// Collects the members on members_ above the enclosing objects' own,
+  /// then moves them into an Object of exactly their count. A repeated
+  /// key's later value replaces the earlier one in place.
   Json object() {
     const DepthGuard guard(*this);
     expect('{');
@@ -529,18 +537,32 @@ class Parser {
       ++pos_;
       return out;
     }
+    const std::size_t base = members_.size();
     for (;;) {
       skip_ws();
       std::string key = string();
       skip_ws();
       expect(':');
-      out[key] = value();
+      Json v = value();
+      const auto first = members_.begin() + std::ptrdiff_t(base);
+      const auto same =
+          std::find_if(first, members_.end(),
+                       [&](const auto& kv) { return kv.first == key; });
+      if (same != members_.end())
+        same->second = std::move(v);
+      else
+        members_.emplace_back(std::move(key), std::move(v));
       skip_ws();
       const char c = peek();
       ++pos_;
-      if (c == '}') return out;
+      if (c == '}') break;
       if (c != ',') fail("expected ',' or '}'");
     }
+    const auto first = members_.begin() + std::ptrdiff_t(base);
+    out.v_ = Object(std::make_move_iterator(first),
+                    std::make_move_iterator(members_.end()));
+    members_.erase(first, members_.end());
+    return out;
   }
 
   static constexpr int kMaxDepth = 256;
@@ -548,9 +570,8 @@ class Parser {
   std::string_view s_;
   std::size_t pos_ = 0;
   int depth_ = 0;
+  Object members_;
 };
-
-}  // namespace
 
 Json Json::parse(std::string_view text) { return Parser(text).document(); }
 

@@ -68,6 +68,9 @@ class Json {
 
   /// Array append; a null value silently becomes an array.
   void push_back(Json v);
+  /// Room for n array items or object members without regrowing; throws
+  /// lmo::Error unless this is an array or an object.
+  void reserve(std::size_t n);
   [[nodiscard]] std::size_t size() const;  ///< array/object arity, else 0
   [[nodiscard]] const Json& operator[](std::size_t i) const;
 
@@ -90,6 +93,7 @@ class Json {
 
  private:
   class Writer;  ///< dump()'s chunked output buffer (json.cpp)
+  class Parser;  ///< parse()'s recursive-descent reader (json.cpp)
 
   static std::int64_t checked_unsigned(std::uint64_t u);
   void dump_impl(Writer& out, int indent, int depth) const;

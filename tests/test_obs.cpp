@@ -93,6 +93,25 @@ TEST(Json, ObjectsPreserveInsertionOrder) {
   EXPECT_EQ(entries[2].first, "mid");
 }
 
+TEST(Json, RepeatedKeysKeepTheirFirstPlaceAndTheirLastValue) {
+  // Nested objects collect their members above the enclosing object's.
+  const Json p = Json::parse(
+      R"({"a": 1, "b": {"x": 1, "y": {"z": 2}, "x": 3}, "a": 4, "c": {}})");
+  const auto& top = p.entries();
+  ASSERT_EQ(top.size(), 3u);
+  EXPECT_EQ(top[0].first, "a");
+  EXPECT_EQ(top[0].second.as_int(), 4);
+  EXPECT_EQ(top[1].first, "b");
+  EXPECT_EQ(top[2].first, "c");
+  EXPECT_EQ(top[2].second.size(), 0u);
+  const auto& b = top[1].second.entries();
+  ASSERT_EQ(b.size(), 2u);
+  EXPECT_EQ(b[0].first, "x");
+  EXPECT_EQ(b[0].second.as_int(), 3);
+  EXPECT_EQ(b[1].first, "y");
+  EXPECT_EQ(b[1].second.at("z").as_int(), 2);
+}
+
 TEST(Json, MalformedInputThrows) {
   EXPECT_THROW((void)Json::parse("{"), Error);
   EXPECT_THROW((void)Json::parse("[1,]"), Error);

@@ -561,7 +561,7 @@ TEST(TunerCutoffTest, CandidatePricesStayFullWhenDecideCuts) {
 
 TEST(TunerParallelTest, SharedTunerDecidesLikeSerial) {
   // A const Tuner is shared by reader threads (the serving daemon does
-  // this); each decide() keeps its evaluation scratch on its own stack.
+  // this); a decide() that finds the shared scratch held uses its own.
   const auto cfg = sim::make_multicore_cluster(1, 4, 4, 1);
   TunerOptions opts;
   opts.topology = &cfg.topology;
@@ -605,6 +605,45 @@ TEST(TunerParallelTest, SharedTunerDecidesLikeSerial) {
       EXPECT_EQ(a.predicted_seconds, b.predicted_seconds)
           << "thread " << k << " query " << q;
     }
+}
+
+TEST(TunerParallelTest, ConcurrentDecidesMatchSerial) {
+  // Four threads sweep the flat golden grid on one const Tuner: one of them
+  // at a time holds the Tuner's shared scratch, the others evaluate in
+  // scratches of their own. Every decision matches a serial sweep, its
+  // price to the bit.
+  const auto cfg = sim::make_paper_cluster(1);
+  TunerOptions opts;
+  opts.topology = &cfg.topology;
+  const Tuner tuner(from_ground_truth(cfg), paper_band(), opts);
+  auto sweep = [&] {
+    std::vector<TunedDecision> out;
+    for (const CollectiveKind kind : kAllKinds)
+      for (Bytes m = 1024; m <= 1024 * 1024; m *= 2)
+        for (int root = 0; root < cfg.size(); ++root)
+          out.push_back(tuner.decide(kind, root, m));
+    return out;
+  };
+  const std::vector<TunedDecision> serial = sweep();
+
+  constexpr int kThreads = 4;
+  std::vector<std::vector<TunedDecision>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int k = 0; k < kThreads; ++k)
+    threads.emplace_back([&, k] { got[std::size_t(k)] = sweep(); });
+  for (std::thread& th : threads) th.join();
+  for (int k = 0; k < kThreads; ++k) {
+    ASSERT_EQ(got[std::size_t(k)].size(), serial.size());
+    for (std::size_t q = 0; q < serial.size(); ++q) {
+      const TunedDecision& a = serial[q];
+      const TunedDecision& b = got[std::size_t(k)][q];
+      EXPECT_EQ(a.algorithm, b.algorithm) << "thread " << k << " query " << q;
+      EXPECT_EQ(a.segment, b.segment) << "thread " << k << " query " << q;
+      EXPECT_EQ(a.mapping, b.mapping) << "thread " << k << " query " << q;
+      EXPECT_EQ(bits(a.predicted_seconds), bits(b.predicted_seconds))
+          << "thread " << k << " query " << q;
+    }
+  }
 }
 
 }  // namespace

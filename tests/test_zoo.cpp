@@ -460,6 +460,34 @@ TEST(ReplayCutoff, ReturnsTheFullPriceOrInfinity) {
   EXPECT_LT(total_cuts, checked);
 }
 
+TEST(ReplayOrder, EqualPostTimesGrantTheLowerRankFirst) {
+  // A flat gather to rank 0 whose children both post at time 0 (their C
+  // and t are 0) over links of different inv_beta. The root receives from
+  // rank 1 first, and its C is below both wire times, so the order in
+  // which the children take its ingress port moves the price: rank 1
+  // first lands at w1 and w1 + w2, and the root ends at
+  // max(w1 + c0, w1 + w2) + c0; rank 2 first lands at w2 and w2 + w1, and
+  // the root ends at max(w2 + w1 + c0, w2) + c0, one c0 later.
+  const int n = 3;
+  const double c0 = 1e-4;
+  LmoParams p;
+  p.C = {c0, 0.0, 0.0};
+  p.t = {0.0, 0.0, 0.0};
+  p.L = models::PairTable(n, 0.0);
+  p.inv_beta = models::PairTable(n, 1e-6);
+  p.inv_beta(2, 0) = 2e-6;
+  const core::ScheduleSet set(n, nullptr);
+  core::ScheduleScratch scratch;
+  const double price =
+      set.tree_time(p, TreeKind::kFlat, CollectiveKind::kGather, 0, 1000, {},
+                    0, scratch);
+  const double w1 = 1000.0 * 1e-6, w2 = 1000.0 * 2e-6;
+  const double lower_first = std::max(w1 + c0, w1 + w2) + c0;
+  const double higher_first = std::max(w2 + w1 + c0, w2) + c0;
+  ASSERT_NE(lower_first, higher_first);
+  EXPECT_EQ(price, lower_first);
+}
+
 TEST(ClosedFormFloor, BelowTheClosedFormBelowTheReplay) {
   // The mapping-free floor decide() skips the binomial mapping climb on:
   // the binomial closed form with every processor and link at its table's
