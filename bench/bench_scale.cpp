@@ -2,10 +2,10 @@
 //
 // For N in {16, 256, 1024, 4096} (multicore shapes, block placement):
 //  * setup   — wall time to construct the simulation world and its
-//              experimenter (config validation, fabric SoA arrays, the
-//              O(N · depth) barrier latency) — paid by the anchor and by
-//              each of the experimenter's jobs pooled sessions, not per
-//              repetition (those reset() a pooled session),
+//              experimenter (config validation, fabric SoA arrays) — paid
+//              by the anchor and by each of the experimenter's jobs pooled
+//              sessions, not per repetition (those reset() a pooled
+//              session),
 //  * micro   — engine events/s over a binomial broadcast observed on the
 //              anchor session,
 //  * macro   — wall time of the sampled LMO scale fit (estimate_scale_lmo:

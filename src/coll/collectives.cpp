@@ -60,26 +60,6 @@ Task binomial_scatter(Comm& c, int root, Bytes block,
   }
 }
 
-Task binomial_gather(Comm& c, int root, Bytes block,
-                     std::vector<int> mapping) {
-  const int n = c.size();
-  LMO_CHECK(root >= 0 && root < n);
-  LMO_CHECK(block >= 0);
-  const int v =
-      virtual_rank(trees::inverse_mapping(mapping, n), c.rank(), root, n);
-  // Receive subtrees smallest-first: the exact reverse of scatter's order,
-  // so the largest (slowest) subtree has the most time to accumulate.
-  auto children = trees::binomial_children(v, n);
-  std::reverse(children.begin(), children.end());
-  for (int child_v : children)
-    co_await c.recv(trees::map_rank(mapping, child_v, root, n));
-  if (v != 0) {
-    const Bytes bytes = Bytes(trees::binomial_subtree_blocks(v, n)) * block;
-    co_await c.send(trees::map_rank(mapping, trees::binomial_parent(v), root, n),
-                    bytes);
-  }
-}
-
 Task split_gather(Comm& c, int root, Bytes block, Bytes chunk) {
   LMO_CHECK(chunk > 0);
   LMO_CHECK(block >= 0);
@@ -170,22 +150,6 @@ std::vector<vmpi::RankProgram> spmd(int n,
   for (int r = 0; r < n; ++r)
     programs.emplace_back([body](Comm& c) -> Task { co_await body(c); });
   return programs;
-}
-
-SimTime run_timed(vmpi::SimSession& sess, int timed_rank,
-                  std::function<Task(Comm&)> body) {
-  LMO_CHECK(timed_rank >= 0 && timed_rank < sess.size());
-  SimTime elapsed;
-  auto programs = spmd(sess.size(), std::move(body));
-  auto timed_body = programs[std::size_t(timed_rank)];
-  programs[std::size_t(timed_rank)] = [&elapsed,
-                                       timed_body](Comm& c) -> Task {
-    const SimTime t0 = c.now();
-    co_await timed_body(c);
-    elapsed = c.now() - t0;
-  };
-  sess.run(programs);
-  return elapsed;
 }
 
 }  // namespace lmo::coll

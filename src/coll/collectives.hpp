@@ -35,10 +35,6 @@ vmpi::Task linear_gather(vmpi::Comm& c, int root, Bytes block);
 vmpi::Task binomial_scatter(vmpi::Comm& c, int root, Bytes block,
                             std::vector<int> mapping = {});
 
-/// Binomial-tree gather (reverse of binomial_scatter).
-vmpi::Task binomial_gather(vmpi::Comm& c, int root, Bytes block,
-                           std::vector<int> mapping = {});
-
 /// Fig. 7 optimized gather: split `block` into chunks of at most
 /// `chunk` bytes and run a series of linear gathers, dodging the
 /// escalation band.
@@ -72,10 +68,5 @@ vmpi::Task ring_allgather(vmpi::Comm& c, Bytes block);
 /// Wrap one SPMD body into a full program vector (all ranks participate).
 [[nodiscard]] std::vector<vmpi::RankProgram> spmd(
     int n, std::function<vmpi::Task(vmpi::Comm&)> body);
-
-/// Run `body` on all ranks of `sess` and return the completion time of
-/// `timed_rank` (sender-side timing when timed_rank == root, per MPIBlib).
-[[nodiscard]] SimTime run_timed(vmpi::SimSession& sess, int timed_rank,
-                                std::function<vmpi::Task(vmpi::Comm&)> body);
 
 }  // namespace lmo::coll

@@ -222,7 +222,7 @@ double lmo_subtree(const Terms& p, const ScheduleTemplate& plan,
 /// Gather mirror: children's subtrees complete, then their messages travel
 /// up; the parent's receive processing is serialized, transmissions are
 /// parallel. Children finish in reverse send order (smallest subtree
-/// first), matching the algorithm in coll::binomial_gather — the receive
+/// first), matching the binomial tree_gather in coll/zoo — the receive
 /// order of a gather/reduce template, whose combine flag (reduce) adds one
 /// extra serialized processing per received block.
 template <class Terms>

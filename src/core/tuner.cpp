@@ -12,7 +12,6 @@
 #include "trees/mapping.hpp"
 #include "util/error.hpp"
 #include "util/format.hpp"
-#include "util/sweep.hpp"
 
 namespace lmo::core {
 
@@ -457,38 +456,6 @@ TunedDecision Tuner::decide(CollectiveKind kind, int root, Bytes m) const {
   publish(scratch, pruned, evals);
   check_price(all[best].predicted_seconds, kind, m);
   return std::move(all[best]);
-}
-
-std::vector<Bytes> Tuner::crossovers(CollectiveKind kind, int root, Bytes lo,
-                                     Bytes hi) const {
-  LMO_CHECK(lo >= 0 && hi > lo);
-  // Only the algorithm choice defines a crossover; segment/mapping changes
-  // within one algorithm do not count.
-  auto algo_at = [&](Bytes m) { return decide(kind, root, m).algorithm; };
-  // Endpoint comparison alone misses switch-and-switch-back intervals, so
-  // scan a geometric grid first, then bisect every flipped interval.
-  const std::vector<Bytes> grid = geometric_sizes(lo, hi, 33);
-  std::vector<Bytes> flips;
-  AlgorithmId prev = algo_at(grid.front());
-  for (std::size_t i = 1; i < grid.size(); ++i) {
-    if (grid[i] <= grid[i - 1]) continue;
-    const AlgorithmId next = algo_at(grid[i]);
-    if (next == prev) continue;
-    Bytes a = grid[i - 1], b = grid[i];
-    while (b - a > 1) {
-      const Bytes mid = a + (b - a) / 2;
-      (algo_at(mid) == prev ? a : b) = mid;
-    }
-    flips.push_back(b);
-    prev = next;
-  }
-  return flips;
-}
-
-Bytes Tuner::crossover(CollectiveKind kind, int root, Bytes lo,
-                       Bytes hi) const {
-  const std::vector<Bytes> flips = crossovers(kind, root, lo, hi);
-  return flips.empty() ? 0 : flips.front();
 }
 
 double Tuner::price(const TunedDecision& d) const {

@@ -122,18 +122,6 @@ class Tuner {
   [[nodiscard]] TunedDecision decide(CollectiveKind kind, int root,
                                      Bytes m) const;
 
-  /// All message sizes in (lo, hi] where the decided algorithm flips,
-  /// in increasing order: a geometric grid scan locates every switch
-  /// interval (algorithm selection is not monotone — a switch-and-switch-
-  /// back between lo and hi is real, not "no crossover"), then bisection
-  /// pins each boundary to the byte.
-  [[nodiscard]] std::vector<Bytes> crossovers(CollectiveKind kind, int root,
-                                              Bytes lo, Bytes hi) const;
-
-  /// The first crossover in (lo, hi], or 0 if the decision never flips.
-  [[nodiscard]] Bytes crossover(CollectiveKind kind, int root, Bytes lo,
-                                Bytes hi) const;
-
   /// Price an externally supplied decision (e.g. one parsed off the wire)
   /// with this tuner's model — the same evaluator candidates() uses, so a
   /// replayed decision re-prices to the bit. Throws lmo::Error naming the

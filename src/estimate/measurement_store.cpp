@@ -93,11 +93,6 @@ double MeasurementStore::at(const ExperimentKey& key) const {
   return sit->second;
 }
 
-bool MeasurementStore::is_quarantined(const ExperimentKey& key) const {
-  std::shared_lock lk(mu_);
-  return suspects_.count(key) != 0;
-}
-
 std::size_t MeasurementStore::quarantined_count() const {
   std::shared_lock lk(mu_);
   return suspects_.size();

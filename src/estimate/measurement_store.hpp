@@ -81,7 +81,6 @@ class MeasurementStore {
   /// lmo::Error naming the missing experiment.
   [[nodiscard]] double at(const ExperimentKey& key) const;
 
-  [[nodiscard]] bool is_quarantined(const ExperimentKey& key) const;
   [[nodiscard]] std::size_t quarantined_count() const;
 
   [[nodiscard]] std::size_t size() const;

@@ -131,17 +131,6 @@ std::vector<Pair> directed_pairs(int n) {
 
 }  // namespace
 
-models::PLogP estimate_plogp_pair(Experimenter& ex, int i, int j,
-                                  const PLogPOptions& opts) {
-  MeasurementStore store;
-  PlanBuilder plan(ex.topology());
-  plan_pair(plan, i, j, opts);
-  (void)execute_plan(plan.build(true), ex, store);
-  ExecuteStats stats;
-  measure_pair_midpoints(ex, store, i, j, opts, stats);
-  return fit_pair(store, i, j, opts);
-}
-
 void plan_plogp(PlanBuilder& plan, int n, const PLogPOptions& opts) {
   LMO_CHECK(n >= 2);
   for (const auto& [i, j] : directed_pairs(n)) plan_pair(plan, i, j, opts);

@@ -43,12 +43,6 @@ struct PLogPReport {
   SimTime estimation_cost;
 };
 
-/// Estimate one pair's PLogP parameters: its ladder plan, its midpoints,
-/// and its fit, through a throwaway store.
-[[nodiscard]] models::PLogP estimate_plogp_pair(Experimenter& ex, int i,
-                                                int j,
-                                                const PLogPOptions& opts = {});
-
 /// Stage 1: the doubling ladder of gap/overhead measurements for every
 /// directed pair, plus the empty round-trips.
 void plan_plogp(PlanBuilder& plan, int n, const PLogPOptions& opts = {});

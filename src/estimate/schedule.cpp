@@ -12,17 +12,4 @@ std::vector<Pair> all_pairs(int n) {
   return out;
 }
 
-std::vector<Triplet> all_oriented_triplets(int n) {
-  LMO_CHECK(n >= 3);
-  std::vector<Triplet> out;
-  for (int i = 0; i < n; ++i)
-    for (int j = i + 1; j < n; ++j)
-      for (int k = j + 1; k < n; ++k) {
-        out.push_back({i, j, k});
-        out.push_back({j, i, k});
-        out.push_back({k, i, j});
-      }
-  return out;
-}
-
 }  // namespace lmo::estimate

@@ -18,7 +18,4 @@ using Triplet = std::array<int, 3>;
 /// All unordered pairs {i < j}.
 [[nodiscard]] std::vector<Pair> all_pairs(int n);
 
-/// All oriented triplets: for each {i<j<k}, the three root choices.
-[[nodiscard]] std::vector<Triplet> all_oriented_triplets(int n);
-
 }  // namespace lmo::estimate

@@ -80,11 +80,6 @@ SuiteReport estimate_model_suite(Experimenter& ex, MeasurementStore& store,
   return report;
 }
 
-SuiteReport estimate_model_suite(Experimenter& ex, const SuiteOptions& opts) {
-  MeasurementStore local;
-  return estimate_model_suite(ex, local, opts);
-}
-
 SuiteReport fit_model_suite(const MeasurementStore& store, int n,
                             const SuiteOptions& opts) {
   const obs::Span sp = obs::span("suite.fit", "fit");

@@ -67,10 +67,6 @@ struct SuiteReport {
                                                MeasurementStore& store,
                                                const SuiteOptions& opts = {});
 
-/// Same, against a throwaway store.
-[[nodiscard]] SuiteReport estimate_model_suite(Experimenter& ex,
-                                               const SuiteOptions& opts = {});
-
 /// Re-fit all five models offline from a saved store (no experimenter, no
 /// platform time). Throws lmo::Error naming any missing experiment.
 [[nodiscard]] SuiteReport fit_model_suite(const MeasurementStore& store, int n,

@@ -2,16 +2,6 @@
 
 namespace lmo::models {
 
-double LogP::message_series(int k) const {
-  LMO_CHECK(k >= 1);
-  return L + 2.0 * o + double(k - 1) * g;
-}
-
-double LogGP::message_series(int k, Bytes m) const {
-  LMO_CHECK(k >= 1);
-  return pt2pt(m) + double(k - 1) * g;
-}
-
 double LogGP::flat_collective(int n, Bytes m) const {
   LMO_CHECK(n >= 2);
   return L + 2.0 * o + double(n - 1) * double(m > 0 ? m - 1 : 0) * G +

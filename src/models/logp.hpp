@@ -23,9 +23,6 @@ struct LogP {
 
   /// Short-message point-to-point: L + 2o.
   [[nodiscard]] double pt2pt() const { return L + 2.0 * o; }
-
-  /// k short messages pipelined from one sender: L + 2o + (k-1) g.
-  [[nodiscard]] double message_series(int k) const;
 };
 
 struct LogGP {
@@ -37,10 +34,6 @@ struct LogGP {
   [[nodiscard]] double pt2pt(Bytes m) const {
     return L + 2.0 * o + double(m > 0 ? m - 1 : 0) * G;
   }
-
-  /// k sends of M bytes from one sender:
-  /// L + 2o + (M-1)G + (k-1)g.
-  [[nodiscard]] double message_series(int k, Bytes m) const;
 
   /// Linear scatter/gather, Table II:
   /// L + 2o + (n-1)(M-1)G + (n-2)g.

@@ -39,11 +39,6 @@ std::vector<FlightRecorder::Event> FlightRecorder::events() const {
 
 void FlightRecorder::mark_degraded() { dump_ = events(); }
 
-void FlightRecorder::clear() {
-  head_ = 0;
-  dump_.clear();
-}
-
 Json FlightRecorder::to_json() const {
   const std::vector<Event> live = dump_.empty() ? events() : dump_;
   Json doc = Json::object();

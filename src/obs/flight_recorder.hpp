@@ -84,12 +84,9 @@ class FlightRecorder {
   [[nodiscard]] std::vector<Event> events() const;
 
   [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
-  /// Total events recorded since construction/clear (may exceed capacity).
+  /// Total events recorded since construction (may exceed capacity).
   [[nodiscard]] std::uint64_t recorded() const { return head_; }
   [[nodiscard]] bool degraded() const { return has_dump(); }
-
-  /// Drop all events and any dump; storage is retained.
-  void clear();
 
   /// {"schema": "lmo.flight/1", "capacity": ..., "recorded": ...,
   ///  "degraded": ..., "events": [{"t_ns", "code", "name", "a", "b"}]} —

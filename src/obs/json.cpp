@@ -49,13 +49,6 @@ void append_escaped(Out& out, std::string_view s) {
 }
 }  // namespace
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  append_escaped(out, s);
-  return out;
-}
-
 std::int64_t Json::checked_unsigned(std::uint64_t u) {
   LMO_CHECK_MSG(u <= std::uint64_t(std::numeric_limits<std::int64_t>::max()),
                 "JSON integer overflow");

@@ -22,10 +22,6 @@
 
 namespace lmo::obs {
 
-/// Escape a string for inclusion inside JSON double quotes: `"`, `\`, and
-/// control characters (the latter as \uOOXX). Valid UTF-8 passes through.
-[[nodiscard]] std::string json_escape(std::string_view s);
-
 class Json {
  public:
   using Array = std::vector<Json>;

@@ -39,30 +39,6 @@ double Snapshot::Hist::quantile(double q) const {
   return bounds.back();
 }
 
-void Snapshot::merge(const Snapshot& o) {
-  for (const auto& [k, v] : o.counters) counters[k] += v;
-  for (const auto& [k, v] : o.gauges) {
-    const auto it = gauges.find(k);
-    if (it == gauges.end())
-      gauges[k] = v;
-    else
-      it->second = std::max(it->second, v);
-  }
-  for (const auto& [k, h] : o.histograms) {
-    const auto it = histograms.find(k);
-    if (it == histograms.end()) {
-      histograms[k] = h;
-      continue;
-    }
-    LMO_CHECK_MSG(it->second.bounds == h.bounds,
-                  "histogram bucket bounds mismatch merging '" + k + "'");
-    for (std::size_t i = 0; i < h.counts.size(); ++i)
-      it->second.counts[i] += h.counts[i];
-    it->second.total += h.total;
-    it->second.sum += h.sum;
-  }
-}
-
 Json Snapshot::to_json() const {
   Json out = Json::object();
   Json& c = out["counters"] = Json::object();
@@ -134,17 +110,6 @@ Snapshot Registry::snapshot() const {
     s.histograms[k] = std::move(out);
   }
   return s;
-}
-
-void Registry::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [k, c] : counters_) c->v.store(0, std::memory_order_relaxed);
-  for (auto& [k, g] : gauges_) g->v.store(0.0, std::memory_order_relaxed);
-  for (auto& [k, h] : histograms_) {
-    for (auto& c : h->counts) c.store(0, std::memory_order_relaxed);
-    h->total.store(0, std::memory_order_relaxed);
-    h->sum.store(0.0, std::memory_order_relaxed);
-  }
 }
 
 Registry& Registry::global() {

@@ -125,10 +125,6 @@ struct Snapshot {
   std::map<std::string, double> gauges;
   std::map<std::string, Hist> histograms;
 
-  /// Combine: counters and histograms add (bucket bounds must agree),
-  /// gauges keep the maximum.
-  void merge(const Snapshot& o);
-
   /// {"counters": {...}, "gauges": {...}, "histograms": {name:
   ///  {"bounds": [...], "counts": [...], "total": N, "sum": S,
   ///   "p50": ..., "p95": ..., "p99": ...}}}
@@ -152,9 +148,6 @@ class Registry {
                                     std::vector<double> bounds);
 
   [[nodiscard]] Snapshot snapshot() const;
-
-  /// Zero every value in place (handles stay valid). Tests only.
-  void reset();
 
   /// The process-wide registry every subsystem publishes into. Never
   /// destroyed, so instrumentation in static teardown stays safe.

@@ -57,8 +57,6 @@ struct Agg {
 
 }  // namespace
 
-const std::vector<double>& residual_hist_bounds() { return kHistBounds; }
-
 void ResidualTracker::record(const std::string& model, const std::string& op,
                              ResidualScope scope, int level,
                              std::uint64_t bytes, double predicted,
@@ -86,13 +84,6 @@ void ResidualTracker::record(const std::string& model, const std::string& op,
 std::uint64_t ResidualTracker::recorded() const {
   std::lock_guard<std::mutex> lock(mu_);
   return recorded_;
-}
-
-void ResidualTracker::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  cells_.clear();
-  recorded_ = 0;
-  invalid_ = 0;
 }
 
 Json ResidualTracker::to_json() const {

@@ -56,7 +56,6 @@ class ResidualTracker {
               double predicted, double simulated);
 
   [[nodiscard]] std::uint64_t recorded() const;
-  void clear();
 
   /// The fidelity document (schema lmo.fidelity/1):
   ///   {"schema", "samples", "invalid",
@@ -89,9 +88,6 @@ class ResidualTracker {
   std::uint64_t recorded_ = 0;
   std::uint64_t invalid_ = 0;
 };
-
-/// Fixed relative-error histogram bounds (fractions: 1% .. 100%).
-[[nodiscard]] const std::vector<double>& residual_hist_bounds();
 
 /// The process-global tracker, or nullptr while fidelity tracking is off.
 [[nodiscard]] ResidualTracker* global_residuals();

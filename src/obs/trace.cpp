@@ -3,7 +3,6 @@
 #include <atomic>
 #include <fstream>
 #include <ostream>
-#include <sstream>
 #include <utility>
 
 #include "util/error.hpp"
@@ -76,29 +75,11 @@ void TraceSink::write(std::ostream& os) const {
   os << "\n";
 }
 
-std::string TraceSink::json() const {
-  std::ostringstream os;
-  write(os);
-  return os.str();
-}
-
 void TraceSink::save(const std::string& path) const {
   std::ofstream os(path);
   LMO_CHECK_MSG(os.good(), "cannot open " + path + " for writing");
   write(os);
   LMO_CHECK_MSG(os.good(), "write failed: " + path);
-}
-
-std::size_t TraceSink::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return events_.size();
-}
-
-void TraceSink::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  events_.clear();
-  process_names_.clear();
-  thread_names_.clear();
 }
 
 // ----------------------------------------------------- global plumbing ----
@@ -135,10 +116,6 @@ TraceSink* global_sink() {
   return g_trace_enabled.load(std::memory_order_acquire)
              ? &global_sink_storage()
              : nullptr;
-}
-
-bool global_trace_enabled() {
-  return g_trace_enabled.load(std::memory_order_acquire);
 }
 
 void set_global_trace_enabled(bool on) {

@@ -58,11 +58,7 @@ class TraceSink {
   /// Serialize the object form: {"traceEvents": [...]} — metadata events
   /// first, then the recorded events in insertion order.
   void write(std::ostream& os) const;
-  [[nodiscard]] std::string json() const;
   void save(const std::string& path) const;
-
-  [[nodiscard]] std::size_t size() const;
-  void clear();
 
  private:
   mutable std::mutex mu_;
@@ -80,7 +76,6 @@ class TraceSink {
 /// Enable/disable the global sink. Enabling installs the thread-pool task
 /// hook so worker task spans are recorded too.
 void set_global_trace_enabled(bool on);
-[[nodiscard]] bool global_trace_enabled();
 
 /// Small dense id for the calling thread (0 = first caller), used as the
 /// host-pid track id for spans.

@@ -103,10 +103,6 @@ Service::Service(sim::ClusterConfig cfg, ServiceOptions options)
 
 const core::LmoParams& Service::params() const { return fit()->params; }
 
-const core::GatherEmpirical& Service::empirical() const {
-  return fit()->empirical;
-}
-
 std::uint64_t Service::fit_version() const { return fit()->version; }
 
 std::shared_ptr<const Service::Fit> Service::fit() const {

@@ -102,7 +102,6 @@ class Service {
     return store_;
   }
   [[nodiscard]] const core::LmoParams& params() const;
-  [[nodiscard]] const core::GatherEmpirical& empirical() const;
   /// Bumped every time a refit publishes (startup = 1).
   [[nodiscard]] std::uint64_t fit_version() const;
 

@@ -70,45 +70,6 @@ int ClusterConfig::lca_level(int i, int j) const {
   return topology.empty() ? 1 : topology.lca_level(i, j);
 }
 
-double ClusterConfig::max_pair_latency() const {
-  const int n = size();
-  LMO_CHECK_MSG(n >= 2, "max_pair_latency needs at least two ranks");
-  const bool flat = topology.empty();
-  // Group of rank r at level l; level 0 is the rank itself, and a flat
-  // cluster is one level-1 group.
-  const auto group = [&](int l, int r) {
-    return l == 0 ? r : flat ? 0 : topology.group(l, r);
-  };
-  const auto node_lat = [&](int r) { return nodes[std::size_t(r)].latency_s; };
-  const int depth = flat ? 1 : topology.depth();
-  double best = 0.0;
-  std::vector<int> top, runner;  // per group: argmax, argmax off top's child
-  for (int k = 1; k <= depth; ++k) {
-    const std::size_t groups = flat ? 1 : std::size_t(topology.group_count(k));
-    top.assign(groups, -1);
-    runner.assign(groups, -1);
-    for (int r = 0; r < n; ++r) {
-      int& t = top[std::size_t(group(k, r))];
-      if (t < 0 || node_lat(r) > node_lat(t)) t = r;
-    }
-    for (int r = 0; r < n; ++r) {
-      const int g = group(k, r);
-      const int t = top[std::size_t(g)];
-      if (group(k - 1, r) == group(k - 1, t)) continue;  // LCA below k
-      int& u = runner[std::size_t(g)];
-      if (u < 0 || node_lat(r) > node_lat(u)) u = r;
-    }
-    // Any pair meeting at this group has one end off top's child group, so
-    // it is dominated by one orientation of (top, runner).
-    for (std::size_t g = 0; g < groups; ++g) {
-      if (runner[g] < 0) continue;  // one child group: no pair meets here
-      best = std::max(best, latency(top[g], runner[g]));
-      best = std::max(best, latency(runner[g], top[g]));
-    }
-  }
-  return best;
-}
-
 bool operator==(const NodeParams& a, const NodeParams& b) {
   return a.label == b.label && a.type == b.type &&
          a.fixed_delay_s == b.fixed_delay_s && a.per_byte_s == b.per_byte_s &&
@@ -381,18 +342,6 @@ ClusterConfig make_paper_cluster(std::uint64_t seed) {
     ++type_id;
   }
   cfg.materialize_profiles();
-  cfg.validate();
-  return cfg;
-}
-
-ClusterConfig make_homogeneous_cluster(int n, const NodeParams& node,
-                                       std::uint64_t seed) {
-  LMO_CHECK(n >= 2);
-  ClusterConfig cfg;
-  cfg.seed = seed;
-  cfg.nodes.assign(std::size_t(n), node);
-  for (int i = 0; i < n; ++i)
-    cfg.nodes[std::size_t(i)].label = "node-" + std::to_string(i);
   cfg.validate();
   return cfg;
 }

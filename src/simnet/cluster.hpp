@@ -99,8 +99,9 @@ struct ClusterConfig {
   /// Resource tree above the ranks. Empty = the flat single-switch cluster
   /// (every pair one switch_latency_s hop, contention-free) — v1 semantics.
   /// A non-empty topology routes every pair over its LCA path; the
-  /// degenerate Topology::single_switch(n, switch_latency_s) produces
-  /// bit-identical event streams to the empty case.
+  /// degenerate one-level tree (one uncontended level forwarding in
+  /// switch_latency_s) produces bit-identical event streams to the empty
+  /// case.
   Topology topology;
 
   [[nodiscard]] int size() const { return int(nodes.size()); }
@@ -115,13 +116,6 @@ struct ClusterConfig {
 
   /// LCA level of the pair in the resource tree; 1 on a flat cluster.
   [[nodiscard]] int lca_level(int i, int j) const;
-
-  /// max over i != j of latency(i, j), bit-identical to scanning all N²
-  /// pairs, in O(N · depth): per LCA level and group only the largest
-  /// node latency and the largest one outside its child group can attain
-  /// the maximum, because (a + F) + b is monotone in a and in b. Needs a
-  /// valid config of at least two ranks.
-  [[nodiscard]] double max_pair_latency() const;
 
   [[nodiscard]] bool has_profiles() const { return !profiles.empty(); }
 
@@ -188,12 +182,6 @@ struct LevelGroundTruth {
 /// three newer HP DL140 nodes which have gigabit NICs (beta_ij still clamps
 /// to the slower endpoint, as on a real switch).
 [[nodiscard]] ClusterConfig make_paper_cluster(std::uint64_t seed = 1);
-
-/// n identical nodes; useful for testing that heterogeneous machinery
-/// degenerates to the homogeneous case.
-[[nodiscard]] ClusterConfig make_homogeneous_cluster(int n,
-                                                     const NodeParams& node,
-                                                     std::uint64_t seed = 1);
 
 /// Randomized heterogeneous cluster for property tests. Parameters are
 /// drawn from realistic ranges (fixed delays 30..120 us, per-byte delays

@@ -9,8 +9,6 @@ namespace {
 constexpr Bytes kMinFrame = 64;
 }  // namespace
 
-Fabric::Fabric(const ClusterConfig& cfg) : Fabric(cfg, cfg.seed) {}
-
 Fabric::Fabric(const ClusterConfig& cfg, std::uint64_t seed) : cfg_(&cfg) {
   cfg.validate();
   const auto n = std::size_t(cfg.size());
@@ -182,11 +180,6 @@ void Fabric::end_inflow(int dst) {
   LMO_CHECK(dst >= 0 && dst < size());
   LMO_CHECK(inflows_[std::size_t(dst)] > 0);
   --inflows_[std::size_t(dst)];
-}
-
-int Fabric::inflows(int dst) const {
-  LMO_CHECK(dst >= 0 && dst < size());
-  return inflows_[std::size_t(dst)];
 }
 
 void Fabric::reset_timelines() {

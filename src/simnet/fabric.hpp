@@ -41,12 +41,9 @@ struct WireTiming {
 
 class Fabric {
  public:
-  /// `cfg` must outlive the fabric. Node noise RNGs seed from cfg.seed.
-  explicit Fabric(const ClusterConfig& cfg);
-
-  /// Same, but noise RNGs seed from `seed` instead of cfg.seed — how
-  /// session-isolated simulations get decorrelated noise streams from one
-  /// shared cluster description.
+  /// `cfg` must outlive the fabric. Node noise RNGs seed from `seed`
+  /// rather than cfg.seed — how session-isolated simulations get
+  /// decorrelated noise streams from one shared cluster description.
   Fabric(const ClusterConfig& cfg, std::uint64_t seed);
 
   Fabric(const Fabric&) = delete;
@@ -87,7 +84,6 @@ class Fabric {
   /// destination; drives the escalation quirk.
   void begin_inflow(int dst);
   void end_inflow(int dst);
-  [[nodiscard]] int inflows(int dst) const;
 
   /// Reset wire timelines and inflow counts between measurement runs.
   /// RNG state is preserved so repeated runs see fresh noise.

@@ -15,21 +15,6 @@ std::string level_label(int l, const TopologyLevel& spec) {
 }
 }  // namespace
 
-Topology Topology::single_switch(int n, double switch_latency_s) {
-  LMO_CHECK_MSG(n >= 1, "single_switch topology needs at least one rank");
-  TopologyLevel sw;
-  sw.name = "switch";
-  sw.forward_latency_s = switch_latency_s;
-  Topology t;
-  t.levels_.push_back(std::move(sw));
-  t.ranks_ = n;
-  t.groups_.assign(std::size_t(n), 0);
-  t.fanout_ = {n};
-  t.validate(n);
-  t.finalize();
-  return t;
-}
-
 Topology Topology::balanced(const std::vector<int>& fanout,
                             std::vector<TopologyLevel> levels) {
   LMO_CHECK_MSG(!fanout.empty(), "balanced topology needs at least one level");

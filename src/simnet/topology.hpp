@@ -20,8 +20,8 @@
 //                          disjoint port pairs like the paper's switch.
 //
 // The single-switch cluster of the paper is the degenerate one-level tree
-// (single_switch()): one contention-free, uncapped level whose forwarding
-// latency is the switch latency — it produces bit-identical event streams
+// (balanced({n}) over one contention-free, uncapped level whose forwarding
+// latency is the switch latency) — it produces bit-identical event streams
 // to the flat configuration.
 //
 // Storage is structure-of-arrays: placements live in one flat level-major
@@ -56,10 +56,6 @@ class Topology {
   /// Empty topology: the owning ClusterConfig falls back to its flat
   /// single-switch formulas (v1 semantics).
   Topology() = default;
-
-  /// The degenerate one-level tree equivalent to a flat single-switch
-  /// cluster of n ranks.
-  [[nodiscard]] static Topology single_switch(int n, double switch_latency_s);
 
   /// Balanced tree. `fanout` counts children per unit, leaf to root:
   /// {cores_per_node, nodes_per_switch, switches} describes
@@ -111,10 +107,10 @@ class Topology {
   /// 0 = no level on such a path is capped.
   [[nodiscard]] double cumulative_rate_cap(int k) const;
 
-  /// The fanout this tree was built from when it came out of balanced()
-  /// or single_switch(); empty for custom() trees. Serialization uses it
-  /// to write a balanced 4096-rank placement as a handful of ints
-  /// instead of depth() * N group ids.
+  /// The fanout this tree was built from when it came out of balanced();
+  /// empty for custom() trees. Serialization uses it to write a balanced
+  /// 4096-rank placement as a handful of ints instead of depth() * N
+  /// group ids.
   [[nodiscard]] const std::vector<int>& balanced_fanout() const {
     return fanout_;
   }

@@ -29,35 +29,4 @@ std::vector<Mode> find_modes(std::vector<double> samples, double tolerance) {
   return modes;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  LMO_CHECK(hi > lo);
-  LMO_CHECK(bins > 0);
-}
-
-void Histogram::add(double x) {
-  const double w = (hi_ - lo_) / double(counts_.size());
-  auto idx = static_cast<std::ptrdiff_t>((x - lo_) / w);
-  idx = std::clamp<std::ptrdiff_t>(idx, 0,
-                                   std::ptrdiff_t(counts_.size()) - 1);
-  ++counts_[std::size_t(idx)];
-  ++total_;
-}
-
-std::size_t Histogram::bin_count(std::size_t i) const {
-  LMO_CHECK(i < counts_.size());
-  return counts_[i];
-}
-
-double Histogram::bin_center(std::size_t i) const {
-  LMO_CHECK(i < counts_.size());
-  const double w = (hi_ - lo_) / double(counts_.size());
-  return lo_ + (double(i) + 0.5) * w;
-}
-
-double Histogram::mode() const {
-  const auto it = std::max_element(counts_.begin(), counts_.end());
-  return bin_center(std::size_t(it - counts_.begin()));
-}
-
 }  // namespace lmo::stats

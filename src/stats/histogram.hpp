@@ -1,4 +1,4 @@
-// Histograms and mode detection for the empirical part of the LMO model.
+// Mode detection for the empirical part of the LMO model.
 //
 // Section V: for medium message sizes the LMO model records "the most
 // frequent values of escalations and their probability" in the execution
@@ -22,25 +22,5 @@ struct Mode {
 /// by descending count.
 [[nodiscard]] std::vector<Mode> find_modes(std::vector<double> samples,
                                            double tolerance);
-
-/// Fixed-width histogram over [lo, hi); values outside are clamped into the
-/// end bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  [[nodiscard]] std::size_t total() const { return total_; }
-  [[nodiscard]] std::size_t bin_count(std::size_t i) const;
-  [[nodiscard]] double bin_center(std::size_t i) const;
-  [[nodiscard]] std::size_t bins() const { return counts_.size(); }
-  /// Center of the fullest bin.
-  [[nodiscard]] double mode() const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 }  // namespace lmo::stats

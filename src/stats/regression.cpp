@@ -38,16 +38,4 @@ LinearFit fit_linear(const std::vector<double>& x,
   return f;
 }
 
-double fit_proportional(const std::vector<double>& x,
-                        const std::vector<double>& y) {
-  LMO_CHECK(x.size() == y.size());
-  double sxx = 0, sxy = 0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    sxx += x[i] * x[i];
-    sxy += x[i] * y[i];
-  }
-  LMO_CHECK_MSG(sxx > 0, "proportional fit needs a nonzero x");
-  return sxy / sxx;
-}
-
 }  // namespace lmo::stats

@@ -25,8 +25,4 @@ struct LinearFit {
 [[nodiscard]] LinearFit fit_linear(const std::vector<double>& x,
                                    const std::vector<double>& y);
 
-/// Fits y = slope * x (no intercept); requires >= 1 point with x != 0.
-[[nodiscard]] double fit_proportional(const std::vector<double>& x,
-                                      const std::vector<double>& y);
-
 }  // namespace lmo::stats

@@ -9,12 +9,7 @@ namespace lmo::stats {
 
 void RunningStats::add(double x) {
   ++n_;
-  if (n_ == 1) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
+  max_ = n_ == 1 ? x : std::max(max_, x);
   const double delta = x - mean_;
   mean_ += delta / double(n_);
   m2_ += delta * (x - mean_);
@@ -36,17 +31,10 @@ double RunningStats::sem() const {
   return n_ == 0 ? 0.0 : stddev() / std::sqrt(double(n_));
 }
 
-double RunningStats::min() const {
-  LMO_CHECK(n_ > 0);
-  return min_;
-}
-
 double RunningStats::max() const {
   LMO_CHECK(n_ > 0);
   return max_;
 }
-
-void RunningStats::reset() { *this = RunningStats{}; }
 
 double median_of(std::vector<double> xs) {
   LMO_CHECK(!xs.empty());

@@ -6,7 +6,7 @@
 
 namespace lmo::stats {
 
-/// Numerically stable streaming mean/variance/min/max accumulator.
+/// Numerically stable streaming mean/variance/max accumulator.
 class RunningStats {
  public:
   void add(double x);
@@ -19,17 +19,13 @@ class RunningStats {
   [[nodiscard]] double stddev() const;
   /// Standard error of the mean.
   [[nodiscard]] double sem() const;
-  [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
   [[nodiscard]] double sum() const { return mean() * double(n_); }
-
-  void reset();
 
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
-  double min_ = 0.0;
   double max_ = 0.0;
 };
 

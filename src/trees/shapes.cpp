@@ -7,21 +7,6 @@
 
 namespace lmo::trees {
 
-const char* tree_kind_name(TreeKind kind) {
-  switch (kind) {
-    case TreeKind::kFlat:
-      return "flat";
-    case TreeKind::kChain:
-      return "chain";
-    case TreeKind::kBinary:
-      return "binary";
-    case TreeKind::kBinomial:
-      return "binomial";
-  }
-  LMO_CHECK_MSG(false, "unknown tree kind");
-  return "";
-}
-
 int tree_parent(TreeKind kind, int v) {
   LMO_CHECK(v > 0);
   switch (kind) {
@@ -88,25 +73,6 @@ int tree_subtree_size(TreeKind kind, int v, int n) {
     }
     case TreeKind::kBinomial:
       return binomial_subtree_blocks(v, n);
-  }
-  LMO_CHECK_MSG(false, "unknown tree kind");
-  return 0;
-}
-
-int tree_depth(TreeKind kind, int n) {
-  LMO_CHECK(n >= 1);
-  switch (kind) {
-    case TreeKind::kFlat:
-      return n > 1 ? 1 : 0;
-    case TreeKind::kChain:
-      return n - 1;
-    case TreeKind::kBinary: {
-      int d = 0;
-      for (int v = n - 1; v > 0; v = (v - 1) / 2) ++d;
-      return d;
-    }
-    case TreeKind::kBinomial:
-      return binomial_rounds(n);
   }
   LMO_CHECK_MSG(false, "unknown tree kind");
   return 0;

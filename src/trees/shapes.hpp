@@ -18,14 +18,11 @@
 // 0..n-1 (down the tree) or n-1..0 (up).
 #pragma once
 
-#include <string>
 #include <vector>
 
 namespace lmo::trees {
 
 enum class TreeKind { kFlat, kChain, kBinary, kBinomial };
-
-[[nodiscard]] const char* tree_kind_name(TreeKind kind);
 
 /// Virtual parent of virtual rank v (v > 0).
 [[nodiscard]] int tree_parent(TreeKind kind, int v);
@@ -42,9 +39,5 @@ enum class TreeKind { kFlat, kChain, kBinary, kBinomial };
 /// Number of virtual ranks in the subtree rooted at v (the blocks a
 /// scatter pushes across the arc into v, including v's own block).
 [[nodiscard]] int tree_subtree_size(TreeKind kind, int v, int n);
-
-/// Longest root-to-leaf arc count — the pipeline fill depth a segmented
-/// collective pays before the steady state.
-[[nodiscard]] int tree_depth(TreeKind kind, int n);
 
 }  // namespace lmo::trees

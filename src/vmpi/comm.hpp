@@ -6,9 +6,8 @@
 //    it is rendezvous (synchronizes with the matching recv);
 //  * recv() is blocking and matches by (source, tag) preserving the
 //    non-overtaking order per (source, destination, tag);
-//  * isend()/irecv() return a Request to co_await via wait(); any number of
-//    requests may be outstanding. Background receive processing serializes
-//    on the node's progress engine;
+//  * isend() returns a Request to co_await via wait(); any number of
+//    requests may be outstanding;
 //  * compute() charges local per-message processing (C_i + n t_i) — used
 //    by reduction-style collectives;
 //  * message payloads are not simulated — only sizes and times are.
@@ -28,7 +27,7 @@ namespace lmo::vmpi {
 class SimSession;
 class Comm;
 
-/// Matches any tag in recv()/irecv().
+/// Matches any tag in recv().
 inline constexpr int kAnyTag = -1;
 
 namespace detail {
@@ -131,19 +130,12 @@ class OpRef {
 };
 }  // namespace detail
 
-/// Handle to an outstanding isend/irecv.
+/// Handle to an outstanding isend.
 class Request {
  public:
   Request() = default;
 
   [[nodiscard]] bool valid() const { return state_ != nullptr; }
-  /// True once the operation's completion time is determined (it may still
-  /// lie in the simulated future).
-  [[nodiscard]] bool matched() const {
-    return state_ && state_->has_completion;
-  }
-  /// Message size (receives: valid after wait()).
-  [[nodiscard]] Bytes bytes() const { return state_ ? state_->bytes : 0; }
 
  private:
   friend class SimSession;
@@ -186,7 +178,7 @@ struct WaitOp {
 
   bool await_ready() const noexcept { return false; }
   void await_suspend(std::coroutine_handle<> h);
-  /// Returns the message size (receives) or 0 (sends).
+  /// Returns the message size.
   Bytes await_resume() const noexcept { return state->bytes; }
 };
 
@@ -210,15 +202,6 @@ struct ComputeOp {
   void await_resume() const noexcept {}
 };
 
-struct BarrierOp {
-  SimSession* sess;
-  int rank;
-
-  bool await_ready() const noexcept { return false; }
-  void await_suspend(std::coroutine_handle<> h);
-  void await_resume() const noexcept {}
-};
-
 class Comm {
  public:
   Comm() = default;
@@ -234,9 +217,8 @@ class Comm {
   /// co_await yields the message size.
   [[nodiscard]] RecvOp recv(int src, int tag = 0);
 
-  /// Nonblocking send/receive; complete with wait().
+  /// Nonblocking send; complete with wait().
   [[nodiscard]] Request isend(int dst, Bytes n, int tag = 0);
-  [[nodiscard]] Request irecv(int src, int tag = 0);
   /// Await one request's completion; yields the message size.
   [[nodiscard]] WaitOp wait(const Request& r);
 
@@ -245,8 +227,6 @@ class Comm {
   /// Local per-message processing of n bytes: C_i + n t_i (with noise) —
   /// the combine step of reductions.
   [[nodiscard]] ComputeOp compute(Bytes n);
-  /// Synchronize all active ranks of the session.
-  [[nodiscard]] BarrierOp barrier();
 
   /// The owning session (a World is one too).
   [[nodiscard]] SimSession* session() const { return sess_; }

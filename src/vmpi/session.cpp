@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
@@ -134,14 +133,6 @@ Request Comm::isend(int dst, Bytes n, int tag) {
   return Request(sess_->exec_isend(rank_, dst, tag, n));
 }
 
-Request Comm::irecv(int src, int tag) {
-  LMO_CHECK(sess_ != nullptr);
-  LMO_CHECK_MSG(src != rank_, "recv from self is not supported");
-  LMO_CHECK(src >= 0 && src < size());
-  LMO_CHECK(tag >= 0 || tag == kAnyTag);
-  return Request(sess_->exec_irecv(rank_, src, tag, /*background=*/true));
-}
-
 WaitOp Comm::wait(const Request& r) {
   LMO_CHECK(sess_ != nullptr);
   LMO_CHECK_MSG(r.valid(), "waiting on an invalid request");
@@ -160,11 +151,6 @@ ComputeOp Comm::compute(Bytes n) {
   return ComputeOp{sess_, rank_, n};
 }
 
-BarrierOp Comm::barrier() {
-  LMO_CHECK(sess_ != nullptr);
-  return BarrierOp{sess_, rank_};
-}
-
 void SendOp::await_suspend(std::coroutine_handle<> h) {
   // A blocking send is isend + wait.
   auto state = sess->exec_isend(src, dst, tag, bytes);
@@ -172,7 +158,7 @@ void SendOp::await_suspend(std::coroutine_handle<> h) {
   sess->exec_wait(wait, h);
 }
 void RecvOp::await_suspend(std::coroutine_handle<> h) {
-  state = sess->exec_irecv(dst, src, tag, /*background=*/false);
+  state = sess->exec_recv(dst, src, tag);
   WaitOp wait{sess, dst, state};
   sess->exec_wait(wait, h);
 }
@@ -184,9 +170,6 @@ void SleepOp::await_suspend(std::coroutine_handle<> h) {
 }
 void ComputeOp::await_suspend(std::coroutine_handle<> h) {
   sess->exec_compute(*this, h);
-}
-void BarrierOp::await_suspend(std::coroutine_handle<> h) {
-  sess->exec_barrier(*this, h);
 }
 
 // ---------------------------------------------------------- SimSession ----
@@ -215,13 +198,8 @@ SimSession::SimSession(std::shared_ptr<const sim::ClusterConfig> cfg,
   rank_time_.assign(std::size_t(n), SimTime::zero());
   inbox_.resize(std::size_t(n));
   pending_.resize(std::size_t(n));
-  progress_.resize(std::size_t(n));
   queue_dirty_.assign(std::size_t(n), 0);
   dirty_dsts_.reserve(std::size_t(n));
-  // A tree barrier costs about 2 * ceil(log2 n) one-way latencies; this is
-  // only used to synchronize measurement rounds, never measured itself.
-  const double hops = 2.0 * std::ceil(std::log2(double(std::max(2, n))));
-  barrier_cost_ = SimTime::from_seconds(hops * cfg_->max_pair_latency());
   static obs::Counter built =
       obs::Registry::global().counter("sim.sessions_built");
   built.inc();
@@ -265,10 +243,6 @@ void SimSession::clear_round_state() {
     queue_dirty_[std::size_t(d)] = 0;
   }
   dirty_dsts_.clear();
-  for (auto& t : progress_) t.reset();
-  barrier_arrived_ = 0;
-  barrier_max_ = SimTime::zero();
-  barrier_waiters_.clear();
   std::fill(rank_time_.begin(), rank_time_.end(), SimTime::zero());
 }
 
@@ -465,13 +439,11 @@ void SimSession::deliver(int dst, Announcement msg) {
   inbox_[std::size_t(dst)].push_back(std::move(msg));
 }
 
-SimSession::StatePtr SimSession::exec_irecv(int dst, int src, int tag,
-                                            bool background) {
+SimSession::StatePtr SimSession::exec_recv(int dst, int src, int tag) {
   const SimTime now = rank_time_[std::size_t(dst)];
   PendingRecv r;
   r.src = src;
   r.tag = tag;
-  r.background = background;
   r.post_time = now;
   r.state = make_op_state();
   auto state = r.state;
@@ -508,17 +480,9 @@ void SimSession::complete(int dst, Announcement msg, PendingRecv recv) {
     finish(msg.send_state, cpu_done, msg.bytes);
     arrival = w.arrival;
   }
-  const SimTime cost = fabric_.recv_cpu_cost(dst, msg.bytes);
-  SimTime done;
-  if (recv.background) {
-    // irecv: processing happens inside the MPI progress engine / kernel,
-    // serialized per node but overlapping the rank program.
-    const SimTime ready = lmo::max(recv.post_time, arrival);
-    done = progress_[std::size_t(dst)].reserve(ready, cost) + cost;
-  } else {
-    // Blocking recv: the rank itself processes the message.
-    done = lmo::max(recv.post_time, arrival) + cost;
-  }
+  // The receiving rank itself processes the message.
+  const SimTime done = lmo::max(recv.post_time, arrival) +
+                       fabric_.recv_cpu_cost(dst, msg.bytes);
   engine_.schedule_at(done, [this, dst] { fabric_.end_inflow(dst); });
   if (flight_)
     flight_->record(std::uint64_t(done.ns()), obs::FlightEvent::kOpComplete,
@@ -559,19 +523,6 @@ void SimSession::exec_sleep(SleepOp& op, std::coroutine_handle<> h) {
 void SimSession::exec_compute(ComputeOp& op, std::coroutine_handle<> h) {
   const SimTime now = rank_time_[std::size_t(op.rank)];
   resume_at(op.rank, now + fabric_.recv_cpu_cost(op.rank, op.bytes), h);
-}
-
-void SimSession::exec_barrier(BarrierOp& op, std::coroutine_handle<> h) {
-  const SimTime now = rank_time_[std::size_t(op.rank)];
-  barrier_max_ = lmo::max(barrier_max_, now);
-  barrier_waiters_.emplace_back(op.rank, h);
-  if (++barrier_arrived_ < active_ranks_) return;
-  const SimTime release = barrier_max_ + barrier_cost_;
-  auto waiters = std::move(barrier_waiters_);
-  barrier_waiters_.clear();
-  barrier_arrived_ = 0;
-  barrier_max_ = SimTime::zero();
-  for (auto& [rank, handle] : waiters) resume_at(rank, release, handle);
 }
 
 }  // namespace lmo::vmpi

@@ -1,13 +1,13 @@
 // SimSession: one self-contained simulation of a set of rank programs.
 //
 // A session owns everything one simulation needs — discrete-event engine,
-// fabric timelines, per-rank communicators and progress state — and shares
+// fabric timelines, per-rank communicators and message queues — and shares
 // only an immutable ClusterConfig with other sessions. Construction
-// validates the config and sizes O(ranks) buffers (O(ranks · depth) for the
-// barrier latency); reset(seed) turns a used session into one that behaves
-// exactly like a fresh SimSession(config, seed) while keeping every buffer,
-// so experimenters keep one session per worker and reset it per
-// repetition instead of building one each. A session itself is strictly
+// validates the config and sizes O(ranks) buffers; reset(seed) turns a
+// used session into one that behaves exactly like a fresh
+// SimSession(config, seed) while keeping every buffer, so experimenters
+// keep one session per worker and reset it per repetition instead of
+// building one each. A session itself is strictly
 // single-threaded. Noise RNGs seed from an explicit per-session seed
 // (default: the config's), which is what makes a fleet of parallel
 // sessions reproduce a serial run bit-for-bit — see util/parallel.hpp and
@@ -21,10 +21,9 @@
 // measurement methodology needs.
 //
 // Message semantics: eager sends are fully scheduled at send time;
-// rendezvous sends synchronize with the matching receive. Blocking
-// receives serialize their processing in program order; nonblocking
-// receives (irecv) are processed on the node's background progress engine
-// (one per node, FIFO). MPI non-overtaking matching per (src, dst, tag).
+// rendezvous sends synchronize with the matching receive. Receives are
+// blocking and serialize their processing in program order. MPI
+// non-overtaking matching per (src, dst, tag).
 #pragma once
 
 #include <cstdint>
@@ -36,7 +35,6 @@
 #include "simnet/cluster.hpp"
 #include "simnet/engine.hpp"
 #include "simnet/fabric.hpp"
-#include "simnet/timeline.hpp"
 #include "vmpi/comm.hpp"
 #include "vmpi/task.hpp"
 
@@ -165,7 +163,6 @@ class SimSession {
   friend struct WaitOp;
   friend struct SleepOp;
   friend struct ComputeOp;
-  friend struct BarrierOp;
   friend class Comm;
 
   using StatePtr = detail::OpRef;
@@ -182,7 +179,6 @@ class SimSession {
   struct PendingRecv {
     int src = -1;
     int tag = 0;
-    bool background = false;  ///< irecv: processed on the progress engine
     SimTime post_time;
     StatePtr state;
   };
@@ -192,11 +188,10 @@ class SimSession {
   [[nodiscard]] StatePtr make_op_state();
 
   StatePtr exec_isend(int src, int dst, int tag, Bytes n);
-  StatePtr exec_irecv(int dst, int src, int tag, bool background);
+  StatePtr exec_recv(int dst, int src, int tag);
   void exec_wait(WaitOp& op, std::coroutine_handle<> h);
   void exec_sleep(SleepOp& op, std::coroutine_handle<> h);
   void exec_compute(ComputeOp& op, std::coroutine_handle<> h);
-  void exec_barrier(BarrierOp& op, std::coroutine_handle<> h);
 
   void deliver(int dst, Announcement msg);
   [[nodiscard]] static bool matches(const Announcement& m,
@@ -218,18 +213,13 @@ class SimSession {
   std::vector<SimTime> rank_time_;
   std::vector<std::deque<Announcement>> inbox_;       // per destination
   std::vector<std::deque<PendingRecv>> pending_;      // per destination
-  std::vector<sim::Timeline> progress_;               // per node: irecv cpu
   /// Destinations whose inbox_/pending_ were pushed to this round — the
   /// only queues clear_round_state() must visit (rounds usually touch a
   /// few ranks of a large session, and the clear runs per repetition).
   std::vector<int> dirty_dsts_;
   std::vector<char> queue_dirty_;  ///< per-dst membership flag for the above
 
-  int barrier_arrived_ = 0;
-  SimTime barrier_max_;
-  std::vector<std::pair<int, std::coroutine_handle<>>> barrier_waiters_;
-  SimTime barrier_cost_;
-  int active_ranks_ = 0;  ///< ranks with a program this run (barrier quorum)
+  int active_ranks_ = 0;  ///< ranks with a program this run
 
   /// Per-round rank tasks, kept as a member so the vector's capacity (and
   /// the frame pool's blocks) recycle across runs. Cleared — references

@@ -1,7 +1,6 @@
 #include "vmpi/trace_json.hpp"
 
-#include <ostream>
-#include <sstream>
+#include <string>
 
 namespace lmo::vmpi {
 
@@ -26,26 +25,6 @@ void append_chrome_trace(obs::TraceSink& sink,
     event("recv " + label, m.dst, m.arrival.micros(),
           (m.recv_complete - m.arrival).micros(), m);
   }
-}
-
-void write_chrome_trace(std::ostream& os,
-                        const std::vector<MessageTrace>& trace) {
-  obs::TraceSink sink;
-  append_chrome_trace(sink, trace);
-  sink.write(os);
-}
-
-std::string chrome_trace_json(const std::vector<MessageTrace>& trace) {
-  std::ostringstream os;
-  write_chrome_trace(os, trace);
-  return os.str();
-}
-
-void save_chrome_trace(const std::vector<MessageTrace>& trace,
-                       const std::string& path) {
-  obs::TraceSink sink;
-  append_chrome_trace(sink, trace);
-  sink.save(path);
 }
 
 }  // namespace lmo::vmpi

@@ -8,8 +8,6 @@
 // thread_name metadata labelling the tracks ("rank N").
 #pragma once
 
-#include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -24,16 +22,5 @@ namespace lmo::vmpi {
 /// completion); args carry bytes, tag, and the protocol used.
 void append_chrome_trace(obs::TraceSink& sink,
                          const std::vector<MessageTrace>& trace);
-
-/// Serialize one message trace as a standalone Chrome trace document.
-void write_chrome_trace(std::ostream& os,
-                        const std::vector<MessageTrace>& trace);
-
-[[nodiscard]] std::string chrome_trace_json(
-    const std::vector<MessageTrace>& trace);
-
-/// File helper.
-void save_chrome_trace(const std::vector<MessageTrace>& trace,
-                       const std::string& path);
 
 }  // namespace lmo::vmpi

@@ -9,8 +9,4 @@ World::World(sim::ClusterConfig cfg)
     : SimSession(
           std::make_shared<const sim::ClusterConfig>(std::move(cfg))) {}
 
-World::World(sim::ClusterConfig cfg, std::uint64_t seed)
-    : SimSession(std::make_shared<const sim::ClusterConfig>(std::move(cfg)),
-                 seed) {}
-
 }  // namespace lmo::vmpi

@@ -16,8 +16,8 @@ namespace lmo::vmpi {
 
 class World : public SimSession {
  public:
+  /// Noise seeds from cfg.seed.
   explicit World(sim::ClusterConfig cfg);
-  World(sim::ClusterConfig cfg, std::uint64_t seed);
 };
 
 }  // namespace lmo::vmpi

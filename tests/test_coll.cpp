@@ -2,13 +2,17 @@
 #include <gtest/gtest.h>
 
 #include "coll/collectives.hpp"
+#include "coll/zoo.hpp"
 #include "simnet/cluster.hpp"
 #include "util/error.hpp"
 #include "vmpi/world.hpp"
 
+#include "fixtures.hpp"
+
 namespace lmo::coll {
 namespace {
 
+using test_support::run_timed;
 using vmpi::Comm;
 using vmpi::Task;
 using vmpi::World;
@@ -19,7 +23,7 @@ sim::ClusterConfig quiet_cluster(int n) {
   node.per_byte_s = 100e-9;
   node.link_rate_bps = 12.5e6;
   node.latency_s = 20e-6;
-  auto cfg = sim::make_homogeneous_cluster(n, node);
+  auto cfg = test_support::make_homogeneous_cluster(n, node);
   cfg.noise_rel = 0.0;
   cfg.quirks.enabled = false;
   return cfg;
@@ -133,7 +137,7 @@ TEST(BinomialGather, MirrorsScatterOnQuietCluster) {
     return binomial_scatter(c, 0, m);
   }));
   const SimTime ga = w.run(spmd(n, [m](Comm& c) {
-    return binomial_gather(c, 0, m);
+    return tree_gather(c, trees::TreeKind::kBinomial, 0, m);
   }));
   // Same tree, same message sizes, reversed direction: comparable times.
   EXPECT_NEAR(ga.seconds(), sc.seconds(), 0.5 * sc.seconds());
@@ -144,7 +148,7 @@ TEST(BinomialGather, NonPowerOfTwoAndRoots) {
     World w(quiet_cluster(n));
     for (int root : {0, n - 1}) {
       const SimTime t = run_timed(w, root, [root](Comm& c) {
-        return binomial_gather(c, root, 512);
+        return tree_gather(c, trees::TreeKind::kBinomial, root, 512);
       });
       EXPECT_GT(t, SimTime::zero()) << "n=" << n << " root=" << root;
     }

@@ -9,9 +9,12 @@
 #include "util/error.hpp"
 #include "vmpi/world.hpp"
 
+#include "fixtures.hpp"
+
 namespace lmo::coll {
 namespace {
 
+using test_support::run_timed;
 using vmpi::Comm;
 using vmpi::Task;
 using vmpi::World;
@@ -23,7 +26,7 @@ sim::ClusterConfig quiet_cluster(int n) {
   node.per_byte_s = 100e-9;
   node.link_rate_bps = 12.5e6;
   node.latency_s = 20e-6;
-  auto cfg = sim::make_homogeneous_cluster(n, node);
+  auto cfg = test_support::make_homogeneous_cluster(n, node);
   cfg.noise_rel = 0.0;
   cfg.quirks.enabled = false;
   return cfg;
@@ -47,64 +50,17 @@ TEST(Nonblocking, IsendDoesNotBlockRank) {
   EXPECT_GT(after_wait, SimTime::zero());
 }
 
-TEST(Nonblocking, IrecvOverlapsWork) {
-  // Posting the receive early lets its processing happen on the progress
-  // engine while the rank sleeps; the wait then costs nothing extra.
-  const auto cfg = quiet_cluster(4);
-  World w(cfg);
-  SimTime done_with_irecv, done_blocking;
-  {
-    auto programs = vmpi::idle_programs(4);
-    programs[0] = [](Comm& c) -> Task { co_await c.send(1, 10000); };
-    programs[1] = [&](Comm& c) -> Task {
-      vmpi::Request r = c.irecv(0);
-      co_await c.sleep(100_ms);  // plenty for arrival + processing
-      co_await c.wait(r);
-      done_with_irecv = c.now();
-    };
-    w.run(programs);
-  }
-  {
-    auto programs = vmpi::idle_programs(4);
-    programs[0] = [](Comm& c) -> Task { co_await c.send(1, 10000); };
-    programs[1] = [&](Comm& c) -> Task {
-      co_await c.sleep(100_ms);
-      co_await c.recv(0);  // processing starts only now
-      done_blocking = c.now();
-    };
-    w.run(programs);
-  }
-  EXPECT_EQ(done_with_irecv, SimTime::from_millis(100));
-  EXPECT_GT(done_blocking, done_with_irecv);
-}
-
 TEST(Nonblocking, WaitReturnsBytes) {
   World w(quiet_cluster(4));
   Bytes got = 0;
   auto programs = vmpi::idle_programs(4);
-  programs[0] = [](Comm& c) -> Task { co_await c.send(1, 777); };
-  programs[1] = [&](Comm& c) -> Task {
-    vmpi::Request r = c.irecv(0);
+  programs[0] = [&](Comm& c) -> Task {
+    vmpi::Request r = c.isend(1, 777);
     got = co_await c.wait(r);
   };
+  programs[1] = [](Comm& c) -> Task { co_await c.recv(0); };
   w.run(programs);
   EXPECT_EQ(got, 777);
-}
-
-TEST(Nonblocking, ManyOutstandingIrecvsMatchInOrder) {
-  World w(quiet_cluster(4));
-  std::vector<Bytes> got;
-  auto programs = vmpi::idle_programs(4);
-  programs[0] = [](Comm& c) -> Task {
-    for (Bytes m : {100, 200, 300}) co_await c.send(1, m);
-  };
-  programs[1] = [&](Comm& c) -> Task {
-    std::vector<vmpi::Request> rs;
-    for (int i = 0; i < 3; ++i) rs.push_back(c.irecv(0));
-    for (auto& r : rs) got.push_back(co_await c.wait(r));
-  };
-  w.run(programs);
-  EXPECT_EQ(got, (std::vector<Bytes>{100, 200, 300}));  // non-overtaking
 }
 
 TEST(Nonblocking, RendezvousIsendCompletesAfterMatch) {
@@ -145,36 +101,18 @@ TEST(Nonblocking, WaitingTwiceOnACompletedRequestIsIdempotent) {
   SimTime first, second;
   Bytes b1 = 0, b2 = 0;
   auto programs = vmpi::idle_programs(4);
-  programs[0] = [](Comm& c) -> Task { co_await c.send(1, 4321); };
-  programs[1] = [&](Comm& c) -> Task {
-    vmpi::Request r = c.irecv(0);
+  programs[0] = [&](Comm& c) -> Task {
+    vmpi::Request r = c.isend(1, 4321);
     b1 = co_await c.wait(r);
     first = c.now();
     b2 = co_await c.wait(r);  // already complete: no extra time
     second = c.now();
   };
+  programs[1] = [](Comm& c) -> Task { co_await c.recv(0); };
   w.run(programs);
   EXPECT_EQ(b1, 4321);
   EXPECT_EQ(b2, 4321);
   EXPECT_EQ(first, second);
-}
-
-TEST(Nonblocking, RequestMatchedFlagProgresses) {
-  World w(quiet_cluster(4));
-  auto programs = vmpi::idle_programs(4);
-  programs[0] = [](Comm& c) -> Task {
-    co_await c.sleep(SimTime::from_millis(1));
-    co_await c.send(1, 10);
-  };
-  programs[1] = [](Comm& c) -> Task {
-    vmpi::Request r = c.irecv(0);
-    EXPECT_FALSE(r.matched());  // nothing sent yet at t = 0
-    co_await c.sleep(SimTime::from_millis(50));
-    EXPECT_TRUE(r.matched());
-    co_await c.wait(r);
-    EXPECT_EQ(r.bytes(), 10);
-  };
-  w.run(programs);
 }
 
 TEST(Nonblocking, WaitOnInvalidRequestThrows) {

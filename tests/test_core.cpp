@@ -10,6 +10,8 @@
 #include "simnet/cluster.hpp"
 #include "util/error.hpp"
 
+#include "fixtures.hpp"
+
 namespace lmo::core {
 namespace {
 
@@ -198,7 +200,7 @@ TEST(LmoPredictions, BinomialScatterHomogeneousSanity) {
   node.per_byte_s = 100e-9;
   node.link_rate_bps = 12.5e6;
   node.latency_s = 20e-6;
-  const auto cfg = sim::make_homogeneous_cluster(16, node);
+  const auto cfg = test_support::make_homogeneous_cluster(16, node);
   const auto p = from_ground_truth(cfg);
   const Bytes m = 8192;
   const double lmo =

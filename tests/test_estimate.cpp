@@ -17,6 +17,8 @@
 #include "simnet/cluster.hpp"
 #include "util/error.hpp"
 
+#include "fixtures.hpp"
+
 namespace lmo::estimate {
 namespace {
 
@@ -25,11 +27,6 @@ namespace {
 TEST(Schedule, AllPairsCount) {
   EXPECT_EQ(all_pairs(16).size(), 120u);  // C(16,2)
   EXPECT_EQ(all_pairs(2).size(), 1u);
-}
-
-TEST(Schedule, OrientedTripletsCount) {
-  EXPECT_EQ(all_oriented_triplets(16).size(), 3 * 560u);  // 3 C(16,3)
-  EXPECT_EQ(all_oriented_triplets(3).size(), 3u);
 }
 
 /// Build a flat parallel plan from `keys`.
@@ -66,7 +63,7 @@ TEST(Schedule, PairRoundsAreDisjointAndComplete) {
 
 TEST(Schedule, TripletRoundsAreDisjointAndComplete) {
   const int n = 10;
-  const auto all = all_oriented_triplets(n);
+  const auto all = test_support::all_oriented_triplets(n);
   std::vector<ExperimentKey> keys;
   for (const Triplet& t : all)
     keys.push_back(ExperimentKey::one_to_two(t, 1024, 0));
@@ -230,6 +227,16 @@ TEST(HockneyEstimation, RegressionRejectsDegenerateSizes) {
   EXPECT_THROW((void)estimate_hockney(ex, opts), Error);
 }
 
+/// Nodes 0 and 1 of `cfg` as a cluster of their own: estimate_plogp on it
+/// measures and fits exactly the pair (0, 1), first in its report.
+sim::ClusterConfig first_two_nodes(sim::ClusterConfig cfg) {
+  cfg.profiles.clear();
+  cfg.profile_of.clear();
+  cfg.nodes.resize(2);
+  cfg.validate();
+  return cfg;
+}
+
 TEST(PlogpEstimation, AdaptiveBisectionTriggersOnKink) {
   // With the rendezvous protocol switch active, g(M) has a kink at the
   // threshold: the estimator's extrapolation check must insert midpoints
@@ -237,11 +244,11 @@ TEST(PlogpEstimation, AdaptiveBisectionTriggersOnKink) {
   auto cfg = sim::make_paper_cluster();
   cfg.noise_rel = 0.0;
   cfg.quirks.escalation_peak_prob = 0.0;  // keep the kink, drop the noise
-  vmpi::World w(cfg);
+  vmpi::World w(first_two_nodes(cfg));
   SimExperimenter ex(w);
   PLogPOptions opts;
   opts.max_size = 256 * 1024;
-  const auto p = estimate_plogp_pair(ex, 0, 1, opts);
+  const auto p = estimate_plogp(ex, opts).per_pair.front();
   // Ladder: 0, 1K, 2K, ..., 128K, 256K = 10 points; bisection adds more.
   EXPECT_GT(p.g.size(), 10u);
 }
@@ -370,9 +377,9 @@ TEST(LoggpEstimation, ParametersPlausible) {
 
 TEST(PlogpEstimation, PairGapMatchesCpuCost) {
   auto cfg = quiet16();
-  vmpi::World w(cfg);
+  vmpi::World w(first_two_nodes(cfg));
   SimExperimenter ex(w);
-  const auto p = estimate_plogp_pair(ex, 0, 1);
+  const auto p = estimate_plogp(ex).per_pair.front();
   const auto gt = sim::ground_truth(cfg);
   for (const Bytes m : {4096, 32768, 131072}) {
     const double expect = gt.C[0] + double(m) * gt.t[0];  // CPU-bound gap

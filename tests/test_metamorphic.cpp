@@ -14,6 +14,8 @@
 #include "util/rng.hpp"
 #include "vmpi/world.hpp"
 
+#include "fixtures.hpp"
+
 namespace lmo {
 namespace {
 
@@ -27,7 +29,7 @@ sim::ClusterConfig quiet_cluster(int n) {
   node.per_byte_s = 100e-9;
   node.link_rate_bps = 12.5e6;
   node.latency_s = 20e-6;
-  auto cfg = sim::make_homogeneous_cluster(n, node);
+  auto cfg = test_support::make_homogeneous_cluster(n, node);
   cfg.noise_rel = 0.0;
   cfg.quirks.enabled = false;
   return cfg;
@@ -71,10 +73,10 @@ TEST(Metamorphic, SlowingOneReceiverOnlyAffectsTheTail) {
   EXPECT_GT(slowed, base);
   // Root-side time unchanged: measure at the root.
   World w_base(quiet_cluster(6)), w_slow(cfg);
-  const SimTime root_base = coll::run_timed(w_base, 0, [](Comm& c) {
+  const SimTime root_base = test_support::run_timed(w_base, 0, [](Comm& c) {
     return coll::linear_scatter(c, 0, 20000);
   });
-  const SimTime root_slow = coll::run_timed(w_slow, 0, [](Comm& c) {
+  const SimTime root_slow = test_support::run_timed(w_slow, 0, [](Comm& c) {
     return coll::linear_scatter(c, 0, 20000);
   });
   EXPECT_EQ(root_base, root_slow);

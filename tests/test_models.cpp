@@ -118,8 +118,6 @@ TEST(HeteroHockneyTest, MappingAffectsBinomialPrediction) {
 TEST(LogPTest, PointToPointAndSeries) {
   const LogP p{50e-6, 10e-6, 30e-6};
   EXPECT_DOUBLE_EQ(p.pt2pt(), 70e-6);
-  EXPECT_DOUBLE_EQ(p.message_series(1), 70e-6);
-  EXPECT_DOUBLE_EQ(p.message_series(5), 70e-6 + 4 * 30e-6);
 }
 
 TEST(LogGPTest, PointToPoint) {
@@ -135,12 +133,6 @@ TEST(LogGPTest, FlatCollectiveTableTwo) {
   const Bytes m = 1024;
   EXPECT_DOUBLE_EQ(p.flat_collective(n, m),
                    50e-6 + 2 * 10e-6 + 15.0 * 1023 * 100e-9 + 14.0 * 30e-6);
-}
-
-TEST(LogGPTest, SeriesUsesGap) {
-  const LogGP p{50e-6, 10e-6, 30e-6, 100e-9};
-  EXPECT_DOUBLE_EQ(p.message_series(3, 1001),
-                   p.pt2pt(1001) + 2 * 30e-6);
 }
 
 TEST(PLogPTest, PointToPointUsesGap) {

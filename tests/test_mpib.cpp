@@ -15,6 +15,8 @@
 #include "util/error.hpp"
 #include "vmpi/world.hpp"
 
+#include "fixtures.hpp"
+
 namespace lmo::mpib {
 namespace {
 
@@ -94,7 +96,7 @@ TEST(MeasureCollective, RootVsGlobalTiming) {
   vmpi::World w(cfg);
   stats::RunningStats at_root, global;
   for (int rep = 0; rep < 10; ++rep) {
-    at_root.add(coll::run_timed(w, 0, body).seconds());
+    at_root.add(test_support::run_timed(w, 0, body).seconds());
     global.add(w.run(coll::spmd(w.size(), body)).seconds());
   }
   // Global completion includes the last receiver's tail.
@@ -175,7 +177,7 @@ TEST(MeasureCollective, PaperAccuracySettings) {
   const MeasureOptions opts;
   stats::RunningStats s;
   for (int rep = 0; rep < opts.min_reps; ++rep)
-    s.add(coll::run_timed(w, 0, [](vmpi::Comm& c) {
+    s.add(test_support::run_timed(w, 0, [](vmpi::Comm& c) {
             return coll::linear_gather(c, 0, 1024);
           }).seconds());
   EXPECT_LE(stats::confidence_interval(s, opts.confidence).relative_error(),

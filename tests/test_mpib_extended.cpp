@@ -10,6 +10,8 @@
 #include "stats/summary.hpp"
 #include "vmpi/world.hpp"
 
+#include "fixtures.hpp"
+
 namespace lmo::mpib {
 namespace {
 
@@ -29,7 +31,7 @@ TEST(MeasureRecord, ExactlyMinRepsWhenImmediatelyTight) {
   EXPECT_EQ(ex.runs(), 7u);
   // Seven identical noise-free samples: the mean is one of them exactly.
   vmpi::World once(cfg);
-  EXPECT_EQ(mean, coll::run_timed(once, 0, [](Comm& c) -> Task {
+  EXPECT_EQ(mean, test_support::run_timed(once, 0, [](Comm& c) -> Task {
                     if (c.rank() == 0) {
                       co_await c.send(1, 2048);
                       co_await c.recv(1);
@@ -58,7 +60,7 @@ TEST(MeasureCollective, WorksOnSubsetViaIdleRanks) {
   vmpi::World w(sim::make_paper_cluster());
   stats::RunningStats s;
   for (int rep = 0; rep < 5; ++rep)
-    s.add(coll::run_timed(w, 0, [](Comm& c) -> Task {
+    s.add(test_support::run_timed(w, 0, [](Comm& c) -> Task {
             if (c.rank() == 0) {
               co_await c.send(1, 4096);
               co_await c.recv(1);
@@ -78,7 +80,7 @@ TEST(MeasureCollective, GlobalAtLeastRootForGatherToo) {
   const auto body = [](Comm& c) { return coll::linear_gather(c, 0, 2048); };
   stats::RunningStats root, global;
   for (int rep = 0; rep < 10; ++rep) {
-    root.add(coll::run_timed(w, 0, body).seconds());
+    root.add(test_support::run_timed(w, 0, body).seconds());
     global.add(w.run(coll::spmd(w.size(), body)).seconds());
   }
   // For gather the root finishes last: the two methods nearly coincide.

@@ -167,7 +167,13 @@ TEST(ReportTest, InstrumentationLeavesEstimatesBitIdentical) {
   obs::TraceSink sink;
   const Observed traced = run_estimation(2, /*instrumented=*/true, &sink);
   expect_same_estimates(plain, traced, "instrumented vs plain");
-  EXPECT_GT(sink.size(), 0u);  // the sink actually recorded messages
+  std::ostringstream os;
+  sink.write(os);
+  const obs::Json doc = obs::Json::parse(os.str());
+  int messages = 0;  // the sink actually recorded messages
+  for (const obs::Json& e : doc.at("traceEvents").items())
+    messages += e.at("ph").as_string() == "X";
+  EXPECT_GT(messages, 0);
 }
 
 TEST(ReportTest, InstrumentedJobs1VsJobs4BitIdentical) {

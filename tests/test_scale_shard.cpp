@@ -105,14 +105,16 @@ TEST(MeasurementStoreMerge, CleanValueLiftsQuarantine) {
   a.quarantine(k, 9.0);
   b.insert(k, 1.5);
   a.merge_from(b);
-  EXPECT_FALSE(a.is_quarantined(k));
+  EXPECT_EQ(a.quarantined_count(), 0u);
+  EXPECT_TRUE(a.contains(k));
   EXPECT_DOUBLE_EQ(a.at(k), 1.5);
   // And the other way: a suspect never overwrites a clean value.
   MeasurementStore c, d;
   c.insert(k, 1.5);
   d.quarantine(k, 9.0);
   c.merge_from(d);
-  EXPECT_FALSE(c.is_quarantined(k));
+  EXPECT_EQ(c.quarantined_count(), 0u);
+  EXPECT_TRUE(c.contains(k));
   EXPECT_DOUBLE_EQ(c.at(k), 1.5);
 }
 

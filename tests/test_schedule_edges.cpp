@@ -10,6 +10,8 @@
 
 #include "estimate/plan.hpp"
 
+#include "fixtures.hpp"
+
 namespace lmo::estimate {
 namespace {
 
@@ -101,7 +103,7 @@ TEST(ScheduleEdges, AllPairsRoundCounts) {
 TEST(ScheduleEdges, TripletRoundsThreeNodes) {
   // n=3: the three orientations all share the same nodes — strictly
   // serial.
-  const auto triplets = all_oriented_triplets(3);
+  const auto triplets = test_support::all_oriented_triplets(3);
   ASSERT_EQ(triplets.size(), 3u);
   const auto rounds = triplet_plan(triplets);
   EXPECT_EQ(rounds.size(), 3u);
@@ -110,7 +112,7 @@ TEST(ScheduleEdges, TripletRoundsThreeNodes) {
 
 TEST(ScheduleEdges, TripletRoundsDisjointAndCoverEachOrientationOnce) {
   for (const int n : {5, 6, 7}) {
-    const auto triplets = all_oriented_triplets(n);
+    const auto triplets = test_support::all_oriented_triplets(n);
     ASSERT_EQ(int(triplets.size()), 3 * (n * (n - 1) * (n - 2) / 6));
     const auto rounds = triplet_plan(triplets);
     std::set<Triplet> covered;

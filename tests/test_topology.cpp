@@ -5,7 +5,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -26,6 +25,7 @@
 #include "vmpi/session.hpp"
 #include "vmpi/world.hpp"
 
+#include "fixtures.hpp"
 #include "plan_reference.hpp"
 #include "random_tree.hpp"
 
@@ -137,7 +137,7 @@ TEST(TopologyTest, PathsConflictOnSharedContendedSwitches) {
 }
 
 TEST(TopologyTest, SingleSwitchIsDegenerate) {
-  const auto topo = Topology::single_switch(4, 10e-6);
+  const auto topo = test_support::single_switch(4, 10e-6);
   EXPECT_EQ(topo.depth(), 1);
   EXPECT_EQ(topo.ranks(), 4);
   EXPECT_EQ(topo.lca_level(0, 3), 1);
@@ -178,7 +178,7 @@ TEST(TopologyTest, ValidateRejectsMalformedPlacement) {
 // --- Degenerate and deep trees through validate() --------------------------
 
 TEST(TopologyValidateTest, OneLevelTreeIsValidAndRoutesTrivially) {
-  auto topo = Topology::single_switch(2, 5e-6);
+  auto topo = test_support::single_switch(2, 5e-6);
   topo.validate(2);  // must not throw
   EXPECT_EQ(topo.depth(), 1);
   EXPECT_EQ(topo.lca_level(0, 1), 1);
@@ -243,7 +243,8 @@ TEST(TopologyValidateTest, DeepChainRejectsInteriorFanoutMismatch) {
 TEST(TopologyDegenerateTest, ClusterFormulasBitIdentical) {
   const auto flat = sim::make_random_cluster(4, /*seed=*/77);
   auto deg = flat;
-  deg.topology = Topology::single_switch(flat.size(), flat.switch_latency_s);
+  deg.topology =
+      test_support::single_switch(flat.size(), flat.switch_latency_s);
   deg.validate();
   for (int i = 0; i < flat.size(); ++i)
     for (int j = 0; j < flat.size(); ++j) {
@@ -273,7 +274,8 @@ estimate::SuiteOptions quick_suite_options() {
 std::string run_store_dump(bool degenerate, int jobs, bool faults) {
   auto cfg = sim::make_random_cluster(4, /*seed=*/77);
   if (degenerate)
-    cfg.topology = Topology::single_switch(cfg.size(), cfg.switch_latency_s);
+    cfg.topology =
+        test_support::single_switch(cfg.size(), cfg.switch_latency_s);
   vmpi::World world(cfg);
   mpib::MeasureOptions measure;
   measure.min_reps = 3;
@@ -647,100 +649,6 @@ TEST(TopologyIoTest, PairAccessorsNameTheOffendingPair) {
   }
   EXPECT_THROW((void)cfg.rate(-1, 0), Error);
   EXPECT_THROW((void)cfg.latency(1, 1), Error);
-}
-
-
-// --- ClusterConfig::max_pair_latency ------------------------------------
-
-// The O(N²) scan over every ordered pair: the oracle max_pair_latency
-// must match bit for bit.
-double scanned_max_pair_latency(const sim::ClusterConfig& cfg) {
-  double best = 0.0;
-  for (int i = 0; i < cfg.size(); ++i)
-    for (int j = 0; j < cfg.size(); ++j)
-      if (i != j) best = std::max(best, cfg.latency(i, j));
-  return best;
-}
-
-void expect_max_pair_latency_bits(const sim::ClusterConfig& cfg,
-                                  const std::string& what) {
-  const double fast = cfg.max_pair_latency();
-  const double scan = scanned_max_pair_latency(cfg);
-  EXPECT_EQ(std::memcmp(&fast, &scan, sizeof fast), 0)
-      << what << ": " << fast << " vs " << scan;
-}
-
-// Random per-node latencies on a few distinct magnitudes, so both exact
-// ties and near-ties (where (a + F) + b rounds) occur.
-void scramble_node_latencies(sim::ClusterConfig& cfg, Rng& rng) {
-  for (sim::NodeParams& n : cfg.nodes)
-    n.latency_s = rng.chance(0.3) ? 1e-6 * double(rng.uniform_int(1, 4))
-                                  : rng.uniform(0.0, 30e-6);
-}
-
-// `t` with the same placement and random per-level forwarding latencies.
-Topology with_random_level_latencies(const Topology& t, Rng& rng) {
-  std::vector<TopologyLevel> levels;
-  std::vector<std::vector<int>> group_of;
-  for (int l = 1; l <= t.depth(); ++l) {
-    TopologyLevel lv = t.level(l);
-    lv.forward_latency_s = rng.uniform(0.0, 20e-6);
-    levels.push_back(lv);
-    std::vector<int> row(std::size_t(t.ranks()));
-    for (int r = 0; r < t.ranks(); ++r) row[std::size_t(r)] = t.group(l, r);
-    group_of.push_back(std::move(row));
-  }
-  return Topology::custom(std::move(levels), std::move(group_of));
-}
-
-TEST(MaxPairLatencyTopologyTest, FlatConfigsMatchTheScanBitForBit) {
-  Rng rng(2024);
-  for (int trial = 0; trial < 40; ++trial) {
-    sim::ClusterConfig cfg = sim::make_random_cluster(
-        int(rng.uniform_int(2, 40)), std::uint64_t(trial) + 1);
-    if (trial % 2 == 1) scramble_node_latencies(cfg, rng);
-    cfg.switch_latency_s = rng.uniform(0.0, 20e-6);
-    expect_max_pair_latency_bits(cfg, "flat trial " + std::to_string(trial));
-  }
-  expect_max_pair_latency_bits(sim::make_paper_cluster(1), "paper");
-}
-
-TEST(MaxPairLatencyTopologyTest, ProfiledConfigsWithOverridesMatchTheScan) {
-  Rng rng(77);
-  for (int trial = 0; trial < 20; ++trial) {
-    sim::ClusterConfig cfg = sim::make_paper_cluster(std::uint64_t(trial));
-    for (sim::NodeParams& n : cfg.nodes)  // per-node overrides
-      if (rng.chance(0.25)) n.latency_s = rng.uniform(0.0, 12e-6);
-    cfg.validate();
-    expect_max_pair_latency_bits(cfg,
-                                 "profiled trial " + std::to_string(trial));
-  }
-}
-
-TEST(MaxPairLatencyTopologyTest, MulticoreAndRandomTreesMatchTheScan) {
-  expect_max_pair_latency_bits(sim::make_multicore_cluster(2, 3, 4), "mc");
-  expect_max_pair_latency_bits(
-      sim::make_multicore_cluster(3, 2, 2, 1, sim::Placement::kCyclic),
-      "mc cyclic");
-  Rng rng(4096);
-  for (int trial = 0; trial < 60; ++trial) {
-    const bool irregular = trial % 2 == 1;
-    sim::ClusterConfig cfg;
-    if (trial % 3 == 0) {
-      cfg = sim::make_multicore_cluster(int(rng.uniform_int(1, 3)),
-                                        int(rng.uniform_int(1, 3)),
-                                        int(rng.uniform_int(2, 4)));
-    } else {
-      const Topology tree =
-          test_support::random_contended_tree(rng, irregular);
-      cfg = sim::make_random_cluster(tree.ranks(), std::uint64_t(trial));
-      cfg.topology = tree;
-    }
-    cfg.topology = with_random_level_latencies(cfg.topology, rng);
-    if (rng.chance(0.5)) scramble_node_latencies(cfg, rng);
-    cfg.validate();
-    expect_max_pair_latency_bits(cfg, "tree trial " + std::to_string(trial));
-  }
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 #include "obs/metrics.hpp"
 #include "simnet/cluster.hpp"
 #include "util/error.hpp"
-#include "util/sweep.hpp"
 #include "vmpi/world.hpp"
 
 namespace lmo::core {
@@ -147,65 +146,6 @@ TEST(TunerTest, MappingOnlyWhenItHelps) {
   }
 }
 
-TEST(TunerTest, CrossoversAreGenuineBoundaries) {
-  const auto t = make_tuner();
-  for (const auto kind : {CollectiveKind::kScatter, CollectiveKind::kBcast,
-                          CollectiveKind::kReduce}) {
-    const auto flips = t.crossovers(kind, 0, 8, 1024 * 1024);
-    Bytes prev = 0;
-    for (const Bytes f : flips) {
-      EXPECT_GT(f, prev);  // strictly increasing
-      prev = f;
-      EXPECT_NE(t.decide(kind, 0, f - 1).algorithm,
-                t.decide(kind, 0, f).algorithm)
-          << collective_name(kind) << " flip at " << f;
-    }
-  }
-}
-
-TEST(TunerTest, CrossoversFindEveryGridFlip) {
-  // The bugfix: endpoint-only comparison misses switch-and-switch-back.
-  // Every algorithm change between adjacent grid points must be covered
-  // by a reported switch point inside that interval.
-  const auto t = make_tuner();
-  const Bytes lo = 8, hi = 1024 * 1024;
-  for (const auto kind :
-       {CollectiveKind::kScatter, CollectiveKind::kBcast}) {
-    const auto flips = t.crossovers(kind, 0, lo, hi);
-    const auto grid = geometric_sizes(lo, hi, 33);
-    for (std::size_t i = 1; i < grid.size(); ++i) {
-      if (grid[i] <= grid[i - 1]) continue;
-      if (t.decide(kind, 0, grid[i - 1]).algorithm ==
-          t.decide(kind, 0, grid[i]).algorithm)
-        continue;
-      const bool covered =
-          std::any_of(flips.begin(), flips.end(), [&](Bytes f) {
-            return f > grid[i - 1] && f <= grid[i];
-          });
-      EXPECT_TRUE(covered) << collective_name(kind) << " interval ("
-                           << grid[i - 1] << ", " << grid[i] << "]";
-    }
-  }
-}
-
-TEST(TunerTest, CrossoverIsFirstOfCrossovers) {
-  const auto t = make_tuner();
-  const auto flips = t.crossovers(CollectiveKind::kScatter, 0, 8, 256 * 1024);
-  const Bytes first = t.crossover(CollectiveKind::kScatter, 0, 8, 256 * 1024);
-  if (flips.empty()) {
-    EXPECT_EQ(first, 0);
-  } else {
-    EXPECT_EQ(first, flips.front());
-  }
-}
-
-TEST(TunerTest, CrossoverZeroWhenNoFlip) {
-  const auto t = make_tuner();
-  EXPECT_EQ(t.crossover(CollectiveKind::kScatter, 0, 150 * 1024,
-                        160 * 1024),
-            0);
-}
-
 TEST(TunerTest, DescribeCoversEveryAlgorithm) {
   for (const AlgorithmId id : all_algorithms()) {
     TunedDecision d;
@@ -262,7 +202,6 @@ TEST(TunerTest, RejectsBadInput) {
   const auto t = make_tuner();
   EXPECT_THROW((void)t.decide(CollectiveKind::kScatter, 99, 1024), Error);
   EXPECT_THROW((void)t.decide(CollectiveKind::kScatter, 0, -1), Error);
-  EXPECT_THROW((void)t.crossover(CollectiveKind::kScatter, 0, 10, 10), Error);
 }
 
 TEST(TunerTest, RejectsParametersThePruningCannotTrust) {

@@ -1,6 +1,5 @@
 // Unit tests for the vmpi layer: coroutine tasks, point-to-point semantics,
-// timing exactness on a quiet cluster, rendezvous, barrier, deadlock
-// detection.
+// timing exactness on a quiet cluster, rendezvous, deadlock detection.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,6 +9,8 @@
 #include "simnet/cluster.hpp"
 #include "util/error.hpp"
 #include "vmpi/world.hpp"
+
+#include "fixtures.hpp"
 
 namespace lmo::vmpi {
 namespace {
@@ -22,7 +23,7 @@ sim::ClusterConfig quiet_cluster(int n = 4) {
   node.per_byte_s = 100e-9;     // t
   node.link_rate_bps = 12.5e6;  // 80 ns/B
   node.latency_s = 20e-6;
-  sim::ClusterConfig cfg = sim::make_homogeneous_cluster(n, node);
+  sim::ClusterConfig cfg = test_support::make_homogeneous_cluster(n, node);
   cfg.noise_rel = 0.0;
   cfg.quirks.enabled = false;
   cfg.switch_latency_s = 10e-6;
@@ -211,23 +212,6 @@ TEST(VmpiRendezvous, EagerBelowThresholdDoesNotWait) {
   EXPECT_LT(send_done, 1_ms);
 }
 
-TEST(VmpiBarrier, SynchronizesActiveRanks) {
-  const auto cfg = quiet_cluster(4);
-  World w(cfg);
-  std::vector<SimTime> after(4);
-  auto programs = idle_programs(4);
-  for (int r = 0; r < 3; ++r)  // rank 3 idle: quorum is active ranks only
-    programs[std::size_t(r)] = [&, r](Comm& c) -> Task {
-      co_await c.sleep(SimTime::from_millis(double(r)));
-      co_await c.barrier();
-      after[std::size_t(r)] = c.now();
-    };
-  w.run(programs);
-  EXPECT_EQ(after[0], after[1]);
-  EXPECT_EQ(after[1], after[2]);
-  EXPECT_GE(after[0], 2_ms);  // no rank released before the last arrival
-}
-
 TEST(VmpiSubtask, CollectiveStyleNesting) {
   const auto cfg = quiet_cluster();
   World w(cfg);
@@ -407,8 +391,8 @@ TEST(VmpiPipelining, ScatterPatternRootCpuBound) {
 
 // Everything a session can accumulate before a reset: eager and rendezvous
 // sends, a many-to-one gather inside the escalation band, a burst of
-// nonblocking receives on the progress engine (the op-pool high-water
-// mark), a barrier, and a round that deadlocks.
+// nonblocking sends (the op-pool high-water mark), a compute round, and a
+// round that deadlocks.
 void run_reset_history(SimSession& s) {
   const int n = s.size();
   auto eager_rdv = idle_programs(n);
@@ -436,28 +420,25 @@ void run_reset_history(SimSession& s) {
   for (int rep = 0; rep < 3; ++rep) s.run(incast);
 
   constexpr int kBurst = 8;
-  auto irecvs = idle_programs(n);
-  irecvs[0] = [n](Comm& c) -> Task {
-    std::vector<Request> reqs;
+  auto isends = idle_programs(n);
+  isends[0] = [n](Comm& c) -> Task {
     for (int r = 1; r < n; ++r)
-      for (int k = 0; k < kBurst; ++k) reqs.push_back(c.irecv(r, k));
-    for (const Request& q : reqs) co_await c.wait(q);
+      for (int k = 0; k < kBurst; ++k) co_await c.recv(r, k);
   };
   for (int r = 1; r < n; ++r)
-    irecvs[std::size_t(r)] = [](Comm& c) -> Task {
+    isends[std::size_t(r)] = [](Comm& c) -> Task {
       std::vector<Request> reqs;
       for (int k = 0; k < kBurst; ++k) reqs.push_back(c.isend(0, 2048, k));
       for (const Request& q : reqs) co_await c.wait(q);
     };
-  s.run(irecvs);
+  s.run(isends);
 
-  auto barrier = idle_programs(n);
+  auto compute = idle_programs(n);
   for (int r = 0; r < n; ++r)
-    barrier[std::size_t(r)] = [](Comm& c) -> Task {
+    compute[std::size_t(r)] = [](Comm& c) -> Task {
       co_await c.compute(4096);
-      co_await c.barrier();
     };
-  s.run(barrier);
+  s.run(compute);
 
   auto stuck = idle_programs(n);
   stuck[0] = [](Comm& c) -> Task { co_await c.recv(1); };  // never sent
@@ -465,8 +446,8 @@ void run_reset_history(SimSession& s) {
 }
 
 // A probe with fewer live operations than the history and noise on every
-// path: a ring of eager sends, a rendezvous round-trip, an escalation-band
-// gather, one irecv, and a barrier.
+// path: a ring of eager sends, a rendezvous round-trip and an
+// escalation-band gather.
 std::vector<RankProgram> reset_probe(int n) {
   auto p = idle_programs(n);
   for (int r = 0; r < n; ++r)
@@ -481,8 +462,7 @@ std::vector<RankProgram> reset_probe(int n) {
       }
       if (r == 0) {
         co_await c.send(1, 100 * 1024);
-        const Request q = c.irecv(1, 7);
-        co_await c.wait(q);
+        co_await c.recv(1, 7);
         for (int s = 1; s < n; ++s) co_await c.recv(s, 9);
       } else {
         if (r == 1) {
@@ -491,7 +471,6 @@ std::vector<RankProgram> reset_probe(int n) {
         }
         co_await c.send(0, 16 * 1024, 9);
       }
-      co_await c.barrier();
     };
   return p;
 }
@@ -589,7 +568,7 @@ TEST(SessionResetDeterminismTest, ResetAfterRankExceptionIsClean) {
   auto throwing = idle_programs(4);
   throwing[1] = [](Comm& c) -> Task { co_await c.recv(0); };
   throwing[0] = [](Comm& c) -> Task {
-    const Request q = c.irecv(2);
+    const Request q = c.isend(2, 256 * 1024);  // rendezvous: never matched
     (void)q;
     co_await c.sleep(1_us);
     throw Error("boom");
