@@ -6,7 +6,7 @@
 // Hockney readings.
 #include <iostream>
 
-#include "coll/collectives.hpp"
+#include "coll/zoo.hpp"
 #include "common.hpp"
 #include "core/predictions.hpp"
 #include "core/tuner.hpp"
@@ -47,14 +47,16 @@ int run(int argc, char** argv) {
   using core::CollectiveKind;
   const std::vector<Op> ops = {
       {"linear bcast",
-       [root](vmpi::Comm& c, Bytes m) { return coll::linear_bcast(c, root, m); },
+       [root](vmpi::Comm& c, Bytes m) {
+         return coll::tree_bcast(c, trees::TreeKind::kFlat, root, m);
+       },
        price(CollectiveKind::kBcast, AlgorithmId::kLinear),
        [&](Bytes m) {
          return avg.flat_collective(n, m, models::FlatAssumption::kSequential);
        }},
       {"binomial bcast",
        [root](vmpi::Comm& c, Bytes m) {
-         return coll::binomial_bcast(c, root, m);
+         return coll::tree_bcast(c, trees::TreeKind::kBinomial, root, m);
        },
        price(CollectiveKind::kBcast, AlgorithmId::kBinomial),
        [&](Bytes m) {
@@ -63,7 +65,7 @@ int run(int argc, char** argv) {
        }},
       {"linear reduce",
        [root](vmpi::Comm& c, Bytes m) {
-         return coll::linear_reduce(c, root, m);
+         return coll::tree_reduce(c, trees::TreeKind::kFlat, root, m);
        },
        price(CollectiveKind::kReduce, AlgorithmId::kLinear),
        [&](Bytes m) {
@@ -71,7 +73,7 @@ int run(int argc, char** argv) {
        }},
       {"binomial reduce",
        [root](vmpi::Comm& c, Bytes m) {
-         return coll::binomial_reduce(c, root, m);
+         return coll::tree_reduce(c, trees::TreeKind::kBinomial, root, m);
        },
        price(CollectiveKind::kReduce, AlgorithmId::kBinomial),
        [&](Bytes m) {

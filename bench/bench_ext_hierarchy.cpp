@@ -9,7 +9,7 @@
 // predicted by the fitted model and observed on the contended fabric.
 #include <iostream>
 
-#include "coll/collectives.hpp"
+#include "coll/zoo.hpp"
 #include "common.hpp"
 #include "core/tuner.hpp"
 #include "trees/mapping.hpp"
@@ -73,12 +73,15 @@ int run(int argc, char** argv) {
   for (const Bytes m : sizes) {
     const double obs_flat = bench::observe_mean(
         env.ex,
-        [m, root](vmpi::Comm& c) { return coll::binomial_bcast(c, root, m); },
+        [m, root](vmpi::Comm& c) {
+          return coll::tree_bcast(c, trees::TreeKind::kBinomial, root, m);
+        },
         reps);
     const double obs_topo = bench::observe_mean(
         env.ex,
         [m, root, mapping](vmpi::Comm& c) {
-          return coll::binomial_bcast(c, root, m, mapping);
+          return coll::tree_bcast(c, trees::TreeKind::kBinomial, root, m,
+                                  mapping);
         },
         reps);
     const double pred_flat = predict(m, {});

@@ -6,7 +6,7 @@
 // against the simulator.
 #include <iostream>
 
-#include "coll/collectives.hpp"
+#include "coll/zoo.hpp"
 #include "common.hpp"
 #include "core/tuner.hpp"
 
@@ -54,12 +54,16 @@ int run(int argc, char** argv) {
     const auto plan = climbed_binomial_scatter(tuner, m);
     const double obs_default = bench::observe_mean(
         env.ex,
-        [m](vmpi::Comm& c) { return coll::binomial_scatter(c, 0, m); }, reps);
+        [m](vmpi::Comm& c) {
+          return coll::tree_scatter(c, trees::TreeKind::kBinomial, 0, m);
+        },
+        reps);
     const auto mapping = plan.mapping;
     const double obs_opt = bench::observe_mean(
         env.ex,
         [m, mapping](vmpi::Comm& c) {
-          return coll::binomial_scatter(c, 0, m, mapping);
+          return coll::tree_scatter(c, trees::TreeKind::kBinomial, 0, m,
+                                    mapping);
         },
         reps);
     t.add_row({format_bytes(m), bench::ms(obs_default), bench::ms(obs_opt),

@@ -4,7 +4,7 @@
 // approximates the operation much better.
 #include <iostream>
 
-#include "coll/collectives.hpp"
+#include "coll/zoo.hpp"
 #include "common.hpp"
 
 using namespace lmo;
@@ -23,7 +23,10 @@ int run(int argc, char** argv) {
   for (const Bytes m : sizes) {
     const double o = bench::observe_mean(
         env.ex,
-        [m](vmpi::Comm& c) { return coll::binomial_scatter(c, 0, m); }, reps);
+        [m](vmpi::Comm& c) {
+          return coll::tree_scatter(c, trees::TreeKind::kBinomial, 0, m);
+        },
+        reps);
     obs.push_back(o);
     het.push_back(hockney.hetero.binomial_collective(0, m));
     hom.push_back(hockney.homogeneous.binomial_collective(env.cfg.size(), m));

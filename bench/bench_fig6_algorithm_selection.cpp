@@ -5,7 +5,7 @@
 // wins; LMO selects correctly.
 #include <iostream>
 
-#include "coll/collectives.hpp"
+#include "coll/zoo.hpp"
 #include "common.hpp"
 #include "core/optimize.hpp"
 #include "core/tuner.hpp"
@@ -43,7 +43,10 @@ int run(int argc, char** argv) {
         [m](vmpi::Comm& c) { return coll::linear_scatter(c, 0, m); }, reps);
     const double obs_bin = bench::observe_mean(
         env.ex,
-        [m](vmpi::Comm& c) { return coll::binomial_scatter(c, 0, m); }, reps);
+        [m](vmpi::Comm& c) {
+          return coll::tree_scatter(c, trees::TreeKind::kBinomial, 0, m);
+        },
+        reps);
     const auto hockney_pick =
         core::choose_scatter_algorithm_hockney(hockney.hetero, root, m);
     const double lmo_lin = lmo_price(core::AlgorithmId::kLinear, m);

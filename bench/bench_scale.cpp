@@ -21,7 +21,7 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "coll/collectives.hpp"
+#include "coll/zoo.hpp"
 #include "common.hpp"
 #include "estimate/scale_estimator.hpp"
 #include "util/thread_pool.hpp"
@@ -89,7 +89,7 @@ int run(int argc, char** argv) {
     // engine accounting (host_ns counts time inside engine runs only).
     const vmpi::SessionMetrics before = env.world.metrics();
     (void)env.ex.observe_global([bcast_bytes](vmpi::Comm& c) {
-      return coll::binomial_bcast(c, 0, bcast_bytes);
+      return coll::tree_bcast(c, trees::TreeKind::kBinomial, 0, bcast_bytes);
     });
     const vmpi::SessionMetrics after = env.world.metrics();
     const double events = double(after.events - before.events);

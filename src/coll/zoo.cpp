@@ -113,7 +113,7 @@ Task scatter_allgather_bcast(Comm& c, int root, Bytes bytes) {
   LMO_CHECK(bytes >= 0);
   if (n == 1) co_return;
   const Bytes block = (bytes + n - 1) / n;
-  co_await binomial_scatter(c, root, block);
+  co_await tree_scatter(c, TreeKind::kBinomial, root, block);
   co_await ring_allgather(c, block);
 }
 

@@ -21,8 +21,7 @@
 namespace lmo::coll {
 
 /// Tree broadcast: recv from parent, forward to children (send order),
-/// chunk by chunk. kFlat reproduces linear_bcast, kBinomial the binomial
-/// broadcast.
+/// chunk by chunk.
 vmpi::Task tree_bcast(vmpi::Comm& c, trees::TreeKind kind, int root,
                       Bytes bytes, std::vector<int> mapping = {},
                       Bytes segment = 0);

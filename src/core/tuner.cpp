@@ -1,6 +1,7 @@
 #include "core/tuner.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -97,6 +98,11 @@ obs::Json TunedDecision::to_json() const {
 }
 
 namespace {
+/// Segment sizes the (algorithm, segment) search tries for pipelined tree
+/// collectives; only those below the message size apply.
+constexpr std::array<Bytes, 3> kSegmentCandidates = {2 * 1024, 8 * 1024,
+                                                     32 * 1024};
+
 /// "table[i] = v", or "table[i][j] = v" when j >= 0.
 std::string term_name(double v, const char* table, int i, int j = -1) {
   std::string what = std::string(table) + "[" + std::to_string(i) + "]";
@@ -310,7 +316,7 @@ std::vector<TunedDecision> Tuner::enumerate(CollectiveKind kind, int root,
   // Every candidate below at most once: linear, binomial, the split
   // gather, the mapped binomial, chain and binary tree unsegmented, four
   // per segment and the composite broadcast.
-  out.reserve(7 + 4 * options_.segment_candidates.size());
+  out.reserve(7 + 4 * kSegmentCandidates.size());
   auto add = [&](AlgorithmId id, std::vector<int> mapping, Bytes segment) {
     for (const TunedDecision& d : out)
       if (d.algorithm == id && d.segment == segment &&
@@ -348,11 +354,11 @@ std::vector<TunedDecision> Tuner::enumerate(CollectiveKind kind, int root,
   // The tree zoo with segmented pipelining.
   for (const AlgorithmId id : {AlgorithmId::kChain, AlgorithmId::kBinaryTree}) {
     add(id, {}, 0);
-    for (const Bytes seg : options_.segment_candidates)
-      if (seg > 0 && seg < m) add(id, {}, seg);
+    for (const Bytes seg : kSegmentCandidates)
+      if (seg < m) add(id, {}, seg);
   }
-  for (const Bytes seg : options_.segment_candidates) {
-    if (seg > 0 && seg < m) {
+  for (const Bytes seg : kSegmentCandidates) {
+    if (seg < m) {
       add(AlgorithmId::kLinear, {}, seg);
       add(AlgorithmId::kBinomial, {}, seg);
     }

@@ -69,11 +69,10 @@ struct TunedDecision {
   [[nodiscard]] obs::Json to_json() const;
 };
 
+/// The (algorithm, segment) search tries pipelined tree collectives at
+/// the fixed segment sizes 2, 8 and 32 KB (tuner.cpp's kSegmentCandidates);
+/// only those below the message size apply.
 struct TunerOptions {
-  /// Segment sizes the (algorithm, segment) search tries for pipelined
-  /// tree collectives; only candidates < the message size apply. The
-  /// validation harness replays exactly this grid.
-  std::vector<Bytes> segment_candidates = {2 * 1024, 8 * 1024, 32 * 1024};
   /// Optional hierarchical topology (not owned; must outlive the Tuner).
   /// When it constrains concurrency, predictions price contended shared
   /// segments (memory bus, oversubscribed uplink) and every algorithm

@@ -13,6 +13,14 @@
 namespace lmo::estimate {
 
 namespace {
+constexpr int kRoot = 0;
+/// Residual above the max branch counting as an escalation [s].
+constexpr double kEscalationThreshold = 0.01;
+/// Relative tolerance for "fits a branch".
+constexpr double kBranchTolerance = 0.15;
+/// Mode clustering tolerance [s].
+constexpr double kModeTolerance = 0.02;
+
 std::vector<Bytes> default_sizes() {
   std::vector<Bytes> sizes;
   for (Bytes m = 1024; m <= 256 * 1024; m *= 2) {
@@ -42,7 +50,6 @@ std::pair<double, double> gather_branches(const core::LmoParams& p, int root,
 
 void check_sweep_options(const EmpiricalOptions& opts) {
   LMO_CHECK(opts.observations_per_size >= 3);
-  LMO_CHECK(opts.root >= 0);
 }
 }  // namespace
 
@@ -51,7 +58,7 @@ void plan_gather_sweep(PlanBuilder& plan, const EmpiricalOptions& opts) {
   const auto sizes = opts.sizes.empty() ? default_sizes() : opts.sizes;
   for (const Bytes m : sizes)
     for (int rep = 0; rep < opts.observations_per_size; ++rep)
-      plan.require(ExperimentKey::gather_observation(opts.root, m, rep));
+      plan.require(ExperimentKey::gather_observation(kRoot, m, rep));
 }
 
 void plan_scatter_sweep(PlanBuilder& plan, const EmpiricalOptions& opts) {
@@ -59,7 +66,7 @@ void plan_scatter_sweep(PlanBuilder& plan, const EmpiricalOptions& opts) {
   const auto sizes = opts.sizes.empty() ? default_sizes() : opts.sizes;
   for (const Bytes m : sizes)
     for (int rep = 0; rep < opts.observations_per_size; ++rep)
-      plan.require(ExperimentKey::scatter_observation(opts.root, m, rep));
+      plan.require(ExperimentKey::scatter_observation(kRoot, m, rep));
 }
 
 GatherEmpiricalReport fit_gather_empirical(const MeasurementStore& store,
@@ -67,7 +74,6 @@ GatherEmpiricalReport fit_gather_empirical(const MeasurementStore& store,
                                            const EmpiricalOptions& opts) {
   const obs::Span sp = obs::span("empirical.gather_fit", "fit");
   check_sweep_options(opts);
-  const int root = opts.root;
   const auto sizes = opts.sizes.empty() ? default_sizes() : opts.sizes;
 
   GatherEmpiricalReport report;
@@ -76,12 +82,12 @@ GatherEmpiricalReport fit_gather_empirical(const MeasurementStore& store,
   for (const Bytes m : sizes) {
     GatherSweepPoint point;
     point.size = m;
-    const auto [small, large] = gather_branches(params, root, m);
+    const auto [small, large] = gather_branches(params, kRoot, m);
     point.predicted_small = small;
     point.predicted_large = large;
     for (int rep = 0; rep < opts.observations_per_size; ++rep)
       point.samples.push_back(
-          store.at(ExperimentKey::gather_observation(root, m, rep)));
+          store.at(ExperimentKey::gather_observation(kRoot, m, rep)));
     report.sweep.push_back(std::move(point));
   }
 
@@ -90,7 +96,7 @@ GatherEmpiricalReport fit_gather_empirical(const MeasurementStore& store,
   // samples are escalations. A median tracking the sum branch instead is
   // the clean large regime (not escalation, just serialization).
   auto fits = [&](double obs, double pred) {
-    return std::fabs(obs - pred) <= opts.branch_tolerance * pred;
+    return std::fabs(obs - pred) <= kBranchTolerance * pred;
   };
   core::GatherEmpirical& emp = report.empirical;
   Bytes first_dirty = 0, last_dirty = 0;
@@ -108,7 +114,7 @@ GatherEmpiricalReport fit_gather_empirical(const MeasurementStore& store,
       // frequent that the median itself escalated.
       for (const double obs : point.samples) {
         const double residual = obs - point.predicted_small;
-        if (residual > opts.escalation_threshold) {
+        if (residual > kEscalationThreshold) {
           ++point.escalated;
           escalation_magnitudes.push_back(residual);
         }
@@ -141,7 +147,7 @@ GatherEmpiricalReport fit_gather_empirical(const MeasurementStore& store,
 
   if (!escalation_magnitudes.empty())
     emp.escalation_modes =
-        stats::find_modes(escalation_magnitudes, opts.mode_tolerance);
+        stats::find_modes(escalation_magnitudes, kModeTolerance);
 
   // Linear-fit probability at the band ends: fraction of clean samples of
   // the nearest in-band sizes.
@@ -169,7 +175,7 @@ GatherEmpiricalReport fit_gather_empirical(const MeasurementStore& store,
       obs::record_residual(
           "lmo", "gather_sweep", obs::ResidualScope::kCollective, -1,
           std::uint64_t(point.size),
-          core::linear_gather_time(params, emp, root, point.size).base,
+          core::linear_gather_time(params, emp, kRoot, point.size).base,
           stats::median_of(point.samples));
   }
   return report;
@@ -198,7 +204,6 @@ ScatterEmpiricalReport fit_scatter_empirical(const MeasurementStore& store,
                                              const EmpiricalOptions& opts) {
   const obs::Span sp = obs::span("empirical.scatter_fit", "fit");
   check_sweep_options(opts);
-  const int root = opts.root;
   const auto sizes = opts.sizes.empty() ? default_sizes() : opts.sizes;
 
   ScatterEmpiricalReport report;
@@ -206,10 +211,10 @@ ScatterEmpiricalReport fit_scatter_empirical(const MeasurementStore& store,
     std::vector<double> samples;
     for (int rep = 0; rep < opts.observations_per_size; ++rep)
       samples.push_back(
-          store.at(ExperimentKey::scatter_observation(root, m, rep)));
+          store.at(ExperimentKey::scatter_observation(kRoot, m, rep)));
     report.sizes.push_back(m);
     report.observed.push_back(stats::median_of(samples));
-    report.predicted.push_back(core::linear_scatter_time(params, root, m));
+    report.predicted.push_back(core::linear_scatter_time(params, kRoot, m));
   }
 
   // The leap: first size whose median exceeds eq. (4) by more than the
@@ -217,7 +222,7 @@ ScatterEmpiricalReport fit_scatter_empirical(const MeasurementStore& store,
   core::ScatterEmpirical& emp = report.empirical;
   for (std::size_t s = 0; s < report.sizes.size(); ++s) {
     const double residual = report.observed[s] - report.predicted[s];
-    if (residual > opts.escalation_threshold) {
+    if (residual > kEscalationThreshold) {
       emp.detected = true;
       emp.leap_threshold = report.sizes[s];
       emp.leap_s = residual;

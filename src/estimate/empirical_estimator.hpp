@@ -24,18 +24,12 @@ namespace lmo::estimate {
 
 class MeasurementStore;
 
+/// Both sweeps are rooted at rank 0.
 struct EmpiricalOptions {
-  int root = 0;
   /// Sweep sizes; defaults (empty) to 1KB..256KB doubling plus quarter
   /// points.
   std::vector<Bytes> sizes;
   int observations_per_size = 12;
-  /// Residual above the max branch counting as an escalation [s].
-  double escalation_threshold = 0.01;
-  /// Relative tolerance for "fits a branch".
-  double branch_tolerance = 0.15;
-  /// Mode clustering tolerance [s].
-  double mode_tolerance = 0.02;
 };
 
 struct GatherSweepPoint {

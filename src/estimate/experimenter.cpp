@@ -32,6 +32,22 @@ constexpr int kRetryWaveStride = 1 << 16;
 /// indices).
 constexpr std::uint64_t kObsFaultStream = 0x0b5e7fa0175eedULL;
 
+// Recovery policy, inert when no fault is enabled.
+/// A repetition slower than kTimeoutFactor times the round's own robust
+/// location estimate (median of the finite samples — the stand-in for "the
+/// model's own prediction" while no fitted model exists yet) is classified
+/// as timed out; the timeout never falls below kTimeoutFloorS.
+constexpr double kTimeoutFactor = 8.0;
+constexpr double kTimeoutFloorS = 1e-3;
+/// Timed-out/dropped repetitions are retried in bounded deterministic
+/// waves, dropped single observations up to kMaxRetries times; each wave
+/// or retry adds kRetryBackoffS of (simulated) cost.
+constexpr int kMaxRetries = 2;
+constexpr double kRetryBackoffS = 0.05;
+/// MAD-based outlier trimming: finite samples farther than kMadCutoff
+/// scaled deviations from the median are excluded from the committed mean.
+constexpr double kMadCutoff = 6.0;
+
 double median_of_sorted_copy(std::vector<double> v) {
   LMO_ASSERT(!v.empty());
   std::sort(v.begin(), v.end());
@@ -41,9 +57,9 @@ double median_of_sorted_copy(std::vector<double> v) {
 
 /// What survives recovery cleaning of one slot's sample pool. With faults
 /// off every sample is kept. Otherwise drop non-finite and timed-out
-/// samples (timeout = timeout_factor x the median of the finite samples —
+/// samples (timeout = kTimeoutFactor x the median of the finite samples —
 /// the round's own robust prediction of itself, never below
-/// timeout_floor_s), then MAD-trim the remainder.
+/// kTimeoutFloorS), then MAD-trim the remainder.
 struct CleanedSlot {
   std::vector<double> kept;
   int timeouts = 0;  ///< non-finite or beyond the timeout
@@ -63,11 +79,11 @@ CleanedSlot clean_slot(std::vector<double> pool,
     if (std::isfinite(x)) finite.push_back(x);
   if (finite.empty()) {
     out.timeouts = int(pool.size());
-    out.timeout_s = m.timeout_floor_s;
+    out.timeout_s = kTimeoutFloorS;
     return out;
   }
-  out.timeout_s = std::max(m.timeout_floor_s,
-                           m.timeout_factor * median_of_sorted_copy(finite));
+  out.timeout_s =
+      std::max(kTimeoutFloorS, kTimeoutFactor * median_of_sorted_copy(finite));
   std::vector<double> within;
   for (double x : finite)
     if (x <= out.timeout_s) within.push_back(x);
@@ -83,7 +99,7 @@ CleanedSlot clean_slot(std::vector<double> pool,
     return out;
   }
   for (double x : within) {
-    if (std::fabs(x - med) <= m.mad_cutoff * scaled_mad)
+    if (std::fabs(x - med) <= kMadCutoff * scaled_mad)
       out.kept.push_back(x);
     else
       ++out.trimmed;
@@ -382,7 +398,7 @@ std::vector<double> SimExperimenter::measure_round(
   // retry repetition indices live far above the adaptive range so retries
   // draw fresh noise and fresh fault decisions. With faults off every
   // sample is clean and no wave fires.
-  for (int wave = 0; wave < measure_.max_retries; ++wave) {
+  for (int wave = 0; wave < kMaxRetries; ++wave) {
     int need = 0;
     for (std::size_t e = 0; e < n_experiments; ++e) {
       const CleanedSlot cs = clean_slot(pools[e], measure_);
@@ -610,7 +626,7 @@ SimExperimenter::Settled SimExperimenter::settle(
     std::uint64_t stream, std::uint64_t index, double scale,
     const std::function<double(int attempt)>& run) const {
   Settled s;
-  for (int attempt = 0; attempt <= measure_.max_retries; ++attempt) {
+  for (int attempt = 0; attempt <= kMaxRetries; ++attempt) {
     const auto out = sim::inject_fault(measure_.fault, stream, index,
                                        std::uint64_t(attempt), run(attempt),
                                        scale);
@@ -624,7 +640,7 @@ SimExperimenter::Settled SimExperimenter::settle(
   // Every attempt dropped: substitute the hang bound — finite, and robust
   // summaries (the empirical fits use medians) shrug it off.
   s.seconds = measure_.fault.hang_delay_s;
-  s.retries = std::uint64_t(measure_.max_retries);
+  s.retries = std::uint64_t(kMaxRetries);
   s.exhausted = true;
   return s;
 }
@@ -637,7 +653,7 @@ void SimExperimenter::publish_faults(const FaultTally& faults) {
 }
 
 SimTime SimExperimenter::backoff(std::uint64_t retries) const {
-  return SimTime::from_seconds(double(retries) * measure_.retry_backoff_s);
+  return SimTime::from_seconds(double(retries) * kRetryBackoffS);
 }
 
 double SimExperimenter::recover_observation(

@@ -254,14 +254,14 @@ class SimExperimenter final : public Experimenter {
       const std::vector<std::vector<int>>& participants);
 
   /// Run one single observation on the anchor session through settle();
-  /// every retry adds one retry_backoff_s to the cost. `obs_index`
+  /// every retry adds one retry backoff to the cost. `obs_index`
   /// identifies the observation in the dedicated fault stream.
   [[nodiscard]] double recover_observation(
       const std::function<double()>& run_once, std::uint64_t obs_index);
 
   /// Attempt-until-arrived loop of single observations and of each
   /// observe_global_samples repetition: inject faults into `run(attempt)`
-  /// at (stream, index, attempt) for attempt = 0..max_retries until a
+  /// at (stream, index, attempt) for attempt = 0..kMaxRetries until a
   /// result arrives; when every attempt drops, settle on hang_delay_s.
   /// Reads only measure_, so repetitions may call it concurrently.
   [[nodiscard]] Settled settle(

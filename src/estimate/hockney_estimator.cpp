@@ -6,25 +6,14 @@
 #include "estimate/measurement_store.hpp"
 #include "obs/residuals.hpp"
 #include "obs/trace.hpp"
-#include "stats/regression.hpp"
 #include "util/error.hpp"
 
 namespace lmo::estimate {
 
-namespace {
-std::vector<Bytes> series_sizes(const HockneyOptions& opts) {
-  if (opts.method == HockneyMethod::kTwoPoint) return {0, opts.probe_size};
-  if (!opts.regression_sizes.empty()) return opts.regression_sizes;
-  return {0, opts.probe_size / 4, opts.probe_size / 2, opts.probe_size};
-}
-}  // namespace
-
 void plan_hockney(PlanBuilder& plan, int n, const HockneyOptions& opts) {
   LMO_CHECK(opts.probe_size > 0);
-  const auto sizes = series_sizes(opts);
-  LMO_CHECK_MSG(sizes.size() >= 2, "regression needs >= 2 sizes");
   for (const auto& [i, j] : all_pairs(n))
-    for (const Bytes m : sizes)
+    for (const Bytes m : {Bytes(0), opts.probe_size})
       plan.require(ExperimentKey::roundtrip(i, j, m, m));
 }
 
@@ -36,10 +25,9 @@ HockneyReport fit_hockney(const MeasurementStore& store, int n,
   report.hetero.alpha = models::PairTable(n);
   report.hetero.beta = models::PairTable(n);
 
-  // Under injected outliers the slope of a two-point fit (or a regression
-  // through a poisoned point) can come out negative — a physically
-  // meaningless "negative per-byte cost" that would make every downstream
-  // prediction decrease with message size. Clamp both parameters at zero;
+  // Under injected outliers the slope of a two-point fit can come out
+  // negative — a physically meaningless "negative per-byte cost" that
+  // would make every downstream prediction decrease with message size. Clamp both parameters at zero;
   // for sane measurements the clamp is the identity, so fault-free fits
   // are bit-identical.
   auto assign = [&report](int i, int j, double alpha, double beta) {
@@ -51,41 +39,23 @@ HockneyReport fit_hockney(const MeasurementStore& store, int n,
     report.hetero.alpha(i, j) = report.hetero.alpha(j, i) = alpha;
     report.hetero.beta(i, j) = report.hetero.beta(j, i) = beta;
   };
-  if (opts.method == HockneyMethod::kTwoPoint) {
-    // Two round-trip series: empty messages give the latency, the probe
-    // size gives the bandwidth.
-    for (const auto& [i, j] : all_pairs(n)) {
-      const double t0 = store.at(ExperimentKey::roundtrip(i, j, 0, 0));
-      const double tm = store.at(
-          ExperimentKey::roundtrip(i, j, opts.probe_size, opts.probe_size));
-      const double alpha = t0 / 2.0;
-      const double beta = (tm / 2.0 - alpha) / double(opts.probe_size);
-      assign(i, j, alpha, beta);
-    }
-  } else {
-    // Regression over a series of sizes {i -M_k-> j}: ordinary least
-    // squares on the one-way times.
-    const auto sizes = series_sizes(opts);
-    LMO_CHECK_MSG(sizes.size() >= 2, "regression needs >= 2 sizes");
-    for (const auto& [i, j] : all_pairs(n)) {
-      std::vector<double> xs, ys;
-      for (const Bytes m : sizes) {
-        xs.push_back(double(m));
-        ys.push_back(store.at(ExperimentKey::roundtrip(i, j, m, m)) / 2.0);
-      }
-      const auto fit = stats::fit_linear(xs, ys);
-      assign(i, j, fit.intercept, fit.slope);
-    }
+  // Empty messages give the latency, the probe size gives the bandwidth.
+  for (const auto& [i, j] : all_pairs(n)) {
+    const double t0 = store.at(ExperimentKey::roundtrip(i, j, 0, 0));
+    const double tm = store.at(
+        ExperimentKey::roundtrip(i, j, opts.probe_size, opts.probe_size));
+    const double alpha = t0 / 2.0;
+    const double beta = (tm / 2.0 - alpha) / double(opts.probe_size);
+    assign(i, j, alpha, beta);
   }
 
   // Fidelity: score the fitted model against the very round-trips it read.
   // Two-point fits interpolate their probes exactly, so these residuals
-  // mostly expose clamping and regression slack — the cross-model ranking
-  // rests on collective-scope residuals instead.
+  // mostly expose clamping — the cross-model ranking rests on
+  // collective-scope residuals instead.
   if (obs::global_residuals()) {
-    const auto sizes = series_sizes(opts);
     for (const auto& [i, j] : all_pairs(n))
-      for (const Bytes m : sizes) {
+      for (const Bytes m : {Bytes(0), opts.probe_size}) {
         const double predicted =
             2.0 * (report.hetero.alpha(i, j) +
                    report.hetero.beta(i, j) * double(m));

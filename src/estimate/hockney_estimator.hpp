@@ -16,17 +16,10 @@ namespace lmo::estimate {
 
 class MeasurementStore;
 
-/// The paper lists two point-to-point estimation methods for Hockney:
-/// two round-trip series (empty + one probe size), or a regression over a
-/// series of message sizes.
-enum class HockneyMethod { kTwoPoint, kRegression };
-
+/// Two round-trip series per pair: empty messages and one probe size.
 struct HockneyOptions {
   Bytes probe_size = 32 * 1024;
   bool parallel = true;
-  HockneyMethod method = HockneyMethod::kTwoPoint;
-  /// Sizes for the regression method (empty: 0, probe/4, probe/2, probe).
-  std::vector<Bytes> regression_sizes;
 };
 
 struct HockneyReport {

@@ -95,7 +95,7 @@ LogGPReport estimate_loggp(Experimenter& ex, MeasurementStore& store,
 
   PlanBuilder plan(ex.topology());
   plan_loggp(plan, ex.size(), opts);
-  (void)execute_plan(plan.build(opts.parallel), ex, store);
+  (void)execute_plan(plan.build(true), ex, store);
   LogGPReport report = fit_loggp(store, ex.size(), opts);
   report.world_runs = ex.runs() - runs0;
   report.estimation_cost = ex.cost() - cost0;

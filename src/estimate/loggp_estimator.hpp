@@ -20,7 +20,6 @@ struct LogGPOptions {
   Bytes small_size = 256;         ///< "short message" for o/L/g
   Bytes large_size = 128 * 1024;  ///< saturation size for G
   int saturation_count = 48;
-  bool parallel = true;  ///< batch disjoint pairs per round
 };
 
 struct LogGPReport {

@@ -15,15 +15,18 @@ namespace lmo::estimate {
 
 namespace {
 
+/// Safety cap on the points of one pair's sweep, bisections included.
+constexpr int kMaxPoints = 40;
+
 /// The ladder prefix the sweep can visit: 0, 1KB, 2KB, ..., max_size,
-/// capped at max_points (the cap applies before any bisection).
+/// capped at kMaxPoints (the cap applies before any bisection).
 std::vector<Bytes> ladder(const PLogPOptions& opts) {
   LMO_CHECK(opts.max_size >= 2048);
   std::vector<Bytes> sizes{0};
   for (Bytes m = 1024; m < opts.max_size; m *= 2) sizes.push_back(m);
   sizes.push_back(opts.max_size);
-  if (int(sizes.size()) > opts.max_points)
-    sizes.resize(std::size_t(opts.max_points));
+  if (int(sizes.size()) > kMaxPoints)
+    sizes.resize(std::size_t(kMaxPoints));
   return sizes;
 }
 
@@ -63,7 +66,7 @@ models::PLogP sweep_pair(const MeasurementStore& store, int i, int j,
 
   std::vector<Bytes> visited;
   for (const Bytes m : ladder(opts)) {
-    if (int(p.g.size()) >= opts.max_points) break;
+    if (int(p.g.size()) >= kMaxPoints) break;
     double predicted = 0.0;
     const bool can_extrapolate = p.g.size() >= 2;
     if (can_extrapolate) predicted = p.g.extrapolate_from_last_two(double(m));
@@ -76,7 +79,7 @@ models::PLogP sweep_pair(const MeasurementStore& store, int i, int j,
         std::isfinite(predicted)) {
       const double err = std::fabs(predicted - g) / g;
       if (err > opts.tolerance && visited.size() >= 2 &&
-          int(p.g.size()) < opts.max_points) {
+          int(p.g.size()) < kMaxPoints) {
         const Bytes prev = visited[visited.size() - 2];
         const Bytes mid = (prev + m) / 2;
         if (mid != prev && mid != m) {

@@ -29,7 +29,6 @@ struct PLogPOptions {
   Bytes max_size = 256 * 1024;
   double tolerance = 0.10;  ///< relative disagreement triggering bisection
   int saturation_count = 32;
-  int max_points = 40;      ///< safety cap on adaptive refinement
 };
 
 struct PLogPReport {

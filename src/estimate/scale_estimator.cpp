@@ -16,6 +16,12 @@ namespace lmo::estimate {
 
 namespace {
 
+/// Sampled triplets per resource-tree level.
+constexpr int kTripletsPerLevel = 4;
+/// Probe message size: medium, below the leap/rendezvous regions (the
+/// exact fit's default, so both fits share their stage-2 keys).
+constexpr Bytes kProbeSize = 32 * 1024;
+
 double clamped(const stats::RunningStats& s) {
   return std::max(0.0, s.mean());
 }
@@ -54,10 +60,8 @@ double ScaleLmoReport::pt2pt(int i, int j, int level, Bytes m) const {
          double(m) * (t_of(i) + link.inv_beta + t_of(j));
 }
 
-std::vector<Triplet> sample_scale_triplets(const sim::Topology* topo, int n,
-                                           int triplets_per_level) {
+std::vector<Triplet> sample_scale_triplets(const sim::Topology* topo, int n) {
   LMO_CHECK_MSG(n >= 3, "scale estimation needs at least three processors");
-  LMO_CHECK(triplets_per_level >= 1);
   std::vector<Triplet> out;
   std::set<std::array<int, 3>> seen;
   const auto add = [&](int i, int j, int k) {
@@ -68,7 +72,7 @@ std::vector<Triplet> sample_scale_triplets(const sim::Topology* topo, int n,
 
   if (topo == nullptr || topo->empty()) {
     // Flat platform: disjoint consecutive triplets.
-    for (int s = 0; s + 2 < n && int(out.size()) < triplets_per_level; s += 3)
+    for (int s = 0; s + 2 < n && int(out.size()) < kTripletsPerLevel; s += 3)
       add(s, s + 1, s + 2);
     return out;
   }
@@ -108,7 +112,7 @@ std::vector<Triplet> sample_scale_triplets(const sim::Topology* topo, int n,
     int added = 0;
     for (const auto& [g, c] : by_group) {
       (void)g;
-      if (added >= triplets_per_level) break;
+      if (added >= kTripletsPerLevel) break;
       if (c.j < 0) continue;  // group has no pair splitting at this level
       int k = c.i2 >= 0 ? c.i2 : c.k3;
       if (k < 0)  // two-rank group: any outside rank completes the triplet
@@ -122,34 +126,37 @@ std::vector<Triplet> sample_scale_triplets(const sim::Topology* topo, int n,
   return out;
 }
 
+namespace {
+
+/// Stage 1 requirements: T_uv(0) and T_uv(M) for every pair inside every
+/// sampled triplet.
 void plan_scale_roundtrips(PlanBuilder& plan,
-                           const std::vector<Triplet>& triplets,
-                           const ScaleOptions& opts) {
-  LMO_CHECK(opts.probe_size > 0);
+                           const std::vector<Triplet>& triplets) {
   for (const Triplet& t : triplets)
     for (const auto& [a, b] : kTripletPairs) {
       const int u = t[std::size_t(a)], v = t[std::size_t(b)];
       plan.require(ExperimentKey::roundtrip(u, v, 0, 0));
-      plan.require(
-          ExperimentKey::roundtrip(u, v, opts.probe_size, opts.probe_size));
+      plan.require(ExperimentKey::roundtrip(u, v, kProbeSize, kProbeSize));
     }
 }
 
+/// Stage 2 requirements: the oriented one-to-two experiments of every
+/// sampled triplet (all three roots). Orientation derives from the stored
+/// stage-1 round-trips, so the store must already hold them.
 void plan_scale_one_to_two(PlanBuilder& plan, const MeasurementStore& store,
-                           const std::vector<Triplet>& triplets,
-                           const ScaleOptions& opts) {
-  LMO_CHECK(opts.probe_size > 0);
+                           const std::vector<Triplet>& triplets) {
   for (const Triplet& t : triplets)
     for (const ExperimentKey& key :
-         triplet_one_to_two_keys(store, t, opts.probe_size))
+         triplet_one_to_two_keys(store, t, kProbeSize))
       plan.require(key);
 }
+
+}  // namespace
 
 ScaleLmoReport fit_scale_lmo(const MeasurementStore& store, int n,
                              const ScaleOptions& opts) {
   const obs::Span sp = obs::span("scale.solve", "fit");
-  LMO_CHECK(opts.probe_size > 0);  // sampling checks n and the sample size
-  const Bytes m = opts.probe_size;
+  const Bytes m = kProbeSize;
   const sim::Topology* topo =
       opts.topology != nullptr && !opts.topology->empty() ? opts.topology
                                                           : nullptr;
@@ -157,7 +164,7 @@ ScaleLmoReport fit_scale_lmo(const MeasurementStore& store, int n,
   ScaleLmoReport report;
   report.ranks = n;
   report.triplets =
-      sample_scale_triplets(opts.topology, n, opts.triplets_per_level);
+      sample_scale_triplets(opts.topology, n);
   LMO_CHECK_MSG(!report.triplets.empty(),
                 "scale fit sampled no triplets (degenerate topology)");
   const int depth = topo != nullptr ? topo->depth() : 1;
@@ -242,16 +249,14 @@ ScaleLmoReport estimate_scale_lmo(Experimenter& ex, MeasurementStore& store,
   ScaleOptions opts = opts_in;
   if (opts.topology == nullptr) opts.topology = ex.topology();
   const std::vector<Triplet> triplets =
-      sample_scale_triplets(opts.topology, n, opts.triplets_per_level);
+      sample_scale_triplets(opts.topology, n);
   const std::uint64_t runs0 = ex.runs();
   const SimTime cost0 = ex.cost();
 
   const TripletStages stages = run_triplet_stages(
-      ex, store, opts.topology, opts.parallel, shard, "scale",
-      [&](PlanBuilder& plan) { plan_scale_roundtrips(plan, triplets, opts); },
-      [&](PlanBuilder& plan) {
-        plan_scale_one_to_two(plan, store, triplets, opts);
-      });
+      ex, store, opts.topology, /*parallel=*/true, shard, "scale",
+      [&](PlanBuilder& plan) { plan_scale_roundtrips(plan, triplets); },
+      [&](PlanBuilder& plan) { plan_scale_one_to_two(plan, store, triplets); });
 
   // A sharded pass over a store that lacks other shards' results reports
   // sampling and cost, and fits nothing.

@@ -11,9 +11,10 @@
 //    mean (when the cluster's profile table is known) or global mean,
 //  * L/1-over-beta per LCA level (the LevelLink form priced_by_path
 //    expands).
-// Experiment count is O(depth * triplets_per_level), report size is
-// O(sampled + depth). Sampling is a pure function of the topology, so the
-// estimator shards (ShardSpec) and refits offline like the exact one.
+// Experiment count is O(depth) (at most four triplets per level), report
+// size is O(sampled + depth). Sampling is a pure function of the
+// topology, so the estimator shards (ShardSpec) and refits offline like
+// the exact one.
 #pragma once
 
 #include <vector>
@@ -28,10 +29,6 @@ namespace lmo::estimate {
 class MeasurementStore;
 
 struct ScaleOptions {
-  Bytes probe_size = 32 * 1024;  ///< medium: below leap/rendezvous regions
-  int triplets_per_level = 4;    ///< sampled triplets per resource-tree level
-  bool parallel = true;
-
   /// Resource tree of the platform: drives triplet sampling and per-level
   /// aggregation. estimate_scale_lmo defaults it from
   /// Experimenter::topology(); a null/empty tree samples disjoint
@@ -86,25 +83,12 @@ struct ScaleLmoReport {
   [[nodiscard]] double pt2pt(int i, int j, int level, Bytes m) const;
 };
 
-/// The deterministic triplet sample: up to `triplets_per_level` triplets
-/// per level whose defining pair has its LCA exactly there, each completed
-/// by a near neighbour of the pair for cross-level equations. Pure
-/// function of (topology, n) — refits resample identically.
+/// The deterministic triplet sample: up to four triplets per level whose
+/// defining pair has its LCA exactly there, each completed by a near
+/// neighbour of the pair for cross-level equations. Pure function of
+/// (topology, n) — refits resample identically.
 [[nodiscard]] std::vector<Triplet> sample_scale_triplets(
-    const sim::Topology* topo, int n, int triplets_per_level);
-
-/// Stage 1 requirements: T_uv(0) and T_uv(M) for every pair inside every
-/// sampled triplet.
-void plan_scale_roundtrips(PlanBuilder& plan,
-                           const std::vector<Triplet>& triplets,
-                           const ScaleOptions& opts = {});
-
-/// Stage 2 requirements: the oriented one-to-two experiments of every
-/// sampled triplet (all three roots). Orientation derives from the stored
-/// stage-1 round-trips, so the store must already hold them.
-void plan_scale_one_to_two(PlanBuilder& plan, const MeasurementStore& store,
-                           const std::vector<Triplet>& triplets,
-                           const ScaleOptions& opts = {});
+    const sim::Topology* topo, int n);
 
 /// Solve eqs. (8)/(11) per sampled triplet and aggregate. Reads only the
 /// store — offline refits are bit-identical.

@@ -19,7 +19,7 @@ SuiteReport estimate_model_suite(Experimenter& ex, MeasurementStore& store,
   SuiteReport report;
   const auto run = [&](const PlanBuilder& plan) {
     report.requested += plan.requests();
-    const ExperimentPlan built = plan.build(opts.parallel);
+    const ExperimentPlan built = plan.build(true);
     report.deduplicated += built.deduplicated;
     const ExecuteStats stats = execute_plan(built, ex, store);
     report.measured += stats.measured;
@@ -35,10 +35,8 @@ SuiteReport estimate_model_suite(Experimenter& ex, MeasurementStore& store,
     plan_loggp(plan, n, opts.loggp);
     plan_plogp(plan, n, opts.plogp);
     plan_lmo_roundtrips(plan, n, opts.lmo);
-    if (opts.empirical_sweeps) {
-      plan_gather_sweep(plan, opts.empirical);
-      plan_scatter_sweep(plan, opts.empirical);
-    }
+    plan_gather_sweep(plan, opts.empirical);
+    plan_scatter_sweep(plan, opts.empirical);
     run(plan);
   }
 
@@ -88,12 +86,10 @@ SuiteReport fit_model_suite(const MeasurementStore& store, int n,
   report.loggp = fit_loggp(store, n, opts.loggp);
   report.lmo = fit_lmo(store, n, opts.lmo);
   report.plogp = fit_plogp(store, n, opts.plogp);
-  if (opts.empirical_sweeps) {
-    report.gather = fit_gather_empirical(store, report.lmo.params,
-                                         opts.empirical);
-    report.scatter = fit_scatter_empirical(store, report.lmo.params,
-                                           opts.empirical);
-  }
+  report.gather =
+      fit_gather_empirical(store, report.lmo.params, opts.empirical);
+  report.scatter =
+      fit_scatter_empirical(store, report.lmo.params, opts.empirical);
   return report;
 }
 

@@ -29,8 +29,6 @@ struct SuiteOptions {
   PLogPOptions plogp;
   LmoOptions lmo;
   EmpiricalOptions empirical;
-  bool parallel = true;          ///< disjoint-round batching
-  bool empirical_sweeps = true;  ///< include the gather/scatter sweeps
 
   /// Align the cross-estimator probe sizes so plans actually overlap:
   /// LogGP's small size sits on the PLogP ladder, its saturation sizes and

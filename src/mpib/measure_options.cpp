@@ -25,21 +25,6 @@ void MeasureOptions::validate() const {
                 "MeasureOptions.jobs must be >= 0 (0 = auto), got " +
                     std::to_string(jobs));
   fault.validate();
-  LMO_CHECK_MSG(timeout_factor > 1.0,
-                "MeasureOptions.timeout_factor must be > 1, got " +
-                    std::to_string(timeout_factor));
-  LMO_CHECK_MSG(timeout_floor_s > 0.0,
-                "MeasureOptions.timeout_floor_s must be positive, got " +
-                    std::to_string(timeout_floor_s));
-  LMO_CHECK_MSG(max_retries >= 0,
-                "MeasureOptions.max_retries must be >= 0, got " +
-                    std::to_string(max_retries));
-  LMO_CHECK_MSG(retry_backoff_s >= 0.0,
-                "MeasureOptions.retry_backoff_s must be >= 0, got " +
-                    std::to_string(retry_backoff_s));
-  LMO_CHECK_MSG(mad_cutoff > 0.0,
-                "MeasureOptions.mad_cutoff must be positive, got " +
-                    std::to_string(mad_cutoff));
 }
 
 }  // namespace lmo::mpib

@@ -25,29 +25,14 @@ struct MeasureOptions {
   /// Deterministic fault injection applied to measured experiment
   /// durations. All rates default to 0 — disabled — and recovery then
   /// keeps every sample, so measurements are bit-identical to a build
-  /// without fault injection.
+  /// without fault injection. The recovery policy's constants live in
+  /// estimate/experimenter.cpp.
   sim::FaultSpec fault;
-
-  /// Recovery policy, inert when no fault is enabled.
-  /// A repetition slower than `timeout_factor` times the round's own robust
-  /// location estimate (median of the finite samples — the stand-in for "the
-  /// model's own prediction" while no fitted model exists yet) is classified
-  /// as timed out; the timeout never falls below `timeout_floor_s`.
-  double timeout_factor = 8.0;
-  double timeout_floor_s = 1e-3;
-  /// Timed-out/dropped repetitions are retried in bounded deterministic
-  /// waves, dropped single observations up to max_retries times; each
-  /// wave or retry adds `retry_backoff_s` of (simulated) cost.
-  int max_retries = 2;
-  double retry_backoff_s = 0.05;
-  /// MAD-based outlier trimming: finite samples farther than `mad_cutoff`
-  /// scaled deviations from the median are excluded from the committed mean.
-  double mad_cutoff = 6.0;
 
   /// Throws lmo::Error on nonsensical settings: confidence outside (0, 1),
   /// non-positive rel_err, min_reps < 2 (no CI from one sample),
-  /// max_reps < min_reps, negative jobs (0 means auto), an invalid fault
-  /// spec, or a nonsensical recovery policy. SimExperimenter calls it on
+  /// max_reps < min_reps, negative jobs (0 means auto) or an invalid fault
+  /// spec. SimExperimenter calls it on
   /// construction, so bad options fail loudly instead of silently
   /// misbehaving mid-estimation.
   void validate() const;

@@ -15,6 +15,9 @@ namespace {
 constexpr std::uint64_t kSlotStream = 0x5107f4a7c15e9e37ULL;
 constexpr std::uint64_t kNodeStream = 0x0de5107f4a7c15e9ULL;
 
+/// Pareto shape of the spike magnitude.
+constexpr double kSpikeShape = 1.5;
+
 void check_rate(double rate, const char* name) {
   LMO_CHECK_MSG(rate >= 0.0 && rate <= 1.0,
                 std::string("fault ") + name + " must lie in [0, 1], got " +
@@ -34,7 +37,6 @@ void FaultSpec::validate() const {
   check_rate(hang_rate, "hang_rate");
   check_rate(slow_rate, "slow_rate");
   LMO_CHECK_MSG(spike_scale_s > 0.0, "fault spike_scale_s must be positive");
-  LMO_CHECK_MSG(spike_shape > 0.0, "fault spike_shape must be positive");
   LMO_CHECK_MSG(hang_delay_s > 0.0, "fault hang_delay_s must be positive");
   LMO_CHECK_MSG(slow_factor >= 1.0, "fault slow_factor must be >= 1");
 }
@@ -86,7 +88,7 @@ FaultOutcome inject_fault(const FaultSpec& spec, std::uint64_t round,
     // Pareto(scale, shape) via inverse CDF; shape <= 2 keeps the tail heavy
     // enough that untrimmed means are visibly poisoned.
     out.seconds +=
-        spec.spike_scale_s * std::pow(1.0 - u, -1.0 / spec.spike_shape);
+        spec.spike_scale_s * std::pow(1.0 - u, -1.0 / kSpikeShape);
   }
   return out;
 }

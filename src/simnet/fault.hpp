@@ -27,10 +27,9 @@ struct FaultSpec {
   /// Per-(round, rep, slot) probability of a heavy-tailed latency spike
   /// added to the measured duration.
   double spike_rate = 0.0;
-  /// Pareto scale [s] and shape of the spike magnitude. Shape <= 2 is
-  /// genuinely heavy-tailed: occasional spikes dwarf the mean.
+  /// Pareto scale [s] of the spike magnitude (shape 1.5: heavy-tailed,
+  /// occasional spikes dwarf the mean).
   double spike_scale_s = 0.02;
-  double spike_shape = 1.5;
 
   /// Per-(round, rep, slot) probability that the result never arrives.
   double drop_rate = 0.0;

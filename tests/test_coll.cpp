@@ -81,7 +81,7 @@ TEST(BinomialScatter, CompletesAndBeatsLinearForSmall) {
     return linear_scatter(c, 0, m);
   });
   const SimTime bin = run_timed(w, 0, [m](Comm& c) {
-    return binomial_scatter(c, 0, m);
+    return tree_scatter(c, trees::TreeKind::kBinomial, 0, m);
   });
   // 15 serialized root sends vs. 4 rounds: binomial wins for small blocks.
   EXPECT_LT(bin, lin);
@@ -99,7 +99,7 @@ TEST(BinomialScatter, LosesToLinearForLargeOnSwitchedCluster) {
     return linear_scatter(c, 0, m);
   }));
   SimTime bin_all = w.run(spmd(n, [m](Comm& c) {
-    return binomial_scatter(c, 0, m);
+    return tree_scatter(c, trees::TreeKind::kBinomial, 0, m);
   }));
   // The binomial tree retransmits blocks (n-1 + extra hops): on a switched
   // cluster with per-byte processor costs it loses for large messages —
@@ -112,7 +112,7 @@ TEST(BinomialScatter, NonPowerOfTwo) {
   for (int n : {3, 5, 6, 7, 12, 13}) {
     World w(quiet_cluster(n));
     const SimTime t = run_timed(w, 0, [](Comm& c) {
-      return binomial_scatter(c, 0, 1000);
+      return tree_scatter(c, trees::TreeKind::kBinomial, 0, 1000);
     });
     EXPECT_GT(t, SimTime::zero()) << "n=" << n;
   }
@@ -123,7 +123,7 @@ TEST(BinomialScatter, NonZeroRootWorks) {
   World w(quiet_cluster(n));
   for (int root : {1, 3, 7}) {
     const SimTime t = run_timed(w, root, [root](Comm& c) {
-      return binomial_scatter(c, root, 2000);
+      return tree_scatter(c, trees::TreeKind::kBinomial, root, 2000);
     });
     EXPECT_GT(t, SimTime::zero());
   }
@@ -134,7 +134,7 @@ TEST(BinomialGather, MirrorsScatterOnQuietCluster) {
   World w(quiet_cluster(n));
   const Bytes m = 4000;
   const SimTime sc = w.run(spmd(n, [m](Comm& c) {
-    return binomial_scatter(c, 0, m);
+    return tree_scatter(c, trees::TreeKind::kBinomial, 0, m);
   }));
   const SimTime ga = w.run(spmd(n, [m](Comm& c) {
     return tree_gather(c, trees::TreeKind::kBinomial, 0, m);
@@ -165,12 +165,12 @@ TEST(BinomialScatter, CustomMappingChangesTiming) {
   const Bytes m = 20000;
   // Default mapping: processor 7 is a leaf (virtual 7).
   SimTime leaf_time = w.run(spmd(8, [m](Comm& c) {
-    return binomial_scatter(c, 0, m);
+    return tree_scatter(c, trees::TreeKind::kBinomial, 0, m);
   }));
   // Mapping that puts processor 7 at virtual rank 4 (an inner node).
   std::vector<int> mapping{0, 1, 2, 3, 7, 5, 6, 4};
   SimTime inner_time = w.run(spmd(8, [m, mapping](Comm& c) {
-    return binomial_scatter(c, 0, m, mapping);
+    return tree_scatter(c, trees::TreeKind::kBinomial, 0, m, mapping);
   }));
   EXPECT_GT(inner_time, leaf_time);
 }
@@ -207,10 +207,10 @@ TEST(Bcast, BinomialBeatsLinearForManyRanks) {
   World w(quiet_cluster(n));
   const Bytes m = 1000;
   const SimTime lin = w.run(spmd(n, [m](Comm& c) {
-    return linear_bcast(c, 0, m);
+    return tree_bcast(c, trees::TreeKind::kFlat, 0, m);
   }));
   const SimTime bin = w.run(spmd(n, [m](Comm& c) {
-    return binomial_bcast(c, 0, m);
+    return tree_bcast(c, trees::TreeKind::kBinomial, 0, m);
   }));
   EXPECT_LT(bin, lin);
 }
@@ -219,7 +219,7 @@ TEST(Bcast, NonZeroRoot) {
   const int n = 7;
   World w(quiet_cluster(n));
   const SimTime t = w.run(spmd(n, [](Comm& c) {
-    return binomial_bcast(c, 3, 800);
+    return tree_bcast(c, trees::TreeKind::kBinomial, 3, 800);
   }));
   EXPECT_GT(t, SimTime::zero());
 }

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "coll/collectives.hpp"
+#include "coll/zoo.hpp"
 #include "simnet/cluster.hpp"
 #include "util/error.hpp"
 #include "vmpi/world.hpp"
@@ -136,7 +137,7 @@ TEST(Reduce, LinearIncludesCombineCost) {
     return linear_gather(c, 0, m);
   });
   const SimTime reduce = run_timed(w, 0, [m](Comm& c) {
-    return linear_reduce(c, 0, m);
+    return tree_reduce(c, trees::TreeKind::kFlat, 0, m);
   });
   // Reduce = gather + (n-1) combines of C + m t each.
   const double combine = 4 * (50e-6 + double(m) * 100e-9);
@@ -148,10 +149,10 @@ TEST(Reduce, BinomialFewerRootCombines) {
   World w(quiet_cluster(n));
   const Bytes m = 500;
   const SimTime lin = w.run(spmd(n, [m](Comm& c) {
-    return linear_reduce(c, 0, m);
+    return tree_reduce(c, trees::TreeKind::kFlat, 0, m);
   }));
   const SimTime bin = w.run(spmd(n, [m](Comm& c) {
-    return binomial_reduce(c, 0, m);
+    return tree_reduce(c, trees::TreeKind::kBinomial, 0, m);
   }));
   // For small blocks the tree wins (log vs linear serialized combines).
   EXPECT_LT(bin, lin);

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "coll/collectives.hpp"
+#include "coll/zoo.hpp"
 #include "core/predictions.hpp"
 #include "core/tuner.hpp"
 #include "simnet/cluster.hpp"
@@ -86,7 +87,7 @@ TEST_P(CollectivePrediction, LinearBcastWithinTolerance) {
   World w(cfg);
   const Bytes m = GetParam();
   const double obs = observed(w, [m](Comm& c) {
-    return coll::linear_bcast(c, 0, m);
+    return coll::tree_bcast(c, trees::TreeKind::kFlat, 0, m);
   });
   EXPECT_NEAR(linear_bcast_time(p, 0, m), obs, 0.10 * obs) << "m=" << m;
 }
@@ -97,7 +98,7 @@ TEST_P(CollectivePrediction, BinomialBcastWithinTolerance) {
   World w(cfg);
   const Bytes m = GetParam();
   const double obs = observed(w, [m](Comm& c) {
-    return coll::binomial_bcast(c, 0, m);
+    return coll::tree_bcast(c, trees::TreeKind::kBinomial, 0, m);
   });
   EXPECT_NEAR(binomial_price(p, CollectiveKind::kBcast, m), obs, 0.15 * obs)
       << "m=" << m;
@@ -109,7 +110,7 @@ TEST_P(CollectivePrediction, LinearReduceWithinTolerance) {
   World w(cfg);
   const Bytes m = GetParam();
   const double obs = observed(w, [m](Comm& c) {
-    return coll::linear_reduce(c, 0, m);
+    return coll::tree_reduce(c, trees::TreeKind::kFlat, 0, m);
   });
   EXPECT_NEAR(linear_reduce_time(p, 0, m), obs, 0.15 * obs) << "m=" << m;
 }
@@ -120,7 +121,7 @@ TEST_P(CollectivePrediction, BinomialReduceWithinTolerance) {
   World w(cfg);
   const Bytes m = GetParam();
   const double obs = observed(w, [m](Comm& c) {
-    return coll::binomial_reduce(c, 0, m);
+    return coll::tree_reduce(c, trees::TreeKind::kBinomial, 0, m);
   });
   EXPECT_NEAR(binomial_price(p, CollectiveKind::kReduce, m), obs, 0.20 * obs)
       << "m=" << m;
@@ -155,11 +156,11 @@ TEST(MappingOptimization, ImprovesPredictionAndSimulation) {
   // The optimized mapping must also help (or at least not hurt) in the
   // simulator, not just under the model.
   const double obs_default = observed(w, [m](Comm& c) {
-    return coll::binomial_scatter(c, 0, m);
+    return coll::tree_scatter(c, trees::TreeKind::kBinomial, 0, m);
   });
   const auto mapping = plan.mapping;
   const double obs_optimized = observed(w, [m, mapping](Comm& c) {
-    return coll::binomial_scatter(c, 0, m, mapping);
+    return coll::tree_scatter(c, trees::TreeKind::kBinomial, 0, m, mapping);
   });
   EXPECT_LT(obs_optimized, obs_default * 1.02);
   // Root stays put.

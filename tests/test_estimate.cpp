@@ -197,36 +197,6 @@ TEST(HockneyEstimation, ParallelAndSerialAgree) {
   EXPECT_LT(a.estimation_cost, b.estimation_cost);
 }
 
-TEST(HockneyEstimation, RegressionMethodAgreesWithTwoPoint) {
-  // The paper's two estimation variants must coincide on a quiet cluster
-  // (point-to-point time is exactly affine in the message size).
-  auto cfg = quiet16();
-  vmpi::World w1(cfg), w2(cfg);
-  SimExperimenter e1(w1), e2(w2);
-  HockneyOptions two, reg;
-  reg.method = HockneyMethod::kRegression;
-  const auto a = estimate_hockney(e1, two);
-  const auto b = estimate_hockney(e2, reg);
-  for (const auto& [i, j] : all_pairs(cfg.size())) {
-    // The two-point alpha absorbs the full minimal-frame wire time while
-    // the regression distributes it — a systematic few-microsecond offset.
-    EXPECT_NEAR(a.hetero.alpha(i, j), b.hetero.alpha(i, j),
-                0.02 * a.hetero.alpha(i, j) + 4e-6);
-    EXPECT_NEAR(a.hetero.beta(i, j), b.hetero.beta(i, j),
-                0.02 * a.hetero.beta(i, j));
-  }
-}
-
-TEST(HockneyEstimation, RegressionRejectsDegenerateSizes) {
-  auto cfg = sim::make_random_cluster(4, 3);
-  vmpi::World w(cfg);
-  SimExperimenter ex(w);
-  HockneyOptions opts;
-  opts.method = HockneyMethod::kRegression;
-  opts.regression_sizes = {1024};
-  EXPECT_THROW((void)estimate_hockney(ex, opts), Error);
-}
-
 /// Nodes 0 and 1 of `cfg` as a cluster of their own: estimate_plogp on it
 /// measures and fits exactly the pair (0, 1), first in its report.
 sim::ClusterConfig first_two_nodes(sim::ClusterConfig cfg) {

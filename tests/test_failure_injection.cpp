@@ -273,21 +273,6 @@ TEST(FaultSpecTest, RecoveryKnobValidationRejectsNonsense) {
   ok.validate();
 
   mpib::MeasureOptions o = ok;
-  o.timeout_factor = 1.0;  // timeout below the location estimate itself
-  EXPECT_THROW(o.validate(), Error);
-  o = ok;
-  o.timeout_floor_s = 0.0;
-  EXPECT_THROW(o.validate(), Error);
-  o = ok;
-  o.max_retries = -1;
-  EXPECT_THROW(o.validate(), Error);
-  o = ok;
-  o.retry_backoff_s = -0.5;
-  EXPECT_THROW(o.validate(), Error);
-  o = ok;
-  o.mad_cutoff = 0.0;
-  EXPECT_THROW(o.validate(), Error);
-  o = ok;
   o.fault.drop_rate = 2.0;
   EXPECT_THROW(o.validate(), Error);
 }
@@ -383,18 +368,17 @@ TEST(FaultRecoveryTest, EstimationSurvivesDropsHangsSpikes) {
 }
 
 TEST(FaultRecoveryTest, ExhaustedObservationPaysOneBackoffPerRetry) {
-  // Every attempt drops: max_retries + 1 runs, max_retries retries, and
-  // one backoff per retry — the first attempt is not a retry.
+  // Every attempt drops: the recovery policy's two retries make three
+  // runs, and each retry pays one 0.05 s backoff — the first attempt is
+  // not a retry.
   mpib::MeasureOptions measure;
   measure.fault.drop_rate = 1.0;
   World world(sim::make_random_cluster(4, 3));
   SimExperimenter ex(world, measure);
   EXPECT_EQ(ex.observe_scatter(0, 4096), measure.fault.hang_delay_s);
-  EXPECT_EQ(world.total_runs(), std::uint64_t(measure.max_retries + 1));
+  EXPECT_EQ(world.total_runs(), 3u);
   EXPECT_EQ(ex.cost().ns() - world.accumulated_time().ns(),
-            SimTime::from_seconds(measure.max_retries *
-                                  measure.retry_backoff_s)
-                .ns());
+            SimTime::from_seconds(2 * 0.05).ns());
 }
 
 void expect_fault_bits_eq(const std::vector<double>& a,
@@ -451,12 +435,12 @@ TEST(FaultQuarantineTest, PoisonedKeysQuarantinedAndRemeasuredWarm) {
   estimate::MeasurementStore store;
   store.set_cluster(cfg.size(), cfg.seed);
   {
-    // Nearly every repetition drops and retries are disabled: recovery
-    // cannot assemble min_reps clean samples, so the keys are poisoned.
+    // Nearly every repetition drops: even after its two retry waves,
+    // recovery cannot assemble min_reps clean samples, so the keys are
+    // poisoned.
     mpib::MeasureOptions measure;
     measure.min_reps = 4;
     measure.max_reps = 8;
-    measure.max_retries = 0;
     measure.fault.drop_rate = 0.97;
     measure.fault.seed = 7;
     World world(cfg);
@@ -464,13 +448,13 @@ TEST(FaultQuarantineTest, PoisonedKeysQuarantinedAndRemeasuredWarm) {
     const auto stats = estimate::execute_plan(plan, ex, store);
     EXPECT_EQ(stats.measured, 2u);
   }
-  ASSERT_GT(store.quarantined_count(), 0u);
+  // Both keys are poisoned with the retries the recovery policy fixes.
+  ASSERT_EQ(store.quarantined_count(), 2u);
   const auto key = estimate::ExperimentKey::roundtrip(0, 1, 4096, 4096);
-  if (!store.contains(key)) {
-    // Quarantined keys miss lookup() but at() still serves the suspect.
-    EXPECT_FALSE(store.lookup(key).has_value());
-    EXPECT_TRUE(std::isfinite(store.at(key)));
-  }
+  // Quarantined keys miss lookup() but at() still serves the suspect.
+  EXPECT_FALSE(store.contains(key));
+  EXPECT_FALSE(store.lookup(key).has_value());
+  EXPECT_TRUE(std::isfinite(store.at(key)));
 
   // Warm re-run with the faults gone: quarantined keys are re-measured
   // (not served from cache) and the clean values lift the quarantine.

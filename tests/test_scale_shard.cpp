@@ -211,13 +211,13 @@ TEST(ShardedCampaign, InactiveShardTouchesNoCursor) {
 
 TEST(ScaleEstimator, SamplesDeterministicTripletsPerLevel) {
   const auto cfg = sim::make_multicore_cluster(2, 2, 2, 1);
-  const auto t1 = sample_scale_triplets(&cfg.topology, cfg.size(), 4);
-  const auto t2 = sample_scale_triplets(&cfg.topology, cfg.size(), 4);
+  const auto t1 = sample_scale_triplets(&cfg.topology, cfg.size());
+  const auto t2 = sample_scale_triplets(&cfg.topology, cfg.size());
   ASSERT_FALSE(t1.empty());
   ASSERT_EQ(t1.size(), t2.size());
   for (std::size_t i = 0; i < t1.size(); ++i) EXPECT_EQ(t1[i], t2[i]);
   // Flat platform: disjoint consecutive triplets.
-  const auto flat = sample_scale_triplets(nullptr, 9, 4);
+  const auto flat = sample_scale_triplets(nullptr, 9);
   EXPECT_EQ(flat.size(), 3u);
 }
 

@@ -3,7 +3,6 @@
 
 #include "stats/histogram.hpp"
 #include "stats/piecewise.hpp"
-#include "stats/regression.hpp"
 #include "stats/students_t.hpp"
 #include "stats/summary.hpp"
 #include "util/error.hpp"
@@ -72,34 +71,6 @@ TEST(ConfidenceIntervalTest, Bounds) {
   EXPECT_DOUBLE_EQ(ci.lo(), 9.0);
   EXPECT_DOUBLE_EQ(ci.hi(), 11.0);
   EXPECT_DOUBLE_EQ(ci.relative_error(), 0.1);
-}
-
-TEST(Regression, RecoversExactLine) {
-  std::vector<double> x{0, 1, 2, 3, 4};
-  std::vector<double> y;
-  for (double v : x) y.push_back(2.5 + 0.75 * v);
-  const LinearFit f = fit_linear(x, y);
-  EXPECT_NEAR(f.intercept, 2.5, 1e-12);
-  EXPECT_NEAR(f.slope, 0.75, 1e-12);
-  EXPECT_NEAR(f.r_squared, 1.0, 1e-12);
-  EXPECT_NEAR(f.rmse, 0.0, 1e-9);
-}
-
-TEST(Regression, NoisyFitReasonable) {
-  std::vector<double> x, y;
-  for (int i = 0; i < 100; ++i) {
-    x.push_back(i);
-    y.push_back(1.0 + 2.0 * i + ((i % 3) - 1) * 0.1);
-  }
-  const LinearFit f = fit_linear(x, y);
-  EXPECT_NEAR(f.slope, 2.0, 0.01);
-  EXPECT_NEAR(f.intercept, 1.0, 0.1);
-  EXPECT_GT(f.r_squared, 0.999);
-}
-
-TEST(Regression, RejectsDegenerate) {
-  EXPECT_THROW((void)fit_linear({1}, {2}), Error);
-  EXPECT_THROW((void)fit_linear({1, 1}, {2, 3}), Error);
 }
 
 TEST(Piecewise, InterpolatesAndExtrapolates) {

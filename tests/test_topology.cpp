@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "coll/collectives.hpp"
+#include "coll/zoo.hpp"
 #include "core/lmo_model.hpp"
 #include "core/predictions.hpp"
 #include "core/tuner.hpp"
@@ -489,7 +490,7 @@ TEST(TopologyMappingTest, HierarchyMappingBeatsFlatPlacementOnBcast) {
   auto simulate = [&](const std::vector<int>& map) {
     vmpi::SimSession sess(shared, /*seed=*/7);
     return sess.run(coll::spmd(cfg.size(), [&](vmpi::Comm& c) {
-      return coll::binomial_bcast(c, root, m, map);
+      return coll::tree_bcast(c, trees::TreeKind::kBinomial, root, m, map);
     })).seconds();
   };
   const double sim_flat = simulate({});

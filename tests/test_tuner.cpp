@@ -378,9 +378,9 @@ void expect_argmin(const Tuner& t, CollectiveKind kind, int root, Bytes m,
 }
 
 TEST(TunerDifferentialTest, DecideIsTheArgminOfCandidates) {
-  // On seeded random clusters — flat and contended, default and widened
-  // segment grids — decide() returns exactly the candidate with the least
-  // (predicted_seconds, position in candidates()).
+  // On seeded random clusters, flat and contended, decide() returns exactly
+  // the candidate with the least (predicted_seconds, position in
+  // candidates()).
   int pruned_somewhere = 0;
   const obs::Counter pruned =
       obs::Registry::global().counter("tuner.pruned");
@@ -391,9 +391,6 @@ TEST(TunerDifferentialTest, DecideIsTheArgminOfCandidates) {
             : sim::make_random_cluster(5 + int(seed % 9), seed);
     TunerOptions opts;
     opts.topology = &cfg.topology;
-    if (seed % 2 == 1)
-      opts.segment_candidates = {1024, 2 * 1024, 8 * 1024, 32 * 1024,
-                                 128 * 1024};
     const Tuner t(from_ground_truth(cfg), paper_band(), opts);
     for (const CollectiveKind kind : kAllKinds)
       for (const Bytes m : {Bytes(13), Bytes(3000), Bytes(70001),
@@ -439,20 +436,20 @@ TEST(TunerDifferentialTest, DecideIsTheArgminOfCandidates) {
 
 TEST(TunerCutoffTest, TiedReplayRunsInFullAndTheEarlierCandidateWins) {
   // On two ranks every tree shape sends the same single message, and on a
-  // contended cluster every candidate replays, so without segments the
-  // linear, binomial, chain and binary-tree prices tie to the bit. The
-  // later replays run with the linear price as their cutoff: a tie is
-  // never cut off, and the linear tree, first in candidates(), wins.
+  // contended cluster every candidate replays, so at sizes no segment of
+  // the grid splits, the linear, binomial, chain and binary-tree prices
+  // tie to the bit. The later replays run with the linear price as their
+  // cutoff: a tie is never cut off, and the linear tree, first in
+  // candidates(), wins.
   const sim::ClusterConfig cfg = sim::make_multicore_cluster(1, 1, 2, 1);
   ASSERT_TRUE(cfg.topology.constrains_concurrency());
   TunerOptions opts;
   opts.topology = &cfg.topology;
-  opts.segment_candidates = {};
   const Tuner t(from_ground_truth(cfg), paper_band(), opts);
   const obs::Counter cut = obs::Registry::global().counter("tuner.replays_cut");
   for (const CollectiveKind kind :
        {CollectiveKind::kScatter, CollectiveKind::kReduce})
-    for (const Bytes m : {Bytes(1024), Bytes(65536)}) {
+    for (const Bytes m : {Bytes(1024), Bytes(2048)}) {
       const std::vector<TunedDecision> all = t.candidates(kind, 0, m);
       ASSERT_GE(all.size(), 4u);
       for (const TunedDecision& c : all)

@@ -151,8 +151,8 @@ TEST(ZooParity, ScatterAllgatherBcastMatchesItsPredictor) {
 }
 
 TEST(ZooParity, BinomialReduceHonorsMappingLikeItsPredictor) {
-  // coll::binomial_reduce takes the same mapping the tuner prices a
-  // binomial reduce under.
+  // coll::tree_reduce takes the same mapping the tuner prices a binomial
+  // reduce under.
   const auto cfg = quiet_paper_cluster();
   const auto p = from_ground_truth(cfg);
   const int n = cfg.size();
@@ -163,7 +163,8 @@ TEST(ZooParity, BinomialReduceHonorsMappingLikeItsPredictor) {
   const Bytes m = 16 * 1024;
   auto simulate_reduce = [&](std::vector<int> map) {
     return w.run(spmd(n, [m, map](Comm& c) -> Task {
-              co_await coll::binomial_reduce(c, 0, m, map);
+              co_await coll::tree_reduce(c, trees::TreeKind::kBinomial, 0, m,
+                                         map);
             }))
         .seconds();
   };
@@ -221,8 +222,8 @@ void expect_one_replay_path(const sim::ClusterConfig& cfg) {
   const core::Tuner tuner(p, core::GatherEmpirical{}, opts);
   const bool contended =
       !cfg.topology.empty() && cfg.topology.constrains_concurrency();
-  std::vector<Bytes> segments = {0};
-  for (const Bytes s : opts.segment_candidates) segments.push_back(s);
+  // Unsegmented, then the tuner's fixed segment grid.
+  const std::vector<Bytes> segments = {0, 2 * 1024, 8 * 1024, 32 * 1024};
   const Bytes m = 64 * 1024;
   const int root = 3;
   for (const auto kind :
