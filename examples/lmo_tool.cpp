@@ -214,7 +214,7 @@ int cmd_merge(const Cli& cli) {
     shards.push_back(std::move(entry));
     const std::string doc = "run report " + path;
     const obs::JsonField root(report, doc.c_str());
-    if (root.has("estimation_cost")) {
+    if (root.find("estimation_cost")) {
       const obs::JsonField c = root["estimation_cost"];
       for (const std::string& key : c.keys()) {
         const double v = c[key].number();

@@ -90,9 +90,10 @@ Json model_json(const LmoParams& params, const GatherEmpirical& emp) {
 
 LoadedParams model_from_json(const Json& doc) {
   const JsonField root(doc, "model");
-  const std::string& schema = root["schema"].string();
+  const std::string_view schema = root["schema"].string();
   if (schema != "lmo.model/1")
-    root["schema"].fail("= '" + schema + "', expected 'lmo.model/1'");
+    root["schema"].fail("= '" + std::string(schema) +
+                        "', expected 'lmo.model/1'");
 
   LoadedParams out;
   LmoParams& p = out.params;

@@ -31,14 +31,14 @@ const char* kind_name(ExperimentKind k) {
 
 namespace {
 ExperimentKind kind_from_json(const obs::JsonField& field) {
-  const std::string& name = field.string();
+  const std::string_view name = field.string();
   for (const auto k :
        {ExperimentKind::kRoundtrip, ExperimentKind::kOneToTwo,
         ExperimentKind::kSendOverhead, ExperimentKind::kRecvOverhead,
         ExperimentKind::kSaturationGap, ExperimentKind::kScatterObservation,
         ExperimentKind::kGatherObservation})
     if (name == kind_name(k)) return k;
-  field.fail("= '" + name + "' is not an experiment kind");
+  field.fail("= '" + std::string(name) + "' is not an experiment kind");
 }
 }  // namespace
 
@@ -170,12 +170,14 @@ ExperimentKey ExperimentKey::from_json(const obs::JsonField& j) {
   ExperimentKey k;
   k.kind = kind_from_json(j["kind"]);
   k.a = int(j["a"].integer(0, kRankMax));
-  k.b = j.has("b") ? int(j["b"].integer(0, kRankMax)) : -1;
-  k.c = j.has("c") ? int(j["c"].integer(0, kRankMax)) : -1;
+  const auto b = j.find("b");
+  k.b = b ? int(b->integer(0, kRankMax)) : -1;
+  const auto c = j.find("c");
+  k.c = c ? int(c->integer(0, kRankMax)) : -1;
   k.m_fwd = j["m"].integer(0);
-  if (j.has("reply")) k.m_back = j["reply"].integer(0);
-  if (j.has("count")) k.count = int(j["count"].integer(0, kIntMax));
-  if (j.has("level")) k.level = int(j["level"].integer(0, kIntMax));
+  if (const auto reply = j.find("reply")) k.m_back = reply->integer(0);
+  if (const auto n = j.find("count")) k.count = int(n->integer(0, kIntMax));
+  if (const auto lv = j.find("level")) k.level = int(lv->integer(0, kIntMax));
   return k;
 }
 

@@ -8,75 +8,96 @@
 // representation that round-trips. parse() is the matching
 // recursive-descent reader — tests use it to prove every emitted artifact
 // is well-formed, and tools read BENCH_*.json points back through it.
+//
+// A Json is 16 bytes: a tag, then a bool, int64, double or string of up to
+// 14 bytes inline, or a longer string's or a container's heap block. An
+// object member is 32 bytes, its key a string in the same form. parse()
+// sizes each block exactly; builders double it unless reserve() sized it.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <limits>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
-#include <utility>
-#include <variant>
 #include <vector>
 
 namespace lmo::obs {
 
 class Json {
  public:
-  using Array = std::vector<Json>;
-  /// Insertion-ordered key/value pairs (keys unique; operator[] updates).
-  using Object = std::vector<std::pair<std::string, Json>>;
+  struct Member;  ///< {first: the key, a string; second: the value}
+  /// Read-only views, valid while the container is alive and unchanged.
+  using Array = std::span<const Json>;
+  using Object = std::span<const Member>;
 
   Json() = default;  // null
   Json(std::nullptr_t) {}
-  Json(bool b) : v_(b) {}
-  Json(double d) : v_(d) {}
+  Json(bool b) { r_.v = {kBool, {.b = b}}; }
+  Json(double d) { r_.v = {kDouble, {.d = d}}; }
   /// Any integral type; unsigned values above int64 max throw lmo::Error.
   template <typename T,
             typename = std::enable_if_t<std::is_integral_v<T> &&
                                         !std::is_same_v<T, bool>>>
   Json(T i) {
     if constexpr (std::is_signed_v<T>)
-      v_ = std::int64_t(i);
+      r_.v = {kInt, {.i = std::int64_t(i)}};
     else
-      v_ = checked_unsigned(std::uint64_t(i));
+      r_.v = {kInt, {.i = checked_unsigned(std::uint64_t(i))}};
   }
-  Json(const char* s) : v_(std::string(s)) {}
-  Json(std::string s) : v_(std::move(s)) {}
+  Json(const char* s) : Json(std::string_view(s)) {}
+  Json(const std::string& s) : Json(std::string_view(s)) {}
+  Json(std::string_view s);
 
-  [[nodiscard]] static Json array() { Json j; j.v_ = Array{}; return j; }
-  [[nodiscard]] static Json object() { Json j; j.v_ = Object{}; return j; }
+  Json(const Json& other);
+  Json(Json&& other) noexcept : r_(other.r_) { other.r_.s.tag = kNull; }
+  Json& operator=(const Json& other) { return *this = Json(other); }
+  Json& operator=(Json&& other) noexcept;
+  ~Json() { if (tag() >= kLong) release(); }
 
-  [[nodiscard]] bool is_null() const;
-  [[nodiscard]] bool is_bool() const;
-  [[nodiscard]] bool is_number() const;
-  [[nodiscard]] bool is_string() const;
-  [[nodiscard]] bool is_array() const;
-  [[nodiscard]] bool is_object() const;
+  [[nodiscard]] static Json array() { return Json(kArray); }
+  [[nodiscard]] static Json object() { return Json(kObject); }
+
+  [[nodiscard]] bool is_null() const { return tag() == kNull; }
+  [[nodiscard]] bool is_bool() const { return tag() == kBool; }
+  [[nodiscard]] bool is_number() const {
+    return tag() == kInt || tag() == kDouble;
+  }
+  [[nodiscard]] bool is_string() const {
+    return tag() == kShort || tag() == kLong;
+  }
+  [[nodiscard]] bool is_array() const { return tag() == kArray; }
+  [[nodiscard]] bool is_object() const { return tag() == kObject; }
 
   /// Object element access; a null value silently becomes an object.
-  Json& operator[](const std::string& key);
+  Json& operator[](std::string_view key);
   /// Null when absent (or not an object).
-  [[nodiscard]] const Json* find(const std::string& key) const;
+  [[nodiscard]] const Json* find(std::string_view key) const;
   /// Throws lmo::Error when absent.
-  [[nodiscard]] const Json& at(const std::string& key) const;
+  [[nodiscard]] const Json& at(std::string_view key) const;
 
   /// Array append; a null value silently becomes an array.
   void push_back(Json v);
   /// Room for n array items or object members without regrowing; throws
   /// lmo::Error unless this is an array or an object.
   void reserve(std::size_t n);
-  [[nodiscard]] std::size_t size() const;  ///< array/object arity, else 0
+  /// array/object arity, else 0
+  [[nodiscard]] std::size_t size() const {
+    return tag() == kArray || tag() == kObject ? r_.h.n : 0;
+  }
   [[nodiscard]] const Json& operator[](std::size_t i) const;
 
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] double as_double() const;  ///< int64 converts
   /// Throws lmo::Error unless the number is integral and in int64 range.
   [[nodiscard]] std::int64_t as_int() const;
-  [[nodiscard]] const std::string& as_string() const;
-  [[nodiscard]] const Array& items() const;
-  [[nodiscard]] const Object& entries() const;
+  [[nodiscard]] std::string_view as_string() const;
+  [[nodiscard]] Array items() const;
+  [[nodiscard]] Object entries() const;
 
   /// Serialize. indent = 0: compact single line; indent > 0: pretty-print
   /// with that many spaces per level.
@@ -91,31 +112,67 @@ class Json {
   class Writer;  ///< dump()'s chunked output buffer (json.cpp)
   class Parser;  ///< parse()'s recursive-descent reader (json.cpp)
 
+  /// The tags from kLong on own a heap block.
+  enum Tag : std::uint8_t {
+    kNull, kBool, kInt, kDouble, kShort, kLong, kArray, kObject
+  };
+  static constexpr std::size_t kShortMax = 14;
+
+  explicit Json(Tag container) { r_.h = {container, 0, {nullptr}}; }
+  [[nodiscard]] Tag tag() const { return r_.s.tag; }
   static std::int64_t checked_unsigned(std::uint64_t u);
+  void release();
+  /// Moves the entries to a block with room for `cap`.
+  void regrow(std::size_t cap);
+  /// The member named `key`, or the end of the members.
+  [[nodiscard]] Member* lookup(std::string_view key) const;
+  [[nodiscard]] std::string_view str() const {
+    return tag() == kShort ? std::string_view(r_.s.chars, r_.s.len)
+                           : std::string_view(r_.h.chars, r_.h.n);
+  }
   void dump_impl(Writer& out, int indent, int depth) const;
 
-  std::variant<std::nullptr_t, bool, std::int64_t, double, std::string,
-               Array, Object>
-      v_ = nullptr;
+  // Each form starts with the tag. A short string's bytes past its length
+  // are zero, so two short strings are equal when their 16 bytes are.
+  // The items' or members' block keeps its capacity in the word before.
+  union Rep {
+    struct { Tag tag; std::uint8_t len; char chars[kShortMax]; } s;
+    struct { Tag tag; std::uint32_t n; union { char* chars; Json* items;
+                                               Member* members; }; } h;
+    struct { Tag tag; union { bool b; std::int64_t i; double d; }; } v;
+  } r_ = {};
 };
 
-/// A value of a persisted document (cluster config, model file) together
-/// with its field path, for the readers of those documents: every typed
-/// access that finds something else throws lmo::Error
-/// "<doc>: field '<path>' ...", naming the exact field — e.g.
-/// "topology.levels[1].bandwidth_bps" or "lmo.L[2][5]".
+struct Json::Member {
+  Json first;
+  Json second;
+};
+static_assert(sizeof(Json) == 16 && sizeof(Json::Member) == 32);
+
+/// A value of a persisted document (cluster config, model file), for the
+/// readers of those documents: every typed access that finds something
+/// else throws lmo::Error "<doc>: field '<path>' ...", naming the exact
+/// field — e.g. "topology.levels[1].bandwidth_bps" or "lmo.L[2][5]". The
+/// path is spelled out by a search from the root only when an error needs
+/// it, so reading a field allocates nothing.
 class JsonField {
  public:
   /// The document root; `doc` ("cluster config", "model") prefixes every
   /// error and must outlive the field.
-  JsonField(const Json& root, const char* doc) : v_(root), doc_(doc) {}
+  JsonField(const Json& root, const char* doc) : JsonField(root, doc, kRoot) {}
+  /// Item `item` of an array, read as a document named "<doc>[<item>]".
+  JsonField(const Json& root, const char* doc, std::size_t item)
+      : v_(root), root_(root), doc_(doc), item_(item) {}
   JsonField(Json&&, const char*) = delete;  // would dangle
+  JsonField(Json&&, const char*, std::size_t) = delete;
 
-  [[nodiscard]] bool has(const std::string& key) const {
-    return v_.find(key) != nullptr;
+  /// Object member, or none when absent (or this is not an object).
+  [[nodiscard]] std::optional<JsonField> find(std::string_view key) const {
+    const Json* j = v_.find(key);
+    return j == nullptr ? std::nullopt : std::optional(JsonField(*j, *this));
   }
   /// Object member; throws naming the missing field.
-  [[nodiscard]] JsonField operator[](const std::string& key) const;
+  [[nodiscard]] JsonField operator[](std::string_view key) const;
   /// Array element; throws unless this is an array holding index i.
   [[nodiscard]] JsonField operator[](std::size_t i) const;
   /// Member names of an object, in document order; throws unless this is
@@ -132,19 +189,22 @@ class JsonField {
       std::int64_t lo = std::numeric_limits<std::int64_t>::min(),
       std::int64_t hi = std::numeric_limits<std::int64_t>::max()) const;
   [[nodiscard]] bool boolean() const;
-  [[nodiscard]] const std::string& string() const;
+  [[nodiscard]] std::string_view string() const;
   [[nodiscard]] std::vector<double> numbers() const;  ///< array of finite
 
   /// Throw "<doc>: field '<path>' <what>".
   [[noreturn]] void fail(const std::string& what) const;
 
  private:
-  JsonField(const Json& v, std::string path, const char* doc)
-      : v_(v), path_(std::move(path)), doc_(doc) {}
+  static constexpr std::size_t kRoot = std::size_t(-1);
+  JsonField(const Json& v, const JsonField& parent)
+      : v_(v), root_(parent.root_), doc_(parent.doc_), item_(parent.item_) {}
+  [[nodiscard]] std::string doc_name() const;  ///< "<doc>" or "<doc>[<item>]"
 
   const Json& v_;
-  std::string path_;  ///< empty at the document root
+  const Json& root_;
   const char* doc_;
+  std::size_t item_;  ///< kRoot, or the array index the document name ends in
 };
 
 /// Write `text` to the file at `path` in place; throws lmo::Error naming

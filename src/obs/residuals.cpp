@@ -248,8 +248,8 @@ std::vector<std::string> fidelity_drift(const Json& baseline,
                        " models, baseline has " +
                        std::to_string(brank.size()));
   for (std::size_t r = 0; r < brank.size() && r < crank.size(); ++r) {
-    const std::string& bm = brank[r].at("model").as_string();
-    const std::string& cm = crank[r].at("model").as_string();
+    const std::string bm(brank[r].at("model").as_string());
+    const std::string cm(crank[r].at("model").as_string());
     if (bm != cm) {
       failures.push_back("rank " + std::to_string(r + 1) + " is " + cm +
                          ", baseline says " + bm);

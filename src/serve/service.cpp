@@ -211,7 +211,7 @@ obs::Json Service::handle(const obs::Json& request) {
     const obs::Json* op = request.find("op");
     LMO_CHECK_MSG(op != nullptr && op->is_string(),
                   "request needs a string \"op\"");
-    const std::string& name = op->as_string();
+    const std::string_view name = op->as_string();
     if (name == "predict") return op_predict(request);
     if (name == "predict_collective") return op_predict_collective(request);
     if (name == "tune") return op_tune(request);
@@ -219,7 +219,7 @@ obs::Json Service::handle(const obs::Json& request) {
     if (name == "stats") return op_stats(request);
     if (name == "snapshot") return op_snapshot(request);
     if (name == "shutdown") return ok_response("shutdown");
-    throw Error("unknown op '" + name +
+    throw Error("unknown op '" + std::string(name) +
                 "' (expected predict, predict_collective, tune, measure, "
                 "stats, snapshot, or shutdown)");
   } catch (const std::exception& e) {
@@ -280,9 +280,9 @@ obs::Json Service::op_predict(const obs::Json& req) {
     queries.push_back(parse_query(qs->items()[k], k, cfg_.size()));
   std::vector<std::string> models;
   if (const obs::Json* ms = req.find("models")) {
-    for (const obs::Json& m : ms->items()) models.push_back(m.as_string());
+    for (const obs::Json& m : ms->items()) models.emplace_back(m.as_string());
   } else if (const obs::Json* m = req.find("model")) {
-    models.push_back(m->as_string());
+    models.emplace_back(m->as_string());
   } else {
     models.assign(kServeModels.begin(), kServeModels.end());
   }
@@ -311,9 +311,10 @@ obs::Json Service::op_predict(const obs::Json& req) {
 core::TunedDecision Service::decision_from(const obs::Json& req,
                                            bool need_algorithm) const {
   core::TunedDecision d;
-  d.kind = core::parse_collective(req.at("collective").as_string());
+  d.kind =
+      core::parse_collective(std::string(req.at("collective").as_string()));
   if (const obs::Json* a = req.find("algorithm"))
-    d.algorithm = core::parse_algorithm(a->as_string());
+    d.algorithm = core::parse_algorithm(std::string(a->as_string()));
   else
     LMO_CHECK_MSG(!need_algorithm,
                   "predict_collective needs an \"algorithm\" (use the tune "

@@ -143,9 +143,10 @@ Json to_json(const ClusterConfig& cfg) {
 
 ClusterConfig cluster_from_json(const Json& doc) {
   const JsonField root(doc, "cluster config");
-  const std::string& schema = root["schema"].string();
+  const std::string_view schema = root["schema"].string();
   if (schema != "lmo.cluster/2")
-    root["schema"].fail("= '" + schema + "', expected 'lmo.cluster/2'");
+    root["schema"].fail("= '" + std::string(schema) +
+                        "', expected 'lmo.cluster/2'");
 
   ClusterConfig cfg;
   const JsonField cl = root["cluster"];
@@ -165,7 +166,7 @@ ClusterConfig cluster_from_json(const Json& doc) {
   q.frag_leap_s = qj["frag_leap_s"].number();
   q.send_buffer = qj["send_buffer"].integer();
 
-  if (root.has("profiles")) {
+  if (root.find("profiles")) {
     const JsonField profiles = root["profiles"];
     for (std::size_t k = 0; k < profiles.size(); ++k) {
       NodeProfile p;
@@ -188,7 +189,7 @@ ClusterConfig cluster_from_json(const Json& doc) {
       cfg.profile_of.insert(cfg.profile_of.end(), std::size_t(count), idx);
     }
     cfg.materialize_profiles();
-    if (root.has("overrides")) {
+    if (root.find("overrides")) {
       const JsonField overrides = root["overrides"];
       for (std::size_t k = 0; k < overrides.size(); ++k) {
         const auto rank = overrides[k]["rank"].integer(0, cfg.size() - 1);
@@ -201,7 +202,7 @@ ClusterConfig cluster_from_json(const Json& doc) {
       cfg.nodes.push_back(node_params_from_json(nodes[i]));
   }
 
-  if (root.has("topology")) {
+  if (root.find("topology")) {
     const JsonField topo = root["topology"];
     const JsonField levels = topo["levels"];
     std::vector<TopologyLevel> specs;
@@ -214,7 +215,7 @@ ClusterConfig cluster_from_json(const Json& doc) {
       lv.contended = level["contended"].boolean();
       specs.push_back(std::move(lv));
     }
-    const bool balanced = topo.has("fanout");
+    const bool balanced = topo.find("fanout").has_value();
     const JsonField places = topo[balanced ? "fanout" : "groups"];
     places.expect_size(specs.size());  // one entry per level
     if (balanced) {

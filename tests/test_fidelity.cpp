@@ -225,7 +225,7 @@ TEST(FidelityTest, FaultyRunMarksRecorderDegradedWithDump) {
   EXPECT_TRUE(doc.at("degraded").as_bool());
   bool saw_trouble = false, saw_round = false;
   for (const obs::Json& e : doc.at("events").items()) {
-    const std::string& name = e.at("name").as_string();
+    const std::string_view name = e.at("name").as_string();
     if (name == "fault_injected" || name == "timeout" ||
         name == "retry_wave" || name == "poisoned")
       saw_trouble = true;

@@ -185,7 +185,7 @@ TEST(ParamsIo, RejectsMalformed) {
   auto without = [&](const char* section) {
     obs::Json doc = obs::Json::object();
     for (const auto& [key, value] : valid.entries())
-      if (key != section) doc[key] = value;
+      if (key.as_string() != section) doc[key.as_string()] = value;
     return [doc] { (void)core::model_from_json(doc); };
   };
   expect_error_naming(without("gather_empirical"),

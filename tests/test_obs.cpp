@@ -4,13 +4,18 @@
 // contract (the "Obs" suites run under CI TSan).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -94,9 +99,9 @@ TEST(Json, ObjectsPreserveInsertionOrder) {
   const Json parsed = Json::parse(doc.dump());
   const auto& entries = parsed.entries();
   ASSERT_EQ(entries.size(), 3u);
-  EXPECT_EQ(entries[0].first, "zebra");
-  EXPECT_EQ(entries[1].first, "alpha");
-  EXPECT_EQ(entries[2].first, "mid");
+  EXPECT_EQ(entries[0].first.as_string(), "zebra");
+  EXPECT_EQ(entries[1].first.as_string(), "alpha");
+  EXPECT_EQ(entries[2].first.as_string(), "mid");
 }
 
 TEST(Json, RepeatedKeysKeepTheirFirstPlaceAndTheirLastValue) {
@@ -105,16 +110,16 @@ TEST(Json, RepeatedKeysKeepTheirFirstPlaceAndTheirLastValue) {
       R"({"a": 1, "b": {"x": 1, "y": {"z": 2}, "x": 3}, "a": 4, "c": {}})");
   const auto& top = p.entries();
   ASSERT_EQ(top.size(), 3u);
-  EXPECT_EQ(top[0].first, "a");
+  EXPECT_EQ(top[0].first.as_string(), "a");
   EXPECT_EQ(top[0].second.as_int(), 4);
-  EXPECT_EQ(top[1].first, "b");
-  EXPECT_EQ(top[2].first, "c");
+  EXPECT_EQ(top[1].first.as_string(), "b");
+  EXPECT_EQ(top[2].first.as_string(), "c");
   EXPECT_EQ(top[2].second.size(), 0u);
   const auto& b = top[1].second.entries();
   ASSERT_EQ(b.size(), 2u);
-  EXPECT_EQ(b[0].first, "x");
+  EXPECT_EQ(b[0].first.as_string(), "x");
   EXPECT_EQ(b[0].second.as_int(), 3);
-  EXPECT_EQ(b[1].first, "y");
+  EXPECT_EQ(b[1].first.as_string(), "y");
   EXPECT_EQ(b[1].second.at("z").as_int(), 2);
 }
 
@@ -153,6 +158,84 @@ TEST(Json, DoublesDumpInTheShortestRoundTripForm) {
     const double v = back[i].as_double();
     EXPECT_EQ(std::memcmp(&v, &values[i], sizeof v), 0) << arr[i].dump();
   }
+}
+
+/// The reference formatter: the shortest of the %.15g / %.16g / %.17g
+/// forms that reads back as d, and null for nan and inf.
+std::string precision_loop(double d) {
+  if (!std::isfinite(d)) return "null";
+  char buf[32];
+  char* end = buf;
+  for (const int prec : {15, 16, 17}) {
+    end = std::to_chars(buf, buf + sizeof buf, d, std::chars_format::general,
+                        prec)
+              .ptr;
+    double back = 0.0;
+    const auto read = std::from_chars(buf, end, back);
+    if (read.ec == std::errc() && back == d) break;
+  }
+  return std::string(buf, end);
+}
+
+/// Dumps `values` as one array, in batches, and counts the items that
+/// differ from the oracle, reporting the first few.
+int oracle_mismatches(const std::vector<double>& values) {
+  constexpr std::size_t kBatch = 1 << 16;
+  int bad = 0;
+  for (std::size_t first = 0; first < values.size(); first += kBatch) {
+    const std::size_t last = std::min(values.size(), first + kBatch);
+    Json arr = Json::array();
+    arr.reserve(last - first);
+    for (std::size_t i = first; i < last; ++i) arr.push_back(values[i]);
+    const std::string text = arr.dump();
+    std::size_t at = 1;
+    for (std::size_t i = first; i < last; ++i) {
+      const std::size_t end = text.find_first_of(",]", at);
+      const std::string got = text.substr(at, end - at);
+      if (got != precision_loop(values[i]) && ++bad <= 5)
+        ADD_FAILURE() << std::hexfloat << values[i] << " dumps as " << got
+                      << ", the oracle says " << precision_loop(values[i]);
+      at = end + 1;
+    }
+  }
+  return bad;
+}
+
+TEST(JsonDouble, ShortestFormMatchesThePrecisionLoopOracle) {
+  // Where the layout switches between fixed and exponent forms, the
+  // extremes, zero, and every subnormal class.
+  std::vector<double> values = {0.0, -0.0, 1e-5, 1e-4, 1.5e-5, 1e14, 1e15,
+                                1e16, 1e17, 123456789012345.6,
+                                1234567890123456.0, 9007199254740993.0,
+                                std::numeric_limits<double>::min(),
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN()};
+  for (const double d : std::vector<double>(values))
+    EXPECT_EQ(Json(d).dump(), precision_loop(d)) << std::hexfloat << d;
+  // Every power of two, where the rounding interval is lopsided, and its
+  // neighbours.
+  for (int e = -1074; e <= 1023; ++e)
+    for (const double sign : {1.0, -1.0}) {
+      const double d = std::ldexp(sign, e);
+      values.insert(values.end(), {d, std::nextafter(d, 0.0),
+                                   std::nextafter(d, 2.0 * d)});
+    }
+  // Decimals of 1 to 17 significant digits: short forms lay out in fixed
+  // notation up to an exponent of 14, where %.15g stops.
+  std::mt19937_64 rng(20261020);
+  for (int i = 0; i < 200000; ++i) {
+    std::uint64_t m = rng() % 100000000000000000ull;
+    for (int k = int(rng() % 17); k > 0; --k) m /= 10;
+    const int e = int(rng() % 60) - 30;
+    values.push_back(std::strtod(
+        (std::to_string(m) + "e" + std::to_string(e)).c_str(), nullptr));
+  }
+  // 2M random bit patterns: every class, nan and inf included.
+  for (int i = 0; i < 2000000; ++i)
+    values.push_back(std::bit_cast<double>(std::uint64_t(rng())));
+  EXPECT_EQ(oracle_mismatches(values), 0) << "of " << values.size();
 }
 
 TEST(Json, NumbersReadAsStrtodHadThemButALeadingPlusIsRefused) {

@@ -361,6 +361,162 @@ TEST(MeasurementStoreTest, JsonRoundTripIsBitExact) {
   }
 }
 
+// ------------------------------------------------------ store mutation --
+
+/// A small store holding every shape of entry: both ends, a reply, a
+/// count, a long kind name, and a quarantined value.
+std::string small_store_text() {
+  MeasurementStore store;
+  store.set_cluster(4, 7);
+  store.insert(ExperimentKey::roundtrip(0, 1, 0, 0), 1.25e-5);
+  store.insert(ExperimentKey::one_to_two({0, 1, 2}, 4096, 0), 3.5e-4);
+  store.insert(ExperimentKey::saturation_gap(1, 2, 1024, 8), 2e-3);
+  store.insert(ExperimentKey::scatter_observation(0, 8192, 1), 0.1);
+  store.quarantine(ExperimentKey::send_overhead(2, 3, 256), 7e-6);
+  return store.to_json().dump();
+}
+
+/// `text` through Json::parse and MeasurementStore::from_json. A load must
+/// dump to bytes that load and dump to themselves; a refusal must be an
+/// lmo::Error naming a parse offset or a store field. Returns the dump,
+/// or "" on a refusal.
+std::string load_or_named_error(const std::string& text) {
+  std::string dumped;
+  try {
+    dumped =
+        MeasurementStore::from_json(obs::Json::parse(text)).to_json().dump();
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_TRUE(what.rfind("JSON parse error at offset ", 0) == 0 ||
+                what.rfind("measurement store", 0) == 0)
+        << what;
+    return "";
+  }
+  EXPECT_EQ(MeasurementStore::from_json(obs::Json::parse(dumped))
+                .to_json()
+                .dump(),
+            dumped);
+  return dumped;
+}
+
+TEST(StoreMutationTest, TruncationsAndByteFlipsFailNamedOrRoundTrip) {
+  const std::string text = small_store_text();
+  EXPECT_EQ(load_or_named_error(text), text);
+  for (std::size_t n = 0; n < text.size(); ++n)
+    EXPECT_EQ(load_or_named_error(text.substr(0, n)), "") << n << " bytes";
+  Rng rng(20261020);
+  int loaded = 0;
+  for (int i = 0; i < 4000; ++i) {
+    std::string flipped = text;
+    flipped[rng.next_u64() % text.size()] ^= char(1 << (rng.next_u64() % 8));
+    loaded += !load_or_named_error(flipped).empty();
+  }
+  EXPECT_GT(loaded, 0) << "no flip left a loadable store";
+}
+
+TEST(StoreMutationTest, RepeatedKeysKeepTheirFirstPlaceAndTheirLastValue) {
+  const std::string text = small_store_text();
+  // A repeated top-level key, and a repeated value inside the first entry.
+  std::string repeated = text;
+  repeated.insert(repeated.size() - 1, R"(,"schema":"lmo.measurements/1")");
+  const std::size_t value = repeated.find(R"("value":)");
+  repeated.insert(value, R"("value":"overwritten",)");
+  EXPECT_EQ(load_or_named_error(repeated), text);
+  // Both ways round: the later value is the one read.
+  std::string wrong = text;
+  wrong.insert(wrong.size() - 1, R"(,"schema":"lmo.measurements/0")");
+  EXPECT_EQ(load_or_named_error(wrong), "");
+}
+
+TEST(StoreMutationTest, NestingPastTheParserLimitFailsAtItsOffset) {
+  // An entry value nested in arrays: the document's object, the entries
+  // array and the entry object are three levels, so `depth` levels in all.
+  for (const int depth : {255, 256, 257}) {
+    const int arrays = depth - 3;
+    const std::string doc =
+        R"({"schema":"lmo.measurements/1","entries":[{"kind":"roundtrip",)"
+        R"("a":0,"b":1,"m":0,"reply":0,"value":)" +
+        std::string(std::size_t(arrays), '[') + "1" +
+        std::string(std::size_t(arrays), ']') + "}]}";
+    try {
+      (void)MeasurementStore::from_json(obs::Json::parse(doc));
+      ADD_FAILURE() << depth << " levels loaded";
+    } catch (const Error& e) {
+      const std::string want =
+          depth <= 256 ? "measurement store entries[0]: field 'value' must "
+                         "be a number"
+                       : "JSON parse error at offset " +
+                             std::to_string(doc.find('[', doc.find("value")) +
+                                            std::size_t(arrays) - 1) +
+                             ": nesting deeper than 256 levels";
+      EXPECT_EQ(std::string(e.what()), want) << depth << " levels";
+    }
+  }
+}
+
+TEST(StoreMutationTest, NumericExtremesLoadExactlyOrFailNamed) {
+  const std::string text = small_store_text();
+  const auto with = [&](const std::string& field, const std::string& value) {
+    std::string out = text;
+    const std::size_t at = out.find("\"" + field + "\":") + field.size() + 3;
+    return out.replace(at, out.find_first_of(",}", at) - at, value);
+  };
+  for (const char* v :
+       {"1e308", "-1e308", "1.7976931348623157e308", "2.2250738585072014e-308",
+        "5e-324", "4.9406564584124654e-324", "-0", "0", "1e-400",
+        "9223372036854775807", "-9223372036854775808", "9223372036854775808",
+        "123456789012345678901234567890"}) {
+    const std::string dumped = load_or_named_error(with("value", v));
+    ASSERT_FALSE(dumped.empty()) << v;
+    const double want = std::strtod(v, nullptr);
+    const double got = obs::Json::parse(dumped)
+                           .at("entries")[0]
+                           .at("value")
+                           .as_double();
+    EXPECT_TRUE(got == want) << v << " read back as " << got;
+  }
+  const std::vector<std::pair<std::string, std::string>> refused = {
+      {"value", "1e400"}, {"value", "-1e999"}, {"a", "-1"},
+      {"a", "1e400"},     {"m", "9.5"},        {"m", "-9223372036854775809"},
+      {"count", "2147483648"}};
+  for (const auto& [field, v] : refused)
+    EXPECT_EQ(load_or_named_error(with(field, v)), "") << field << " = " << v;
+}
+
+TEST(MeasurementStoreTest, BadValueDeepInThePaperStoreNamesItsEntry) {
+  // The paper-16 seed-1 store: entry 12345 is read as a document of its
+  // own, "measurement store entries[12345]", and the error names it.
+  const auto cfg = sim::make_paper_cluster(/*seed=*/1);
+  vmpi::World world(cfg);
+  mpib::MeasureOptions m;
+  m.jobs = 1;
+  SimExperimenter ex(world, m);
+  MeasurementStore store;
+  store.set_cluster(cfg.size(), cfg.seed);
+  (void)estimate_model_suite(ex, store);
+  const obs::Json saved = store.to_json();
+  ASSERT_GT(saved.at("entries").size(), 12345u);
+  obs::Json doc = obs::Json::object();
+  doc["schema"] = saved.at("schema");
+  doc["cluster"] = saved.at("cluster");
+  obs::Json entries = obs::Json::array();
+  const obs::Json::Array saved_entries = saved.at("entries").items();
+  for (std::size_t i = 0; i < saved_entries.size(); ++i) {
+    obs::Json e = saved_entries[i];
+    if (i == 12345) e["value"] = "x";
+    entries.push_back(std::move(e));
+  }
+  doc["entries"] = std::move(entries);
+  try {
+    (void)MeasurementStore::from_json(doc);
+    FAIL() << "a string value loaded";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "measurement store entries[12345]: field 'value' must be a "
+              "number");
+  }
+}
+
 TEST(MeasurementStoreTest, BindClusterAdoptsUnknownAndRefusesForeign) {
   MeasurementStore store;  // provenance unknown: adopts the first cluster
   store.bind_cluster(8, 3);

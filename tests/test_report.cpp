@@ -45,7 +45,7 @@ TEST(ReportTest, SchemaGolden) {
   EXPECT_EQ(doc.at("provenance").at("seed").as_int(), 42);
   EXPECT_EQ(doc.at("provenance").at("jobs").as_int(), 4);
   EXPECT_FALSE(doc.at("provenance").at("compiler").as_string().empty());
-  const std::string& build = doc.at("provenance").at("build").as_string();
+  const std::string_view build = doc.at("provenance").at("build").as_string();
   EXPECT_TRUE(build == "release" || build == "debug");
   ASSERT_EQ(doc.at("tables").size(), 1u);
   EXPECT_EQ(doc.at("tables")[0].at("title").as_string(), "t");
@@ -59,11 +59,11 @@ TEST(ReportTest, SchemaGolden) {
   // diff cleanly across runs.
   const auto& entries = doc.entries();
   ASSERT_GE(entries.size(), 5u);
-  EXPECT_EQ(entries[0].first, "schema");
-  EXPECT_EQ(entries[1].first, "tool");
-  EXPECT_EQ(entries[2].first, "created_unix");
-  EXPECT_EQ(entries[3].first, "wall_seconds");
-  EXPECT_EQ(entries[4].first, "provenance");
+  EXPECT_EQ(entries[0].first.as_string(), "schema");
+  EXPECT_EQ(entries[1].first.as_string(), "tool");
+  EXPECT_EQ(entries[2].first.as_string(), "created_unix");
+  EXPECT_EQ(entries[3].first.as_string(), "wall_seconds");
+  EXPECT_EQ(entries[4].first.as_string(), "provenance");
 }
 
 TEST(ReportTest, DuplicateSectionThrowsNamingTheSection) {

@@ -64,7 +64,7 @@ std::string error_of(const std::string& body) {
   const obs::Json r = shared_service().handle(req(body));
   EXPECT_FALSE(r.at("ok").as_bool()) << body;
   const obs::Json* e = r.find("error");
-  return e != nullptr ? e->as_string() : std::string();
+  return e != nullptr ? std::string(e->as_string()) : std::string();
 }
 
 TEST(ServePredictTest, EveryModelBitIdenticalToScalar) {

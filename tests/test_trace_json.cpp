@@ -56,7 +56,7 @@ TEST(TraceJson, ObjectFormParsesBack) {
   EXPECT_EQ(complete.size(), 2 * trace.size());
   bool saw_transfer = false, saw_recv = false;
   for (const obs::Json* e : complete) {
-    const std::string& name = e->at("name").as_string();
+    const std::string_view name = e->at("name").as_string();
     saw_transfer |= name.rfind("transfer ", 0) == 0;
     saw_recv |= name.rfind("recv ", 0) == 0;
     EXPECT_EQ(e->at("pid").as_int(), obs::kSimPid);
@@ -73,8 +73,8 @@ TEST(TraceJson, MetadataLabelsRankTracks) {
   const obs::Json doc = chrome_doc(trace);
   bool process_named = false, rank0_named = false;
   for (const obs::Json* e : events_of(doc, "M")) {
-    const std::string& kind = e->at("name").as_string();
-    const std::string& label = e->at("args").at("name").as_string();
+    const std::string_view kind = e->at("name").as_string();
+    const std::string_view label = e->at("args").at("name").as_string();
     if (kind == "process_name" && e->at("pid").as_int() == obs::kSimPid)
       process_named = true;
     if (kind == "thread_name" && e->at("tid").as_int() == 0)
