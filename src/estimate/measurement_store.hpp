@@ -134,6 +134,10 @@ class MeasurementStore {
   [[nodiscard]] std::shared_ptr<const StoreSnapshot> snapshot() const;
 
  private:
+  /// insert()/quarantine() with mu_ already held exclusively.
+  void insert_locked(const ExperimentKey& key, double seconds);
+  void quarantine_locked(const ExperimentKey& key, double suspect_seconds);
+
   /// Readers (lookup/contains/at/size/to_json/...) take shared ownership;
   /// writers (insert/quarantine/merge_from/...) take exclusive.
   mutable std::shared_mutex mu_;
