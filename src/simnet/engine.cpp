@@ -11,7 +11,7 @@ namespace lmo::sim {
 // 4-ary layout: children of i are 4i+1 .. 4i+4. Versus a binary heap this
 // halves the sift depth (and therefore the node moves) at the cost of up to
 // three extra comparisons per level — a good trade for the contiguous
-// 24-byte nodes, which the comparisons hit in cache anyway.
+// 16-byte nodes, which the comparisons hit in cache anyway.
 
 void Engine::heap_push(Node n) {
   heap_.push_back(n);
@@ -71,6 +71,29 @@ void Engine::schedule_at(SimTime t, Action fn) {
   if (heap_.size() > max_pending_) max_pending_ = heap_.size();
 }
 
+std::uint64_t Engine::take_seq(std::uint64_t n) {
+  LMO_CHECK_MSG(n <= Node::kMaxSeq - next_seq_,
+                "event queue exhausted its packed (seq, slot) space");
+  const std::uint64_t first = next_seq_;
+  next_seq_ += n;
+  return first;
+}
+
+void Engine::enter_inline(std::uint64_t seq) {
+  LMO_CHECK_MSG(seq < next_seq_, "an inline key needs a taken seq");
+  enter(now_, seq);
+}
+
+void Engine::enter(SimTime t, std::uint64_t seq) {
+#ifndef NDEBUG
+  LMO_CHECK_MSG((!entered_ || Key{now_, seq_} < Key{t, seq}),
+                "engine keys must rise within a run");
+  entered_ = true;
+#endif
+  now_ = t;
+  seq_ = seq;
+}
+
 bool Engine::step() {
   if (heap_.empty()) return false;
   const Node n = heap_pop();
@@ -80,7 +103,7 @@ bool Engine::step() {
   const std::uint32_t slot = n.slot();
   Action fn = std::move(slab_[slot]);
   free_slots_.push_back(slot);
-  now_ = n.t;
+  enter(n.t, n.seq_slot >> Node::kSlotBits);
   ++executed_;
   if (flight_)
     flight_->record(std::uint64_t(now_.ns()), obs::FlightEvent::kEngineEvent,
@@ -100,6 +123,8 @@ void Engine::reset() {
                 "Engine::reset() with pending events — run to completion or "
                 "discard_pending() first");
   now_ = SimTime::zero();
+  seq_ = 0;
+  entered_ = false;
   next_seq_ = 0;  // order is relative, so restarting the counter is
                   // behavior-identical and keeps the packed seq space per-run
   executed_ = 0;

@@ -9,7 +9,7 @@
 // an event would have to *copy* its closure out (the bug this design
 // replaces). Here the heap orders small trivially-copyable {time, seq, slot}
 // nodes while the Actions sit untouched in a slab with a free list — sifts
-// shuffle 24-byte keys, never closures, and pop_min() genuinely moves the
+// shuffle 16-byte keys, never closures, and pop_min() genuinely moves the
 // Action out of its slot. Together with Action's inline capture storage the
 // schedule/fire cycle is allocation-free once slab and heap have grown to
 // the high-water mark. The pop order is a pure function of the (t, seq)
@@ -32,7 +32,29 @@ class Engine {
  public:
   using Action = sim::Action;
 
+  /// An event's place in the total order: time, then insertion order.
+  struct Key {
+    SimTime t;
+    std::uint64_t seq = 0;
+    friend bool operator<(const Key& a, const Key& b) {
+      return a.t != b.t ? a.t < b.t : a.seq < b.seq;
+    }
+  };
+
   [[nodiscard]] SimTime now() const { return now_; }
+
+  /// Key of the running event (or of the last one run). Every key below
+  /// it has run this run; every key above it has not.
+  [[nodiscard]] Key current() const { return {now_, seq_}; }
+
+  /// Take `n` consecutive seqs without scheduling anything, and return the
+  /// first: the keys events would have had, for work that must order like
+  /// an event but needs no action of its own.
+  std::uint64_t take_seq(std::uint64_t n = 1);
+
+  /// Make (now, seq) the running key of work the caller runs inline, for a
+  /// seq taken with take_seq(). Inline keys join the order of popped ones.
+  void enter_inline(std::uint64_t seq);
 
   /// Schedule `fn` at absolute time `t` (>= now).
   void schedule_at(SimTime t, Action fn);
@@ -115,8 +137,13 @@ class Engine {
 
   void heap_push(Node n);
   Node heap_pop();
+  /// Make (t, seq) the running key. Debug builds check that keys only
+  /// rise within a run.
+  void enter(SimTime t, std::uint64_t seq);
 
   SimTime now_ = SimTime::zero();
+  std::uint64_t seq_ = 0;      ///< seq of the running event
+  bool entered_ = false;       ///< debug builds: a key ran since reset()
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::uint64_t actions_spilled_ = 0;

@@ -25,7 +25,6 @@ Fabric::Fabric(const ClusterConfig& cfg, std::uint64_t seed) : cfg_(&cfg) {
   }
   egress_.resize(n);
   ingress_.resize(n);
-  inflows_.assign(n, 0);
   node_rng_.resize(n);
   const Topology& topo = cfg.topology;
   if (!topo.empty() && topo.any_contended()) {
@@ -86,11 +85,11 @@ double Fabric::pair_rate(int src, int dst) const {
   return cap > 0.0 ? std::min(endpoint, cap) : endpoint;
 }
 
-double Fabric::escalation_seconds(int dst, Bytes n) {
+double Fabric::escalation_seconds(int dst, Bytes n, bool converging) {
   const TcpQuirks& q = cfg_->quirks;
   if (!q.enabled) return 0.0;
   if (n <= q.escalation_min || n > q.rendezvous_threshold) return 0.0;
-  if (inflows_[std::size_t(dst)] < 1) return 0.0;  // needs converging traffic
+  if (!converging) return 0.0;
   const double band =
       double(n - q.escalation_min) /
       double(q.rendezvous_threshold - q.escalation_min);
@@ -108,7 +107,8 @@ double Fabric::escalation_seconds(int dst, Bytes n) {
   return q.escalation_values_s.back();
 }
 
-WireTiming Fabric::transfer(int src, int dst, Bytes n, SimTime ready) {
+WireTiming Fabric::transfer(int src, int dst, Bytes n, SimTime ready,
+                            bool converging) {
   LMO_CHECK(src >= 0 && src < size());
   LMO_CHECK(dst >= 0 && dst < size());
   LMO_CHECK_MSG(src != dst, "self-transfer does not touch the fabric");
@@ -140,7 +140,8 @@ WireTiming Fabric::transfer(int src, int dst, Bytes n, SimTime ready) {
   // time (both ports run at beta_ij = min of the two line rates).
   const SimTime ingress_start =
       ingress_[std::size_t(dst)].reserve(avail + latency, wire_time);
-  w.escalation = SimTime::from_seconds_clamped(escalation_seconds(dst, n));
+  w.escalation =
+      SimTime::from_seconds_clamped(escalation_seconds(dst, n, converging));
   if (w.escalation > SimTime::zero()) ++counters_.escalations;
   w.arrival = ingress_start + wire_time + w.escalation;
   return w;
@@ -171,23 +172,11 @@ SimTime Fabric::send_buffer_time(int src, int dst) const {
                                pair_rate(src, dst));
 }
 
-void Fabric::begin_inflow(int dst) {
-  LMO_CHECK(dst >= 0 && dst < size());
-  ++inflows_[std::size_t(dst)];
-}
-
-void Fabric::end_inflow(int dst) {
-  LMO_CHECK(dst >= 0 && dst < size());
-  LMO_CHECK(inflows_[std::size_t(dst)] > 0);
-  --inflows_[std::size_t(dst)];
-}
-
 void Fabric::reset_timelines() {
   for (auto& t : egress_) t.reset();
   for (auto& t : ingress_) t.reset();
   for (auto& level : shared_)
     for (auto& t : level) t.reset();
-  for (auto& c : inflows_) c = 0;
 }
 
 void Fabric::reseed(std::uint64_t seed) {

@@ -62,9 +62,11 @@ class Fabric {
   [[nodiscard]] SimTime recv_cpu_cost(int dst, Bytes n);
 
   /// Reserve egress/ingress for an n-byte transfer ready at `ready`;
-  /// applies the escalation quirk. Zero-byte messages still occupy the wire
-  /// for one minimal frame.
-  WireTiming transfer(int src, int dst, Bytes n, SimTime ready);
+  /// applies the escalation quirk, which needs other traffic still
+  /// converging on dst (`converging`; the caller knows the message order).
+  /// Zero-byte messages still occupy the wire for one minimal frame.
+  WireTiming transfer(int src, int dst, Bytes n, SimTime ready,
+                      bool converging);
 
   /// True if the protocol switches to rendezvous for this size.
   [[nodiscard]] bool use_rendezvous(Bytes n) const;
@@ -80,12 +82,7 @@ class Fabric {
   /// completes: as long as the backlog fits the socket send buffer.
   [[nodiscard]] SimTime send_buffer_time(int src, int dst) const;
 
-  /// In-flight (announced but not yet fully received) message count per
-  /// destination; drives the escalation quirk.
-  void begin_inflow(int dst);
-  void end_inflow(int dst);
-
-  /// Reset wire timelines and inflow counts between measurement runs.
+  /// Reset wire timelines between measurement runs.
   /// RNG state is preserved so repeated runs see fresh noise.
   void reset_timelines();
 
@@ -105,7 +102,7 @@ class Fabric {
 
  private:
   [[nodiscard]] SimTime noised(double seconds, Rng& rng);
-  [[nodiscard]] double escalation_seconds(int dst, Bytes n);
+  [[nodiscard]] double escalation_seconds(int dst, Bytes n, bool converging);
   /// L_ij / beta_ij priced from the SoA arrays + the topology's per-level
   /// caches; bit-identical to ClusterConfig::latency()/rate().
   [[nodiscard]] double pair_latency(int src, int dst) const;
@@ -126,7 +123,6 @@ class Fabric {
   /// l. Empty (never touched) for non-contended levels and flat configs.
   std::vector<std::vector<Timeline>> shared_;
   std::vector<Rng> node_rng_;
-  std::vector<int> inflows_;
   Counters counters_;
 };
 

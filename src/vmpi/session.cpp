@@ -200,6 +200,7 @@ SimSession::SimSession(std::shared_ptr<const sim::ClusterConfig> cfg,
   pending_.resize(std::size_t(n));
   queue_dirty_.assign(std::size_t(n), 0);
   dirty_dsts_.reserve(std::size_t(n));
+  inflow_.resize(std::size_t(n));
   static obs::Counter built =
       obs::Registry::global().counter("sim.sessions_built");
   built.inc();
@@ -244,6 +245,12 @@ void SimSession::clear_round_state() {
   }
   dirty_dsts_.clear();
   std::fill(rank_time_.begin(), rank_time_.end(), SimTime::zero());
+  std::fill(inflow_.begin(), inflow_.end(), Inflow{});
+}
+
+bool SimSession::converging(int dst) const {
+  const Inflow& in = inflow_[std::size_t(dst)];
+  return in.unmatched > 0 || engine_.current() < in.release;
 }
 
 void SimSession::mark_dirty(int dst) {
@@ -272,11 +279,10 @@ SimTime SimSession::run(const std::vector<RankProgram>& programs) {
       tasks[std::size_t(r)] = programs[std::size_t(r)](comms_[std::size_t(r)]);
       ++active_ranks_;
     }
-  for (int r = 0; r < size(); ++r)
-    if (tasks[std::size_t(r)].valid())
-      engine_.schedule_at(SimTime::zero(), [this, r] {
-        round_tasks_[std::size_t(r)].start();
-      });
+  // The starts run inline, in rank order, under the keys (0, 0..k-1):
+  // every event a start schedules gets a later key, so the starts precede
+  // all of them, as start events at t = 0 would.
+  std::uint64_t start_seq = engine_.take_seq(std::uint64_t(active_ranks_));
 
   if (flight_)
     flight_->record(0, obs::FlightEvent::kRoundStart,
@@ -284,10 +290,16 @@ SimTime SimSession::run(const std::vector<RankProgram>& programs) {
 
   const auto host_begin = std::chrono::steady_clock::now();
   try {
+    for (Task& t : tasks)
+      if (t.valid()) {
+        engine_.enter_inline(start_seq++);
+        t.start();
+      }
     engine_.run();
   } catch (...) {
-    // An event action threw outside any rank coroutine. Drop what's left
-    // so the session stays usable (and reset()-able) after the throw.
+    // A start or an event action threw outside any rank coroutine. Drop
+    // what's left so the session stays usable (and reset()-able) after the
+    // throw.
     engine_.discard_pending();
     clear_round_state();
     tasks.clear();
@@ -391,10 +403,11 @@ SimSession::StatePtr SimSession::exec_isend(int src, int dst, int tag,
     const bool pipelined = fabric_.egress_busy(src, now);
     const SimTime cpu = fabric_.send_cpu_cost(src, n, pipelined);
     const SimTime cpu_done = now + cpu;
-    // Inflow registration comes after the transfer so the escalation quirk
-    // sees only *other* traffic converging on the destination.
-    const sim::WireTiming w = fabric_.transfer(src, dst, n, cpu_done);
-    fabric_.begin_inflow(dst);
+    // The message converges on dst from after its own transfer (the quirk
+    // sees only *other* traffic) until its receive completes.
+    const sim::WireTiming w =
+        fabric_.transfer(src, dst, n, cpu_done, converging(dst));
+    ++inflow_[std::size_t(dst)].unmatched;
     // Blocking-eager return: the call returns once the remaining backlog
     // fits the socket send buffer.
     const SimTime resume = lmo::max(
@@ -474,16 +487,20 @@ void SimSession::complete(int dst, Announcement msg, PendingRecv recv) {
     const bool pipelined = fabric_.egress_busy(msg.src, start);
     const SimTime cpu = fabric_.send_cpu_cost(msg.src, msg.bytes, pipelined);
     const SimTime cpu_done = start + cpu;
-    const sim::WireTiming w =
-        fabric_.transfer(msg.src, dst, msg.bytes, cpu_done);
-    fabric_.begin_inflow(dst);
+    const sim::WireTiming w = fabric_.transfer(msg.src, dst, msg.bytes,
+                                               cpu_done, converging(dst));
     finish(msg.send_state, cpu_done, msg.bytes);
     arrival = w.arrival;
   }
   // The receiving rank itself processes the message.
   const SimTime done = lmo::max(recv.post_time, arrival) +
                        fabric_.recv_cpu_cost(dst, msg.bytes);
-  engine_.schedule_at(done, [this, dst] { fabric_.end_inflow(dst); });
+  // The message converges on dst until its receive completes: events keyed
+  // below its release key (done, seq) still see it.
+  Inflow& in = inflow_[std::size_t(dst)];
+  if (!msg.rendezvous) --in.unmatched;
+  in.release =
+      std::max(in.release, sim::Engine::Key{done, engine_.take_seq()});
   if (flight_)
     flight_->record(std::uint64_t(done.ns()), obs::FlightEvent::kOpComplete,
                     std::uint16_t(dst), clamp_u32(msg.bytes));

@@ -201,6 +201,9 @@ class SimSession {
   void resume_at(int rank, SimTime t, std::coroutine_handle<> h);
   void clear_round_state();
   void mark_dirty(int dst);
+  /// True if another message still converges on dst (the escalation
+  /// quirk's condition): see Inflow.
+  [[nodiscard]] bool converging(int dst) const;
 
   std::shared_ptr<const sim::ClusterConfig> cfg_;
   std::uint64_t seed_ = 0;
@@ -218,6 +221,15 @@ class SimSession {
   /// few ranks of a large session, and the clear runs per repetition).
   std::vector<int> dirty_dsts_;
   std::vector<char> queue_dirty_;  ///< per-dst membership flag for the above
+
+  /// Per destination, the messages converging on it: eager ones sent but
+  /// not yet matched, and matched ones whose receive has not completed,
+  /// that is, whose release key is above the engine's running key.
+  struct Inflow {
+    int unmatched = 0;         ///< eager messages sent, not yet matched
+    sim::Engine::Key release;  ///< largest release key of matched ones
+  };
+  std::vector<Inflow> inflow_;
 
   int active_ranks_ = 0;  ///< ranks with a program this run
 

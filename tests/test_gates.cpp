@@ -205,6 +205,13 @@ TEST(Sec4Gate, WarmRunMeasuresNothing) {
   EXPECT_EQ(warm.at("shared_runs").as_int(), 0);
   EXPECT_EQ(warm.at("cached").as_int(), cold.at("measured").as_int());
   EXPECT_TRUE(cold_report.at("degradation").at("clean").as_bool());
+  // Work ceiling: about two rank resumes per message and no other events
+  // (ranks start inline, and inflows end by key, not by event).
+  const obs::Json& counters = cold_report.at("metrics").at("counters");
+  const std::int64_t transfers = counters.at("sim.transfers").as_int();
+  EXPECT_GT(transfers, 0);
+  EXPECT_LE(double(counters.at("sim.events").as_int()),
+            2.1 * double(transfers));
 }
 
 TEST(Table2Gate, ReportMetricsAndFidelityBaseline) {

@@ -102,6 +102,34 @@ TEST(EngineTest, ResetAfterDrainedRunRestartsClock) {
   EXPECT_EQ(e.executed(), 0u);
 }
 
+TEST(EngineTest, TakenAndInlineSeqsKeepTheirPlaceInTheOrder) {
+  Engine e;
+  const std::uint64_t first = e.take_seq(2);  // two inline keys at t = 0
+  EXPECT_EQ(first, 0u);
+  std::vector<Engine::Key> seen;
+  e.enter_inline(first);
+  EXPECT_EQ(e.current().seq, first);
+  e.schedule_at(1_us, [&] { seen.push_back(e.current()); });  // seq 2
+  e.enter_inline(first + 1);
+  const Engine::Key release{1_us, e.take_seq()};  // seq 3, no event
+  e.schedule_at(1_us, [&] { seen.push_back(e.current()); });  // seq 4
+  EXPECT_EQ(e.pending(), 2u);
+  e.run();
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[0].t, 1_us);
+  EXPECT_EQ(seen[0].seq, 2u);
+  EXPECT_EQ(seen[1].seq, 4u);
+  EXPECT_TRUE(seen[0] < release);   // ran before the taken key
+  EXPECT_TRUE(release < seen[1]);   // ran after it
+  EXPECT_EQ(e.executed(), 2u);      // inline keys are not events
+  EXPECT_THROW(e.enter_inline(5), Error);  // never taken
+#ifndef NDEBUG
+  EXPECT_THROW(e.enter_inline(1), Error);  // debug builds: keys only rise
+#endif
+  e.reset();
+  EXPECT_EQ(e.take_seq(), 0u);
+}
+
 // -------------------------------------------------------------- Cluster ---
 
 TEST(ClusterTest, PaperClusterMatchesTableOne) {
@@ -196,7 +224,7 @@ TEST(FabricTest, TransferTiming) {
   const ClusterConfig cfg = quiet_cluster();
   Fabric f(cfg, cfg.seed);
   const Bytes n = 10000;
-  const WireTiming w = f.transfer(0, 1, n, 100_us);
+  const WireTiming w = f.transfer(0, 1, n, 100_us, false);
   const double wire = double(n) / cfg.rate(0, 1);
   EXPECT_EQ(w.egress_start, 100_us);
   EXPECT_EQ(w.egress_end, 100_us + SimTime::from_seconds(wire));
@@ -207,7 +235,7 @@ TEST(FabricTest, TransferTiming) {
 TEST(FabricTest, ZeroByteUsesMinimalFrame) {
   const ClusterConfig cfg = quiet_cluster();
   Fabric f(cfg, cfg.seed);
-  const WireTiming w = f.transfer(0, 1, 0, SimTime::zero());
+  const WireTiming w = f.transfer(0, 1, 0, SimTime::zero(), false);
   EXPECT_GT(w.egress_end, w.egress_start);  // one 64-byte frame
 }
 
@@ -215,13 +243,13 @@ TEST(FabricTest, EgressSerializesIngressSerializes) {
   const ClusterConfig cfg = quiet_cluster();
   Fabric f(cfg, cfg.seed);
   const Bytes n = 125000;  // 10 ms on the wire
-  const WireTiming a = f.transfer(0, 1, n, SimTime::zero());
-  const WireTiming b = f.transfer(0, 2, n, SimTime::zero());
+  const WireTiming a = f.transfer(0, 1, n, SimTime::zero(), false);
+  const WireTiming b = f.transfer(0, 2, n, SimTime::zero(), false);
   // Same egress port: b starts when a's last byte left.
   EXPECT_EQ(b.egress_start, a.egress_end);
   Fabric g(cfg, cfg.seed);
-  const WireTiming c = g.transfer(0, 3, n, SimTime::zero());
-  const WireTiming d = g.transfer(1, 3, n, SimTime::zero());
+  const WireTiming c = g.transfer(0, 3, n, SimTime::zero(), false);
+  const WireTiming d = g.transfer(1, 3, n, SimTime::zero(), false);
   // Same ingress port: d's reception queues behind c's.
   EXPECT_EQ(d.arrival, c.arrival + (c.arrival - SimTime::from_seconds(
                                         cfg.latency(0, 3))));
@@ -231,8 +259,8 @@ TEST(FabricTest, DisjointPairsDoNotInteract) {
   const ClusterConfig cfg = quiet_cluster(4);
   Fabric f(cfg, cfg.seed);
   const Bytes n = 125000;
-  const WireTiming a = f.transfer(0, 1, n, SimTime::zero());
-  const WireTiming b = f.transfer(2, 3, n, SimTime::zero());
+  const WireTiming a = f.transfer(0, 1, n, SimTime::zero(), false);
+  const WireTiming b = f.transfer(2, 3, n, SimTime::zero(), false);
   EXPECT_EQ(a.egress_start, b.egress_start);
   EXPECT_EQ(a.arrival, b.arrival);  // single switch: no cross contention
 }
@@ -270,21 +298,28 @@ TEST(FabricTest, EscalationsRequireBandAndConvergingTraffic) {
   cfg.quirks.escalation_peak_prob = 1.0;  // force whenever eligible
   Fabric f(cfg, cfg.seed);
 
-  // Single flow: never escalates.
-  const WireTiming solo = f.transfer(0, 1, 32 * 1024, SimTime::zero());
+  // Single flow, even at the top of the band: never escalates.
+  const WireTiming solo =
+      f.transfer(0, 1, 64 * 1024, SimTime::zero(), /*converging=*/false);
   EXPECT_EQ(solo.escalation, SimTime::zero());
+  EXPECT_EQ(f.counters().escalations, 0u);
 
   // Converging flows in the band: escalates (prob 1 at eligibility).
-  f.begin_inflow(3);
   // Exactly at the top of the band the escalation probability is 1.
-  const WireTiming hot = f.transfer(0, 3, 64 * 1024, SimTime::zero());
+  const WireTiming hot =
+      f.transfer(0, 3, 64 * 1024, SimTime::zero(), /*converging=*/true);
   EXPECT_GT(hot.escalation, SimTime::zero());
   EXPECT_LE(hot.escalation.seconds(), 0.25);
-  EXPECT_GE(f.counters().escalations, 1u);
+  EXPECT_EQ(f.counters().escalations, 1u);
 
-  // Below the band: never.
-  const WireTiming tiny = f.transfer(1, 3, 1024, SimTime::zero());
+  // Below the band and above it: never, converging or not.
+  const WireTiming tiny =
+      f.transfer(1, 3, 1024, SimTime::zero(), /*converging=*/true);
   EXPECT_EQ(tiny.escalation, SimTime::zero());
+  const WireTiming bulk =
+      f.transfer(1, 3, 64 * 1024 + 1, SimTime::zero(), /*converging=*/true);
+  EXPECT_EQ(bulk.escalation, SimTime::zero());
+  EXPECT_EQ(f.counters().escalations, 1u);
 }
 
 TEST(FabricTest, NoiseIsOneSidedAndBounded) {
@@ -310,20 +345,10 @@ TEST(FabricTest, ResetTimelinesKeepsRngState) {
   EXPECT_NE(first, second);
 }
 
-TEST(FabricTest, InflowAccounting) {
-  const ClusterConfig cfg = quiet_cluster();
-  Fabric f(cfg, cfg.seed);
-  f.begin_inflow(2);
-  f.begin_inflow(2);
-  EXPECT_NO_THROW(f.end_inflow(2));
-  EXPECT_NO_THROW(f.end_inflow(2));
-  EXPECT_THROW(f.end_inflow(2), Error);  // more ends than begins
-}
-
 TEST(FabricTest, RejectsSelfTransfer) {
   const ClusterConfig cfg = quiet_cluster();
   Fabric f(cfg, cfg.seed);
-  EXPECT_THROW(f.transfer(1, 1, 10, SimTime::zero()), Error);
+  EXPECT_THROW(f.transfer(1, 1, 10, SimTime::zero(), false), Error);
 }
 
 }  // namespace

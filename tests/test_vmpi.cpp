@@ -30,6 +30,20 @@ sim::ClusterConfig quiet_cluster(int n = 4) {
   return cfg;
 }
 
+// Escalation whenever eligible: a kBand-byte eager message (the top of the
+// band) escalates exactly when another message converges on its
+// destination. The fabric's remaining noise is off.
+constexpr Bytes kBand = 64 * 1024;
+sim::ClusterConfig incast_cluster() {
+  sim::ClusterConfig cfg = quiet_cluster();
+  cfg.quirks.enabled = true;
+  cfg.quirks.escalation_min = 4 * 1024;
+  cfg.quirks.rendezvous_threshold = kBand;
+  cfg.quirks.escalation_peak_prob = 1.0;
+  cfg.quirks.frag_leap_s = 0.0;
+  return cfg;
+}
+
 // Exact expected one-way time on the quiet cluster: C + Mt + L + M/beta + C + Mt.
 double pt2pt_seconds(const sim::ClusterConfig& cfg, int i, int j, Bytes m) {
   const Bytes frame = m < 64 ? 64 : m;
@@ -235,6 +249,94 @@ TEST(VmpiSubtask, CollectiveStyleNesting) {
   };
   w.run(programs);
   EXPECT_NEAR(done.seconds(), 4 * pt2pt_seconds(cfg, 0, 1, 1000), 1e-12);
+}
+
+// The escalation quirk asks whether another message converges on dst: an
+// eager message converges from its send until its receive completes, at
+// the key (done, seq) an end event taken at the match would have had.
+TEST(VmpiInflow, UnmatchedEagerMessageConverges) {
+  World w(incast_cluster());
+  auto programs = idle_programs(4);
+  programs[0] = [](Comm& c) -> Task {
+    co_await c.sleep(1_ms);  // both eager messages arrive unmatched
+    co_await c.recv(1);
+    co_await c.recv(2);
+    co_await c.recv(3);
+  };
+  programs[1] = [](Comm& c) -> Task { co_await c.send(0, kBand); };
+  programs[2] = [](Comm& c) -> Task {
+    co_await c.sleep(1_us);
+    co_await c.send(0, kBand);  // rank 1's message is unmatched: escalates
+  };
+  programs[3] = [](Comm& c) -> Task {
+    co_await c.sleep(SimTime::from_seconds(2.0));
+    co_await c.send(0, kBand);  // every receive completed: no inflow left
+  };
+  w.run(programs);
+  EXPECT_EQ(w.metrics().escalations, 1u);
+}
+
+// Rank 0's receive of `sender`'s message completes at `done`, and `probe`
+// sends at exactly `done`. The ranks start in rank order, so the probe's
+// sleep takes its seq before the sender's message takes its release seq
+// when probe < sender, and after it otherwise.
+std::uint64_t escalations_of_probe_at_release(int sender, int probe) {
+  const sim::ClusterConfig cfg = incast_cluster();
+  SimTime done;
+  {
+    World calibrate(cfg);
+    auto programs = idle_programs(4);
+    programs[0] = [&done, sender](Comm& c) -> Task {
+      co_await c.recv(sender);
+      done = c.now();
+    };
+    programs[std::size_t(sender)] = [](Comm& c) -> Task {
+      co_await c.send(0, kBand);
+    };
+    calibrate.run(programs);
+    EXPECT_EQ(calibrate.metrics().escalations, 0u);
+  }
+  World w(cfg);
+  auto programs = idle_programs(4);
+  programs[0] = [sender, probe](Comm& c) -> Task {
+    co_await c.recv(sender);
+    co_await c.recv(probe);
+  };
+  programs[std::size_t(sender)] = [](Comm& c) -> Task {
+    co_await c.send(0, kBand);
+  };
+  programs[std::size_t(probe)] = [done](Comm& c) -> Task {
+    co_await c.sleep(done);
+    EXPECT_EQ(c.now(), done);
+    co_await c.send(0, kBand);
+  };
+  w.run(programs);
+  return w.metrics().escalations;
+}
+
+TEST(VmpiInflow, SameTimeEventBelowTheReleaseSeqSeesTheInflow) {
+  EXPECT_EQ(escalations_of_probe_at_release(/*sender=*/2, /*probe=*/1), 1u);
+}
+
+TEST(VmpiInflow, SameTimeEventAboveTheReleaseSeqDoesNot) {
+  EXPECT_EQ(escalations_of_probe_at_release(/*sender=*/1, /*probe=*/2), 0u);
+}
+
+TEST(VmpiInflow, SecondSendInOneEventSeesTheFirst) {
+  World w(incast_cluster());
+  auto programs = idle_programs(4);
+  programs[0] = [](Comm& c) -> Task {
+    co_await c.recv(1);  // posted first: the first message matches at once
+    co_await c.recv(1);
+  };
+  programs[1] = [](Comm& c) -> Task {
+    const Request a = c.isend(0, kBand);
+    const Request b = c.isend(0, kBand);  // the first still converges
+    co_await c.wait(a);
+    co_await c.wait(b);
+  };
+  w.run(programs);
+  EXPECT_EQ(w.metrics().escalations, 1u);
 }
 
 TEST(VmpiErrors, DeadlockDetected) {

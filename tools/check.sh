@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Tier-1 verification: build and run the test suite, normally and under
+# Tier-1 verification: build and run the test suite, normally, at -O0 with
+# assertions (the Debug build: it links code the optimizer drops, and runs
+# the debug-only invariants such as the engine's key order) and under
 # ThreadSanitizer (the concurrency in util/thread_pool + the parallel
 # experiment runner must stay race-free).
 #
-#   tools/check.sh            # regular build + tests, then TSan build + tests
-#   tools/check.sh --no-tsan  # regular build + tests only
+#   tools/check.sh            # regular, Debug, then TSan build + tests
+#   tools/check.sh --no-tsan  # regular and Debug build + tests only
 #   tools/check.sh --tsan-filter 'Parallel|Determinism'
 #                             # restrict the (slow) TSan run to a ctest -R regex
 #
@@ -61,6 +63,11 @@ echo "== regular build =="
 cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo ${LAUNCHER:+$LAUNCHER}
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
+
+echo "== Debug build (-O0, assertions on) =="
+cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug ${LAUNCHER:+$LAUNCHER}
+cmake --build build-debug -j "$JOBS"
+ctest --test-dir build-debug --output-on-failure -j "$JOBS"
 
 if [[ "$RUN_TSAN" == 1 ]]; then
   echo "== ThreadSanitizer build =="
